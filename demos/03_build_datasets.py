@@ -3,9 +3,10 @@
 Every mid-price-moving event becomes one sample; its features are the
 T most recent preceding events.  Three aligned variants are built in a
 single pass: raw order-flow covariates and two book-snapshot benchmarks
-(with and without market-order rates).  Samples are then split into
-train/validation/test by date and normalization statistics are fitted
-on the train split only.
+(with and without market-order rates).  Each variant stores one feature
+row per event; `ds.X` gathers the windows from it.  Samples are then
+split into train/validation/test by date and normalization statistics
+are fitted on the train split only.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ events = feed.iter_events(feed.generate_synthetic(cfg, seed=3))
 
 datasets = features.build_datasets(events, T=10, S=3, warm_count=100)
 for name, ds in datasets.items():
-    print(f"{name:9s} X{ds.X.shape}  labels up/down = "
+    print(f"{name:9s} X{ds.X.shape} gathered from table{ds.table.shape}  labels up/down = "
           f"{int(ds.y.sum())}/{int((1 - ds.y).sum())}")
 print("build counters:", datasets["orderflow"].counters)
 

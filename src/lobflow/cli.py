@@ -228,13 +228,15 @@ def cmd_train(cfg: dict, out_dir: Path, pair: str, variant: str,
         raise CliError("train and validation splits must be non-empty")
     model_cfg = _model_config_from(cfg, ds)
     schedule = _schedule_from(cfg)
+    # windows are gathered from the dataset's event table once per split
+    train_xy, val_xy = (tr.X, tr.y), (va.X, va.y)
     trials = None
     if cfg.get("search"):
         model_cfg, schedule, trials = net.hyper_search(
             cfg["search"]["space"], cfg["search"]["budget"], cfg["seed"],
-            model_cfg, (tr.X, tr.y), (va.X, va.y), schedule)
+            model_cfg, train_xy, val_xy, schedule)
     model = net.Model(model_cfg, seed=cfg["seed"])
-    result = net.train(model, (tr.X, tr.y), (va.X, va.y), schedule)
+    result = net.train(model, train_xy, val_xy, schedule)
     ckpt = out_dir / f"{pair}.{variant}.ckpt"
     net.save_checkpoint(model, ckpt, extras={
         "train_pair": pair, "best_epoch": result.best_epoch,

@@ -1,13 +1,23 @@
-"""Dataset construction: labelling, covariate extraction, date splits.
+"""Dataset construction: labelling, per-event tables, date splits.
 
 The replayed stream is turned into length-T samples, one per mid-price
 moving event, labelled 1 for an upward move and 0 for a downward move.
-Three feature variants are built from the same labelled windows:
+Each variant stores its features once per replayed event, as one row of
+a table; a sample stores only the end index of its window, which is the
+table rows [end - T, end) of the T events strictly preceding the mover.
+`Dataset.X` gathers the (N, T, F) windows from the table on demand.
+Three variants are built in one pass on shared labels and window ends:
 
   orderflow  per event: [dt_ms, hour, size, kind, side, rel_price]
   bench1     per event: [bid px*S, bid vol*S, ask px*S, ask vol*S, mid,
                          mo_rate_buy, mo_rate_sell]
   bench2     bench1 without the two MO-rate columns
+
+The MO rates depend on the window, so the bench1 table holds the
+best-bid and best-ask order counts and buy and sell market-order flags
+in their place.  The gather derives each rate as the number of market
+orders of that side in the window over that step's best-level order
+count (0 when the count is 0).
 
 Feature values are stored raw; the normalization applied at the model
 input (log1p on dt, log on size and rel_price, snapshot prices as tick
@@ -22,10 +32,10 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Iterator, Optional
+from pathlib import Path
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -58,29 +68,7 @@ class MissingStats(FeatureError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# Per-event annotation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(slots=True)
-class EventAnnotation:
-    """Everything a feature extractor needs about one applied event."""
-
-    ts: int
-    dt_ms: int
-    hour: int
-    size: float
-    kind_code: int
-    side_code: int
-    rel_price: int
-    mid_after: Optional[float]
-    snap: Optional[lob.LobSnapshot]
-    bb_count: int
-    ba_count: int
-
-
-def hour_utc(timestamp_ms: int) -> int:
+def hour_utc(timestamp_ms):
     return (timestamp_ms // 3_600_000) % 24
 
 
@@ -109,112 +97,20 @@ def warm_up(events: Iterable[OrderEvent], book: Optional[lob.OrderBook] = None,
     return book, consumed, iter(()), last_ts
 
 
-def annotate_event(book: lob.OrderBook, ev: OrderEvent, prev_ts: Optional[int],
-                   depth: Optional[int], counters: dict) -> tuple[EventAnnotation, lob.BookDelta]:
-    """Apply one event and capture its covariates plus the post-event state."""
-    try:
-        rel = book.relative_price(ev.side, ev.price_ticks)
-    except lob.EmptySide:
-        # no same-side best yet (stream head); at-best by convention
-        rel = 1
-        counters["rel_price_fallbacks"] = counters.get("rel_price_fallbacks", 0) + 1
-    delta = book.apply_event(ev)
-    mid = delta.mid_after
-    snap = book.snapshot(depth) if depth is not None else None
-    ann = EventAnnotation(
-        ts=ev.timestamp_ms,
-        dt_ms=ev.timestamp_ms - prev_ts if prev_ts is not None else 0,
-        hour=hour_utc(ev.timestamp_ms),
-        size=ev.size,
-        kind_code=ev.kind.value,
-        side_code=ev.side.value,
-        rel_price=rel,
-        mid_after=float(mid) if mid is not None else None,
-        snap=snap,
-        bb_count=book.level_count(Side.BUY, book.best_bid()) if book.best_bid() is not None else 0,
-        ba_count=book.level_count(Side.SELL, book.best_ask()) if book.best_ask() is not None else 0,
-    )
-    return ann, delta
-
-
-def label_stream(events: Iterable[OrderEvent], book: lob.OrderBook, T: int,
-                 depth: Optional[int] = None, prev_ts: Optional[int] = None,
-                 counters: Optional[dict] = None) -> Iterator[tuple[int, int, list]]:
-    """Yield (label, event_time, window) per mid-price-moving event.
-
-    The window is the T most recent annotated events strictly preceding
-    the moving event.  Movers with fewer than T prior events are skipped
-    and counted.  The book must already be warmed so the mid is defined.
-    """
-    counters = counters if counters is not None else {}
-    window: deque[EventAnnotation] = deque(maxlen=T)
-    for ev in events:
-        ann, delta = annotate_event(book, ev, prev_ts, depth, counters)
-        prev_ts = ev.timestamp_ms
-        if delta.mid_changed:
-            if len(window) >= T:
-                label = 1 if delta.mid_after > delta.mid_before else 0
-                yield label, ev.timestamp_ms, list(window)
-            else:
-                counters["skipped_insufficient_history"] = \
-                    counters.get("skipped_insufficient_history", 0) + 1
-        elif delta.mid_before is None and delta.mid_after is not None:
-            counters["mid_became_defined"] = counters.get("mid_became_defined", 0) + 1
-        window.append(ann)
-
-
-# ---------------------------------------------------------------------------
-# Extraction
-# ---------------------------------------------------------------------------
-
-
-def extract_orderflow(window: list) -> np.ndarray:
-    """(T, 6) raw covariates: dt_ms, hour, size, kind, side, rel_price."""
-    out = np.empty((len(window), 6))
-    for t, a in enumerate(window):
-        out[t] = (a.dt_ms, a.hour, a.size, a.kind_code, a.side_code, a.rel_price)
-    return out
-
-
-def extract_snapshot(window: list, depth: int, variant: str,
-                     counters: Optional[dict] = None) -> Optional[np.ndarray]:
-    """(T, 4*depth + 1 [+2]) snapshot rows taken after each window event.
-
-    For bench1 the MO rate numerators count the market orders in the
-    whole window; the denominator is the order count at that timestep's
-    best level (0 count gives rate 0, flagged).  Returns None when any
-    window event lacks a defined mid (degenerate stream head).
-    """
-    counters = counters if counters is not None else {}
-    if any(a.mid_after is None or a.snap is None for a in window):
-        counters["skipped_undefined_mid"] = counters.get("skipped_undefined_mid", 0) + 1
-        return None
-    width = 4 * depth + (3 if variant == "bench1" else 1)
-    out = np.empty((len(window), width))
-    if variant == "bench1":
-        n_buy_mo = sum(1 for a in window if a.kind_code == EventKind.MARKET.value
-                       and a.side_code == Side.BUY.value)
-        n_sell_mo = sum(1 for a in window if a.kind_code == EventKind.MARKET.value
-                        and a.side_code == Side.SELL.value)
-    for t, a in enumerate(window):
-        s = a.snap
-        row = out[t]
-        row[0:depth] = s.bid_prices
-        row[depth:2 * depth] = s.bid_volumes
-        row[2 * depth:3 * depth] = s.ask_prices
-        row[3 * depth:4 * depth] = s.ask_volumes
-        row[4 * depth] = a.mid_after
-        if variant == "bench1":
-            if a.bb_count == 0 or a.ba_count == 0:
-                counters["degenerate_rates"] = counters.get("degenerate_rates", 0) + 1
-            row[4 * depth + 1] = n_buy_mo / a.bb_count if a.bb_count else 0.0
-            row[4 * depth + 2] = n_sell_mo / a.ba_count if a.ba_count else 0.0
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Dataset container
 # ---------------------------------------------------------------------------
+
+
+def _table_width(variant: str, S: int) -> int:
+    if variant == "orderflow":
+        return 6
+    return 4 * S + (5 if variant == "bench1" else 1)
+
+
+def _cumsum0(a: np.ndarray) -> np.ndarray:
+    """Cumulative sums along axis 0 with a leading zero row: c[j] = a[:j].sum(0)."""
+    return np.concatenate((np.zeros((1,) + a.shape[1:]), np.cumsum(a, axis=0)))
 
 
 @dataclass
@@ -223,11 +119,12 @@ class Dataset:
     T: int
     S: int
     pair: str
-    X: np.ndarray            # (N, T, F) float64, raw features
+    table: np.ndarray        # (E, C) float64, raw columns of each replayed event
+    table_ts: np.ndarray     # (E,) int64 ms, timestamp of each table row's event
+    end: np.ndarray          # (N,) int64, sample window is table rows [end - T, end)
     y: np.ndarray            # (N,) uint8
     event_time: np.ndarray   # (N,) int64 ms, labelling-event timestamp
     split: np.ndarray        # (N,) int8, SPLIT_* codes
-    window_last_ts: np.ndarray = None  # (N,) int64 ms, last window event (look-ahead audit)
     norm_stats: Optional[dict] = None   # {"mean": [...], "sd": [...]} per encoded channel
     split_ranges: Optional[dict] = None
     counters: dict = field(default_factory=dict)
@@ -236,19 +133,39 @@ class Dataset:
     def n(self) -> int:
         return len(self.y)
 
-    def __post_init__(self):
-        if self.window_last_ts is None:
-            self.window_last_ts = np.zeros(len(self.y), dtype=np.int64)
+    @property
+    def X(self) -> np.ndarray:
+        """(N, T, F) float64 raw feature windows, gathered from the table."""
+        return _gather(self, self.end)
+
+    @property
+    def window_last_ts(self) -> np.ndarray:
+        """(N,) int64 ms, timestamp of each window's newest event (look-ahead audit)."""
+        return self.table_ts[self.end - 1]
 
     def subset(self, split_name: str) -> "Dataset":
         m = self.split == SPLIT_NAMES[split_name]
-        return Dataset(self.variant, self.T, self.S, self.pair,
-                       self.X[m], self.y[m], self.event_time[m], self.split[m],
-                       self.window_last_ts[m], self.norm_stats, self.split_ranges,
-                       dict(self.counters))
+        return Dataset(self.variant, self.T, self.S, self.pair, self.table, self.table_ts,
+                       self.end[m], self.y[m], self.event_time[m], self.split[m],
+                       self.norm_stats, self.split_ranges, dict(self.counters))
 
     def split_counts(self) -> dict:
         return {name: int(np.sum(self.split == code)) for name, code in SPLIT_NAMES.items()}
+
+
+def _gather(ds: Dataset, end: np.ndarray) -> np.ndarray:
+    """The (len(end), T, F) windows ending before the given table rows."""
+    rows = end[:, None] - ds.T + np.arange(ds.T)
+    if ds.variant != "bench1":
+        return ds.table[rows]
+    w = 4 * ds.S + 1
+    X = np.zeros(rows.shape + (w + 2,))
+    X[..., :w] = ds.table[rows, :w]
+    mo = _cumsum0(ds.table[:, w + 2:])
+    n_mo = (mo[end] - mo[end - ds.T])[:, None, :]
+    counts = ds.table[rows, w:w + 2]
+    np.divide(n_mo, counts, out=X[..., w:], where=counts > 0)
+    return X
 
 
 def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SYN",
@@ -256,53 +173,79 @@ def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SY
                    variants: tuple = VARIANTS) -> dict[str, Dataset]:
     """Single replay pass producing every requested variant on shared labels.
 
-    Samples whose window lacks a defined mid are dropped from all
-    variants so the variants stay index-aligned.
+    Movers with fewer than T events since the warm-up are skipped.  When a
+    snapshot variant is requested, samples whose window holds an event
+    with no defined mid are dropped from all variants so the variants
+    stay index-aligned.
     """
     counters: dict = {}
     need_snap = any(v != "orderflow" for v in variants)
+    need_counts = "bench1" in variants
     if warm_until_ts is None and warm_count is None:
         warm_count = 0
     book, n_warm, rest, warm_last_ts = warm_up(iter(events), until_ts=warm_until_ts,
                                                until_count=warm_count)
     counters["warmup_events"] = n_warm
 
-    rows = {v: [] for v in variants}
-    labels, times, last_ts = [], [], []
-    for label, ts, window in label_stream(rest, book, T,
-                                          depth=S if need_snap else None,
-                                          prev_ts=warm_last_ts, counters=counters):
-        extracted = {}
-        ok = True
-        for v in variants:
-            if v == "orderflow":
-                extracted[v] = extract_orderflow(window)
+    ts, flow, snaps, ends, labels, times = [], [], [], [], [], []
+    for j, ev in enumerate(rest):
+        try:
+            rel = book.relative_price(ev.side, ev.price_ticks)
+        except lob.EmptySide:
+            # no same-side best yet (stream head); at-best by convention
+            rel = 1
+            counters["rel_price_fallbacks"] = counters.get("rel_price_fallbacks", 0) + 1
+        delta = book.apply_event(ev)
+        ts.append(ev.timestamp_ms)
+        flow.append((ev.size, ev.kind.value, ev.side.value, rel))
+        if need_snap:
+            s = book.snapshot(S)
+            row = s.bid_prices + s.bid_volumes + s.ask_prices + s.ask_volumes
+            row.append(float(delta.mid_after) if delta.mid_after is not None else np.nan)
+            if need_counts:
+                row.append(book.level_count(Side.BUY, book.best_bid()))
+                row.append(book.level_count(Side.SELL, book.best_ask()))
+            snaps.append(row)
+        if delta.mid_changed:
+            if j >= T:
+                ends.append(j)
+                labels.append(1 if delta.mid_after > delta.mid_before else 0)
+                times.append(ev.timestamp_ms)
             else:
-                arr = extract_snapshot(window, S, v, counters)
-                if arr is None:
-                    ok = False
-                    break
-                extracted[v] = arr
-        if not ok:
-            continue
-        for v in variants:
-            rows[v].append(extracted[v])
-        labels.append(label)
-        times.append(ts)
-        last_ts.append(window[-1].ts)
+                counters["skipped_insufficient_history"] = \
+                    counters.get("skipped_insufficient_history", 0) + 1
+        elif delta.mid_before is None and delta.mid_after is not None:
+            counters["mid_became_defined"] = counters.get("mid_became_defined", 0) + 1
 
-    counters["samples"] = len(labels)
+    ts = np.asarray(ts, dtype=np.int64)
+    flow = np.asarray(flow, dtype=np.float64).reshape(len(ts), 4)
+    end = np.asarray(ends, dtype=np.int64)
     y = np.asarray(labels, dtype=np.uint8)
     t = np.asarray(times, dtype=np.int64)
-    wlast = np.asarray(last_ts, dtype=np.int64)
-    out = {}
-    for v in variants:
-        width = 6 if v == "orderflow" else 4 * S + (3 if v == "bench1" else 1)
-        X = (np.stack(rows[v]) if rows[v] else np.empty((0, T, width)))
-        out[v] = Dataset(v, T, S, pair, X, y.copy(), t.copy(),
-                         np.full(len(y), SPLIT_NONE, dtype=np.int8),
-                         wlast.copy(), counters=dict(counters))
-    return out
+    dt = np.diff(ts, prepend=ts[:1] if warm_last_ts is None else warm_last_ts)
+    tables = {"orderflow": np.column_stack((dt, hour_utc(ts), flow))}
+    if need_snap:
+        w = 4 * S + 1
+        snap = np.asarray(snaps, dtype=np.float64).reshape(len(ts), w + 2 * need_counts)
+        undefined = _cumsum0(np.isnan(snap[:, w - 1]))
+        keep = undefined[end] == undefined[end - T]
+        if not keep.all():
+            counters["skipped_undefined_mid"] = int(np.sum(~keep))
+            end, y, t = end[keep], y[keep], t[keep]
+        tables["bench2"] = snap[:, :w]
+        if need_counts:
+            degenerate = _cumsum0(np.any(snap[:, w:] == 0, axis=1))
+            n_degenerate = int(np.sum(degenerate[end] - degenerate[end - T]))
+            if n_degenerate:
+                counters["degenerate_rates"] = n_degenerate
+            kind, side = flow[:, 1], flow[:, 2]
+            market = kind == EventKind.MARKET.value
+            tables["bench1"] = np.column_stack((snap, market & (side == Side.BUY.value),
+                                                market & (side == Side.SELL.value)))
+    counters["samples"] = len(end)
+    return {v: Dataset(v, T, S, pair, tables[v], ts, end.copy(), y.copy(), t.copy(),
+                       np.full(len(y), SPLIT_NONE, dtype=np.int8), counters=dict(counters))
+            for v in variants}
 
 
 def split_by_date(ds: Dataset, train_range, val_range, test_range) -> Dataset:
@@ -352,7 +295,7 @@ def transform_numeric(X: np.ndarray, variant: str, S: int) -> np.ndarray:
 
 def compute_norm_stats(ds: Dataset) -> dict:
     """Per-channel mean/sd of the transformed numerics, train split only."""
-    train = ds.X[ds.split == SPLIT_TRAIN]
+    train = _gather(ds, ds.end[ds.split == SPLIT_TRAIN])
     if len(train) == 0:
         raise MissingStats("no train samples to fit normalization on")
     z = transform_numeric(train, ds.variant, ds.S).reshape(-1, _numeric_width(ds.variant, ds.S))
@@ -373,46 +316,63 @@ def _numeric_width(variant: str, S: int) -> int:
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"OFDS"
-_VERSION = 1
+_VERSION = 2
+_PREFIX = struct.Struct("<4sII")   # magic, version, header length
 
 
 def save_dataset(ds: Dataset, path) -> None:
+    """Header, then table (E, C) float64, table_ts (E,) int64 and the
+    per-sample end int64, y uint8, event_time int64 and split int8."""
     header = {
         "format": "lobflow-dataset", "version": _VERSION,
         "variant": ds.variant, "T": ds.T, "S": ds.S, "pair": ds.pair,
-        "n": ds.n, "feature_width": int(ds.X.shape[2]) if ds.X.ndim == 3 else 0,
+        "n": ds.n, "events": len(ds.table_ts), "table_width": int(ds.table.shape[1]),
         "norm_stats": ds.norm_stats, "split_ranges": ds.split_ranges,
         "counters": ds.counters,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, len(blob)))
+        fh.write(_PREFIX.pack(_MAGIC, _VERSION, len(blob)))
         fh.write(blob)
-        fh.write(np.ascontiguousarray(ds.X, dtype=np.float64).tobytes())
-        fh.write(np.ascontiguousarray(ds.y, dtype=np.uint8).tobytes())
-        fh.write(np.ascontiguousarray(ds.event_time, dtype=np.int64).tobytes())
-        fh.write(np.ascontiguousarray(ds.split, dtype=np.int8).tobytes())
-        fh.write(np.ascontiguousarray(ds.window_last_ts, dtype=np.int64).tobytes())
+        for arr, dtype in ((ds.table, np.float64), (ds.table_ts, np.int64),
+                           (ds.end, np.int64), (ds.y, np.uint8),
+                           (ds.event_time, np.int64), (ds.split, np.int8)):
+            fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise FeatureError(f"not a dataset file: bad magic {magic!r}")
-        version, hlen = struct.unpack("<II", fh.read(8))
-        if version != _VERSION:
-            raise FeatureError(f"unsupported dataset version {version}")
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        n, T, F = header["n"], header["T"], header["feature_width"]
-        X = np.frombuffer(fh.read(n * T * F * 8), dtype=np.float64).reshape(n, T, F).copy()
-        y = np.frombuffer(fh.read(n), dtype=np.uint8).copy()
-        t = np.frombuffer(fh.read(n * 8), dtype=np.int64).copy()
-        split = np.frombuffer(fh.read(n), dtype=np.int8).copy()
-        wlast = np.frombuffer(fh.read(n * 8), dtype=np.int64).copy()
-    return Dataset(header["variant"], T, header["S"], header["pair"], X, y, t, split,
-                   wlast, header["norm_stats"], header["split_ranges"],
+    """Read a version-2 `.ds`; its size must be exactly what its header declares."""
+    data = Path(path).read_bytes()
+    if len(data) < _PREFIX.size or data[:4] != _MAGIC:
+        raise FeatureError(f"not a dataset file: bad magic {data[:4]!r}")
+    _, version, hlen = _PREFIX.unpack_from(data)
+    if version != _VERSION:
+        hint = " (it stores whole windows; rebuild it with `lobflow build`)" if version == 1 else ""
+        raise FeatureError(f"unsupported dataset version {version} in {path}{hint}")
+    try:
+        header = json.loads(data[_PREFIX.size:_PREFIX.size + hlen].decode("utf-8"))
+        variant, T, S, n = header["variant"], header["T"], header["S"], header["n"]
+        E, C = header["events"], header["table_width"]
+    except (ValueError, KeyError, TypeError) as e:
+        raise FeatureError(f"{path}: bad dataset header: {e}") from e
+    if not all(type(v) is int and v >= 0 for v in (T, S, n, E, C)):
+        raise FeatureError(f"{path}: bad dataset header: sizes must be non-negative integers")
+    widths = [E * C * 8, E * 8, n * 8, n, n * 8, n]
+    if variant not in VARIANTS or C != _table_width(variant, S):
+        raise FeatureError(f"{path}: table width {C} does not fit variant {variant!r}, S={S}")
+    if len(data) != _PREFIX.size + hlen + sum(widths):
+        raise FeatureError(f"{path}: {len(data)} bytes, header declares "
+                           f"{_PREFIX.size + hlen + sum(widths)}")
+    arrays, offset = [], _PREFIX.size + hlen
+    for size, dtype in zip(widths, (np.float64, np.int64, np.int64, np.uint8, np.int64, np.int8)):
+        arrays.append(np.frombuffer(data, dtype=dtype, count=size // np.dtype(dtype).itemsize,
+                                    offset=offset).copy())
+        offset += size
+    table, table_ts, end, y, t, split = arrays
+    if n and (end.min() < T or end.max() > E):
+        raise FeatureError(f"{path}: window ends outside the {E}-event table")
+    return Dataset(variant, T, S, header["pair"], table.reshape(E, C), table_ts, end, y, t,
+                   split, header["norm_stats"], header["split_ranges"],
                    header["counters"] or {})
 
 
@@ -421,12 +381,13 @@ def export_text(ds: Dataset, path) -> None:
     header = {"variant": ds.variant, "T": ds.T, "S": ds.S, "pair": ds.pair, "n": ds.n,
               "norm_stats": ds.norm_stats, "split_ranges": ds.split_ranges,
               "counters": ds.counters}
+    X, wlast = ds.X, ds.window_last_ts
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True))
         fh.write("\n")
         for i in range(ds.n):
-            feats = " ".join(repr(float(v)) for v in ds.X[i].ravel())
-            fh.write(f"{int(ds.y[i])} {int(ds.event_time[i])} {int(ds.window_last_ts[i])} "
+            feats = " ".join(repr(float(v)) for v in X[i].ravel())
+            fh.write(f"{int(ds.y[i])} {int(ds.event_time[i])} {int(wlast[i])} "
                      f"{int(ds.split[i])} {feats}\n")
 
 

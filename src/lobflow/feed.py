@@ -164,28 +164,9 @@ class ReplaySummary:
 
 
 def replay(lines: Iterable[str], sink: Callable[[OrderEvent], None]) -> ReplaySummary:
-    """Parse lines in order and deliver each event to `sink` exactly once.
-
-    Enforces the stream invariants (strictly increasing seq, non-decreasing
-    timestamp).  Parse errors propagate annotated with the 1-based line
-    number.
-    """
+    """Deliver each event of :func:`iter_events` to `sink` exactly once."""
     summary = ReplaySummary()
-    prev_seq = None
-    prev_ts = None
-    for line_no, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        try:
-            ev = parse_event(line)
-        except FeedError as e:
-            raise type(e)(f"line {line_no}: {e}") from e
-        if prev_seq is not None and ev.seq <= prev_seq:
-            raise OutOfOrder(f"line {line_no}: seq {ev.seq} after {prev_seq}")
-        if prev_ts is not None and ev.timestamp_ms < prev_ts:
-            raise OutOfOrder(f"line {line_no}: timestamp {ev.timestamp_ms} before {prev_ts}")
-        prev_seq, prev_ts = ev.seq, ev.timestamp_ms
+    for ev in iter_events(lines):
         sink(ev)
         summary.count += 1
         if summary.first_ts is None:
@@ -195,8 +176,12 @@ def replay(lines: Iterable[str], sink: Callable[[OrderEvent], None]) -> ReplaySu
 
 
 def iter_events(lines: Iterable[str]) -> Iterator[OrderEvent]:
-    """Generator form of :func:`replay` (same validation, yields events)."""
-    out: list = []
+    """Parse lines in order and yield each event.
+
+    Enforces the stream invariants (strictly increasing seq, non-decreasing
+    timestamp).  Parse errors propagate annotated with the 1-based line
+    number.
+    """
     prev_seq = None
     prev_ts = None
     for line_no, line in enumerate(lines, start=1):

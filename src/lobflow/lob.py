@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -63,7 +63,6 @@ class BookDelta:
     mid_after: Optional[Fraction]
     executed: float = 0.0
     dropped: float = 0.0
-    levels_touched: list = field(default_factory=list)
 
     @property
     def mid_changed(self) -> bool:
@@ -163,7 +162,6 @@ class OrderBook:
             remaining -= self._consume_level(opp, best, remaining, delta)
         if remaining > 0:
             self._rest(ev.order_id, ev.side, ev.price_ticks, remaining)
-            delta.levels_touched.append((ev.side, ev.price_ticks))
 
     def _apply_market(self, ev: OrderEvent, delta: BookDelta) -> None:
         remaining = ev.size
@@ -192,7 +190,6 @@ class OrderBook:
         else:
             order.remaining -= ev.size
             lvl.size -= ev.size
-        delta.levels_touched.append((order.side, order.price_ticks))
         if not lvl.queue:
             self._remove_level(order.side, order.price_ticks)
 
@@ -228,7 +225,6 @@ class OrderBook:
                 lvl.queue.popleft()
                 del self.resting[oid]
         delta.executed += taken
-        delta.levels_touched.append((side, price))
         if not lvl.queue:
             self._remove_level(side, price)
         return taken

@@ -201,7 +201,7 @@ class Model:
                          self.params[f"lstm/{l}/b"])
             masks = None
             if rate > 0.0:
-                masks = (rng.random((B, T, inp.shape[-1])) >= rate) / (1.0 - rate)
+                masks = dropout_mask((B, T, inp.shape[-1]), rate, rng)
                 inp = inp * masks
             h = np.zeros((B, H))
             c = np.zeros((B, H))
@@ -228,7 +228,7 @@ class Model:
         for d in range(self.n_dense):
             mask = None
             if rate > 0.0:
-                mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
+                mask = dropout_mask(a.shape, rate, rng)
                 a = a * mask
             W, b = self.params[f"head/{d}/W"], self.params[f"head/{d}/b"]
             z = a @ W + b

@@ -256,6 +256,17 @@ class TestExitCodes:
                        "--variant", "orderflow"])
         assert rc == cli.EXIT_ERROR
 
+    def test_truncated_dataset_is_error(self, pipeline, tmp_path, capsys):
+        data = (pipeline["out"] / "AAA.orderflow.ds").read_bytes()
+        cut = tmp_path / "cut.ds"
+        cut.write_bytes(data[:-1000])
+        capsys.readouterr()
+        rc = cli.main(["train", "--config", pipeline["cfgfile"], "--out", str(tmp_path),
+                       "--pair", "AAA", "--variant", "orderflow", "--dataset", str(cut)])
+        assert rc == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "header declares" in err[0]
+
 
 # ---------------------------------------------------------------------------
 # determinism

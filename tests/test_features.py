@@ -1,10 +1,11 @@
+import struct
+from collections import deque
+
 import numpy as np
 import pytest
 
 from lobflow import feed, features, lob, oracle
 from lobflow.feed import EventKind, Side
-
-from conftest import make_event
 
 
 # ---------------------------------------------------------------------------
@@ -46,173 +47,258 @@ class TestWarmUp:
 
 
 # ---------------------------------------------------------------------------
-# annotation and labelling
+# per-window reference: the construction the event tables replace
 # ---------------------------------------------------------------------------
 
 
+def reference_build(events, T, S, warm_count):
+    """Annotate each event, keep the T most recent annotations and copy
+    them out per mover, window by window, for all three variants."""
+    book, n_warm, rest, prev_ts = features.warm_up(events, until_count=warm_count)
+    counters = {"warmup_events": n_warm}
+
+    def bump(key, by=1):
+        counters[key] = counters.get(key, 0) + by
+
+    window = deque(maxlen=T)
+    X = {v: [] for v in features.VARIANTS}
+    y, times, last_ts = [], [], []
+    for ev in rest:
+        try:
+            rel = book.relative_price(ev.side, ev.price_ticks)
+        except lob.EmptySide:
+            rel = 1
+            bump("rel_price_fallbacks")
+        delta = book.apply_event(ev)
+        s = book.snapshot(S)
+        bb, ba = book.best_bid(), book.best_ask()
+        ann = {
+            "ts": ev.timestamp_ms,
+            "flow": [ev.timestamp_ms - prev_ts if prev_ts is not None else 0,
+                     ev.timestamp_ms // 3_600_000 % 24, ev.size, ev.kind.value,
+                     ev.side.value, rel],
+            "mid": float(delta.mid_after) if delta.mid_after is not None else None,
+            "snap": s.bid_prices + s.bid_volumes + s.ask_prices + s.ask_volumes,
+            "bb": book.level_count(Side.BUY, bb) if bb is not None else 0,
+            "ba": book.level_count(Side.SELL, ba) if ba is not None else 0,
+            "mo": (ev.kind is EventKind.MARKET and ev.side is Side.BUY,
+                   ev.kind is EventKind.MARKET and ev.side is Side.SELL),
+        }
+        prev_ts = ev.timestamp_ms
+        if delta.mid_changed:
+            if len(window) < T:
+                bump("skipped_insufficient_history")
+            elif any(a["mid"] is None for a in window):
+                bump("skipped_undefined_mid")
+            else:
+                n_buy = sum(a["mo"][0] for a in window)
+                n_sell = sum(a["mo"][1] for a in window)
+                X["orderflow"].append(np.array([a["flow"] for a in window], dtype=float))
+                X["bench2"].append(np.array([a["snap"] + [a["mid"]] for a in window]))
+                X["bench1"].append(np.array(
+                    [a["snap"] + [a["mid"], n_buy / a["bb"] if a["bb"] else 0.0,
+                                  n_sell / a["ba"] if a["ba"] else 0.0] for a in window]))
+                degenerate = sum(1 for a in window if not (a["bb"] and a["ba"]))
+                if degenerate:
+                    bump("degenerate_rates", degenerate)
+                y.append(1 if delta.mid_after > delta.mid_before else 0)
+                times.append(ev.timestamp_ms)
+                last_ts.append(window[-1]["ts"])
+        elif delta.mid_before is None and delta.mid_after is not None:
+            bump("mid_became_defined")
+        window.append(ann)
+    counters["samples"] = len(y)
+    return X, np.array(y, dtype=np.uint8), np.array(times), np.array(last_ts), counters
+
+
+def market_heavy_noise():
+    cfg = feed.GeneratorConfig(n_events=3000, prop_limit=0.45, prop_market=0.35,
+                               prop_cancel=0.2)
+    return list(feed.iter_events(feed.generate_synthetic(cfg, seed=9)))
+
+
+class TestReferenceWindows:
+    @pytest.mark.parametrize("stream", ["planted", "noise"])
+    def test_byte_equal_to_per_window_build(self, stream, planted_events):
+        events, warm = (planted_events, 40) if stream == "planted" else (market_heavy_noise(), 0)
+        X, y, times, last_ts, counters = reference_build(events, T=10, S=3, warm_count=warm)
+        if stream == "noise":
+            assert counters["skipped_undefined_mid"] > 0
+        got = features.build_datasets(events, T=10, S=3, warm_count=warm)
+        for v, ds in got.items():
+            want = np.stack(X[v])
+            assert ds.X.dtype == want.dtype and ds.X.shape == want.shape
+            assert ds.X.tobytes() == want.tobytes(), v
+            assert ds.y.tobytes() == y.tobytes()
+            assert ds.event_time.tobytes() == times.astype(np.int64).tobytes()
+            assert ds.window_last_ts.tobytes() == last_ts.astype(np.int64).tobytes()
+            assert ds.counters == counters
+
+
+# ---------------------------------------------------------------------------
+# annotation and labelling, through build_datasets
+# ---------------------------------------------------------------------------
+
+
+def stream(ev, *specs, t0=1_510_000_000_000):
+    """Events from (dt_ms, kwargs) specs, with increasing seq from 1."""
+    out, ts = [], t0
+    for seq, (dt, kw) in enumerate(specs, start=1):
+        ts += dt
+        out.append(ev(ts=ts, seq=seq, **kw))
+    return out
+
+
+def orderflow(events, T, **kw):
+    return features.build_datasets(events, T=T, S=2, variants=("orderflow",),
+                                   **kw)["orderflow"]
+
+
+def oracle_mid_moves(events):
+    """timestamp -> +1 / -1 for each event that moves a defined mid."""
+    ref = oracle.ReferenceBook()
+    moves = {}
+    for e in events:
+        before = ref.mid()
+        ref.apply(e)
+        after = ref.mid()
+        if before is not None and after is not None and after != before:
+            moves[e.timestamp_ms] = 1 if after > before else -1
+    return moves
+
+
 class TestAnnotate:
+    # 14:37:00 UTC on 2017-11-06
+    TS = 1_509_977_820_000
+
+    def _three(self, ev):
+        # bid, then ask (mid defined), then an inward bid that moves the mid
+        return stream(ev, (0, dict(price=100)), (3, dict(side=Side.SELL, price=102)),
+                      (5, dict(price=101)), t0=self.TS - 3)
+
     def test_dt_and_hour(self, ev):
-        book = lob.OrderBook()
-        counters = {}
-        # 14:37:00 UTC on 2017-11-06
-        ts = 1_509_977_820_000
-        assert ts % 86_400_000 // 3_600_000 == 14
-        ann, _ = features.annotate_event(book, ev(ts=ts, price=100), prev_ts=ts - 3,
-                                         depth=None, counters=counters)
-        assert ann.dt_ms == 3
-        assert ann.hour == 14
+        assert self.TS % 86_400_000 // 3_600_000 == 14
+        ds = orderflow(self._three(ev), T=2)
+        assert ds.n == 1
+        assert ds.X[0, 1, 0] == 3
+        assert ds.X[0, 1, 1] == 14
 
     def test_first_event_dt_zero(self, ev):
-        book = lob.OrderBook()
-        ann, _ = features.annotate_event(book, ev(price=100), prev_ts=None,
-                                         depth=None, counters={})
-        assert ann.dt_ms == 0
+        assert orderflow(self._three(ev), T=2).X[0, 0, 0] == 0
+        # after a warm-up the first dt counts from the last warm-up event
+        ds = orderflow(self._three(ev), T=1, warm_count=1)
+        assert ds.X[0, 0, 0] == 3
 
     def test_rel_price_fallback_counted(self, ev):
-        book = lob.OrderBook()
-        counters = {}
-        ann, _ = features.annotate_event(book, ev(price=100), prev_ts=None,
-                                         depth=None, counters=counters)
-        assert ann.rel_price == 1
-        assert counters["rel_price_fallbacks"] == 1
+        ds = orderflow(self._three(ev), T=2)
+        # neither the first bid nor the first ask finds a same-side best
+        assert ds.counters["rel_price_fallbacks"] == 2
+        assert list(ds.X[0, :, 5]) == [1, 1]
 
 
 class TestLabelStream:
     def test_count_matches_oracle_mid_changes(self, planted_events):
-        T = 10
-        book, n, rest, last = features.warm_up(planted_events, until_count=40)
-        counters = {}
-        samples = list(features.label_stream(rest, book, T, prev_ts=last,
-                                             counters=counters))
-        # oracle: replay independently, count defined-mid changes
-        ref = oracle.ReferenceBook()
-        for e in planted_events[:40]:
-            ref.apply(e)
-        changes = 0
-        prev_mid = ref.mid()
-        for e in planted_events[40:]:
-            ref.apply(e)
-            mid = ref.mid()
-            if prev_mid is not None and mid is not None and mid != prev_mid:
-                changes += 1
-            prev_mid = mid
-        skipped = counters.get("skipped_insufficient_history", 0)
-        assert len(samples) + skipped == changes
-        assert len(samples) > 100
+        ds = features.build_datasets(planted_events, T=10, S=3, warm_count=40,
+                                     variants=("orderflow",))["orderflow"]
+        # oracle: replay independently, count defined-mid changes after warm-up
+        changes = len(oracle_mid_moves(planted_events)) - len(
+            oracle_mid_moves(planted_events[:40]))
+        skipped = ds.counters.get("skipped_insufficient_history", 0)
+        assert ds.n + skipped == changes
+        assert ds.n == ds.counters["samples"] > 100
 
-    def test_labels_match_mid_direction(self, planted_events):
-        book, n, rest, last = features.warm_up(planted_events, until_count=40)
+    def test_labels_match_mid_direction(self, planted_datasets, planted_events):
+        moves = oracle_mid_moves(planted_events)
+        for ds in planted_datasets.values():
+            want = [moves[t] == 1 for t in ds.event_time.tolist()]
+            np.testing.assert_array_equal(ds.y, np.array(want, dtype=np.uint8))
         # planted rule: label equals side of the last window event
-        for label, ts, window in features.label_stream(rest, book, 10, prev_ts=last):
-            want = 1 if window[-1].side_code == Side.BUY.value else 0
-            assert label == want
+        of = planted_datasets["orderflow"]
+        np.testing.assert_array_equal(of.y == 1, of.X[:, -1, 4] == Side.BUY.value)
 
-    def test_window_is_strictly_before_mover(self, planted_events):
-        book, n, rest, last = features.warm_up(planted_events, until_count=40)
-        for label, ts, window in features.label_stream(rest, book, 10, prev_ts=last):
-            assert all(a.ts <= window[-1].ts for a in window)
-            assert window[-1].ts < ts
-            assert len(window) == 10
+    def test_window_is_strictly_before_mover(self, planted_datasets, planted_events):
+        index = {e.timestamp_ms: i for i, e in enumerate(planted_events)}
+        for ds in planted_datasets.values():
+            assert ds.X.shape[1] == 10
+            assert np.all(ds.window_last_ts < ds.event_time)
+            # the newest window event is the one right before the mover
+            before = [planted_events[index[t] - 1].timestamp_ms for t in ds.event_time.tolist()]
+            np.testing.assert_array_equal(ds.window_last_ts, before)
+        assert np.all(planted_datasets["orderflow"].X[:, 1:, 0] >= 0)
+
+    def test_short_history_skipped(self, ev):
+        # the mover has 2 prior events, fewer than T=3
+        events = stream(ev, (1, dict(price=100)), (1, dict(side=Side.SELL, price=102)),
+                        (1, dict(price=101)))
+        ds = orderflow(events, T=3)
+        assert ds.n == 0 and ds.counters["skipped_insufficient_history"] == 1
+        assert orderflow(events, T=2).n == 1
 
     def test_deep_resting_limit_emits_nothing(self, ev):
-        book = lob.OrderBook()
-        book.apply_event(ev(seq=1, price=100))
-        book.apply_event(ev(seq=2, side=Side.SELL, price=110))
-        deep = [ev(seq=3, price=90, size=1.0)]
-        out = list(features.label_stream(deep, book, T=0))
-        assert out == []
+        events = stream(ev, (1, dict(price=100)), (1, dict(side=Side.SELL, price=110)),
+                        (1, dict(price=90, size=1.0)))
+        ds = features.build_datasets(events, T=1, S=2)["bench1"]
+        assert ds.n == 0 and ds.X.shape == (0, 1, 11)
+        assert ds.counters["mid_became_defined"] == 1
+        assert "skipped_insufficient_history" not in ds.counters
 
 
 # ---------------------------------------------------------------------------
-# extraction
+# feature columns
 # ---------------------------------------------------------------------------
-
-
-def run_window(events, depth=3):
-    book = lob.OrderBook()
-    counters = {}
-    window = []
-    prev = None
-    for e in events:
-        ann, _ = features.annotate_event(book, e, prev, depth, counters)
-        window.append(ann)
-        prev = e.timestamp_ms
-    return window, book
 
 
 class TestExtractOrderflow:
     def test_shape_and_columns(self, ev):
-        t0 = 1_510_000_000_000
-        events = [ev(ts=t0, seq=1, price=100, size=0.5),
-                  ev(ts=t0 + 3, seq=2, side=Side.SELL, price=103, size=2.0)]
-        window, _ = run_window(events)
-        X = features.extract_orderflow(window)
-        assert X.shape == (2, 6)
-        assert X[1, 0] == 3                          # dt_ms
-        assert X[0, 2] == 0.5 and X[1, 2] == 2.0     # size
-        assert X[0, 3] == EventKind.LIMIT.value
-        assert X[0, 4] == Side.BUY.value and X[1, 4] == Side.SELL.value
+        events = stream(ev, (0, dict(price=100, size=0.5)),
+                        (3, dict(side=Side.SELL, price=103, size=2.0)),
+                        (2, dict(price=101)))
+        X = orderflow(events, T=2).X
+        assert X.shape == (1, 2, 6)
+        assert X[0, 1, 0] == 3                             # dt_ms
+        assert X[0, 0, 2] == 0.5 and X[0, 1, 2] == 2.0     # size
+        assert X[0, 0, 3] == EventKind.LIMIT.value
+        assert X[0, 0, 4] == Side.BUY.value and X[0, 1, 4] == Side.SELL.value
 
-    def test_rel_price_matches_oracle_replay(self, planted_events):
-        book, n, rest, last = features.warm_up(planted_events, until_count=40)
-        samples = []
-        for item in features.label_stream(rest, book, 10, prev_ts=last):
-            samples.append(item)
-            if len(samples) == 5:
-                break
-        # oracle: replay a reference book alongside and recompute rel prices
+    def test_rel_price_matches_oracle_replay(self, planted_datasets, planted_events):
+        # oracle: replay a reference book and recompute rel prices per event
         ref = oracle.ReferenceBook()
-        rel_by_ts = {}
+        rel = []
         for e in planted_events:
             best = ref.best_bid() if e.side is Side.BUY else ref.best_ask()
-            if best is None or e.price_ticks is None:
-                rel = 1
-            else:
-                rel = 1 + abs(best - e.price_ticks)
-            rel_by_ts.setdefault((e.timestamp_ms, e.seq), rel)
+            rel.append(1 if best is None or e.price_ticks is None
+                       else 1 + abs(best - e.price_ticks))
             ref.apply(e)
-        seq_by_ts = {}
-        for e in planted_events:
-            seq_by_ts.setdefault(e.timestamp_ms, []).append(e.seq)
-        for label, ts, window in samples:
-            X = features.extract_orderflow(window)
-            for t, a in enumerate(window):
-                matches = [rel_by_ts[(a.ts, s)] for s in seq_by_ts[a.ts]]
-                assert X[t, 5] in matches
+        index = {e.timestamp_ms: i for i, e in enumerate(planted_events)}
+        ds = planted_datasets["orderflow"]
+        for x, t in zip(ds.X, ds.event_time.tolist()):
+            i = index[t]
+            np.testing.assert_array_equal(x[:, 5], rel[i - 10:i])
 
 
 class TestExtractSnapshot:
     def test_no_market_orders_zero_rates(self, ev):
-        t0 = 1_510_000_000_000
-        events = [ev(ts=t0, seq=1, price=100),
-                  ev(ts=t0 + 1, seq=2, side=Side.SELL, price=102),
-                  ev(ts=t0 + 2, seq=3, price=99)]
-        window, _ = run_window(events, depth=2)
-        # first event precedes a defined mid; window starts after it
-        X = features.extract_snapshot(window[1:], 2, "bench1")
-        assert X.shape == (2, 11)
-        assert np.all(X[:, 9:] == 0.0)
+        events = stream(ev, (1, dict(price=100)), (1, dict(side=Side.SELL, price=102)),
+                        (1, dict(price=99)), (1, dict(price=101)))
+        # the window starts after the first event, which precedes a defined mid
+        X = features.build_datasets(events, T=2, S=2)["bench1"].X
+        assert X.shape == (1, 2, 11)
+        assert np.all(X[..., 9:] == 0.0)
 
     def test_stated_rate_formula(self, ev):
         # 5 buy market orders in the window, best-bid level holding 20 orders
-        t0 = 1_510_000_000_000
-        events = [ev(ts=t0, seq=1, price=100, size=1.0, oid="b0"),
-                  # deep ask up front so every later event sees a defined mid
-                  ev(ts=t0 + 1, seq=2, side=Side.SELL, price=105, size=50.0)]
-        seq = 3
-        for k in range(1, 20):
-            events.append(ev(ts=t0 + seq, seq=seq, price=100, size=1.0, oid=f"b{k}"))
-            seq += 1
-        for _ in range(5):
-            events.append(ev(ts=t0 + seq, seq=seq, kind=EventKind.MARKET,
-                             side=Side.BUY, size=0.5))
-            seq += 1
-        window, book = run_window(events, depth=2)
-        assert book.level_count(Side.BUY, 100) == 20
-        # drop the stream-head event with no mid; all 5 MOs stay in the window
-        X = features.extract_snapshot(window[1:], 2, "bench1")
-        assert X[-1, 9] == 5 / 20            # buy MO rate at the last step
-        assert X[-1, 10] == 0.0              # no sell MOs in the window
+        specs = [(1, dict(price=100, size=1.0, oid="b0")),
+                 # deep ask up front so every later event sees a defined mid
+                 (1, dict(side=Side.SELL, price=105, size=50.0))]
+        specs += [(1, dict(price=100, size=1.0, oid=f"b{k}")) for k in range(1, 20)]
+        specs += [(1, dict(kind=EventKind.MARKET, side=Side.BUY, size=0.5))] * 5
+        # mover: an inward ask; the window drops only the stream-head event
+        specs.append((1, dict(side=Side.SELL, price=104, size=1.0)))
+        ds = features.build_datasets(stream(ev, *specs), T=25, S=2)["bench1"]
+        assert ds.n == 1 and ds.y[0] == 0
+        assert ds.X[0, -1, 9] == 5 / 20       # buy MO rate at the last step
+        assert ds.X[0, -1, 10] == 0.0         # no sell MOs in the window
+        assert ds.X[0, 0, 9] == 5 / 1         # first step: best bid holds b0 only
 
     def test_bench2_is_bench1_minus_rates(self, planted_datasets):
         b1 = planted_datasets["bench1"]
@@ -223,44 +309,56 @@ class TestExtractSnapshot:
         np.testing.assert_array_equal(b1.event_time, b2.event_time)
 
     def test_degenerate_rate_flagged(self, ev):
-        t0 = 1_510_000_000_000
-        events = [ev(ts=t0, seq=1, price=100),
-                  ev(ts=t0 + 1, seq=2, side=Side.SELL, price=102),
-                  # market sell consumes the whole bid side -> bb_count 0
-                  ev(ts=t0 + 2, seq=3, kind=EventKind.MARKET, side=Side.SELL, size=1.0)]
-        window, book = run_window(events, depth=2)
-        counters = {}
-        X = features.extract_snapshot(window[2:], 2, "bench1", counters)
-        assert X is None or counters.get("degenerate_rates", 0) >= 1
+        # a market sell consumes the whole bid side: best-bid count 0, no mid,
+        # so the window holding it is dropped rather than given a rate
+        events = stream(ev, (1, dict(price=100)), (1, dict(side=Side.SELL, price=102)),
+                        (1, dict(kind=EventKind.MARKET, side=Side.SELL, size=1.0)),
+                        (1, dict(price=100)), (1, dict(price=101)))
+        ds = features.build_datasets(events, T=3, S=2)["bench1"]
+        assert ds.n == 0
+        assert ds.counters["skipped_undefined_mid"] == 1
+        assert "degenerate_rates" not in ds.counters
+        # a zero best-level count gives rate 0 in the gather
+        table = np.zeros((2, features._table_width("bench1", 2)))
+        table[:, 9:11] = [[0, 4], [2, 0]]            # bid / ask order counts
+        table[:, 11:13] = [[1, 0], [0, 1]]           # buy / sell MO flags
+        ds = features.Dataset("bench1", 2, 2, "SYN", table, np.arange(2), np.array([2]),
+                              np.zeros(1, np.uint8), np.zeros(1, np.int64),
+                              np.zeros(1, np.int8))
+        np.testing.assert_array_equal(ds.X[0, :, 9:], [[0.0, 1 / 4], [1 / 2, 0.0]])
 
     def test_undefined_mid_returns_none(self, ev):
-        window, _ = run_window([ev(price=100)], depth=2)
-        counters = {}
-        assert features.extract_snapshot(window, 2, "bench1", counters) is None
-        assert counters["skipped_undefined_mid"] == 1
+        # the first event precedes a defined mid; the only window holds it
+        events = stream(ev, (1, dict(price=100)), (1, dict(side=Side.SELL, price=102)),
+                        (1, dict(price=101)))
+        for variants in (("bench1",), ("bench2", "orderflow")):
+            got = features.build_datasets(events, T=2, S=2, variants=variants)
+            for ds in got.values():
+                assert ds.n == 0
+                assert ds.counters["skipped_undefined_mid"] == 1
+        # without a snapshot variant the sample is kept
+        ds = orderflow(events, T=2)
+        assert ds.n == 1 and "skipped_undefined_mid" not in ds.counters
 
-    def test_snapshots_match_oracle_top_levels(self, planted_events):
+    def test_snapshots_match_oracle_top_levels(self, planted_datasets, planted_events):
         depth = 3
-        book, n, rest, last = features.warm_up(planted_events, until_count=40)
+        ds = planted_datasets["bench1"]
+        index = {e.timestamp_ms: i for i, e in enumerate(planted_events)}
+        last = {index[t] - 1: k for k, t in enumerate(ds.event_time[:50].tolist())}
         ref = oracle.ReferenceBook()
-        for e in planted_events[:40]:
+        X = ds.X
+        for i, e in enumerate(planted_events[:max(last) + 1]):
             ref.apply(e)
-        it = iter(planted_events[40:])
-        got = None
-        for label, ts, window in features.label_stream(it, book, 5, depth=depth,
-                                                       prev_ts=last):
-            got = window
-            break
-        assert got is not None
-        # replay the reference to the last window event and compare its snapshot
-        for e in planted_events[40:]:
-            ref.apply(e)
-            if e.timestamp_ms == got[-1].ts:
-                break
-        snap = got[-1].snap
-        ref_bids = ref.top_levels(Side.BUY, depth)
-        real = list(zip(snap.bid_prices, snap.bid_volumes))[:snap.n_real_bids]
-        assert real == ref_bids
+            if i not in last:
+                continue
+            # the newest window row is the book after the event before the mover
+            row = X[last[i], -1]
+            bids = ref.top_levels(Side.BUY, depth)
+            asks = ref.top_levels(Side.SELL, depth)
+            assert len(bids) == len(asks) == depth
+            assert list(zip(row[0:depth], row[depth:2 * depth])) == bids
+            assert list(zip(row[2 * depth:3 * depth], row[3 * depth:4 * depth])) == asks
+            assert row[4 * depth] == float(ref.mid())
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +471,53 @@ class TestSerialization:
         p = tmp_path / "bad.ds"
         p.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(features.FeatureError):
+            features.load_dataset(p)
+
+    def test_file_holds_tables_not_windows(self, planted_datasets, tmp_path):
+        for name, ds in planted_datasets.items():
+            p = tmp_path / f"{name}.ds"
+            features.save_dataset(ds, p)
+            _, _, hlen = struct.unpack("<4sII", p.read_bytes()[:12])
+            E, C = ds.table.shape
+            assert p.stat().st_size == 12 + hlen + E * C * 8 + E * 8 + ds.n * 18
+
+    @pytest.mark.parametrize("change", ["cut", "extend"])
+    def test_wrong_length_rejected(self, planted_datasets, tmp_path, change):
+        p = tmp_path / "of.ds"
+        features.save_dataset(planted_datasets["orderflow"], p)
+        data = p.read_bytes()
+        p.write_bytes(data[:-1] if change == "cut" else data + b"\x00")
+        with pytest.raises(features.FeatureError, match="header declares"):
+            features.load_dataset(p)
+
+    def test_window_end_outside_table_rejected(self, planted_datasets, tmp_path):
+        ds = planted_datasets["orderflow"]
+        bad = ds.subset("train")
+        bad.end = bad.end.copy()
+        bad.end[0] = ds.T - 1
+        p = tmp_path / "bad.ds"
+        features.save_dataset(bad, p)
+        with pytest.raises(features.FeatureError, match="outside"):
+            features.load_dataset(p)
+
+    @pytest.mark.parametrize("blob", [
+        b"not json",
+        b'{"variant": "orderflow", "T": 1, "S": 1}',
+        b'{"variant": "orderflow", "T": 1, "S": 1, "n": 0, "events": "x", "table_width": 6}',
+        b'{"variant": "orderflow", "T": 1, "S": 1, "n": -1, "events": 0, "table_width": 6}',
+        b'{"variant": "bench1", "T": 1, "S": 1, "n": 0, "events": 0, "table_width": 6}',
+    ])
+    def test_bad_header_rejected(self, tmp_path, blob):
+        p = tmp_path / "bad.ds"
+        p.write_bytes(b"OFDS" + struct.pack("<II", 2, len(blob)) + blob)
+        with pytest.raises(features.FeatureError):
+            features.load_dataset(p)
+
+    def test_version_1_rejected(self, tmp_path):
+        blob = b'{"variant": "orderflow", "T": 1, "S": 1, "n": 0, "feature_width": 6}'
+        p = tmp_path / "v1.ds"
+        p.write_bytes(b"OFDS" + struct.pack("<II", 1, len(blob)) + blob)
+        with pytest.raises(features.FeatureError, match="rebuild"):
             features.load_dataset(p)
 
     def test_text_export_lossless(self, planted_datasets, tmp_path):
