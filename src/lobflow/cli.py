@@ -42,7 +42,7 @@ CONFIG_DEFAULTS = {
         "mean_gap_ms": 40, "min_gap_ms": 0, "prop_limit": 0.5, "prop_market": 0.2,
         "prop_cancel": 0.3, "planted": None, "seed_levels": 12,
     },
-    "warm_up": {"count": 100},
+    "warm_up": {"count": 100, "ts": None},
     "T": 100,
     "S": 5,
     "split_ranges": None,
@@ -68,12 +68,44 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+# blocks whose keys must be a subset of their CONFIG_DEFAULTS block
+_CHECKED_BLOCKS = ("generator", "warm_up", "model", "schedule")
+_PAIR_KEYS = ("input", "generator")
+
+
+def _check_keys(block, allowed, where: str) -> None:
+    """`where` is the block's dotted path with a trailing dot, "" at the top."""
+    if not isinstance(block, dict):
+        raise CliError(f"config {where[:-1] or 'file'} must be a JSON object")
+    unknown = sorted(set(block) - set(allowed))
+    if unknown:
+        raise CliError(f"unknown config key {where + unknown[0]!r}")
+
+
+def _check_config(raw) -> None:
+    """Reject keys that CONFIG_DEFAULTS does not know; `search` and
+    `split_ranges` are free-form."""
+    _check_keys(raw, CONFIG_DEFAULTS, "")
+    for block in _CHECKED_BLOCKS:
+        if block in raw:
+            _check_keys(raw[block], CONFIG_DEFAULTS[block], f"{block}.")
+    pairs = raw.get("pairs", {})
+    if not isinstance(pairs, dict):
+        raise CliError("config pairs must be a JSON object")
+    for name, pair in pairs.items():
+        _check_keys(pair, _PAIR_KEYS, f"pairs.{name}.")
+        if "generator" in pair:
+            _check_keys(pair["generator"], CONFIG_DEFAULTS["generator"],
+                        f"pairs.{name}.generator.")
+
+
 def load_config(path, seed_override=None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except (OSError, ValueError) as e:
         raise CliError(f"cannot read config {path}: {e}") from e
+    _check_config(raw)
     if raw.get("version", 1) != 1:
         raise CliError(f"unsupported config version {raw.get('version')}")
     cfg = _deep_merge(CONFIG_DEFAULTS, raw)
@@ -152,9 +184,9 @@ def cmd_generate(cfg: dict, out_dir: Path, pair: str | None) -> int:
 
 def _warm_kwargs(cfg: dict) -> dict:
     w = cfg["warm_up"]
-    if "ts" in w and w["ts"] is not None:
+    if w["ts"] is not None:
         return {"warm_until_ts": w["ts"]}
-    return {"warm_count": w.get("count", 0)}
+    return {"warm_count": w["count"]}
 
 
 def cmd_build(cfg: dict, out_dir: Path, pair: str | None) -> int:

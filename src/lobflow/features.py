@@ -52,10 +52,6 @@ class FeatureError(Exception):
     pass
 
 
-class InsufficientHistory(FeatureError):
-    pass
-
-
 class OverlappingRanges(FeatureError):
     pass
 
@@ -234,10 +230,6 @@ def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SY
             end, y, t = end[keep], y[keep], t[keep]
         tables["bench2"] = snap[:, :w]
         if need_counts:
-            degenerate = _cumsum0(np.any(snap[:, w:] == 0, axis=1))
-            n_degenerate = int(np.sum(degenerate[end] - degenerate[end - T]))
-            if n_degenerate:
-                counters["degenerate_rates"] = n_degenerate
             kind, side = flow[:, 1], flow[:, 2]
             market = kind == EventKind.MARKET.value
             tables["bench1"] = np.column_stack((snap, market & (side == Side.BUY.value),

@@ -6,6 +6,17 @@ exact backpropagation through time, Adam, inverted dropout on the
 non-recurrent connections only, and early-stopped training.  Everything
 is plain float64 numpy; gradients are verified against central finite
 differences (see :func:`check_gradients`).
+
+The LSTM layers run time-major.  Each layer computes its input
+projection x @ Wx + b for all T steps in one GEMM into a contiguous
+(T, B, 4H) buffer; a step adds h_{t-1} @ Wh to its slice and turns it
+into the gate activations in place, with one exp-based sigmoid pass
+over all four gates and tanh on the g block.  Training forwards keep
+c and tanh(c) as (T, B, H) arrays for backward, which runs the
+elementwise gate derivatives step by step and then forms dWx, dWh, db
+and the input gradient with one GEMM (or sum) each over the stacked
+pre-activation gradients.  `predict` runs the same loop without a
+cache: c and tanh(c) live in two rotating slots.
 """
 
 from __future__ import annotations
@@ -180,50 +191,51 @@ class Model:
         layer and the inputs of every dense layer.  The recurrent
         h_{t-1} -> h_t path is never masked.
         """
+        rate = self.cfg.dropout if train else 0.0
+        if not 0.0 <= rate < 1.0:
+            raise InvalidRate(f"dropout rate {rate}")
+        if rate > 0.0 and rng is None:
+            raise NetError("training-mode forward needs an rng for dropout")
+        return self._run(X, rate, rng, keep=True)
+
+    def predict(self, X: np.ndarray, batch_size: int = 128) -> np.ndarray:
+        """Inference probabilities; keeps no per-step state.  Each chunk of
+        `batch_size` samples still needs a (T, batch_size, 4H) gate buffer,
+        so larger chunks cost memory (and, measured, no time)."""
+        out = []
+        for i in range(0, len(X), batch_size):
+            out.append(self._run(X[i:i + batch_size], 0.0, None, keep=False)[0])
+        return np.concatenate(out) if out else np.empty((0, self.cfg.K))
+
+    def _run(self, X: np.ndarray, rate: float, rng, keep: bool) -> tuple[np.ndarray, dict]:
+        """Shared forward pass.  With `keep`, the cache holds what backward
+        needs; without it, each LSTM layer keeps only its h sequence."""
         cfg = self.cfg
         if X.ndim != 3:
             raise ShapeMismatch(f"expected (B, T, F) batch, got shape {X.shape}")
         B, T, _ = X.shape
         if B == 0:
             raise EmptyBatch("empty batch")
-        rate = cfg.dropout if train else 0.0
-        if not 0.0 <= rate < 1.0:
-            raise InvalidRate(f"dropout rate {rate}")
-        if rate > 0.0 and rng is None:
-            raise NetError("training-mode forward needs an rng for dropout")
 
         enc, emb_cache = self.encode(X)
         cache: dict = {"X": X, "emb": emb_cache, "layers": [], "rate": rate}
 
-        inp = enc
-        for l, H in enumerate(cfg.layers):
-            Wx, Wh, b = (self.params[f"lstm/{l}/Wx"], self.params[f"lstm/{l}/Wh"],
-                         self.params[f"lstm/{l}/b"])
-            masks = None
+        # LSTM layers run time-major: x, h and every state buffer are (T, B, .)
+        x = np.ascontiguousarray(enc.transpose(1, 0, 2))
+        for l in range(len(cfg.layers)):
+            mask = None
             if rate > 0.0:
-                masks = dropout_mask((B, T, inp.shape[-1]), rate, rng)
-                inp = inp * masks
-            h = np.zeros((B, H))
-            c = np.zeros((B, H))
-            steps = []
-            hs = np.empty((B, T, H))
-            for t in range(T):
-                x_t = inp[:, t]
-                z = x_t @ Wx + h @ Wh + b
-                i = _sigmoid(z[:, :H])
-                f = _sigmoid(z[:, H:2 * H])
-                g = np.tanh(z[:, 2 * H:3 * H])
-                o = _sigmoid(z[:, 3 * H:])
-                c_new = f * c + i * g
-                tc = np.tanh(c_new)
-                h_new = o * tc
-                steps.append((x_t, h, c, i, f, g, o, c_new, tc))
-                h, c = h_new, c_new
-                hs[:, t] = h
-            cache["layers"].append({"in": inp, "mask": masks, "steps": steps, "H": H})
-            inp = hs
+                mask = np.ascontiguousarray(
+                    dropout_mask((B, T, x.shape[-1]), rate, rng).transpose(1, 0, 2))
+                x = x * mask
+            h, state = _lstm_forward(x, self.params[f"lstm/{l}/Wx"],
+                                     self.params[f"lstm/{l}/Wh"], self.params[f"lstm/{l}/b"],
+                                     keep)
+            if keep:
+                cache["layers"].append({"in": x, "mask": mask, "h": h, "state": state})
+            x = h
 
-        a = inp[:, -1]  # h^L at the final step
+        a = x[-1]  # h^L at the final step
         head = []
         for d in range(self.n_dense):
             mask = None
@@ -239,12 +251,6 @@ class Model:
         cache["probs"] = probs
         return probs, cache
 
-    def predict(self, X: np.ndarray, batch_size: int = 1024) -> np.ndarray:
-        out = []
-        for i in range(0, len(X), batch_size):
-            out.append(self.forward(X[i:i + batch_size])[0])
-        return np.concatenate(out) if out else np.empty((0, self.cfg.K))
-
     # -- loss / backward ----------------------------------------------------
 
     def loss(self, probs: np.ndarray, y: np.ndarray) -> float:
@@ -254,14 +260,14 @@ class Model:
         return float(-np.mean(np.log(p)))
 
     def loss_on(self, X: np.ndarray, y: np.ndarray) -> float:
-        return self.loss(self.forward(X)[0], y)
+        return self.loss(self.predict(X), y)
 
     def backward(self, cache: dict, y: np.ndarray) -> dict:
         """Exact gradients of the mean NLL w.r.t. every parameter."""
         cfg = self.cfg
         probs = cache["probs"]
         B = len(y)
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        grads = {}
 
         onehot = np.zeros_like(probs)
         onehot[np.arange(B), y] = 1.0
@@ -270,70 +276,128 @@ class Model:
             rec = cache["head"][d]
             if d < self.n_dense - 1:
                 da = da * (1.0 - np.tanh(rec["z"]) ** 2)
-            grads[f"head/{d}/W"] += rec["in"].T @ da
-            grads[f"head/{d}/b"] += da.sum(axis=0)
+            grads[f"head/{d}/W"] = rec["in"].T @ da
+            grads[f"head/{d}/b"] = da.sum(axis=0)
             da = da @ self.params[f"head/{d}/W"].T
             if rec["mask"] is not None:
                 da = da * rec["mask"]
 
         # da is now d/d h^L_T; BPTT through the stack, top layer first
-        T = cache["X"].shape[1]
-        dh_seq = np.zeros((B, T, cfg.layers[-1]))
-        dh_seq[:, -1] = da
+        dh = da
         for l in range(len(cfg.layers) - 1, -1, -1):
             rec = cache["layers"][l]
-            H = rec["H"]
-            Wx = self.params[f"lstm/{l}/Wx"]
-            Wh = self.params[f"lstm/{l}/Wh"]
-            dWx = grads[f"lstm/{l}/Wx"]
-            dWh = grads[f"lstm/{l}/Wh"]
-            db = grads[f"lstm/{l}/b"]
-            dx_seq = np.empty((B, T, Wx.shape[0]))
-            dh_next = np.zeros((B, H))
-            dc_next = np.zeros((B, H))
-            for t in range(T - 1, -1, -1):
-                x_t, h_prev, c_prev, i, f, g, o, c_new, tc = rec["steps"][t]
-                dh = dh_seq[:, t] + dh_next
-                do = dh * tc
-                dc = dc_next + dh * o * (1.0 - tc ** 2)
-                di = dc * g
-                df = dc * c_prev
-                dg = dc * i
-                dc_next = dc * f
-                dz = np.concatenate([di * i * (1 - i), df * f * (1 - f),
-                                     dg * (1 - g ** 2), do * o * (1 - o)], axis=1)
-                dWx += x_t.T @ dz
-                dWh += h_prev.T @ dz
-                db += dz.sum(axis=0)
-                dx_seq[:, t] = dz @ Wx.T
-                dh_next = dz @ Wh.T
+            h = rec["h"]
+            T, _, H = h.shape
+            dz = _lstm_backward(h, rec["state"], self.params[f"lstm/{l}/Wh"], dh)
+            dz = dz.reshape(T * B, 4 * H)
+            grads[f"lstm/{l}/Wx"] = rec["in"].reshape(T * B, -1).T @ dz
+            # h_{t-1} is zero at t = 0, so dWh pairs h[:-1] with dz[1:]
+            grads[f"lstm/{l}/Wh"] = h[:-1].reshape(-1, H).T @ dz[B:]
+            grads[f"lstm/{l}/b"] = dz.sum(axis=0)
+            # the dh of the layer below (or d enc)
+            dh = (dz @ self.params[f"lstm/{l}/Wx"].T).reshape(T, B, -1)
             if rec["mask"] is not None:
-                dx_seq = dx_seq * rec["mask"]
-            dh_seq = dx_seq  # becomes the dh of the layer below (or d enc)
+                dh *= rec["mask"]
 
         if cfg.variant == "orderflow":
             offset = 0
             for name, card, *_ in CATEGORICALS:
                 dim = cfg.emb_dims[name]
                 idx, e = cache["emb"][name]
-                de = dh_seq[..., offset:offset + dim] * (1.0 - e ** 2)
-                np.add.at(grads[f"emb/{name}/U"], idx.ravel(), de.reshape(-1, dim))
-                grads[f"emb/{name}/b"] += de.sum(axis=(0, 1))
+                de = dh[..., offset:offset + dim].transpose(1, 0, 2) * (1.0 - e ** 2)
+                gU = np.zeros_like(self.params[f"emb/{name}/U"])
+                np.add.at(gU, idx.ravel(), de.reshape(-1, dim))
+                grads[f"emb/{name}/U"] = gU
+                grads[f"emb/{name}/b"] = de.sum(axis=(0, 1))
                 offset += dim
-        return grads
+        return {k: grads[k] for k in self.params}
 
     def loss_and_grads(self, X, y, train=False, rng=None) -> tuple[float, dict]:
         probs, cache = self.forward(X, train=train, rng=rng)
         return self.loss(probs, y), self.backward(cache, y)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+# ---------------------------------------------------------------------------
+# LSTM layer kernels (time-major; gate order i, f, g, o)
+# ---------------------------------------------------------------------------
+
+
+def _lstm_forward(x: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray,
+                  keep: bool) -> tuple[np.ndarray, Optional[tuple]]:
+    """One LSTM layer over a contiguous (T, B, F) input.
+
+    The input projection x @ Wx + b is one GEMM over all T steps into a
+    (T, B, 4H) buffer; each step adds h_{t-1} @ Wh to its slice and
+    overwrites it in place with the gate activations.  Returns the
+    (T, B, H) h sequence and, with `keep`, (gates, c, tanh(c)) for
+    backward; without it c and tanh(c) live in two rotating slots.
+    """
+    T, B, _ = x.shape
+    H = Wh.shape[0]
+    gates = (x.reshape(T * B, -1) @ Wx).reshape(T, B, 4 * H)
+    gates += b
+    slots = T if keep else 2
+    c = np.empty((slots, B, H))
+    tc = np.empty((slots, B, H))
+    h = np.empty((T, B, H))
+    h_prev = np.zeros((B, H))
+    c_prev = np.zeros((B, H))
+    # sigmoid as 1 / (1 + exp(-z)): exp overflows to inf for z < -709,
+    # which gives the exact limit 0
+    with np.errstate(over="ignore"):
+        for t in range(T):
+            z = gates[t]
+            z += h_prev @ Wh
+            g = np.tanh(z[:, 2 * H:3 * H])
+            np.negative(z, out=z)
+            np.exp(z, out=z)
+            z += 1.0
+            np.reciprocal(z, out=z)
+            z[:, 2 * H:3 * H] = g
+            s = t % slots
+            c_t = c[s]
+            np.multiply(z[:, H:2 * H], c_prev, out=c_t)
+            c_t += z[:, :H] * g
+            np.tanh(c_t, out=tc[s])
+            np.multiply(z[:, 3 * H:], tc[s], out=h[t])
+            h_prev, c_prev = h[t], c_t
+    return h, ((gates, c, tc) if keep else None)
+
+
+def _lstm_backward(h: np.ndarray, state: tuple, Wh: np.ndarray,
+                   dh_out: np.ndarray) -> np.ndarray:
+    """BPTT through one layer; returns the (T, B, 4H) pre-activation
+    gradients dz.  `dh_out` is the gradient from above: (T, B, H), or
+    (B, H) for the top layer, whose final step alone feeds the head.
+    Only dz_t @ Wh.T stays inside the loop; the caller turns the stacked
+    dz into dWx, dWh, db and the input gradient with one GEMM each."""
+    gates, c, tc = state
+    T, B, H = h.shape
+    dz = np.empty_like(gates)
+    WhT = Wh.T
+    zero = np.zeros((B, H))
+    top = dh_out.ndim == 2
+    dh_next = dh_out if top else zero
+    dc_next = zero
+    for t in range(T - 1, -1, -1):
+        z = gates[t]
+        i, f, g, o = z[:, :H], z[:, H:2 * H], z[:, 2 * H:3 * H], z[:, 3 * H:]
+        tc_t = tc[t]
+        dh = dh_next if top else dh_out[t] + dh_next
+        dc = dc_next + dh * o * (1.0 - tc_t ** 2)
+        # d = d(loss)/d(activated gate), then times the activation's slope
+        d = dz[t]
+        np.multiply(dc, g, out=d[:, :H])
+        np.multiply(dc, c[t - 1] if t else zero, out=d[:, H:2 * H])
+        np.multiply(dc, i, out=d[:, 2 * H:3 * H])
+        np.multiply(dh, tc_t, out=d[:, 3 * H:])
+        slope = 1.0 - z
+        slope *= z
+        slope[:, 2 * H:3 * H] = 1.0 - g ** 2
+        d *= slope
+        dc_next = dc * f
+        dh_next = d @ WhT
+    return dz
 
 
 # ---------------------------------------------------------------------------
@@ -618,19 +682,58 @@ def save_checkpoint(model: Model, path, extras: Optional[dict] = None) -> None:
         fh.write("\n".join(manifest) + "\n")
 
 
+def _read_manifest(path) -> dict:
+    """{tensor name: (shape list text, sha256 hex)} from a checkpoint's manifest."""
+    try:
+        with open(str(path) + ".manifest.txt", "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise NetError(f"cannot read manifest of checkpoint {path}: {e}") from e
+    out = {}
+    for line in lines:
+        name, _, rest = line.partition(" ")
+        shape, _, digest = rest.rpartition(" ")
+        out[name] = (shape, digest)
+    return out
+
+
 def load_checkpoint(path) -> tuple[Model, dict]:
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    The tensors must be the ones the model config defines, the file
+    size must equal the header plus the tensor bytes it declares, and
+    every tensor must match its line in the SHA-256 manifest; any
+    mismatch raises :class:`NetError`.
+    """
     with open(path, "rb") as fh:
-        if fh.read(4) != _CKPT_MAGIC:
-            raise NetError("not a checkpoint file")
-        version, hlen = struct.unpack("<II", fh.read(8))
-        if version != _CKPT_VERSION:
-            raise NetError(f"unsupported checkpoint version {version}")
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        params = {}
-        for spec in header["tensors"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            params[spec["name"]] = np.frombuffer(fh.read(count * 8),
-                                                 dtype=np.float64).reshape(shape).copy()
-    cfg = ModelConfig.from_dict(header["config"])
+        data = fh.read()
+    if data[:4] != _CKPT_MAGIC or len(data) < 12:
+        raise NetError("not a checkpoint file")
+    version, hlen = struct.unpack_from("<II", data, 4)
+    if version != _CKPT_VERSION:
+        raise NetError(f"unsupported checkpoint version {version}")
+    try:
+        header = json.loads(data[12:12 + hlen].decode("utf-8"))
+        specs = [(str(t["name"]), tuple(int(n) for n in t["shape"])) for t in header["tensors"]]
+        cfg = ModelConfig.from_dict(header["config"])
+        fitted = {name: p.shape for name, p in Model(cfg).params.items()}
+    except (ValueError, KeyError, TypeError) as e:
+        raise NetError(f"checkpoint {path} has a corrupt header: {e}") from e
+    if len(specs) != len(fitted) or dict(specs) != fitted:
+        raise NetError(f"checkpoint {path}: tensors do not fit its model config")
+    counts = [int(np.prod(shape, dtype=np.int64)) for _, shape in specs]
+    expected = 12 + hlen + 8 * sum(counts)
+    if len(data) != expected:
+        raise NetError(f"checkpoint {path} is {len(data)} bytes; its header declares {expected}")
+    manifest = _read_manifest(path)
+    if sorted(manifest) != sorted(name for name, _ in specs):
+        raise NetError(f"manifest of checkpoint {path} does not list its tensors")
+    params = {}
+    offset = 12 + hlen
+    for (name, shape), count in zip(specs, counts):
+        raw = data[offset:offset + 8 * count]
+        offset += 8 * count
+        if manifest[name] != (str(list(shape)), hashlib.sha256(raw).hexdigest()):
+            raise NetError(f"checkpoint {path}: tensor {name} does not match its manifest")
+        params[name] = np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
     return Model(cfg, params=params), header.get("extras", {})

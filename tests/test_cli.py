@@ -105,6 +105,38 @@ class TestConfig:
         assert cfg["schedule"]["lr"] == 0.5
         assert cfg["schedule"]["epochs"] == cli.CONFIG_DEFAULTS["schedule"]["epochs"]
 
+    @pytest.mark.parametrize("patch,key", [
+        ({"bogus": 1}, "'bogus'"),
+        ({"generator": {"bogus": 1}}, "'generator.bogus'"),
+        ({"warm_up": {"bogus": 1}}, "'warm_up.bogus'"),
+        ({"model": {"bogus": 1}}, "'model.bogus'"),
+        ({"schedule": {"bogus": 1}}, "'schedule.bogus'"),
+        ({"pairs": {"X": {"input": "x.ofr", "bogus": 1}}}, "'pairs.X.bogus'"),
+        ({"pairs": {"X": {"input": "x.ofr", "generator": {"bogus": 1}}}},
+         "'pairs.X.generator.bogus'"),
+    ])
+    def test_unknown_key_named(self, tmp_path, patch, key):
+        cfg = {"pairs": {"X": {"input": "x.ofr"}}, **patch}
+        with pytest.raises(cli.CliError, match=key):
+            cli.load_config(write_config(tmp_path / "c.json", cfg))
+
+    def test_free_form_blocks_and_warm_up_ts_accepted(self, tmp_path):
+        cfg = {"pairs": {"X": {"input": "x.ofr", "generator": {"n_events": 5}}},
+               "search": {"lr": [1e-3]}, "split_ranges": {"train": [0, 1], "note": "x"},
+               "warm_up": {"ts": 123}}
+        loaded = cli.load_config(write_config(tmp_path / "c.json", cfg))
+        assert cli._warm_kwargs(loaded) == {"warm_until_ts": 123}
+
+    def test_unknown_generator_key_is_error_exit(self, tmp_path, capsys):
+        cfg = {"pairs": {"X": {"input": str(tmp_path / "x.ofr")}}, "generator": {"bogus": 1}}
+        p = write_config(tmp_path / "c.json", cfg)
+        capsys.readouterr()
+        rc = cli.main(["generate", "--config", p, "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "bogus" in err[0]
+        assert not (tmp_path / "x.ofr").exists()
+
     def test_unknown_pair_is_error_exit(self, pipeline):
         rc = cli.main(["build", "--config", pipeline["cfgfile"],
                        "--out", str(pipeline["out"]), "--pair", "ZZZ"])
@@ -263,6 +295,20 @@ class TestExitCodes:
         capsys.readouterr()
         rc = cli.main(["train", "--config", pipeline["cfgfile"], "--out", str(tmp_path),
                        "--pair", "AAA", "--variant", "orderflow", "--dataset", str(cut)])
+        assert rc == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "header declares" in err[0]
+
+    def test_truncated_checkpoint_is_error(self, pipeline, tmp_path, capsys):
+        src = pipeline["out"] / "AAA.orderflow.ckpt"
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(src.read_bytes()[:-100])
+        (tmp_path / "cut.ckpt.manifest.txt").write_bytes(
+            (pipeline["out"] / "AAA.orderflow.ckpt.manifest.txt").read_bytes())
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--checkpoint", str(cut),
+                       "--dataset", str(pipeline["out"] / "AAA.orderflow.ds"),
+                       "--split", "test", "--out", str(tmp_path)])
         assert rc == cli.EXIT_ERROR
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "header declares" in err[0]

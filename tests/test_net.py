@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,150 @@ class TestForward:
         m = Model(small_cfg(), seed=0)
         with pytest.raises(net.EmptyBatch):
             m.forward(np.zeros((0, 3, 6)))
+
+
+# ---------------------------------------------------------------------------
+# the time-major LSTM against the per-step reference
+# ---------------------------------------------------------------------------
+
+
+def _ref_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_loss_and_grads(m, X, y, train=False, rng=None):
+    """The batch-major, step-by-step LSTM: each step computes its gates
+    with three masked sigmoids, keeps a tuple of its arrays, and backward
+    accumulates every weight gradient step by step."""
+    cfg, P = m.cfg, m.params
+    B, T, _ = X.shape
+    rate = cfg.dropout if train else 0.0
+    inp, emb = m.encode(X)
+    layers = []
+    for l, H in enumerate(cfg.layers):
+        Wx, Wh, b = P[f"lstm/{l}/Wx"], P[f"lstm/{l}/Wh"], P[f"lstm/{l}/b"]
+        mask = None
+        if rate > 0.0:
+            mask = net.dropout_mask((B, T, inp.shape[-1]), rate, rng)
+            inp = inp * mask
+        h, c = np.zeros((B, H)), np.zeros((B, H))
+        steps, hs = [], np.empty((B, T, H))
+        for t in range(T):
+            z = inp[:, t] @ Wx + h @ Wh + b
+            i, f = _ref_sigmoid(z[:, :H]), _ref_sigmoid(z[:, H:2 * H])
+            g, o = np.tanh(z[:, 2 * H:3 * H]), _ref_sigmoid(z[:, 3 * H:])
+            c_new = f * c + i * g
+            tc = np.tanh(c_new)
+            steps.append((inp[:, t], h, c, i, f, g, o, tc))
+            h, c = o * tc, c_new
+            hs[:, t] = h
+        layers.append((mask, steps))
+        inp = hs
+    a, head = inp[:, -1], []
+    for d in range(m.n_dense):
+        mask = None
+        if rate > 0.0:
+            mask = net.dropout_mask(a.shape, rate, rng)
+            a = a * mask
+        z = a @ P[f"head/{d}/W"] + P[f"head/{d}/b"]
+        head.append((a, mask, z))
+        a = np.tanh(z) if d < m.n_dense - 1 else z
+    probs = net.softmax(a)
+
+    grads = {k: np.zeros_like(v) for k, v in P.items()}
+    da = (probs - np.eye(cfg.K)[y]) / B
+    for d in range(m.n_dense - 1, -1, -1):
+        a_in, mask, z = head[d]
+        if d < m.n_dense - 1:
+            da = da * (1.0 - np.tanh(z) ** 2)
+        grads[f"head/{d}/W"] += a_in.T @ da
+        grads[f"head/{d}/b"] += da.sum(axis=0)
+        da = da @ P[f"head/{d}/W"].T
+        if mask is not None:
+            da = da * mask
+    dh_seq = np.zeros((B, T, cfg.layers[-1]))
+    dh_seq[:, -1] = da
+    for l in range(len(cfg.layers) - 1, -1, -1):
+        mask, steps = layers[l]
+        H = cfg.layers[l]
+        Wx, Wh = P[f"lstm/{l}/Wx"], P[f"lstm/{l}/Wh"]
+        dx_seq = np.empty((B, T, Wx.shape[0]))
+        dh_next, dc_next = np.zeros((B, H)), np.zeros((B, H))
+        for t in range(T - 1, -1, -1):
+            x_t, h_prev, c_prev, i, f, g, o, tc = steps[t]
+            dh = dh_seq[:, t] + dh_next
+            dc = dc_next + dh * o * (1.0 - tc ** 2)
+            dz = np.concatenate([dc * g * i * (1 - i), dc * c_prev * f * (1 - f),
+                                 dc * i * (1 - g ** 2), dh * tc * o * (1 - o)], axis=1)
+            grads[f"lstm/{l}/Wx"] += x_t.T @ dz
+            grads[f"lstm/{l}/Wh"] += h_prev.T @ dz
+            grads[f"lstm/{l}/b"] += dz.sum(axis=0)
+            dx_seq[:, t] = dz @ Wx.T
+            dh_next, dc_next = dz @ Wh.T, dc * f
+        dh_seq = dx_seq if mask is None else dx_seq * mask
+    if cfg.variant == "orderflow":
+        offset = 0
+        for name, card, *_ in net.CATEGORICALS:
+            dim = cfg.emb_dims[name]
+            idx, e = emb[name]
+            de = dh_seq[..., offset:offset + dim] * (1.0 - e ** 2)
+            np.add.at(grads[f"emb/{name}/U"], idx.ravel(), de.reshape(-1, dim))
+            grads[f"emb/{name}/b"] += de.sum(axis=(0, 1))
+            offset += dim
+    return m.loss(probs, y), probs, grads
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+class TestReferenceLSTM:
+    @pytest.mark.parametrize("T", [1, 100])
+    @pytest.mark.parametrize("dense", [(), (5,)])
+    @pytest.mark.parametrize("layers", [(6,), (6, 4)])
+    @pytest.mark.parametrize("variant", ["orderflow", "bench1", "bench2"])
+    def test_matches_per_step_reference(self, variant, layers, dense, T):
+        m = Model(small_cfg(variant, layers=layers, dense_hidden=dense, dropout=0.3), seed=11)
+        X = raw_batch(variant, B=5, T=T, seed=3)
+        y = np.array([0, 1, 1, 0, 1])
+        for train in (False, True):
+            probs, cache = m.forward(X, train=train, rng=np.random.default_rng(8))
+            grads = m.backward(cache, y)
+            _, ref_probs, ref_grads = reference_loss_and_grads(
+                m, X, y, train=train, rng=np.random.default_rng(8))
+            np.testing.assert_allclose(probs, ref_probs, rtol=1e-12, atol=0)
+            assert sorted(grads) == sorted(ref_grads)
+            for k in ref_grads:
+                assert _rel(grads[k], ref_grads[k]) <= 1e-12, (train, k)
+
+    @pytest.mark.parametrize("variant", ["orderflow", "bench1", "bench2"])
+    def test_predict_equals_forward_bitwise(self, variant):
+        m = Model(small_cfg(variant, layers=(6, 4), dense_hidden=(5,), dropout=0.3), seed=2)
+        X = raw_batch(variant, B=9, T=12, seed=4)
+        np.testing.assert_array_equal(m.predict(X), m.forward(X)[0])
+
+    def test_saturated_gates_stay_finite_without_warnings(self):
+        m = Model(small_cfg(layers=(6, 4), dense_hidden=(5,)), seed=0)
+        for l in range(2):
+            H = m.cfg.layers[l]
+            # i and o gates driven past -800, f and g past +800
+            m.params[f"lstm/{l}/b"][:] = np.repeat([-900.0, 900.0, 900.0, -900.0], H)
+        X = raw_batch(B=4, T=5)
+        y = np.array([0, 1, 0, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probs, cache = m.forward(X)
+            grads = m.backward(cache, y)
+            predicted = m.predict(X)
+        assert np.all(np.isfinite(probs)) and np.all(np.isfinite(predicted))
+        assert all(np.all(np.isfinite(g)) for g in grads.values())
+        gates = cache["layers"][0]["state"][0]
+        assert set(np.unique(gates)) <= {0.0, 1.0}
 
 
 # ---------------------------------------------------------------------------
@@ -366,4 +512,50 @@ class TestCheckpoint:
         p = tmp_path / "junk.ckpt"
         p.write_bytes(b"JUNK" + b"\x00" * 16)
         with pytest.raises(net.NetError):
+            net.load_checkpoint(p)
+
+    def _saved(self, tmp_path):
+        m = Model(small_cfg(layers=(4, 3), dense_hidden=(5,)), seed=4)
+        p = tmp_path / "m.ckpt"
+        net.save_checkpoint(m, p)
+        return p, p.read_bytes()
+
+    def test_cut_short_rejected(self, tmp_path):
+        p, data = self._saved(tmp_path)
+        p.write_bytes(data[:-100])
+        with pytest.raises(net.NetError, match="header declares"):
+            net.load_checkpoint(p)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        p, data = self._saved(tmp_path)
+        p.write_bytes(data + b"\x00" * 16)
+        with pytest.raises(net.NetError, match="header declares"):
+            net.load_checkpoint(p)
+
+    def test_flipped_tensor_byte_rejected(self, tmp_path):
+        p, data = self._saved(tmp_path)
+        flipped = bytearray(data)
+        flipped[-3] ^= 0x01  # inside the last tensor
+        p.write_bytes(bytes(flipped))
+        with pytest.raises(net.NetError, match="does not match its manifest"):
+            net.load_checkpoint(p)
+
+    def test_missing_manifest_rejected(self, tmp_path):
+        p, _ = self._saved(tmp_path)
+        (tmp_path / "m.ckpt.manifest.txt").unlink()
+        with pytest.raises(net.NetError, match="manifest"):
+            net.load_checkpoint(p)
+
+    def test_corrupt_header_rejected(self, tmp_path):
+        p, data = self._saved(tmp_path)
+        p.write_bytes(data[:12] + b"x" + data[13:])  # header JSON no longer parses
+        with pytest.raises(net.NetError):
+            net.load_checkpoint(p)
+
+    def test_tensors_not_fitting_config_rejected(self, tmp_path):
+        m = Model(small_cfg(layers=(4, 3)), seed=4)
+        m.cfg = small_cfg(layers=(4,))  # header config without the second layer
+        p = tmp_path / "m.ckpt"
+        net.save_checkpoint(m, p)
+        with pytest.raises(net.NetError, match="do not fit"):
             net.load_checkpoint(p)
