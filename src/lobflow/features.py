@@ -40,6 +40,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import lob
+from .atomic import atomic_open
 from .feed import EventKind, OrderEvent, Side
 
 VARIANTS = ("orderflow", "bench1", "bench2")
@@ -197,7 +198,7 @@ def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SY
         if need_snap:
             s = book.snapshot(S)
             row = s.bid_prices + s.bid_volumes + s.ask_prices + s.ask_volumes
-            row.append(float(delta.mid_after) if delta.mid_after is not None else np.nan)
+            row.append(delta.mid2_after / 2 if delta.mid2_after is not None else np.nan)
             if need_counts:
                 row.append(book.level_count(Side.BUY, book.best_bid()))
                 row.append(book.level_count(Side.SELL, book.best_ask()))
@@ -205,12 +206,12 @@ def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SY
         if delta.mid_changed:
             if j >= T:
                 ends.append(j)
-                labels.append(1 if delta.mid_after > delta.mid_before else 0)
+                labels.append(1 if delta.mid2_after > delta.mid2_before else 0)
                 times.append(ev.timestamp_ms)
             else:
                 counters["skipped_insufficient_history"] = \
                     counters.get("skipped_insufficient_history", 0) + 1
-        elif delta.mid_before is None and delta.mid_after is not None:
+        elif delta.mid2_before is None and delta.mid2_after is not None:
             counters["mid_became_defined"] = counters.get("mid_became_defined", 0) + 1
 
     ts = np.asarray(ts, dtype=np.int64)
@@ -314,7 +315,8 @@ _PREFIX = struct.Struct("<4sII")   # magic, version, header length
 
 def save_dataset(ds: Dataset, path) -> None:
     """Header, then table (E, C) float64, table_ts (E,) int64 and the
-    per-sample end int64, y uint8, event_time int64 and split int8."""
+    per-sample end int64, y uint8, event_time int64 and split int8.
+    The file appears at `path` only once it is complete."""
     header = {
         "format": "lobflow-dataset", "version": _VERSION,
         "variant": ds.variant, "T": ds.T, "S": ds.S, "pair": ds.pair,
@@ -323,7 +325,7 @@ def save_dataset(ds: Dataset, path) -> None:
         "counters": ds.counters,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_PREFIX.pack(_MAGIC, _VERSION, len(blob)))
         fh.write(blob)
         for arr, dtype in ((ds.table, np.float64), (ds.table_ts, np.int64),

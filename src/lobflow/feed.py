@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Optional
 
+from .atomic import atomic_open
+
 
 class FeedError(Exception):
     """Base class for feed-layer failures."""
@@ -71,6 +73,7 @@ _SIDE_FROM_WIRE = {s.wire: s for s in Side}
 
 _REQUIRED_KEYS = {"ts", "seq", "kind", "side", "size", "id"}
 _ALL_KEYS = _REQUIRED_KEYS | {"price"}
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 
 @dataclass(frozen=True)
@@ -89,9 +92,12 @@ class OrderEvent:
     size_str: Optional[str] = field(default=None, compare=False)
 
 
-def _check(cond: bool, exc: type, msg: str) -> None:
-    if not cond:
-        raise exc(msg)
+def _bad_value(name: str, value) -> SchemaViolation:
+    """Error for an unknown kind or side; a JSON array or object (unhashable,
+    possibly deeply nested) is named by its type, not its repr."""
+    if isinstance(value, (list, dict)):
+        return SchemaViolation(f"bad {name}: JSON {'array' if isinstance(value, list) else 'object'}")
+    return SchemaViolation(f"bad {name} {value!r}")
 
 
 def parse_event(line: str) -> OrderEvent:
@@ -100,48 +106,74 @@ def parse_event(line: str) -> OrderEvent:
         obj = json.loads(line)
     except ValueError as e:
         raise MalformedRecord(f"bad JSON: {e}") from e
-    _check(isinstance(obj, dict), MalformedRecord, "record is not a JSON object")
+    except RecursionError as e:
+        raise MalformedRecord("bad JSON: nested too deeply") from e
+    if not isinstance(obj, dict):
+        raise MalformedRecord("record is not a JSON object")
 
-    extra = set(obj) - _ALL_KEYS
-    _check(not extra, SchemaViolation, f"unknown fields: {sorted(extra)}")
-    missing = _REQUIRED_KEYS - set(obj)
-    _check(not missing, SchemaViolation, f"missing fields: {sorted(missing)}")
+    keys = obj.keys()
+    if not keys <= _ALL_KEYS:
+        raise SchemaViolation(f"unknown fields: {sorted(keys - _ALL_KEYS)}")
+    if not keys >= _REQUIRED_KEYS:
+        raise SchemaViolation(f"missing fields: {sorted(_REQUIRED_KEYS - keys)}")
 
+    # JSON integers decode to exactly `int`; `type(...) is int` also rejects bool
     ts, seq = obj["ts"], obj["seq"]
-    _check(isinstance(ts, int) and not isinstance(ts, bool), SchemaViolation, "ts must be an integer")
-    _check(isinstance(seq, int) and not isinstance(seq, bool), SchemaViolation, "seq must be an integer")
-
-    kind = _KIND_FROM_WIRE.get(obj["kind"])
-    _check(kind is not None, SchemaViolation, f"bad kind {obj['kind']!r}")
-    side = _SIDE_FROM_WIRE.get(obj["side"])
-    _check(side is not None, SchemaViolation, f"bad side {obj['side']!r}")
+    if type(ts) is not int:
+        raise SchemaViolation("ts must be an integer")
+    if type(seq) is not int:
+        raise SchemaViolation("seq must be an integer")
+    try:
+        kind = _KIND_FROM_WIRE[obj["kind"]]
+    except (KeyError, TypeError):
+        raise _bad_value("kind", obj["kind"]) from None
+    try:
+        side = _SIDE_FROM_WIRE[obj["side"]]
+    except (KeyError, TypeError):
+        raise _bad_value("side", obj["side"]) from None
 
     if kind is EventKind.MARKET:
-        _check("price" not in obj, InvariantViolation, "market order must not carry a price")
+        if "price" in obj:
+            raise InvariantViolation("market order must not carry a price")
         price = None
     else:
-        _check("price" in obj, SchemaViolation, f"{kind.wire} order requires a price")
+        if "price" not in obj:
+            raise SchemaViolation(f"{kind.wire} order requires a price")
         price = obj["price"]
-        _check(isinstance(price, int) and not isinstance(price, bool), SchemaViolation,
-               "price must be an integer tick count")
-        _check(price > 0, InvariantViolation, f"non-positive price {price}")
+        if type(price) is not int:
+            raise SchemaViolation("price must be an integer tick count")
+        if price <= 0:
+            raise InvariantViolation(f"non-positive price {price}")
 
     raw_size = obj["size"]
     size_str = None
-    if isinstance(raw_size, str):
+    if type(raw_size) is float:
+        size = raw_size
+    elif type(raw_size) is str:
         try:
             size = float(raw_size)
         except ValueError as e:
             raise SchemaViolation(f"bad size string {raw_size!r}") from e
         size_str = raw_size
-    elif isinstance(raw_size, (int, float)) and not isinstance(raw_size, bool):
-        size = float(raw_size)
+    elif type(raw_size) is int:
+        try:
+            size = float(raw_size)
+        except OverflowError as e:
+            raise InvariantViolation("size is too large for a float") from e
     else:
         raise SchemaViolation(f"size must be number or string, got {type(raw_size).__name__}")
-    _check(math.isfinite(size) and size > 0, InvariantViolation, f"size must be > 0, got {raw_size!r}")
+    if not 0.0 < size < math.inf:
+        raise InvariantViolation(f"size must be > 0, got {raw_size!r}")
 
     oid = obj["id"]
-    _check(isinstance(oid, str), SchemaViolation, "id must be a string")
+    if type(oid) is not str:
+        raise SchemaViolation("id must be a string")
+
+    # ts, seq and price become int64 downstream; checked last so that every
+    # other rejection keeps its message
+    if not (_INT64_MIN <= ts <= _INT64_MAX and _INT64_MIN <= seq <= _INT64_MAX
+            and (price is None or price <= _INT64_MAX)):
+        raise SchemaViolation("ts, seq and price must fit a signed 64-bit integer")
 
     return OrderEvent(ts, seq, kind, side, price, size, oid, size_str)
 
@@ -397,9 +429,12 @@ def _noise_stream(config, rng, book, emit, seed_ladder):
 
 
 def write_stream(path, config: GeneratorConfig, seed: int) -> int:
-    """Generate a synthetic stream to `path`; returns the event count."""
+    """Generate a synthetic stream to `path`; returns the event count.
+
+    The stream appears at `path` only once it is complete.
+    """
     n = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for line in generate_synthetic(config, seed):
             fh.write(line)
             fh.write("\n")

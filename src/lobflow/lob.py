@@ -1,10 +1,11 @@
 """Limit order book: price-level aggregation, matching, snapshots.
 
-Prices are integer tick counts throughout.  The mid-price is returned as
-an exact `Fraction` so half-tick mids carry no rounding.  Marketable
-limit orders execute on arrival in price priority; market orders larger
-than the opposing liquidity execute what is available and drop the
-remainder (counted on the book).
+Prices are integer tick counts throughout.  The mid-price is carried as
+the integer `best bid + best ask`, in half ticks, so half-tick mids carry
+no rounding; `mid_price()` gives it as an exact `Fraction` of a tick.
+Marketable limit orders execute on arrival in price priority; market
+orders larger than the opposing liquidity execute what is available and
+drop the remainder (counted on the book).
 """
 
 from __future__ import annotations
@@ -55,19 +56,19 @@ class _Level:
         return len(self.queue)
 
 
-@dataclass
+@dataclass(slots=True)
 class BookDelta:
-    """Effect of one applied event."""
+    """Effect of one applied event.  Mids are in half ticks (bid + ask)."""
 
-    mid_before: Optional[Fraction]
-    mid_after: Optional[Fraction]
+    mid2_before: Optional[int]
+    mid2_after: Optional[int]
     executed: float = 0.0
     dropped: float = 0.0
 
     @property
     def mid_changed(self) -> bool:
-        return (self.mid_before is not None and self.mid_after is not None
-                and self.mid_before != self.mid_after)
+        return (self.mid2_before is not None and self.mid2_after is not None
+                and self.mid2_before != self.mid2_after)
 
 
 class OrderBook:
@@ -77,43 +78,48 @@ class OrderBook:
     instance.  Reads between writes are fine.
     """
 
-    def __init__(self, tick_size: Fraction = Fraction(1, 100)):
-        self.tick_size = Fraction(tick_size)
-        self._levels: dict[Side, dict[int, _Level]] = {Side.BUY: {}, Side.SELL: {}}
-        # sorted ascending price lists, one per side
-        self._prices: dict[Side, list[int]] = {Side.BUY: [], Side.SELL: []}
+    def __init__(self):
+        # per side: price -> level, and the level prices sorted ascending
+        self._bids: dict[int, _Level] = {}
+        self._asks: dict[int, _Level] = {}
+        self._bid_prices: list[int] = []
+        self._ask_prices: list[int] = []
         self.resting: dict[str, RestingOrder] = {}
         self.dropped_market_events = 0
         self.dropped_market_size = 0.0
 
+    def _side(self, side: Side) -> tuple[dict[int, _Level], list[int]]:
+        if side is Side.BUY:
+            return self._bids, self._bid_prices
+        return self._asks, self._ask_prices
+
     # -- queries ------------------------------------------------------------
 
     def best_bid(self) -> Optional[int]:
-        prices = self._prices[Side.BUY]
+        prices = self._bid_prices
         return prices[-1] if prices else None
 
     def best_ask(self) -> Optional[int]:
-        prices = self._prices[Side.SELL]
+        prices = self._ask_prices
         return prices[0] if prices else None
 
-    def mid_price(self) -> Fraction:
-        bb, ba = self.best_bid(), self.best_ask()
-        if bb is None or ba is None:
-            raise EmptySide("mid-price requires both sides non-empty")
-        return Fraction(bb + ba, 2)
+    def mid2(self) -> Optional[int]:
+        """Best bid + best ask: the mid in half ticks; None if a side is empty."""
+        bids, asks = self._bid_prices, self._ask_prices
+        return bids[-1] + asks[0] if bids and asks else None
 
-    def mid_or_none(self) -> Optional[Fraction]:
-        try:
-            return self.mid_price()
-        except EmptySide:
-            return None
+    def mid_price(self) -> Fraction:
+        mid2 = self.mid2()
+        if mid2 is None:
+            raise EmptySide("mid-price requires both sides non-empty")
+        return Fraction(mid2, 2)
 
     def level_size(self, side: Side, price: int) -> float:
-        lvl = self._levels[side].get(price)
+        lvl = (self._bids if side is Side.BUY else self._asks).get(price)
         return lvl.size if lvl else 0.0
 
     def level_count(self, side: Side, price: int) -> int:
-        lvl = self._levels[side].get(price)
+        lvl = (self._bids if side is Side.BUY else self._asks).get(price)
         return lvl.count if lvl else 0
 
     def relative_price(self, side: Side, price_ticks: Optional[int]) -> int:
@@ -131,46 +137,38 @@ class OrderBook:
     # -- mutation -----------------------------------------------------------
 
     def apply_event(self, ev: OrderEvent) -> BookDelta:
-        delta = BookDelta(mid_before=self.mid_or_none(), mid_after=None)
+        delta = BookDelta(self.mid2(), None)
         if ev.kind is EventKind.LIMIT:
             self._apply_limit(ev, delta)
         elif ev.kind is EventKind.MARKET:
             self._apply_market(ev, delta)
         else:
             self._apply_cancel(ev, delta)
-        delta.mid_after = self.mid_or_none()
+        delta.mid2_after = self.mid2()
         return delta
 
     def _apply_limit(self, ev: OrderEvent, delta: BookDelta) -> None:
         remaining = ev.size
-        opp = Side.SELL if ev.side is Side.BUY else Side.BUY
-
-        def marketable() -> Optional[int]:
-            best = self.best_ask() if ev.side is Side.BUY else self.best_bid()
-            if best is None:
-                return None
-            if ev.side is Side.BUY and ev.price_ticks >= best:
-                return best
-            if ev.side is Side.SELL and ev.price_ticks <= best:
-                return best
-            return None
-
-        while remaining > 0:
-            best = marketable()
-            if best is None:
-                break
-            remaining -= self._consume_level(opp, best, remaining, delta)
+        price = ev.price_ticks
+        if ev.side is Side.BUY:
+            levels, prices = self._asks, self._ask_prices
+            while remaining > 0 and prices and price >= prices[0]:
+                remaining -= self._consume_level(levels, prices, prices[0], remaining, delta)
+        else:
+            levels, prices = self._bids, self._bid_prices
+            while remaining > 0 and prices and price <= prices[-1]:
+                remaining -= self._consume_level(levels, prices, prices[-1], remaining, delta)
         if remaining > 0:
-            self._rest(ev.order_id, ev.side, ev.price_ticks, remaining)
+            self._rest(ev.order_id, ev.side, price, remaining)
 
     def _apply_market(self, ev: OrderEvent, delta: BookDelta) -> None:
         remaining = ev.size
-        opp = Side.SELL if ev.side is Side.BUY else Side.BUY
-        while remaining > 0:
-            best = self.best_ask() if ev.side is Side.BUY else self.best_bid()
-            if best is None:
-                break
-            remaining -= self._consume_level(opp, best, remaining, delta)
+        if ev.side is Side.BUY:
+            levels, prices, best = self._asks, self._ask_prices, 0
+        else:
+            levels, prices, best = self._bids, self._bid_prices, -1
+        while remaining > 0 and prices:
+            remaining -= self._consume_level(levels, prices, prices[best], remaining, delta)
         if remaining > 0:
             self.dropped_market_events += 1
             self.dropped_market_size += remaining
@@ -182,7 +180,8 @@ class OrderBook:
             raise UnknownOrderId(ev.order_id)
         if ev.size > order.remaining + 1e-12:
             raise OverCancel(f"cancel {ev.size} exceeds remaining {order.remaining} for {ev.order_id}")
-        lvl = self._levels[order.side][order.price_ticks]
+        levels, prices = self._side(order.side)
+        lvl = levels[order.price_ticks]
         if ev.size >= order.remaining - 1e-12:
             lvl.size -= order.remaining
             lvl.queue.remove(ev.order_id)
@@ -191,28 +190,29 @@ class OrderBook:
             order.remaining -= ev.size
             lvl.size -= ev.size
         if not lvl.queue:
-            self._remove_level(order.side, order.price_ticks)
+            self._remove_level(levels, prices, order.price_ticks)
 
     # -- internals ----------------------------------------------------------
 
     def _rest(self, oid: str, side: Side, price: int, size: float) -> None:
-        levels = self._levels[side]
+        levels, prices = self._side(side)
         lvl = levels.get(price)
         if lvl is None:
             lvl = levels[price] = _Level()
-            insort(self._prices[side], price)
+            insort(prices, price)
         lvl.size += size
         lvl.queue.append(oid)
         self.resting[oid] = RestingOrder(side, price, size)
 
-    def _remove_level(self, side: Side, price: int) -> None:
-        del self._levels[side][price]
-        prices = self._prices[side]
+    @staticmethod
+    def _remove_level(levels: dict[int, _Level], prices: list[int], price: int) -> None:
+        del levels[price]
         prices.pop(bisect_left(prices, price))
 
-    def _consume_level(self, side: Side, price: int, want: float, delta: BookDelta) -> float:
+    def _consume_level(self, levels: dict[int, _Level], prices: list[int], price: int,
+                       want: float, delta: BookDelta) -> float:
         """Execute up to `want` against the FIFO queue at one level."""
-        lvl = self._levels[side][price]
+        lvl = levels[price]
         taken = 0.0
         while lvl.queue and taken < want:
             oid = lvl.queue[0]
@@ -226,7 +226,7 @@ class OrderBook:
                 del self.resting[oid]
         delta.executed += taken
         if not lvl.queue:
-            self._remove_level(side, price)
+            self._remove_level(levels, prices, price)
         return taken
 
     # -- snapshots / dumps --------------------------------------------------
@@ -237,12 +237,11 @@ class OrderBook:
     def dump(self) -> str:
         """Deterministic text listing `side price size count`, sorted by price."""
         lines = []
-        for price in self._prices[Side.BUY]:
-            lvl = self._levels[Side.BUY][price]
-            lines.append(f"buy {price} {lvl.size!r} {lvl.count}")
-        for price in self._prices[Side.SELL]:
-            lvl = self._levels[Side.SELL][price]
-            lines.append(f"sell {price} {lvl.size!r} {lvl.count}")
+        for name, levels, prices in (("buy", self._bids, self._bid_prices),
+                                     ("sell", self._asks, self._ask_prices)):
+            for price in prices:
+                lvl = levels[price]
+                lines.append(f"{name} {price} {lvl.size!r} {lvl.count}")
         return "\n".join(lines)
 
 
@@ -267,12 +266,10 @@ class LobSnapshot:
 def make_snapshot(book: OrderBook, depth: int) -> LobSnapshot:
     if depth < 1:
         raise ValueError("snapshot depth must be >= 1")
-    bid_prices_sorted = book._prices[Side.BUY]
-    ask_prices_sorted = book._prices[Side.SELL]
-    bids = list(reversed(bid_prices_sorted[-depth:]))
-    asks = list(ask_prices_sorted[:depth])
-    bvol = [book._levels[Side.BUY][p].size for p in bids]
-    avol = [book._levels[Side.SELL][p].size for p in asks]
+    bids = list(reversed(book._bid_prices[-depth:]))
+    asks = book._ask_prices[:depth]
+    bvol = [book._bids[p].size for p in bids]
+    avol = [book._asks[p].size for p in asks]
     n_b, n_a = len(bids), len(asks)
     last_b = bids[-1] if bids else 0
     last_a = asks[-1] if asks else 0

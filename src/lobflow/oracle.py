@@ -133,10 +133,12 @@ def compare_books(book, ref: ReferenceBook) -> Optional[str]:
         return f"best_bid {book.best_bid()} != {bb}"
     if book.best_ask() != ba:
         return f"best_ask {book.best_ask()} != {ba}"
-    if book.mid_or_none() != mid:
-        return f"mid {book.mid_or_none()} != {mid}"
-    for side, ref_levels in ((Side.BUY, ref_bids), (Side.SELL, ref_asks)):
-        fast_levels = {p: [lvl.size, lvl.count] for p, lvl in book._levels[side].items()}
+    ref_mid2 = None if mid is None else 2 * mid
+    if book.mid2() != ref_mid2:
+        return f"mid2 {book.mid2()} != {ref_mid2}"
+    for side, fast, ref_levels in ((Side.BUY, book._bids, ref_bids),
+                                   (Side.SELL, book._asks, ref_asks)):
+        fast_levels = {p: [lvl.size, lvl.count] for p, lvl in fast.items()}
         if fast_levels != ref_levels:
             return f"{side.wire} levels differ: {fast_levels} != {ref_levels}"
     return None

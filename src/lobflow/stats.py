@@ -88,6 +88,9 @@ def mcc(cm: ConfusionMatrix) -> float:
 # ---------------------------------------------------------------------------
 
 
+_DAY_MS = 86_400_000
+
+
 def utc_date(timestamp_ms: int) -> str:
     return datetime.fromtimestamp(timestamp_ms / 1000.0, tz=timezone.utc).strftime("%Y-%m-%d")
 
@@ -267,13 +270,15 @@ def daily_market_aggregates(events) -> tuple[DailySeries, DailySeries]:
     book = lob.OrderBook()
     volume: dict[str, float] = {}
     last_mid: dict[str, float] = {}
+    day = d = None
     for ev in events:
         delta = book.apply_event(ev)
-        d = utc_date(ev.timestamp_ms)
-        volume.setdefault(d, 0.0)
+        if ev.timestamp_ms // _DAY_MS != day:   # the date changes only with the day
+            day, d = ev.timestamp_ms // _DAY_MS, utc_date(ev.timestamp_ms)
+            volume.setdefault(d, 0.0)
         volume[d] += delta.executed
-        if delta.mid_after is not None:
-            last_mid[d] = float(delta.mid_after)
+        if delta.mid2_after is not None:
+            last_mid[d] = delta.mid2_after / 2
     dates = sorted(volume)
     vol_series = DailySeries(dates, [volume[d] for d in dates], semantic="trade_volume")
     mid_dates = sorted(last_mid)

@@ -299,6 +299,26 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "header declares" in err[0]
 
+    @pytest.mark.parametrize("old,new", [
+        ('"kind":"limit"', '"kind":[1]'),
+        ('"side":"buy"', '"side":{}'),
+        ('"size":1.0', '"size":' + "9" * 400),
+        ('"ts":2', '"ts":99999999999999999999999'),
+    ], ids=["kind", "side", "size", "ts"])
+    def test_build_on_malformed_line_is_error(self, tmp_path, capsys, old, new):
+        line = '{"ts":%d,"seq":%d,"kind":"limit","side":"buy","price":10,"size":1.0,"id":"o%d"}'
+        (tmp_path / "AAA.ofr").write_text(line % (1, 1, 1) + "\n"
+                                          + (line % (2, 2, 2)).replace(old, new) + "\n")
+        cfg = base_config(tmp_path, split_ranges={"train": [0, 1], "validation": [1, 2],
+                                                  "test": [2, 3]})
+        cfgfile = write_config(tmp_path / "c.json", cfg)
+        capsys.readouterr()
+        rc = cli.main(["build", "--config", cfgfile, "--out", str(tmp_path / "out"),
+                       "--pair", "AAA"])
+        assert rc == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: line 2:")
+
     def test_truncated_checkpoint_is_error(self, pipeline, tmp_path, capsys):
         src = pipeline["out"] / "AAA.orderflow.ckpt"
         cut = tmp_path / "cut.ckpt"

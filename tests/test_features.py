@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 from collections import deque
 
@@ -63,21 +64,24 @@ def reference_build(events, T, S, warm_count):
     window = deque(maxlen=T)
     X = {v: [] for v in features.VARIANTS}
     y, times, last_ts = [], [], []
+    bb, ba = book.best_bid(), book.best_ask()
+    mid = (bb + ba) / 2 if bb is not None and ba is not None else None
     for ev in rest:
         try:
             rel = book.relative_price(ev.side, ev.price_ticks)
         except lob.EmptySide:
             rel = 1
             bump("rel_price_fallbacks")
-        delta = book.apply_event(ev)
+        book.apply_event(ev)
         s = book.snapshot(S)
         bb, ba = book.best_bid(), book.best_ask()
+        mid_before, mid = mid, (bb + ba) / 2 if bb is not None and ba is not None else None
         ann = {
             "ts": ev.timestamp_ms,
             "flow": [ev.timestamp_ms - prev_ts if prev_ts is not None else 0,
                      ev.timestamp_ms // 3_600_000 % 24, ev.size, ev.kind.value,
                      ev.side.value, rel],
-            "mid": float(delta.mid_after) if delta.mid_after is not None else None,
+            "mid": mid,
             "snap": s.bid_prices + s.bid_volumes + s.ask_prices + s.ask_volumes,
             "bb": book.level_count(Side.BUY, bb) if bb is not None else 0,
             "ba": book.level_count(Side.SELL, ba) if ba is not None else 0,
@@ -85,7 +89,7 @@ def reference_build(events, T, S, warm_count):
                    ev.kind is EventKind.MARKET and ev.side is Side.SELL),
         }
         prev_ts = ev.timestamp_ms
-        if delta.mid_changed:
+        if mid_before is not None and mid is not None and mid != mid_before:
             if len(window) < T:
                 bump("skipped_insufficient_history")
             elif any(a["mid"] is None for a in window):
@@ -101,10 +105,10 @@ def reference_build(events, T, S, warm_count):
                 degenerate = sum(1 for a in window if not (a["bb"] and a["ba"]))
                 if degenerate:
                     bump("degenerate_rates", degenerate)
-                y.append(1 if delta.mid_after > delta.mid_before else 0)
+                y.append(1 if mid > mid_before else 0)
                 times.append(ev.timestamp_ms)
                 last_ts.append(window[-1]["ts"])
-        elif delta.mid_before is None and delta.mid_after is not None:
+        elif mid_before is None and mid is not None:
             bump("mid_became_defined")
         window.append(ann)
     counters["samples"] = len(y)
@@ -466,6 +470,22 @@ class TestSerialization:
             np.testing.assert_array_equal(back.y, ds.y)
             assert back.norm_stats == ds.norm_stats
             assert back.split_ranges == ds.split_ranges
+
+    def test_interrupted_save_keeps_old_file(self, planted_datasets, tmp_path):
+        ds = planted_datasets["orderflow"]
+        p = tmp_path / "of.ds"
+        features.save_dataset(ds, p)
+        old = p.read_bytes()
+        # the split column fails to convert after the header and table are written
+        broken = dataclasses.replace(ds, split=np.array([object()] * ds.n, dtype=object))
+        with pytest.raises(TypeError):
+            features.save_dataset(broken, p)
+        assert list(tmp_path.iterdir()) == [p]
+        assert p.read_bytes() == old
+        p.unlink()
+        with pytest.raises(TypeError):
+            features.save_dataset(broken, p)
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.ds"

@@ -44,6 +44,12 @@ class TestParse:
         (lambda o: o.update(price=0), feed.InvariantViolation),
         (lambda o: o.update(ts="yesterday"), feed.SchemaViolation),
         (lambda o: o.pop("price"), feed.SchemaViolation),
+        (lambda o: o.update(kind=[1]), feed.SchemaViolation),
+        (lambda o: o.update(side={}), feed.SchemaViolation),
+        (lambda o: o.update(size=10 ** 400), feed.InvariantViolation),
+        (lambda o: o.update(ts=99999999999999999999999), feed.SchemaViolation),
+        (lambda o: o.update(seq=-2 ** 63 - 1), feed.SchemaViolation),
+        (lambda o: o.update(price=2 ** 63), feed.SchemaViolation),
     ])
     def test_bad_records(self, mutate, exc):
         obj = {"ts": 1, "seq": 1, "kind": "limit", "side": "buy",
@@ -52,9 +58,43 @@ class TestParse:
         with pytest.raises(exc):
             feed.parse_event(json.dumps(obj))
 
+    @pytest.mark.parametrize("mutate,message", [
+        (lambda o: o.update(extra=1, zz=2), "unknown fields: ['extra', 'zz']"),
+        (lambda o: (o.pop("id"), o.pop("seq")), "missing fields: ['id', 'seq']"),
+        (lambda o: o.update(seq=True), "seq must be an integer"),
+        (lambda o: o.update(kind="stop"), "bad kind 'stop'"),
+        (lambda o: o.update(side=None), "bad side None"),
+        (lambda o: o.update(kind="cancel", price=1.5), "price must be an integer tick count"),
+        (lambda o: o.update(price=-3), "non-positive price -3"),
+        (lambda o: o.update(size="1/2"), "bad size string '1/2'"),
+        (lambda o: o.update(size=[1]), "size must be number or string, got list"),
+        (lambda o: o.update(size="-0.5"), "size must be > 0, got '-0.5'"),
+        (lambda o: o.update(id=7), "id must be a string"),
+    ])
+    def test_rejection_messages(self, mutate, message):
+        obj = {"ts": 1, "seq": 1, "kind": "limit", "side": "buy",
+               "price": 10, "size": 1.0, "id": "x"}
+        mutate(obj)
+        with pytest.raises(feed.SchemaViolation) as info:
+            feed.parse_event(json.dumps(obj))
+        assert str(info.value) == message
+
     def test_not_json(self):
         with pytest.raises(feed.MalformedRecord):
             feed.parse_event("{nope")
+
+    @pytest.mark.parametrize("line", ["[" * 100_000 + "]" * 100_000,
+                                      '{"ts":' + "[" * 100_000 + "]" * 100_000 + "}"],
+                             ids=["array", "field"])
+    def test_deeply_nested_json(self, line):
+        with pytest.raises(feed.MalformedRecord, match="nested too deeply"):
+            feed.parse_event(line)
+
+    def test_int64_bounds_accepted(self):
+        line = ('{"ts":9223372036854775807,"seq":-9223372036854775808,"kind":"limit",'
+                '"side":"buy","price":9223372036854775807,"size":1.0,"id":"x"}')
+        ev = feed.parse_event(line)
+        assert (ev.timestamp_ms, ev.seq, ev.price_ticks) == (2 ** 63 - 1, -2 ** 63, 2 ** 63 - 1)
 
     def test_invariant_violation_is_schema_violation(self):
         assert issubclass(feed.InvariantViolation, feed.SchemaViolation)
@@ -123,6 +163,43 @@ class TestReplay:
         assert len(got) == len(noise_lines)
 
 
+class TestWriteStream:
+    def interrupt_after(self, monkeypatch, k):
+        real = feed.generate_synthetic
+
+        def failing(config, seed):
+            for i, line in enumerate(real(config, seed)):
+                if i == k:
+                    raise RuntimeError("interrupted")
+                yield line
+        monkeypatch.setattr(feed, "generate_synthetic", failing)
+
+    @pytest.mark.parametrize("k", [0, 1, 150])
+    def test_interrupted_write_leaves_no_file(self, tmp_path, monkeypatch, k):
+        self.interrupt_after(monkeypatch, k)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            feed.write_stream(tmp_path / "s.ofr", feed.GeneratorConfig(n_events=300), seed=1)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_interrupted_write_keeps_old_stream(self, tmp_path, monkeypatch):
+        target = tmp_path / "s.ofr"
+        assert feed.write_stream(target, feed.GeneratorConfig(n_events=20), seed=1) == 20
+        old = target.read_bytes()
+        self.interrupt_after(monkeypatch, 150)
+        with pytest.raises(RuntimeError):
+            feed.write_stream(target, feed.GeneratorConfig(n_events=300), seed=2)
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_bytes() == old
+
+    def test_complete_write(self, tmp_path):
+        target = tmp_path / "s.ofr"
+        cfg = feed.GeneratorConfig(n_events=300)
+        assert feed.write_stream(target, cfg, seed=1) == 300
+        assert list(tmp_path.iterdir()) == [target]
+        expected = "".join(line + "\n" for line in feed.generate_synthetic(cfg, seed=1))
+        assert target.read_text(encoding="utf-8") == expected
+
+
 class TestGenerator:
     def test_zero_events(self):
         assert list(feed.generate_synthetic(feed.GeneratorConfig(n_events=0), seed=0)) == []
@@ -163,7 +240,7 @@ class TestGenerator:
         for e in planted_events:
             delta = book.apply_event(e)
             if delta.mid_changed:
-                up = delta.mid_after > delta.mid_before
+                up = delta.mid2_after > delta.mid2_before
                 assert prev_side is (Side.BUY if up else Side.SELL)
                 checked += 1
             prev_side = e.side

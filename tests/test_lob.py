@@ -100,7 +100,7 @@ class TestErrors:
         book.apply_event(ev(price=100))
         with pytest.raises(lob.EmptySide):
             book.mid_price()
-        assert book.mid_or_none() is None
+        assert book.mid2() is None
 
     def test_relative_price_empty_side(self):
         book = lob.OrderBook()
@@ -120,13 +120,17 @@ class TestMidPrice:
         book.apply_event(ev(seq=1, price=100))
         book.apply_event(ev(seq=2, side=Side.SELL, price=101))
         assert book.mid_price() == Fraction(201, 2)
+        assert book.mid2() == 201
 
     def test_mid_changes_only_with_bests(self, noise_lines):
         book = lob.OrderBook()
         for line in noise_lines[:2000]:
-            before = (book.best_bid(), book.best_ask(), book.mid_or_none())
+            before = (book.best_bid(), book.best_ask(), book.mid2())
             delta = book.apply_event(feed.parse_event(line))
-            after = (book.best_bid(), book.best_ask(), book.mid_or_none())
+            after = (book.best_bid(), book.best_ask(), book.mid2())
+            assert (delta.mid2_before, delta.mid2_after) == (before[2], after[2])
+            if after[2] is not None:
+                assert delta.mid2_after == book.best_bid() + book.best_ask()
             if before[2] is not None and after[2] is not None:
                 assert delta.mid_changed == (before[:2] != after[:2])
 
@@ -212,8 +216,8 @@ def check_invariants(book):
     bb, ba = book.best_bid(), book.best_ask()
     if bb is not None and ba is not None:
         assert bb < ba
-    for side in (Side.BUY, Side.SELL):
-        for price, lvl in book._levels[side].items():
+    for side, levels in ((Side.BUY, book._bids), (Side.SELL, book._asks)):
+        for price, lvl in levels.items():
             assert lvl.queue, f"empty level {side} {price}"
             total = sum(book.resting[oid].remaining for oid in lvl.queue)
             assert lvl.size == total

@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lobflow import feed, oracle, stats
+from lobflow import feed, lob, oracle, stats
 from lobflow.stats import ConfusionMatrix, DailySeries
 
 DAY_MS = 86_400_000
@@ -310,6 +311,59 @@ class TestDailyAggregates:
                   ev(ts=T0 + DAY_MS + 3, seq=6, side=feed.Side.SELL, price=104)]
         vol, diff = stats.daily_market_aggregates(events)
         assert diff.values == [3.0]
+
+
+def reference_daily_aggregates(events):
+    """The per-event date loop (a `utc_date` call per event) that the
+    per-day date cache replaced, with the mid taken from the bests."""
+    book = lob.OrderBook()
+    volume, last_mid = {}, {}
+    for e in events:
+        executed = book.apply_event(e).executed
+        d = stats.utc_date(e.timestamp_ms)
+        volume[d] = volume.get(d, 0.0) + executed
+        bb, ba = book.best_bid(), book.best_ask()
+        if bb is not None and ba is not None:
+            last_mid[d] = float(Fraction(bb + ba, 2))
+    dates = sorted(last_mid)
+    return (sorted(volume), [volume[d] for d in sorted(volume)], dates[1:],
+            [last_mid[b] - last_mid[a] for a, b in zip(dates, dates[1:])])
+
+
+class TestDailyAggregatesDayBoundaries:
+    D0 = 1_510_012_800_000  # 2017-11-07 00:00:00.000 UTC
+
+    def boundary_events(self, ev):
+        D0, S, M, C = self.D0, feed.Side.SELL, feed.EventKind.MARKET, feed.EventKind.CANCEL
+        return [
+            ev(ts=D0 - 5000, seq=1, price=99),
+            ev(ts=D0 - 4000, seq=2, side=S, price=101),
+            ev(ts=D0 - 1, seq=3, side=S, price=100),                     # 23:59:59.999, mid 99.5
+            ev(ts=D0, seq=4, kind=M, size=0.25),                         # 00:00:00.000
+            ev(ts=D0 + 1000, seq=5, kind=M, side=S, size=1.0),           # bid side empties
+            ev(ts=D0 + 3_600_000, seq=6, price=98),                      # mid 99
+            ev(ts=D0 + DAY_MS - 1, seq=7, kind=C, price=98, oid="o6"),   # bids empty at 23:59:59.999
+            ev(ts=D0 + DAY_MS, seq=8, price=97),                         # mid 98.5
+            ev(ts=D0 + DAY_MS + 10, seq=9, kind=M, size=2.0),            # asks empty, 0.25 dropped
+            ev(ts=D0 + 3 * DAY_MS + 5, seq=10, side=S, price=102),       # a day with no events before
+            ev(ts=D0 + 4 * DAY_MS - 1, seq=11, side=S, price=101),       # mid 99
+        ]
+
+    def test_boundary_stream(self, ev):
+        events = self.boundary_events(ev)
+        vol, chg = stats.daily_market_aggregates(events)
+        assert vol.dates == ["2017-11-06", "2017-11-07", "2017-11-08", "2017-11-10"]
+        assert vol.values == [0.0, 1.25, 1.75, 0.0]
+        assert chg.dates == vol.dates[1:]
+        assert chg.values == [-0.5, -0.5, 0.5]
+        assert (vol.dates, vol.values, chg.dates, chg.values) == reference_daily_aggregates(events)
+
+    def test_multi_day_noise_stream(self):
+        cfg = feed.GeneratorConfig(n_events=4000, mean_gap_ms=400_000, start_ts=self.D0 - 60_000)
+        events = list(feed.iter_events(feed.generate_synthetic(cfg, seed=3)))
+        vol, chg = stats.daily_market_aggregates(events)
+        assert len(vol) >= 10
+        assert (vol.dates, vol.values, chg.dates, chg.values) == reference_daily_aggregates(events)
 
 
 class TestDailySeries:
