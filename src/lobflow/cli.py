@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import feed, features, lob, net, oracle, stats, svg
+from .atomic import atomic_open
 
 EXIT_OK, EXIT_ERROR, EXIT_WARN = 0, 1, 2
 
@@ -130,7 +131,7 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path, header: list[str], rows, meta: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for k in sorted(meta or {}):
             fh.write(f"# {k}={meta[k]}\n")
         fh.write(",".join(header) + "\n")
@@ -172,7 +173,7 @@ def cmd_generate(cfg: dict, out_dir: Path, pair: str | None) -> int:
         report[name] = {"path": str(path), "events": n}
         print(f"generated {name}: {n} events -> {path}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "generate_report.json", "w", encoding="utf-8") as fh:
+    with atomic_open(out_dir / "generate_report.json", "w", encoding="utf-8") as fh:
         json.dump({"config": cfg, "pairs": report}, fh, sort_keys=True, indent=2)
     return EXIT_OK
 
@@ -216,7 +217,7 @@ def cmd_build(cfg: dict, out_dir: Path, pair: str | None) -> int:
             }
             print(f"built {name}.{variant}: n={ds.n} splits={counts}")
         report["pairs"][name] = pair_report
-    with open(out_dir / "build_report.json", "w", encoding="utf-8") as fh:
+    with atomic_open(out_dir / "build_report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
     if warn:
         print("warning: at least one split is empty", file=sys.stderr)

@@ -25,6 +25,11 @@ offsets from the stored mid column, volumes log1p) is computed here on
 the train split only and recorded in the dataset header.  The `mid`
 column in the snapshot variants exists solely to support that offset
 transform and is dropped by the encoder.
+
+Building never gathers windows: the train statistics weight each table
+row by the number of train windows that hold it, and the dataset digest
+hashes the stored arrays, of which the windows are a function.  Only
+training, evaluation and the text export read `Dataset.X`.
 """
 
 from __future__ import annotations
@@ -286,22 +291,48 @@ def transform_numeric(X: np.ndarray, variant: str, S: int) -> np.ndarray:
     return np.concatenate(parts, axis=-1)
 
 
+def _cover(E: int, T: int, end: np.ndarray, weights=None) -> np.ndarray:
+    """Per table row, the sum of `weights` (1 each by default) over the
+    windows [end - T, end) that hold it: one cumsum over start/stop marks."""
+    marks = np.bincount(end - T, weights, E + 1) - np.bincount(end, weights, E + 1)
+    return np.cumsum(marks[:E])
+
+
 def compute_norm_stats(ds: Dataset) -> dict:
-    """Per-channel mean/sd of the transformed numerics, train split only."""
-    train = _gather(ds, ds.end[ds.split == SPLIT_TRAIN])
-    if len(train) == 0:
+    """Per-channel mean/sd of the transformed numerics, train split only.
+
+    Computed from the event table without gathering the windows: a row
+    enters the per-event channels once per train window that holds it
+    (its cover), and only rows with a cover enter at all.  A bench1 rate
+    is its window's market-order count n over the step's best-level
+    count c, so its sums weight each row's 1/c (0 where c is 0) by the
+    n (and n**2) summed over the windows holding the row.  Sums run
+    along contiguous rows, where numpy sums pairwise.
+    """
+    end = ds.end[ds.split == SPLIT_TRAIN]
+    if len(end) == 0:
         raise MissingStats("no train samples to fit normalization on")
-    z = transform_numeric(train, ds.variant, ds.S).reshape(-1, _numeric_width(ds.variant, ds.S))
-    mean = z.mean(axis=0)
-    sd = np.maximum(z.std(axis=0), 1e-8)
+    E, T, n = len(ds.table), ds.T, len(end) * ds.T
+    cover = _cover(E, T, end)
+    rows = cover > 0
+    w = cover[rows]
+    per_event = "orderflow" if ds.variant == "orderflow" else "bench2"
+    z = np.ascontiguousarray(transform_numeric(ds.table[rows], per_event, ds.S).T)
+    mean = (z * w).sum(axis=1) / n
+    var = (w * (z - mean[:, None]) ** 2).sum(axis=1) / n
+    if ds.variant == "bench1":
+        c = 4 * ds.S + 1
+        mo = _cumsum0(ds.table[:, c + 2:])
+        n_mo = mo[end] - mo[end - T]
+        counts = ds.table[:, c:c + 2]
+        inv = np.divide(1.0, counts, out=np.zeros_like(counts), where=counts > 0)
+        m1 = [(_cover(E, T, end, n_mo[:, k]) * inv[:, k]).sum() / n for k in (0, 1)]
+        m2 = [(_cover(E, T, end, n_mo[:, k] ** 2) * inv[:, k] ** 2).sum() / n for k in (0, 1)]
+        mean = np.concatenate((mean, m1))
+        var = np.concatenate((var, np.maximum(np.subtract(m2, np.square(m1)), 0.0)))
+    sd = np.maximum(np.sqrt(var), 1e-8)
     ds.norm_stats = {"mean": mean.tolist(), "sd": sd.tolist()}
     return ds.norm_stats
-
-
-def _numeric_width(variant: str, S: int) -> int:
-    if variant == "orderflow":
-        return 3
-    return 4 * S + (2 if variant == "bench1" else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +342,14 @@ def _numeric_width(variant: str, S: int) -> int:
 _MAGIC = b"OFDS"
 _VERSION = 2
 _PREFIX = struct.Struct("<4sII")   # magic, version, header length
+# the stored arrays, in file order; every other array is derived from them
+_STORED = (("table", np.float64), ("table_ts", np.int64), ("end", np.int64),
+           ("y", np.uint8), ("event_time", np.int64), ("split", np.int8))
+
+
+def _stored_bytes(ds: Dataset):
+    for name, dtype in _STORED:
+        yield np.ascontiguousarray(getattr(ds, name), dtype=dtype).tobytes()
 
 
 def save_dataset(ds: Dataset, path) -> None:
@@ -328,10 +367,8 @@ def save_dataset(ds: Dataset, path) -> None:
     with atomic_open(path, "wb") as fh:
         fh.write(_PREFIX.pack(_MAGIC, _VERSION, len(blob)))
         fh.write(blob)
-        for arr, dtype in ((ds.table, np.float64), (ds.table_ts, np.int64),
-                           (ds.end, np.int64), (ds.y, np.uint8),
-                           (ds.event_time, np.int64), (ds.split, np.int8)):
-            fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+        for raw in _stored_bytes(ds):
+            fh.write(raw)
 
 
 def load_dataset(path) -> Dataset:
@@ -358,7 +395,7 @@ def load_dataset(path) -> Dataset:
         raise FeatureError(f"{path}: {len(data)} bytes, header declares "
                            f"{_PREFIX.size + hlen + sum(widths)}")
     arrays, offset = [], _PREFIX.size + hlen
-    for size, dtype in zip(widths, (np.float64, np.int64, np.int64, np.uint8, np.int64, np.int8)):
+    for size, (_, dtype) in zip(widths, _STORED):
         arrays.append(np.frombuffer(data, dtype=dtype, count=size // np.dtype(dtype).itemsize,
                                     offset=offset).copy())
         offset += size
@@ -376,7 +413,7 @@ def export_text(ds: Dataset, path) -> None:
               "norm_stats": ds.norm_stats, "split_ranges": ds.split_ranges,
               "counters": ds.counters}
     X, wlast = ds.X, ds.window_last_ts
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True))
         fh.write("\n")
         for i in range(ds.n):
@@ -386,10 +423,11 @@ def export_text(ds: Dataset, path) -> None:
 
 
 def dataset_digest(ds: Dataset) -> str:
-    """Stable content hash used by determinism checks."""
+    """Stable content hash used by determinism checks: the header fields
+    and the stored arrays, of which the windows are a function."""
     h = hashlib.sha256()
-    h.update(json.dumps([ds.variant, ds.T, ds.S, ds.pair, ds.norm_stats, ds.split_ranges],
-                        sort_keys=True).encode())
-    for arr in (ds.X, ds.y, ds.event_time, ds.split, ds.window_last_ts):
-        h.update(np.ascontiguousarray(arr).tobytes())
+    h.update(json.dumps([ds.variant, ds.T, ds.S, ds.pair, ds.n, len(ds.table_ts),
+                         ds.norm_stats, ds.split_ranges], sort_keys=True).encode())
+    for raw in _stored_bytes(ds):
+        h.update(raw)
     return h.hexdigest()

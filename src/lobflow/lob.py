@@ -31,6 +31,10 @@ class OverCancel(BookError):
     pass
 
 
+class CancelMismatch(BookError):
+    """A cancel whose side or price is not that of the resting order."""
+
+
 class EmptySide(BookError):
     pass
 
@@ -178,6 +182,9 @@ class OrderBook:
         order = self.resting.get(ev.order_id)
         if order is None:
             raise UnknownOrderId(ev.order_id)
+        if ev.side is not order.side or ev.price_ticks != order.price_ticks:
+            raise CancelMismatch(f"cancel of {ev.order_id} as {ev.side.wire} at {ev.price_ticks}; "
+                                 f"it rests as {order.side.wire} at {order.price_ticks}")
         if ev.size > order.remaining + 1e-12:
             raise OverCancel(f"cancel {ev.size} exceeds remaining {order.remaining} for {ev.order_id}")
         levels, prices = self._side(order.side)

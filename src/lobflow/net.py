@@ -31,6 +31,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import stats as statsmod
+from .atomic import atomic_open
 from .features import MissingStats, transform_numeric
 
 
@@ -660,7 +661,8 @@ _CKPT_VERSION = 1
 
 
 def save_checkpoint(model: Model, path, extras: Optional[dict] = None) -> None:
-    """Versioned binary: hyper block, tensors in name order, manifest file."""
+    """Versioned binary: hyper block, tensors in name order, manifest file.
+    Each file appears at its path only once it is complete."""
     names = sorted(model.params)
     header = {
         "format": "lobflow-checkpoint", "version": _CKPT_VERSION,
@@ -670,7 +672,7 @@ def save_checkpoint(model: Model, path, extras: Optional[dict] = None) -> None:
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     manifest = []
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<II", _CKPT_VERSION, len(blob)))
         fh.write(blob)
@@ -678,7 +680,7 @@ def save_checkpoint(model: Model, path, extras: Optional[dict] = None) -> None:
             raw = np.ascontiguousarray(model.params[n], dtype=np.float64).tobytes()
             fh.write(raw)
             manifest.append(f"{n} {list(model.params[n].shape)} {hashlib.sha256(raw).hexdigest()}")
-    with open(str(path) + ".manifest.txt", "w", encoding="utf-8") as fh:
+    with atomic_open(str(path) + ".manifest.txt", "w", encoding="utf-8") as fh:
         fh.write("\n".join(manifest) + "\n")
 
 

@@ -1,6 +1,7 @@
 """Naive reference implementations used to cross-check the fast paths.
 
-Nothing here shares code with the checked implementations: the book is
+Nothing here shares code with the checked implementations (only the
+book's error types, so that both reject a bad stream alike): the book is
 a pair of flat unsorted order maps re-scanned per query, the metrics
 are direct formula evaluations, and the t CDF is numerical quadrature
 of the density.  Deliberately simple; no sorted structures, no
@@ -16,6 +17,7 @@ from typing import Optional
 from scipy.integrate import quad
 
 from .feed import EventKind, OrderEvent, Side
+from .lob import CancelMismatch, UnknownOrderId
 
 
 class ReferenceBook:
@@ -117,8 +119,12 @@ class ReferenceBook:
             if remaining > 0:
                 self.dropped_market_events += 1
         else:
+            if ev.order_id not in self.buys and ev.order_id not in self.sells:
+                raise UnknownOrderId(ev.order_id)
             orders = self._side(ev.side)
-            o = orders[ev.order_id]
+            o = orders.get(ev.order_id)
+            if o is None or o[0] != ev.price_ticks:
+                raise CancelMismatch(f"cancel of {ev.order_id} does not name its side and price")
             if ev.size >= o[1] - 1e-12:
                 del orders[ev.order_id]
             else:

@@ -43,6 +43,10 @@ class NonPositiveBase(StatsError):
     pass
 
 
+class DateOutOfRange(StatsError):
+    pass
+
+
 # ---------------------------------------------------------------------------
 # MCC
 # ---------------------------------------------------------------------------
@@ -92,7 +96,12 @@ _DAY_MS = 86_400_000
 
 
 def utc_date(timestamp_ms: int) -> str:
-    return datetime.fromtimestamp(timestamp_ms / 1000.0, tz=timezone.utc).strftime("%Y-%m-%d")
+    try:
+        when = datetime.fromtimestamp(timestamp_ms / 1000.0, tz=timezone.utc)
+    except (ValueError, OverflowError, OSError) as e:
+        raise DateOutOfRange(f"timestamp {timestamp_ms} ms has no UTC date in years "
+                             f"1-9999: {e}") from e
+    return when.strftime("%Y-%m-%d")
 
 
 @dataclass

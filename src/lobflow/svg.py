@@ -5,6 +5,8 @@ Output bytes depend only on the data, so re-runs are byte-identical.
 
 from __future__ import annotations
 
+from .atomic import atomic_open
+
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _W, _H = 840, 420
@@ -78,5 +80,5 @@ def line_chart(series: dict, path, title: str = "", ylabel: str = "",
                    f'stroke="{color}" stroke-width="2"/>')
         out.append(f'<text x="{lx + 24}" y="{_H - 10}">{name}</text>')
     out.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(out) + "\n")

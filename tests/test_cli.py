@@ -319,6 +319,33 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: line 2:")
 
+    def test_build_on_mismatched_cancel_is_error(self, tmp_path, capsys):
+        # the cancel names the resting buy's id but the sell side
+        (tmp_path / "AAA.ofr").write_text(
+            '{"ts":1,"seq":1,"kind":"limit","side":"buy","price":10,"size":1.0,"id":"o1"}\n'
+            '{"ts":2,"seq":2,"kind":"cancel","side":"sell","price":10,"size":1.0,"id":"o1"}\n')
+        cfg = base_config(tmp_path, split_ranges={"train": [0, 1], "validation": [1, 2],
+                                                  "test": [2, 3]})
+        cfgfile = write_config(tmp_path / "c.json", cfg)
+        capsys.readouterr()
+        rc = cli.main(["build", "--config", cfgfile, "--out", str(tmp_path / "out"),
+                       "--pair", "AAA"])
+        assert rc == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cancel of o1")
+
+    def test_report_on_date_past_year_9999_is_error(self, pipeline, tmp_path, capsys):
+        stream = tmp_path / "far.ofr"
+        stream.write_text('{"ts":%d,"seq":1,"kind":"limit","side":"buy","price":10,'
+                          '"size":1.0,"id":"o1"}\n' % 2**62)
+        pred = sorted(pipeline["out"].glob("pred_AAA__AAA.*.test.csv"))[0]
+        capsys.readouterr()
+        rc = cli.main(["report", "--out", str(tmp_path / "out"), "--pred", str(pred),
+                       "--stream", str(stream)])
+        assert rc == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: timestamp {2**62} ms")
+
     def test_truncated_checkpoint_is_error(self, pipeline, tmp_path, capsys):
         src = pipeline["out"] / "AAA.orderflow.ckpt"
         cut = tmp_path / "cut.ckpt"
@@ -337,6 +364,20 @@ class TestExitCodes:
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
+
+
+class TestBuildCost:
+    def test_build_gathers_no_windows(self, pipeline, tmp_path, monkeypatch):
+        def no_gather(ds, end):
+            raise AssertionError("lobflow build gathered windows")
+
+        monkeypatch.setattr(features, "_gather", no_gather)
+        out = tmp_path / "out"
+        assert cli.main(["build", "--config", pipeline["cfgfile"], "--out", str(out),
+                         "--pair", "AAA"]) == cli.EXIT_OK
+        report = json.loads((out / "build_report.json").read_text())
+        built = json.loads((pipeline["out"] / "build_report.json").read_text())
+        assert report["pairs"]["AAA"] == built["pairs"]["AAA"]
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import struct
 from collections import deque
 
@@ -421,7 +422,52 @@ class TestSplitByDate:
 # ---------------------------------------------------------------------------
 
 
+def exact_norm_stats(ds):
+    """Per-channel mean and sd over the gathered train windows, each sum
+    taken exactly with math.fsum."""
+    z = features.transform_numeric(ds.X[ds.split == features.SPLIT_TRAIN], ds.variant, ds.S)
+    z = z.reshape(-1, z.shape[-1])
+    mean = np.array([math.fsum(col) / len(col) for col in z.T])
+    sd = np.array([math.sqrt(math.fsum((col - m) ** 2) / len(col)) for col, m in zip(z.T, mean)])
+    return mean, sd
+
+
+def fitted(events, T, warm_count, train_fraction):
+    """All variants at S=3, the first `train_fraction` of samples in train
+    (at least one), the rest in validation, stats fitted."""
+    dss = features.build_datasets(events, T=T, S=3, warm_count=warm_count)
+    t = dss["orderflow"].event_time
+    cut = int(t[max(1, int(len(t) * train_fraction))])
+    for ds in dss.values():
+        features.split_by_date(ds, (int(t[0]), cut), (cut, int(t[-1]) + 1),
+                               (int(t[-1]) + 1, int(t[-1]) + 2))
+        features.compute_norm_stats(ds)
+    return dss
+
+
 class TestNormStats:
+    @pytest.mark.parametrize("case", ["planted", "market_heavy", "T1", "one_sample"])
+    def test_matches_exact_reference(self, case, planted_datasets, planted_events):
+        if case == "planted":
+            dss = planted_datasets
+        elif case == "market_heavy":
+            dss = fitted(market_heavy_noise(), T=10, warm_count=0, train_fraction=0.6)
+            assert dss["bench1"].counters["skipped_undefined_mid"] > 0
+            assert np.any(dss["bench1"].table[:, 13:15] == 0)   # zero best-level counts
+        else:
+            dss = fitted(planted_events, T=1 if case == "T1" else 10, warm_count=40,
+                         train_fraction=0.6 if case == "T1" else 0.0)
+        if case == "one_sample":
+            assert dss["orderflow"].split_counts()["train"] == 1
+        for ds in dss.values():
+            mean, sd = exact_norm_stats(ds)
+            got_mean, got_sd = (np.array(ds.norm_stats[k]) for k in ("mean", "sd"))
+            assert got_mean.shape == mean.shape
+            # within 1e-13 of the sd; a constant channel (sd 0) within 4 ulps of its value
+            tol = np.where(sd > 0, 1e-13 * sd, 4 * np.spacing(np.abs(mean)))
+            assert np.all(np.abs(got_mean - mean) <= tol), ds.variant
+            assert np.all(np.abs(got_sd - np.maximum(sd, 1e-8)) <= tol), ds.variant
+
     def test_train_standardization(self, planted_datasets):
         for ds in planted_datasets.values():
             stats = ds.norm_stats
@@ -457,6 +503,40 @@ class TestNormStats:
 # ---------------------------------------------------------------------------
 # serialization, determinism, no look-ahead
 # ---------------------------------------------------------------------------
+
+
+class TestDigest:
+    STORED = ("table", "table_ts", "end", "y", "event_time", "split")
+
+    def test_equal_for_equal_datasets(self, planted_datasets, tmp_path):
+        ds = planted_datasets["bench1"]
+        copy = dataclasses.replace(ds, **{k: getattr(ds, k).copy() for k in self.STORED})
+        assert features.dataset_digest(copy) == features.dataset_digest(ds)
+        p = tmp_path / "b1.ds"
+        features.save_dataset(ds, p)
+        assert features.dataset_digest(features.load_dataset(p)) == features.dataset_digest(ds)
+
+    @pytest.mark.parametrize("change", ["table", "table_ts", "end", "y", "event_time", "split",
+                                        "norm_stats"])
+    def test_changes_with_each_stored_field(self, planted_datasets, change):
+        ds = planted_datasets["orderflow"]
+        if change == "norm_stats":
+            stats = {"mean": [ds.norm_stats["mean"][0] + 1e-9, *ds.norm_stats["mean"][1:]],
+                     "sd": ds.norm_stats["sd"]}
+            other = dataclasses.replace(ds, norm_stats=stats)
+        else:
+            arr = getattr(ds, change).copy()
+            flat = arr.reshape(-1)
+            if change == "y":
+                flat[0] = 1 - flat[0]
+            elif change == "split":
+                flat[0] = features.SPLIT_VAL if flat[0] != features.SPLIT_VAL else features.SPLIT_TEST
+            elif change == "end":
+                flat[0] += 1 if flat[0] < len(ds.table) else -1
+            else:
+                flat[len(flat) // 2] += 1
+            other = dataclasses.replace(ds, **{change: arr})
+        assert features.dataset_digest(other) != features.dataset_digest(ds)
 
 
 class TestSerialization:

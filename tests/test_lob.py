@@ -95,6 +95,28 @@ class TestErrors:
         with pytest.raises(lob.OverCancel):
             book.apply_event(ev(seq=2, kind=EventKind.CANCEL, size=2.0, oid="a"))
 
+    @pytest.mark.parametrize("cancel", [
+        '{"ts":2,"seq":2,"kind":"cancel","side":"sell","price":100,"size":1.0,"id":"o1"}',
+        '{"ts":2,"seq":2,"kind":"cancel","side":"buy","price":101,"size":1.0,"id":"o1"}',
+    ], ids=["side", "price"])
+    def test_cancel_must_match_resting_order(self, cancel):
+        rest = feed.parse_event(
+            '{"ts":1,"seq":1,"kind":"limit","side":"buy","price":100,"size":1.0,"id":"o1"}')
+        book, ref = lob.OrderBook(), oracle.ReferenceBook()
+        book.apply_event(rest)
+        ref.apply(rest)
+        before = book.dump()
+        with pytest.raises(lob.CancelMismatch, match="o1"):
+            book.apply_event(feed.parse_event(cancel))
+        assert book.dump() == before and "o1" in book.resting
+        with pytest.raises(lob.CancelMismatch):
+            ref.apply(feed.parse_event(cancel))
+        assert oracle.compare_books(book, ref) is None
+
+    def test_oracle_unknown_cancel(self, ev):
+        with pytest.raises(lob.UnknownOrderId):
+            oracle.ReferenceBook().apply(ev(kind=EventKind.CANCEL, size=1.0, oid="ghost"))
+
     def test_mid_on_one_sided_book(self, ev):
         book = lob.OrderBook()
         book.apply_event(ev(price=100))

@@ -559,3 +559,18 @@ class TestCheckpoint:
         net.save_checkpoint(m, p)
         with pytest.raises(net.NetError, match="do not fit"):
             net.load_checkpoint(p)
+
+    def test_interrupted_save_keeps_old_checkpoint(self, tmp_path):
+        p, data = self._saved(tmp_path)
+        manifest = (tmp_path / "m.ckpt.manifest.txt").read_bytes()
+        m = Model(small_cfg(layers=(4, 3), dense_hidden=(5,)), seed=9)
+        names = sorted(m.params)
+        # the second tensor in file order fails to convert after the first is written
+        m.params[names[1]] = np.full(m.params[names[1]].shape, object())
+        with pytest.raises(TypeError):
+            net.save_checkpoint(m, p)
+        assert p.read_bytes() == data
+        assert (tmp_path / "m.ckpt.manifest.txt").read_bytes() == manifest
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["m.ckpt", "m.ckpt.manifest.txt"]
+        back, _ = net.load_checkpoint(p)
+        assert sorted(back.params) == names

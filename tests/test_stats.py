@@ -105,6 +105,24 @@ class TestDailyMcc:
             stats.daily_mcc([])
 
 
+class TestUtcDate:
+    LAST_MS = 253_402_300_799_999   # 9999-12-31 23:59:59.999 UTC
+
+    def test_last_representable_day(self):
+        assert stats.utc_date(self.LAST_MS) == "9999-12-31"
+
+    @pytest.mark.parametrize("ts", [LAST_MS + 1, 2**62, 2**63 - 1, -2**62, -2**63])
+    def test_out_of_range_is_typed(self, ts):
+        with pytest.raises(stats.DateOutOfRange, match=str(ts)):
+            stats.utc_date(ts)
+
+    def test_callers_raise_it(self, ev):
+        with pytest.raises(stats.DateOutOfRange):
+            stats.daily_mcc([(T0, 1, 1), (2**62, 0, 1)])
+        with pytest.raises(stats.DateOutOfRange):
+            stats.daily_market_aggregates([ev(ts=T0, seq=1), ev(ts=2**62, seq=2)])
+
+
 # ---------------------------------------------------------------------------
 # Student t CDF
 # ---------------------------------------------------------------------------
@@ -304,9 +322,9 @@ class TestDailyAggregates:
                   ev(ts=T0 + 1, seq=2, side=feed.Side.SELL, price=101),
                   # next day: clear the old quotes, then requote 3 ticks higher
                   ev(ts=T0 + DAY_MS, seq=3, kind=feed.EventKind.CANCEL,
-                     size=1.0, oid="o1"),
+                     price=99, size=1.0, oid="o1"),
                   ev(ts=T0 + DAY_MS + 1, seq=4, kind=feed.EventKind.CANCEL,
-                     size=1.0, oid="o2"),
+                     side=feed.Side.SELL, price=101, size=1.0, oid="o2"),
                   ev(ts=T0 + DAY_MS + 2, seq=5, price=102),
                   ev(ts=T0 + DAY_MS + 3, seq=6, side=feed.Side.SELL, price=104)]
         vol, diff = stats.daily_market_aggregates(events)
