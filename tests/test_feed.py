@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -213,6 +214,29 @@ class TestGenerator:
         cfg = feed.GeneratorConfig(n_events=500)
         assert (list(feed.generate_synthetic(cfg, seed=3))
                 != list(feed.generate_synthetic(cfg, seed=4)))
+
+    # SHA-256 over the streams for each n in PINNED_N (each followed by a NUL),
+    # recorded before the stream loops were rewritten; the n cover the cut-off
+    # inside and just after the 24-line seed ladder (seed_levels=12)
+    PINNED_N = [0, 23, 24, 25, 26, 27, 28, 1000]
+
+    @pytest.mark.parametrize("planted,seed,digest", [
+        (None, 7, "8ab384ec36d952776c566ad684f91df1d0abe9ae6bc822688ebf87d7d08ab20c"),
+        (None, 4242, "54e8e58cebfe4eacd53a3ee5c968a3b3e4bfc2efdc81560f222d67d405ff469e"),
+        (feed.PLANTED_LAST_EVENT_SIDE, 7,
+         "989d3acfb48904c88f03f9944ec4a5c7f1a83fd47689a88ab2dcd99b98ccf9fe"),
+        (feed.PLANTED_LAST_EVENT_SIDE, 4242,
+         "f464612603be39b1e5318c3cb339217e3e5c98ceb4c307206a511d6decb50126"),
+    ])
+    def test_output_bytes_pinned(self, planted, seed, digest):
+        h = hashlib.sha256()
+        for n in self.PINNED_N:
+            cfg = feed.GeneratorConfig(n_events=n, planted=planted)
+            lines = list(feed.generate_synthetic(cfg, seed))
+            assert len(lines) == n
+            h.update("".join(line + "\n" for line in lines).encode())
+            h.update(b"\0")
+        assert h.hexdigest() == digest
 
     def test_output_is_valid_stream(self, noise_lines):
         events = list(feed.iter_events(noise_lines))
