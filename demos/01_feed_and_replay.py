@@ -1,8 +1,9 @@
-"""Demo: synthetic order-event streams, parsing, and validated replay.
+"""Demo: synthetic order-event streams, parsing, and validated iteration.
 
 Generates a small `.ofr` stream (newline-delimited JSON order events),
-shows a few raw lines, round-trips them through the parser, and replays
-the stream with sequence/timestamp monotonicity checks.
+shows a few raw lines, round-trips them through the parser, and reads
+the stream back with `feed.iter_events`, which checks that sequence
+numbers increase and timestamps never decrease.
 """
 
 import collections
@@ -30,17 +31,17 @@ print("serialize(parse(line)) == line for every generated event:",
       all(feed.serialize_event(feed.parse_event(l)) == l for l in lines))
 
 # ---------------------------------------------------------------------------
-# validated replay
+# validated iteration
 # ---------------------------------------------------------------------------
 
-kinds = collections.Counter()
-summary = feed.replay(lines, lambda e: kinds.update([e.kind.wire]))
-print(f"\nreplayed {summary.count} events "
-      f"spanning {(summary.last_ts - summary.first_ts) / 1000.0:.1f}s")
+events = list(feed.iter_events(lines))
+kinds = collections.Counter(e.kind.wire for e in events)
+print(f"\nread {len(events)} events "
+      f"spanning {(events[-1].timestamp_ms - events[0].timestamp_ms) / 1000.0:.1f}s")
 print("event mix:", dict(kinds))
 
 # malformed or out-of-order input is rejected with a line number
 try:
-    feed.replay([lines[1], lines[0]], lambda e: None)
+    list(feed.iter_events([lines[1], lines[0]]))
 except feed.OutOfOrder as e:
     print("out-of-order stream rejected:", e)

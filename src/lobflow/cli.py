@@ -100,6 +100,11 @@ def _check_config(raw) -> None:
                         f"pairs.{name}.generator.")
 
 
+def _require_int(value, key: str, minimum: int) -> None:
+    if type(value) is not int or value < minimum:   # `type` also rejects bool
+        raise CliError(f"config {key!r} must be an integer >= {minimum}, got {value!r}")
+
+
 def load_config(path, seed_override=None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -114,6 +119,12 @@ def load_config(path, seed_override=None) -> dict:
         cfg["seed"] = seed_override
     if not cfg["pairs"]:
         raise CliError("config declares no pairs")
+    _require_int(cfg["T"], "T", 1)
+    _require_int(cfg["S"], "S", 1)
+    _require_int(cfg["warm_up"]["count"], "warm_up.count", 0)
+    ts = cfg["warm_up"]["ts"]
+    if ts is not None and type(ts) is not int:
+        raise CliError(f"config 'warm_up.ts' must be null or an integer, got {ts!r}")
     return cfg
 
 
@@ -190,11 +201,26 @@ def _warm_kwargs(cfg: dict) -> dict:
     return {"warm_count": w["count"]}
 
 
-def cmd_build(cfg: dict, out_dir: Path, pair: str | None) -> int:
-    if cfg["split_ranges"] is None:
-        raise CliError("config has no split_ranges")
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _split_ranges(cfg: dict) -> list[tuple[int, int]]:
+    """The train, validation and test ranges; other `split_ranges` keys are ignored."""
     ranges = cfg["split_ranges"]
+    if ranges is None:
+        raise CliError("config has no split_ranges")
+    if not isinstance(ranges, dict):
+        raise CliError("config split_ranges must be a JSON object")
+    out = []
+    for name in features.SPLIT_NAMES:
+        r = ranges.get(name)
+        if not (isinstance(r, list) and len(r) == 2 and all(type(v) is int for v in r)):
+            raise CliError(f"config 'split_ranges.{name}' must be a list of two integers, "
+                           f"got {r!r}")
+        out.append(tuple(r))
+    return out
+
+
+def cmd_build(cfg: dict, out_dir: Path, pair: str | None) -> int:
+    ranges = _split_ranges(cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
     warn = False
     report = {"config": cfg, "pairs": {}}
     for name in _select_pairs(cfg, pair):
@@ -203,8 +229,7 @@ def cmd_build(cfg: dict, out_dir: Path, pair: str | None) -> int:
                                            **_warm_kwargs(cfg))
         pair_report = {}
         for variant, ds in datasets.items():
-            features.split_by_date(ds, tuple(ranges["train"]), tuple(ranges["validation"]),
-                                   tuple(ranges["test"]))
+            features.split_by_date(ds, *ranges)
             features.compute_norm_stats(ds)
             path = out_dir / f"{name}.{variant}.ds"
             features.save_dataset(ds, path)

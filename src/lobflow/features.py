@@ -29,7 +29,7 @@ transform and is dropped by the encoder.
 Building never gathers windows: the train statistics weight each table
 row by the number of train windows that hold it, and the dataset digest
 hashes the stored arrays, of which the windows are a function.  Only
-training, evaluation and the text export read `Dataset.X`.
+training and evaluation read `Dataset.X`.
 """
 
 from __future__ import annotations
@@ -74,9 +74,9 @@ def hour_utc(timestamp_ms):
     return (timestamp_ms // 3_600_000) % 24
 
 
-def warm_up(events: Iterable[OrderEvent], book: Optional[lob.OrderBook] = None,
-            until_ts: Optional[int] = None, until_count: Optional[int] = None):
-    """Apply the stream prefix to the book without emitting anything.
+def warm_up(events: Iterable[OrderEvent], until_ts: Optional[int] = None,
+            until_count: Optional[int] = None):
+    """Apply the stream prefix to a new book without emitting anything.
 
     The boundary is either a timestamp (events with ts < until_ts are
     consumed) or an event count.  Returns (book, consumed, remaining
@@ -84,7 +84,7 @@ def warm_up(events: Iterable[OrderEvent], book: Optional[lob.OrderBook] = None,
     """
     if (until_ts is None) == (until_count is None):
         raise ValueError("exactly one of until_ts / until_count required")
-    book = book if book is not None else lob.OrderBook()
+    book = lob.OrderBook()
     it = iter(events)
     consumed = 0
     last_ts = None
@@ -405,21 +405,6 @@ def load_dataset(path) -> Dataset:
     return Dataset(variant, T, S, header["pair"], table.reshape(E, C), table_ts, end, y, t,
                    split, header["norm_stats"], header["split_ranges"],
                    header["counters"] or {})
-
-
-def export_text(ds: Dataset, path) -> None:
-    """Lossless text form: header line, then one line per sample."""
-    header = {"variant": ds.variant, "T": ds.T, "S": ds.S, "pair": ds.pair, "n": ds.n,
-              "norm_stats": ds.norm_stats, "split_ranges": ds.split_ranges,
-              "counters": ds.counters}
-    X, wlast = ds.X, ds.window_last_ts
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True))
-        fh.write("\n")
-        for i in range(ds.n):
-            feats = " ".join(repr(float(v)) for v in X[i].ravel())
-            fh.write(f"{int(ds.y[i])} {int(ds.event_time[i])} {int(wlast[i])} "
-                     f"{int(ds.split[i])} {feats}\n")
 
 
 def dataset_digest(ds: Dataset) -> str:

@@ -1,4 +1,4 @@
-"""Order event feed: wire format, parsing, replay, synthetic generation.
+"""Order event feed: wire format, parsing, validated streams, synthetic generation.
 
 The wire format is newline-delimited JSON, one object per line, UTF-8,
 with keys in this exact order and compact separators:
@@ -12,15 +12,21 @@ string.  Unknown keys are rejected.  Files carry the `.ofr` extension.
 
 Lines written by :func:`serialize_event` are canonical; for canonical
 lines ``serialize_event(parse_event(line)) == line`` byte for byte.
+
+:func:`iter_events` (and :func:`read_events` on a file) parses a stream
+in order and enforces its invariants: strictly increasing `seq` and
+non-decreasing `ts`.  Every consumer reads events through it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Optional
+from itertools import chain, islice
+from typing import Iterable, Iterator, Optional
 
 from .atomic import atomic_open
 
@@ -188,25 +194,6 @@ def serialize_event(ev: OrderEvent) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-@dataclass
-class ReplaySummary:
-    count: int = 0
-    first_ts: Optional[int] = None
-    last_ts: Optional[int] = None
-
-
-def replay(lines: Iterable[str], sink: Callable[[OrderEvent], None]) -> ReplaySummary:
-    """Deliver each event of :func:`iter_events` to `sink` exactly once."""
-    summary = ReplaySummary()
-    for ev in iter_events(lines):
-        sink(ev)
-        summary.count += 1
-        if summary.first_ts is None:
-            summary.first_ts = ev.timestamp_ms
-        summary.last_ts = ev.timestamp_ms
-    return summary
-
-
 def iter_events(lines: Iterable[str]) -> Iterator[OrderEvent]:
     """Parse lines in order and yield each event.
 
@@ -266,6 +253,16 @@ class GeneratorConfig:
     seed_levels: int = 12              # ladder depth planted at stream start
 
     def validate(self) -> None:
+        for name in ("n_events", "start_price", "start_ts", "mean_gap_ms", "min_gap_ms",
+                     "seed_levels"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+        for name in ("prop_limit", "prop_market", "prop_cancel"):
+            value = getattr(self, name)
+            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                    or not math.isfinite(value)):
+                raise InvalidConfig(f"{name} must be a finite number, got {value!r}")
         if self.n_events < 0:
             raise InvalidConfig("n_events must be >= 0")
         if self.start_price <= 0:
@@ -319,32 +316,20 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> Iterator[str]:
 
     def seed_ladder():
         p = config.start_price
-        lines = []
         for off in range(1, config.seed_levels + 1):
-            lines.append(emit(EventKind.LIMIT, Side.SELL, p + off, _dyadic_size(rng))[0])
-            lines.append(emit(EventKind.LIMIT, Side.BUY, p - off, _dyadic_size(rng))[0])
-        return lines
+            yield emit(EventKind.LIMIT, Side.SELL, p + off, _dyadic_size(rng))[0]
+            yield emit(EventKind.LIMIT, Side.BUY, p - off, _dyadic_size(rng))[0]
 
-    if config.planted == PLANTED_LAST_EVENT_SIDE:
-        yield from _planted_stream(config, rng, book, emit, seed_ladder)
-    else:
-        yield from _noise_stream(config, rng, book, emit, seed_ladder)
+    stream = _planted_stream if config.planted == PLANTED_LAST_EVENT_SIDE else _noise_stream
+    yield from islice(chain(seed_ladder(), stream(config, rng, book, emit)), config.n_events)
 
 
-def _planted_stream(config, rng, book, emit, seed_ladder):
-    from . import lob
-
-    emitted = 0
-    for line in seed_ladder():
-        if emitted >= config.n_events:
-            return
-        yield line
-        emitted += 1
-
-    while emitted < config.n_events:
+def _planted_stream(config, rng, book, emit):
+    while True:
         up = bool(rng.integers(0, 2))
         side = Side.BUY if up else Side.SELL
         bb, ba = book.best_bid(), book.best_ask()
+        # all three are drawn before any is emitted: emitting draws the gap
         round_events = []
         # replenish both sides deep so the mover always finds liquidity behind best
         round_events.append((EventKind.LIMIT, Side.SELL, ba + 3 + int(rng.integers(0, 6)), _dyadic_size(rng)))
@@ -356,9 +341,6 @@ def _planted_stream(config, rng, book, emit, seed_ladder):
             round_events.append((EventKind.LIMIT, Side.SELL, book.best_ask() + 2 + int(rng.integers(0, 5)), _dyadic_size(rng)))
         for kind, s, price, size in round_events:
             yield emit(kind, s, price, size)[0]
-            emitted += 1
-            if emitted >= config.n_events:
-                return
         # mover: the one event per round that moves the mid, in direction `up`.
         # Wide spreads are re-tightened with an inward quote on the planted
         # side (same label semantics, keeps bests anchored); otherwise a
@@ -375,19 +357,11 @@ def _planted_stream(config, rng, book, emit, seed_ladder):
             opp_best = ba if up else bb
             level_size = book.level_size(Side.SELL if up else Side.BUY, opp_best)
             yield emit(EventKind.MARKET, side, None, level_size)[0]
-        emitted += 1
 
 
-def _noise_stream(config, rng, book, emit, seed_ladder):
-    emitted = 0
-    for line in seed_ladder():
-        if emitted >= config.n_events:
-            return
-        yield line
-        emitted += 1
-
+def _noise_stream(config, rng, book, emit):
     live: list[str] = list(book.resting)
-    while emitted < config.n_events:
+    while True:
         u = rng.random()
         side = Side.BUY if rng.integers(0, 2) == 0 else Side.SELL
         if u < config.prop_cancel and live:
@@ -404,7 +378,6 @@ def _noise_stream(config, rng, book, emit, seed_ladder):
             if full:
                 live.pop(idx)
             yield line
-            emitted += 1
         elif u < config.prop_cancel + config.prop_market:
             opp = book.best_ask() if side is Side.BUY else book.best_bid()
             if opp is None:
@@ -412,7 +385,6 @@ def _noise_stream(config, rng, book, emit, seed_ladder):
             line, _ = emit(EventKind.MARKET, side, None, _dyadic_size(rng))
             live = [oid for oid in live if oid in book.resting]
             yield line
-            emitted += 1
         else:
             if side is Side.BUY:
                 ref = book.best_bid() or (config.start_price - 2)
@@ -425,7 +397,6 @@ def _noise_stream(config, rng, book, emit, seed_ladder):
                 live.append(ev.order_id)
             live = [oid for oid in live if oid in book.resting]
             yield line
-            emitted += 1
 
 
 def write_stream(path, config: GeneratorConfig, seed: int) -> int:

@@ -5,7 +5,9 @@ the integer `best bid + best ask`, in half ticks, so half-tick mids carry
 no rounding; `mid_price()` gives it as an exact `Fraction` of a tick.
 Marketable limit orders execute on arrival in price priority; market
 orders larger than the opposing liquidity execute what is available and
-drop the remainder (counted on the book).
+drop the remainder, counted on the book in `dropped_market_events` and
+`dropped_market_size`.  `OrderBook.snapshot(depth)` gives the top levels
+of each side as a `LobSnapshot`.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ class BookDelta:
     mid2_before: Optional[int]
     mid2_after: Optional[int]
     executed: float = 0.0
-    dropped: float = 0.0
 
     @property
     def mid_changed(self) -> bool:
@@ -176,7 +177,6 @@ class OrderBook:
         if remaining > 0:
             self.dropped_market_events += 1
             self.dropped_market_size += remaining
-            delta.dropped = remaining
 
     def _apply_cancel(self, ev: OrderEvent, delta: BookDelta) -> None:
         order = self.resting.get(ev.order_id)
@@ -239,7 +239,22 @@ class OrderBook:
     # -- snapshots / dumps --------------------------------------------------
 
     def snapshot(self, depth: int) -> "LobSnapshot":
-        return make_snapshot(self, depth)
+        if depth < 1:
+            raise ValueError("snapshot depth must be >= 1")
+        bids = list(reversed(self._bid_prices[-depth:]))
+        asks = self._ask_prices[:depth]
+        bvol = [self._bids[p].size for p in bids]
+        avol = [self._asks[p].size for p in asks]
+        n_b, n_a = len(bids), len(asks)
+        last_b = bids[-1] if bids else 0
+        last_a = asks[-1] if asks else 0
+        for k in range(depth - n_b):
+            bids.append(last_b - (k + 1))
+            bvol.append(0.0)
+        for k in range(depth - n_a):
+            asks.append(last_a + (k + 1))
+            avol.append(0.0)
+        return LobSnapshot(depth, bids, bvol, asks, avol, n_b, n_a)
 
     def dump(self) -> str:
         """Deterministic text listing `side price size count`, sorted by price."""
@@ -269,21 +284,3 @@ class LobSnapshot:
     n_real_bids: int
     n_real_asks: int
 
-
-def make_snapshot(book: OrderBook, depth: int) -> LobSnapshot:
-    if depth < 1:
-        raise ValueError("snapshot depth must be >= 1")
-    bids = list(reversed(book._bid_prices[-depth:]))
-    asks = book._ask_prices[:depth]
-    bvol = [book._bids[p].size for p in bids]
-    avol = [book._asks[p].size for p in asks]
-    n_b, n_a = len(bids), len(asks)
-    last_b = bids[-1] if bids else 0
-    last_a = asks[-1] if asks else 0
-    for k in range(depth - n_b):
-        bids.append(last_b - (k + 1))
-        bvol.append(0.0)
-    for k in range(depth - n_a):
-        asks.append(last_a + (k + 1))
-        avol.append(0.0)
-    return LobSnapshot(depth, bids, bvol, asks, avol, n_b, n_a)

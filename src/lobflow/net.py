@@ -153,13 +153,6 @@ class Model:
 
     # -- input encoding -----------------------------------------------------
 
-    def embed(self, name: str, category: int) -> np.ndarray:
-        """tanh(U_q[category] + b_q) for one categorical value (0-based)."""
-        card = dict((n, c) for n, c, *_ in CATEGORICALS)[name]
-        if not 0 <= category < card:
-            raise CategoryOutOfRange(f"{name} category {category} not in [0, {card})")
-        return np.tanh(self.params[f"emb/{name}/U"][category] + self.params[f"emb/{name}/b"])
-
     def encode(self, X: np.ndarray) -> tuple[np.ndarray, dict]:
         """Raw (B, T, F_raw) features -> (B, T, input_width) model inputs."""
         cfg = self.cfg
@@ -636,12 +629,11 @@ def run_gradcheck(n_configs: int = 20, seed: int = 0, step: float = 1e-5) -> lis
         T = int(rng.choice([1, 4]))
         H = int(rng.choice([3, 8]))
         S = 2
-        width = 3 if variant == "orderflow" else 4 * S + (2 if variant == "bench1" else 0)
         # hour embedding dim kept small for speed; cardinality stays 24
         cfg = ModelConfig(variant=variant, S=S, layers=(H,) * L,
                           dense_hidden=(4,) * (D - 1), dropout=0.0,
-                          emb_dims={"kind": 2, "side": 2, "hour": 3},
-                          norm_mean=[0.0] * width, norm_sd=[1.0] * width)
+                          emb_dims={"kind": 2, "side": 2, "hour": 3})
+        cfg.norm_mean, cfg.norm_sd = [0.0] * cfg.numeric_width, [1.0] * cfg.numeric_width
         model = Model(cfg, seed=seed + 1000 + k)
         X = random_raw_batch(variant, 3, T, S, rng)
         if variant == "orderflow":

@@ -17,7 +17,7 @@ from typing import Optional
 from scipy.integrate import quad
 
 from .feed import EventKind, OrderEvent, Side
-from .lob import CancelMismatch, UnknownOrderId
+from .lob import CancelMismatch, OverCancel, UnknownOrderId
 
 
 class ReferenceBook:
@@ -125,6 +125,8 @@ class ReferenceBook:
             o = orders.get(ev.order_id)
             if o is None or o[0] != ev.price_ticks:
                 raise CancelMismatch(f"cancel of {ev.order_id} does not name its side and price")
+            if ev.size > o[1] + 1e-12:
+                raise OverCancel(f"cancel {ev.size} exceeds remaining {o[1]} of {ev.order_id}")
             if ev.size >= o[1] - 1e-12:
                 del orders[ev.order_id]
             else:

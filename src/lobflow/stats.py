@@ -108,7 +108,6 @@ def utc_date(timestamp_ms: int) -> str:
 class DailySeries:
     dates: list            # ISO date strings, strictly increasing
     values: list           # floats
-    semantic: str = ""
     flags: dict = field(default_factory=dict)   # date -> note (e.g. "degenerate")
 
     def __post_init__(self):
@@ -141,7 +140,7 @@ def daily_mcc(predictions: Iterable[tuple]) -> DailySeries:
         if (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn) == 0:
             flags[d] = "degenerate"
         values.append(mcc(cm))
-    return DailySeries(dates, values, semantic="mcc", flags=flags)
+    return DailySeries(dates, values, flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +288,10 @@ def daily_market_aggregates(events) -> tuple[DailySeries, DailySeries]:
         if delta.mid2_after is not None:
             last_mid[d] = delta.mid2_after / 2
     dates = sorted(volume)
-    vol_series = DailySeries(dates, [volume[d] for d in dates], semantic="trade_volume")
+    vol_series = DailySeries(dates, [volume[d] for d in dates])
     mid_dates = sorted(last_mid)
     diffs, diff_dates = [], []
     for prev, cur in zip(mid_dates, mid_dates[1:]):
         diff_dates.append(cur)
         diffs.append(last_mid[cur] - last_mid[prev])
-    return vol_series, DailySeries(diff_dates, diffs, semantic="lagged_mid_change")
+    return vol_series, DailySeries(diff_dates, diffs)

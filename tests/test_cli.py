@@ -137,6 +137,34 @@ class TestConfig:
         assert len(err) == 1 and err[0].startswith("error:") and "bogus" in err[0]
         assert not (tmp_path / "x.ofr").exists()
 
+    @pytest.mark.parametrize("command,patch,key", [
+        ("build", {"S": 0}, "'S'"),
+        ("build", {"T": "x"}, "'T'"),
+        ("build", {"T": 0}, "'T'"),
+        ("build", {"T": True}, "'T'"),
+        ("build", {"warm_up": {"count": "x"}}, "'warm_up.count'"),
+        ("build", {"warm_up": {"count": -1}}, "'warm_up.count'"),
+        ("build", {"warm_up": {"ts": 1.5}}, "'warm_up.ts'"),
+        ("build", {"split_ranges": {"train": [0, 1]}}, "'split_ranges.validation'"),
+        ("build", {"split_ranges": {"train": [0, 1], "validation": [1, 2], "test": [2]}},
+         "'split_ranges.test'"),
+        ("build", {"split_ranges": [[0, 1], [1, 2], [2, 3]]}, "split_ranges"),
+        ("generate", {"generator": {"n_events": "x"}}, "n_events"),
+        ("generate", {"generator": {"n_events": 1e3}}, "n_events"),
+        ("generate", {"generator": {"prop_cancel": None}}, "prop_cancel"),
+    ])
+    def test_malformed_value_is_error_exit(self, tmp_path, capsys, command, patch, key):
+        cfg = {"pairs": {"X": {"input": str(tmp_path / "x.ofr")}},
+               "split_ranges": {"train": [0, 1], "validation": [1, 2], "test": [2, 3]},
+               **patch}
+        p = write_config(tmp_path / "c.json", cfg)
+        capsys.readouterr()
+        rc = cli.main([command, "--config", p, "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "c.json"]
+
     def test_unknown_pair_is_error_exit(self, pipeline):
         rc = cli.main(["build", "--config", pipeline["cfgfile"],
                        "--out", str(pipeline["out"]), "--pair", "ZZZ"])

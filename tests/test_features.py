@@ -620,18 +620,6 @@ class TestSerialization:
         with pytest.raises(features.FeatureError, match="rebuild"):
             features.load_dataset(p)
 
-    def test_text_export_lossless(self, planted_datasets, tmp_path):
-        ds = planted_datasets["orderflow"]
-        p = tmp_path / "of.txt"
-        features.export_text(ds, p)
-        lines = p.read_text().splitlines()
-        assert len(lines) == ds.n + 1
-        first = lines[1].split()
-        assert int(first[0]) == int(ds.y[0])
-        assert int(first[1]) == int(ds.event_time[0])
-        vals = np.array([float(v) for v in first[4:]])
-        np.testing.assert_array_equal(vals, ds.X[0].ravel())
-
     def test_build_deterministic(self, planted_events):
         a = features.build_datasets(planted_events, T=10, S=2, warm_count=40)
         b = features.build_datasets(planted_events, T=10, S=2, warm_count=40)

@@ -123,16 +123,15 @@ class TestRoundTrip:
         assert feed.serialize_event(feed.parse_event(line)) == line
 
 
-class TestReplay:
+class TestIterEvents:
     def test_empty(self):
-        assert feed.replay([], lambda ev: None).count == 0
+        assert list(feed.iter_events([])) == []
 
     def test_three_records(self, noise_lines):
-        got = []
-        s = feed.replay(noise_lines[:3], got.append)
-        assert s.count == 3 and len(got) == 3
-        assert s.first_ts == got[0].timestamp_ms
-        assert s.last_ts == got[-1].timestamp_ms
+        got = list(feed.iter_events(noise_lines[:3]))
+        assert len(got) == 3
+        assert got[0].timestamp_ms == json.loads(noise_lines[0])["ts"]
+        assert got[-1].timestamp_ms == json.loads(noise_lines[2])["ts"]
 
     def test_seq_regression(self):
         lines = [
@@ -141,7 +140,7 @@ class TestReplay:
             '{"ts":3,"seq":2,"kind":"limit","side":"buy","price":10,"size":1,"id":"c"}',
         ]
         with pytest.raises(feed.OutOfOrder, match="line 3"):
-            feed.replay(lines, lambda ev: None)
+            list(feed.iter_events(lines))
 
     def test_timestamp_regression(self):
         lines = [
@@ -149,19 +148,18 @@ class TestReplay:
             '{"ts":4,"seq":2,"kind":"limit","side":"buy","price":10,"size":1,"id":"b"}',
         ]
         with pytest.raises(feed.OutOfOrder):
-            feed.replay(lines, lambda ev: None)
+            list(feed.iter_events(lines))
 
     def test_parse_error_carries_line_number(self):
         lines = ['{"ts":1,"seq":1,"kind":"limit","side":"buy","price":10,"size":1,"id":"a"}',
                  "garbage"]
         with pytest.raises(feed.MalformedRecord, match="line 2"):
-            feed.replay(lines, lambda ev: None)
+            list(feed.iter_events(lines))
 
     def test_order_preserving(self, noise_lines):
-        got = []
-        feed.replay(noise_lines, got.append)
+        got = list(feed.iter_events(noise_lines))
         assert [e.seq for e in got] == sorted(e.seq for e in got)
-        assert len(got) == len(noise_lines)
+        assert [feed.serialize_event(e) for e in got] == noise_lines
 
 
 class TestWriteStream:

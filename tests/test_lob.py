@@ -29,7 +29,7 @@ class TestBasics:
         delta = book.apply_event(ev(seq=3, kind=EventKind.MARKET, side=Side.BUY, size=1.0))
         assert book.best_ask() is None
         assert delta.executed == 1.0
-        assert delta.dropped == 0.0
+        assert book.dropped_market_size == 0.0
 
     def test_best_prices(self, ev):
         book = lob.OrderBook()
@@ -70,7 +70,6 @@ class TestBasics:
         book.apply_event(ev(seq=1, side=Side.SELL, price=101, size=1.0))
         delta = book.apply_event(ev(seq=2, kind=EventKind.MARKET, side=Side.BUY, size=3.0))
         assert delta.executed == 1.0
-        assert delta.dropped == 2.0
         assert book.dropped_market_events == 1
         assert book.dropped_market_size == 2.0
 
@@ -112,6 +111,19 @@ class TestErrors:
         with pytest.raises(lob.CancelMismatch):
             ref.apply(feed.parse_event(cancel))
         assert oracle.compare_books(book, ref) is None
+
+    def test_oracle_rejects_over_cancel(self):
+        rest, cancel = map(feed.parse_event, [
+            '{"ts":1,"seq":1,"kind":"limit","side":"buy","price":100,"size":1.0,"id":"o1"}',
+            '{"ts":2,"seq":2,"kind":"cancel","side":"buy","price":100,"size":2.0,"id":"o1"}'])
+        book, ref = lob.OrderBook(), oracle.ReferenceBook()
+        book.apply_event(rest)
+        ref.apply(rest)
+        with pytest.raises(lob.OverCancel):
+            book.apply_event(cancel)
+        with pytest.raises(lob.OverCancel, match="o1"):
+            ref.apply(cancel)
+        assert oracle.compare_books(book, ref) is None and "o1" in ref.buys
 
     def test_oracle_unknown_cancel(self, ev):
         with pytest.raises(lob.UnknownOrderId):

@@ -84,12 +84,10 @@ class TestForward:
         m = Model(small_cfg(), seed=0)
         m.params["emb/kind/U"][:] = 0.0
         m.params["emb/kind/b"][:] = 0.0
-        np.testing.assert_array_equal(m.embed("kind", 1), np.zeros(2))
-
-    def test_embed_category_out_of_range(self):
-        m = Model(small_cfg(), seed=0)
-        with pytest.raises(net.CategoryOutOfRange):
-            m.embed("side", 2)
+        encoded, _ = m.encode(raw_batch())
+        # the kind embedding fills the first two input columns
+        np.testing.assert_array_equal(encoded[..., :2], 0.0)
+        assert encoded[..., 2:4].all()
 
     def test_encode_rejects_bad_category(self):
         m = Model(small_cfg(), seed=0)
