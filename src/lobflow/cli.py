@@ -119,6 +119,7 @@ def load_config(path, seed_override=None) -> dict:
         cfg["seed"] = seed_override
     if not cfg["pairs"]:
         raise CliError("config declares no pairs")
+    _require_int(cfg["seed"], "seed", 0)
     _require_int(cfg["T"], "T", 1)
     _require_int(cfg["S"], "S", 1)
     _require_int(cfg["warm_up"]["count"], "warm_up.count", 0)

@@ -36,16 +36,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
 from dataclasses import dataclass, field
 from itertools import chain
-from pathlib import Path
 from typing import Iterable, Optional
 
 import numpy as np
 
-from . import lob
-from .atomic import atomic_open
+from . import container, lob
 from .feed import EventKind, OrderEvent, Side
 
 VARIANTS = ("orderflow", "bench1", "bench2")
@@ -340,71 +337,49 @@ def compute_norm_stats(ds: Dataset) -> dict:
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"OFDS"
-_VERSION = 2
-_PREFIX = struct.Struct("<4sII")   # magic, version, header length
-# the stored arrays, in file order; every other array is derived from them
-_STORED = (("table", np.float64), ("table_ts", np.int64), ("end", np.int64),
-           ("y", np.uint8), ("event_time", np.int64), ("split", np.int8))
+# the stored header fields and arrays, in file order, under their Dataset
+# names; every other array is derived from them
+_FIELDS = ("variant", "T", "S", "pair", "norm_stats", "split_ranges", "counters")
+_STORED = (("table", "<f8"), ("table_ts", "<i8"), ("end", "<i8"),
+           ("y", "|u1"), ("event_time", "<i8"), ("split", "|i1"))
 
 
-def _stored_bytes(ds: Dataset):
-    for name, dtype in _STORED:
-        yield np.ascontiguousarray(getattr(ds, name), dtype=dtype).tobytes()
+def _stored(ds: Dataset) -> dict:
+    return {name: np.ascontiguousarray(getattr(ds, name), dtype=dtype) for name, dtype in _STORED}
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    """Header, then table (E, C) float64, table_ts (E,) int64 and the
-    per-sample end int64, y uint8, event_time int64 and split int8.
-    The file appears at `path` only once it is complete."""
-    header = {
-        "format": "lobflow-dataset", "version": _VERSION,
-        "variant": ds.variant, "T": ds.T, "S": ds.S, "pair": ds.pair,
-        "n": ds.n, "events": len(ds.table_ts), "table_width": int(ds.table.shape[1]),
-        "norm_stats": ds.norm_stats, "split_ranges": ds.split_ranges,
-        "counters": ds.counters,
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with atomic_open(path, "wb") as fh:
-        fh.write(_PREFIX.pack(_MAGIC, _VERSION, len(blob)))
-        fh.write(blob)
-        for raw in _stored_bytes(ds):
-            fh.write(raw)
+    """Write `ds` as a :mod:`lobflow.container` file: the header fields,
+    then table (E, C) float64, table_ts (E,) int64 and the per-sample
+    end int64, y uint8, event_time int64 and split int8."""
+    container.write(path, _MAGIC, {k: getattr(ds, k) for k in _FIELDS}, _stored(ds))
 
 
 def load_dataset(path) -> Dataset:
-    """Read a version-2 `.ds`; its size must be exactly what its header declares."""
-    data = Path(path).read_bytes()
-    if len(data) < _PREFIX.size or data[:4] != _MAGIC:
-        raise FeatureError(f"not a dataset file: bad magic {data[:4]!r}")
-    _, version, hlen = _PREFIX.unpack_from(data)
-    if version != _VERSION:
-        hint = " (it stores whole windows; rebuild it with `lobflow build`)" if version == 1 else ""
-        raise FeatureError(f"unsupported dataset version {version} in {path}{hint}")
-    try:
-        header = json.loads(data[_PREFIX.size:_PREFIX.size + hlen].decode("utf-8"))
-        variant, T, S, n = header["variant"], header["T"], header["S"], header["n"]
-        E, C = header["events"], header["table_width"]
-    except (ValueError, KeyError, TypeError) as e:
-        raise FeatureError(f"{path}: bad dataset header: {e}") from e
-    if not all(type(v) is int and v >= 0 for v in (T, S, n, E, C)):
-        raise FeatureError(f"{path}: bad dataset header: sizes must be non-negative integers")
-    widths = [E * C * 8, E * 8, n * 8, n, n * 8, n]
-    if variant not in VARIANTS or C != _table_width(variant, S):
-        raise FeatureError(f"{path}: table width {C} does not fit variant {variant!r}, S={S}")
-    if len(data) != _PREFIX.size + hlen + sum(widths):
-        raise FeatureError(f"{path}: {len(data)} bytes, header declares "
-                           f"{_PREFIX.size + hlen + sum(widths)}")
-    arrays, offset = [], _PREFIX.size + hlen
-    for size, (_, dtype) in zip(widths, _STORED):
-        arrays.append(np.frombuffer(data, dtype=dtype, count=size // np.dtype(dtype).itemsize,
-                                    offset=offset).copy())
-        offset += size
-    table, table_ts, end, y, t, split = arrays
-    if n and (end.min() < T or end.max() > E):
+    """Read a `.ds` that :func:`save_dataset` wrote; the container checks
+    its bytes, this its fields, arrays and values."""
+    fields, arrays = container.read(path, _MAGIC, FeatureError)
+    if sorted(fields) != sorted(_FIELDS) \
+            or [(k, a.dtype.str) for k, a in arrays.items()] != list(_STORED):
+        raise FeatureError(f"{path}: its fields and arrays are not a dataset's")
+    ds = Dataset(**fields, **arrays)
+    if not all(type(v) is int and v >= 0 for v in (ds.T, ds.S)):
+        raise FeatureError(f"{path}: T and S must be non-negative integers")
+    if ds.variant not in VARIANTS or ds.table.ndim != 2 \
+            or ds.table.shape[1] != _table_width(ds.variant, ds.S):
+        raise FeatureError(f"{path}: table shape {ds.table.shape} does not fit variant "
+                           f"{ds.variant!r}, S={ds.S}")
+    E = len(ds.table)
+    if ds.table_ts.shape != (E,) or any(a.shape != (ds.y.size,)
+                                        for a in (ds.end, ds.y, ds.event_time, ds.split)):
+        raise FeatureError(f"{path}: table or per-sample arrays differ in length")
+    if ds.n and (ds.end.min() < ds.T or ds.end.max() > E):
         raise FeatureError(f"{path}: window ends outside the {E}-event table")
-    return Dataset(variant, T, S, header["pair"], table.reshape(E, C), table_ts, end, y, t,
-                   split, header["norm_stats"], header["split_ranges"],
-                   header["counters"] or {})
+    if np.any(ds.y > 1):
+        raise FeatureError(f"{path}: labels must be 0 or 1")
+    if np.any((ds.split < SPLIT_NONE) | (ds.split > SPLIT_TEST)):
+        raise FeatureError(f"{path}: split codes must lie in [{SPLIT_NONE}, {SPLIT_TEST}]")
+    return ds
 
 
 def dataset_digest(ds: Dataset) -> str:
@@ -413,6 +388,6 @@ def dataset_digest(ds: Dataset) -> str:
     h = hashlib.sha256()
     h.update(json.dumps([ds.variant, ds.T, ds.S, ds.pair, ds.n, len(ds.table_ts),
                          ds.norm_stats, ds.split_ranges], sort_keys=True).encode())
-    for raw in _stored_bytes(ds):
-        h.update(raw)
+    for a in _stored(ds).values():
+        h.update(a)
     return h.hexdigest()

@@ -22,16 +22,12 @@ cache: c and tanh(c) live in two rotating slots.
 from __future__ import annotations
 
 import copy
-import hashlib
-import json
-import struct
 from dataclasses import dataclass, field, asdict
 from typing import Iterable, Optional
 
 import numpy as np
 
-from . import stats as statsmod
-from .atomic import atomic_open
+from . import container, stats as statsmod
 from .features import MissingStats, transform_numeric
 
 
@@ -432,7 +428,7 @@ def adam_step(params: dict, grads: dict, state: AdamState,
     t = state.t
     for k, g in grads.items():
         if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient(k)
+            raise NonFiniteGradient(f"non-finite gradient in {k}")
         m = state.m[k]
         v = state.v[k]
         m *= beta1
@@ -649,85 +645,30 @@ def run_gradcheck(n_configs: int = 20, seed: int = 0, step: float = 1e-5) -> lis
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"OFCK"
-_CKPT_VERSION = 1
 
 
 def save_checkpoint(model: Model, path, extras: Optional[dict] = None) -> None:
-    """Versioned binary: hyper block, tensors in name order, manifest file.
-    Each file appears at its path only once it is complete."""
-    names = sorted(model.params)
-    header = {
-        "format": "lobflow-checkpoint", "version": _CKPT_VERSION,
-        "config": model.cfg.to_dict(),
-        "tensors": [{"name": n, "shape": list(model.params[n].shape)} for n in names],
-        "extras": extras or {},
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    manifest = []
-    with atomic_open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<II", _CKPT_VERSION, len(blob)))
-        fh.write(blob)
-        for n in names:
-            raw = np.ascontiguousarray(model.params[n], dtype=np.float64).tobytes()
-            fh.write(raw)
-            manifest.append(f"{n} {list(model.params[n].shape)} {hashlib.sha256(raw).hexdigest()}")
-    with atomic_open(str(path) + ".manifest.txt", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(manifest) + "\n")
-
-
-def _read_manifest(path) -> dict:
-    """{tensor name: (shape list text, sha256 hex)} from a checkpoint's manifest."""
-    try:
-        with open(str(path) + ".manifest.txt", "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as e:
-        raise NetError(f"cannot read manifest of checkpoint {path}: {e}") from e
-    out = {}
-    for line in lines:
-        name, _, rest = line.partition(" ")
-        shape, _, digest = rest.rpartition(" ")
-        out[name] = (shape, digest)
-    return out
+    """Write the config, `extras` and the float64 tensors, in name order,
+    as a :mod:`lobflow.container` file."""
+    container.write(path, _CKPT_MAGIC, {"config": model.cfg.to_dict(), "extras": extras or {}},
+                    {n: np.ascontiguousarray(model.params[n], dtype=np.float64)
+                     for n in sorted(model.params)})
 
 
 def load_checkpoint(path) -> tuple[Model, dict]:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    The tensors must be the ones the model config defines, the file
-    size must equal the header plus the tensor bytes it declares, and
-    every tensor must match its line in the SHA-256 manifest; any
-    mismatch raises :class:`NetError`.
+    The container checks its bytes; the tensors must then be the float64
+    ones its model config defines.  Any mismatch raises :class:`NetError`.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != _CKPT_MAGIC or len(data) < 12:
-        raise NetError("not a checkpoint file")
-    version, hlen = struct.unpack_from("<II", data, 4)
-    if version != _CKPT_VERSION:
-        raise NetError(f"unsupported checkpoint version {version}")
+    fields, params = container.read(path, _CKPT_MAGIC, NetError)
     try:
-        header = json.loads(data[12:12 + hlen].decode("utf-8"))
-        specs = [(str(t["name"]), tuple(int(n) for n in t["shape"])) for t in header["tensors"]]
-        cfg = ModelConfig.from_dict(header["config"])
+        cfg = ModelConfig.from_dict(fields["config"])
+        extras = dict(fields.get("extras", {}))
         fitted = {name: p.shape for name, p in Model(cfg).params.items()}
     except (ValueError, KeyError, TypeError) as e:
         raise NetError(f"checkpoint {path} has a corrupt header: {e}") from e
-    if len(specs) != len(fitted) or dict(specs) != fitted:
+    if {n: p.shape for n, p in params.items()} != fitted \
+            or any(p.dtype != np.float64 for p in params.values()):
         raise NetError(f"checkpoint {path}: tensors do not fit its model config")
-    counts = [int(np.prod(shape, dtype=np.int64)) for _, shape in specs]
-    expected = 12 + hlen + 8 * sum(counts)
-    if len(data) != expected:
-        raise NetError(f"checkpoint {path} is {len(data)} bytes; its header declares {expected}")
-    manifest = _read_manifest(path)
-    if sorted(manifest) != sorted(name for name, _ in specs):
-        raise NetError(f"manifest of checkpoint {path} does not list its tensors")
-    params = {}
-    offset = 12 + hlen
-    for (name, shape), count in zip(specs, counts):
-        raw = data[offset:offset + 8 * count]
-        offset += 8 * count
-        if manifest[name] != (str(list(shape)), hashlib.sha256(raw).hexdigest()):
-            raise NetError(f"checkpoint {path}: tensor {name} does not match its manifest")
-        params[name] = np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
-    return Model(cfg, params=params), header.get("extras", {})
+    return Model(cfg, params=params), extras

@@ -152,6 +152,11 @@ class TestConfig:
         ("generate", {"generator": {"n_events": "x"}}, "n_events"),
         ("generate", {"generator": {"n_events": 1e3}}, "n_events"),
         ("generate", {"generator": {"prop_cancel": None}}, "prop_cancel"),
+        ("generate", {"seed": "x"}, "'seed'"),
+        ("generate", {"seed": 1.5}, "'seed'"),
+        ("generate", {"seed": -1}, "'seed'"),
+        ("build", {"seed": True}, "'seed'"),
+        ("generate --seed -1", {}, "'seed'"),
     ])
     def test_malformed_value_is_error_exit(self, tmp_path, capsys, command, patch, key):
         cfg = {"pairs": {"X": {"input": str(tmp_path / "x.ofr")}},
@@ -159,7 +164,7 @@ class TestConfig:
                **patch}
         p = write_config(tmp_path / "c.json", cfg)
         capsys.readouterr()
-        rc = cli.main([command, "--config", p, "--out", str(tmp_path / "out")])
+        rc = cli.main([*command.split(), "--config", p, "--out", str(tmp_path / "out")])
         assert rc == cli.EXIT_ERROR
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
@@ -327,6 +332,43 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "header declares" in err[0]
 
+    def _flipped(self, src, dst):
+        data = bytearray(src.read_bytes())
+        data[-3] ^= 0x10   # inside the last array
+        dst.write_bytes(bytes(data))
+        return str(dst)
+
+    def test_flipped_dataset_is_error(self, pipeline, tmp_path, capsys):
+        ds = self._flipped(pipeline["out"] / "AAA.orderflow.ds", tmp_path / "flip.ds")
+        capsys.readouterr()
+        rc = cli.main(["train", "--config", pipeline["cfgfile"], "--out", str(tmp_path),
+                       "--pair", "AAA", "--variant", "orderflow", "--dataset", ds])
+        assert rc == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "SHA-256" in err[0]
+
+    def test_flipped_checkpoint_is_error(self, pipeline, tmp_path, capsys):
+        ckpt = self._flipped(pipeline["out"] / "AAA.orderflow.ckpt", tmp_path / "flip.ckpt")
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--checkpoint", ckpt,
+                       "--dataset", str(pipeline["out"] / "AAA.orderflow.ds"),
+                       "--split", "test", "--out", str(tmp_path)])
+        assert rc == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "SHA-256" in err[0]
+
+    def test_dataset_with_bad_label_is_error(self, pipeline, tmp_path, capsys):
+        ds = features.load_dataset(pipeline["out"] / "AAA.orderflow.ds")
+        ds.y[0] = 7
+        features.save_dataset(ds, tmp_path / "bad.ds")
+        capsys.readouterr()
+        rc = cli.main(["train", "--config", pipeline["cfgfile"], "--out", str(tmp_path),
+                       "--pair", "AAA", "--variant", "orderflow",
+                       "--dataset", str(tmp_path / "bad.ds")])
+        assert rc == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "labels" in err[0]
+
     @pytest.mark.parametrize("old,new", [
         ('"kind":"limit"', '"kind":[1]'),
         ('"side":"buy"', '"side":{}'),
@@ -378,8 +420,6 @@ class TestExitCodes:
         src = pipeline["out"] / "AAA.orderflow.ckpt"
         cut = tmp_path / "cut.ckpt"
         cut.write_bytes(src.read_bytes()[:-100])
-        (tmp_path / "cut.ckpt.manifest.txt").write_bytes(
-            (pipeline["out"] / "AAA.orderflow.ckpt.manifest.txt").read_bytes())
         capsys.readouterr()
         rc = cli.main(["evaluate", "--checkpoint", str(cut),
                        "--dataset", str(pipeline["out"] / "AAA.orderflow.ds"),

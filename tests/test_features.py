@@ -6,7 +6,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from lobflow import feed, features, lob, oracle
+from lobflow import container, feed, features, lob, oracle
 from lobflow.feed import EventKind, Side
 
 
@@ -556,7 +556,7 @@ class TestSerialization:
         p = tmp_path / "of.ds"
         features.save_dataset(ds, p)
         old = p.read_bytes()
-        # the split column fails to convert after the header and table are written
+        # the split column fails to convert
         broken = dataclasses.replace(ds, split=np.array([object()] * ds.n, dtype=object))
         with pytest.raises(TypeError):
             features.save_dataset(broken, p)
@@ -602,15 +602,51 @@ class TestSerialization:
 
     @pytest.mark.parametrize("blob", [
         b"not json",
-        b'{"variant": "orderflow", "T": 1, "S": 1}',
-        b'{"variant": "orderflow", "T": 1, "S": 1, "n": 0, "events": "x", "table_width": 6}',
-        b'{"variant": "orderflow", "T": 1, "S": 1, "n": -1, "events": 0, "table_width": 6}',
-        b'{"variant": "bench1", "T": 1, "S": 1, "n": 0, "events": 0, "table_width": 6}',
+        b'{"fields": {"variant": "orderflow", "T": 1, "S": 1}}',
+        b'{"arrays": [["y", "|u1", ["x"]]], "fields": {}}',
+        b'{"arrays": [["y", "|u1", [-1]]], "fields": {}}',
+        b'{"arrays": [["y", "|O", [0]]], "fields": {}}',
+        b'{"arrays": [], "fields": []}',
+        pytest.param(b"[" * 100_000, id="deeply nested"),
     ])
     def test_bad_header_rejected(self, tmp_path, blob):
         p = tmp_path / "bad.ds"
-        p.write_bytes(b"OFDS" + struct.pack("<II", 2, len(blob)) + blob)
+        p.write_bytes(b"OFDS" + struct.pack("<II", container.VERSION, len(blob) + 64)
+                      + blob + b"0" * 64)
         with pytest.raises(features.FeatureError):
+            features.load_dataset(p)
+
+    @pytest.mark.parametrize("change,match", [
+        ({"variant": "bench1"}, "does not fit variant"),
+        ({"T": -1}, "non-negative"),
+        ({"y": np.zeros(1, np.uint8)}, "differ in length"),
+        ({"table": np.zeros((1, 6), np.int64)}, "fields and arrays"),
+        ({"split": None}, "fields and arrays"),
+        ({"bogus": 1}, "fields and arrays"),
+    ])
+    def test_arrays_not_fitting_header_rejected(self, tmp_path, change, match):
+        fields = {"variant": "orderflow", "T": 1, "S": 1, "pair": "X", "norm_stats": None,
+                  "split_ranges": None, "counters": {}}
+        arrays = {"table": np.zeros((1, 6)), "table_ts": np.zeros(1, np.int64),
+                  "end": np.zeros(0, np.int64), "y": np.zeros(0, np.uint8),
+                  "event_time": np.zeros(0, np.int64), "split": np.zeros(0, np.int8)}
+        for k, v in change.items():
+            (arrays if k in arrays else fields)[k] = v
+        p = tmp_path / "bad.ds"
+        container.write(p, b"OFDS", fields, {k: v for k, v in arrays.items() if v is not None})
+        with pytest.raises(features.FeatureError, match=match):
+            features.load_dataset(p)
+
+    @pytest.mark.parametrize("column,value,match", [
+        ("y", 7, "labels"), ("split", 9, "split codes"), ("split", -2, "split codes"),
+    ])
+    def test_bad_label_or_split_rejected(self, planted_datasets, tmp_path, column, value, match):
+        ds = planted_datasets["orderflow"]
+        bad = dataclasses.replace(ds, **{column: getattr(ds, column).copy()})
+        getattr(bad, column)[0] = value
+        p = tmp_path / "bad.ds"
+        features.save_dataset(bad, p)
+        with pytest.raises(features.FeatureError, match=match):
             features.load_dataset(p)
 
     def test_version_1_rejected(self, tmp_path):

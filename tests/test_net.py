@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lobflow import net
+from lobflow import container, net
 from lobflow.features import MissingStats
 from lobflow.net import Model, ModelConfig, TrainSchedule
 
@@ -347,7 +347,7 @@ class TestAdam:
     def test_non_finite_gradient_rejected(self):
         params = {"w": np.array([1.0])}
         st = net.AdamState.zeros_like(params)
-        with pytest.raises(net.NonFiniteGradient):
+        with pytest.raises(net.NonFiniteGradient, match="non-finite gradient in w"):
             net.adam_step(params, {"w": np.array([np.nan])}, st)
 
 
@@ -503,8 +503,7 @@ class TestCheckpoint:
             np.testing.assert_array_equal(back.params[k], m.params[k])
         X = raw_batch(B=3, T=2)
         np.testing.assert_array_equal(back.predict(X), m.predict(X))
-        manifest = (tmp_path / "m.ckpt.manifest.txt").read_text()
-        assert len(manifest.strip().splitlines()) == len(m.params)
+        assert [f.name for f in tmp_path.iterdir()] == ["m.ckpt"]
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.ckpt"
@@ -535,13 +534,7 @@ class TestCheckpoint:
         flipped = bytearray(data)
         flipped[-3] ^= 0x01  # inside the last tensor
         p.write_bytes(bytes(flipped))
-        with pytest.raises(net.NetError, match="does not match its manifest"):
-            net.load_checkpoint(p)
-
-    def test_missing_manifest_rejected(self, tmp_path):
-        p, _ = self._saved(tmp_path)
-        (tmp_path / "m.ckpt.manifest.txt").unlink()
-        with pytest.raises(net.NetError, match="manifest"):
+        with pytest.raises(net.NetError, match="SHA-256 digest"):
             net.load_checkpoint(p)
 
     def test_corrupt_header_rejected(self, tmp_path):
@@ -558,17 +551,22 @@ class TestCheckpoint:
         with pytest.raises(net.NetError, match="do not fit"):
             net.load_checkpoint(p)
 
+    def test_extras_not_an_object_rejected(self, tmp_path):
+        m = Model(small_cfg(), seed=4)
+        p = tmp_path / "m.ckpt"
+        container.write(p, b"OFCK", {"config": m.cfg.to_dict(), "extras": 5}, m.params)
+        with pytest.raises(net.NetError, match="corrupt header"):
+            net.load_checkpoint(p)
+
     def test_interrupted_save_keeps_old_checkpoint(self, tmp_path):
         p, data = self._saved(tmp_path)
-        manifest = (tmp_path / "m.ckpt.manifest.txt").read_bytes()
         m = Model(small_cfg(layers=(4, 3), dense_hidden=(5,)), seed=9)
         names = sorted(m.params)
-        # the second tensor in file order fails to convert after the first is written
+        # the second tensor in file order fails to convert
         m.params[names[1]] = np.full(m.params[names[1]].shape, object())
         with pytest.raises(TypeError):
             net.save_checkpoint(m, p)
         assert p.read_bytes() == data
-        assert (tmp_path / "m.ckpt.manifest.txt").read_bytes() == manifest
-        assert sorted(f.name for f in tmp_path.iterdir()) == ["m.ckpt", "m.ckpt.manifest.txt"]
+        assert [f.name for f in tmp_path.iterdir()] == ["m.ckpt"]
         back, _ = net.load_checkpoint(p)
         assert sorted(back.params) == names
