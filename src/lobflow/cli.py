@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import feed, features, lob, net, oracle, stats, svg
+from . import checks, feed, features, lob, net, oracle, stats, svg
 from .atomic import atomic_open
 
 EXIT_OK, EXIT_ERROR, EXIT_WARN = 0, 1, 2
@@ -34,27 +35,26 @@ class VariantMismatch(CliError):
 # Config
 # ---------------------------------------------------------------------------
 
+def _defaults(cls, set_elsewhere=()) -> dict:
+    """The field defaults of dataclass `cls`, except `set_elsewhere`."""
+    return {f.name: f.default_factory() if f.default is dataclasses.MISSING else f.default
+            for f in dataclasses.fields(cls) if f.name not in set_elsewhere}
+
+
+# ModelConfig fields a dataset sets, not the config (K is its two label classes)
+_DATASET_SET = ("variant", "S", "K", "norm_mean", "norm_sd")
+
 CONFIG_DEFAULTS = {
     "version": 1,
     "seed": 0,
     "pairs": {},
-    "generator": {
-        "n_events": 20000, "start_price": 10000, "start_ts": 1_510_000_000_000,
-        "mean_gap_ms": 40, "min_gap_ms": 0, "prop_limit": 0.5, "prop_market": 0.2,
-        "prop_cancel": 0.3, "planted": None, "seed_levels": 12,
-    },
+    "generator": _defaults(feed.GeneratorConfig),
     "warm_up": {"count": 100, "ts": None},
     "T": 100,
     "S": 5,
     "split_ranges": None,
-    "model": {
-        "layers": [64, 64], "dense_hidden": [], "emb_dims": dict(net.DEFAULT_EMB_DIMS),
-        "dropout": 0.1,
-    },
-    "schedule": {
-        "epochs": 50, "batch_size": 256, "lr": 1e-3, "beta1": 0.9, "beta2": 0.999,
-        "eps": 1e-8, "patience": 5,
-    },
+    "model": _defaults(net.ModelConfig, _DATASET_SET),
+    "schedule": _defaults(net.TrainSchedule, ("seed",)),
     "search": None,
 }
 
@@ -100,12 +100,24 @@ def _check_config(raw) -> None:
                         f"pairs.{name}.generator.")
 
 
-def _require_int(value, key: str, minimum: int) -> None:
-    if type(value) is not int or value < minimum:   # `type` also rejects bool
-        raise CliError(f"config {key!r} must be an integer >= {minimum}, got {value!r}")
+def _checked(where: str, make, *args, **kwargs):
+    """`make(*args, **kwargs)`, with a setting that a config dataclass
+    rejects raised as a CliError that says `where` the value came from."""
+    try:
+        return make(*args, **kwargs)
+    except (feed.InvalidConfig, net.InvalidConfig) as e:
+        raise CliError(f"{where}: {e}") from e
+
+
+def _generator(cfg: dict, name: str) -> feed.GeneratorConfig:
+    """Pair `name`'s generator: the top-level block under its own."""
+    gen = _deep_merge(cfg["generator"], cfg["pairs"][name].get("generator", {}))
+    return _checked(f"config 'pairs.{name}.generator'", feed.GeneratorConfig, **gen)
 
 
 def load_config(path, seed_override=None) -> dict:
+    """Read, merge over CONFIG_DEFAULTS and check a run config; every
+    block a dataclass declares is built once here to check its values."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -119,13 +131,21 @@ def load_config(path, seed_override=None) -> dict:
         cfg["seed"] = seed_override
     if not cfg["pairs"]:
         raise CliError("config declares no pairs")
-    _require_int(cfg["seed"], "seed", 0)
-    _require_int(cfg["T"], "T", 1)
-    _require_int(cfg["S"], "S", 1)
-    _require_int(cfg["warm_up"]["count"], "warm_up.count", 0)
+    for key, value, lo in (("seed", cfg["seed"], 0), ("T", cfg["T"], 1), ("S", cfg["S"], 1),
+                           ("warm_up.count", cfg["warm_up"]["count"], 0)):
+        checks.integer(value, f"config {key!r}", CliError, lo)
     ts = cfg["warm_up"]["ts"]
-    if ts is not None and type(ts) is not int:
-        raise CliError(f"config 'warm_up.ts' must be null or an integer, got {ts!r}")
+    if ts is not None:
+        checks.integer(ts, "config 'warm_up.ts'", CliError)
+    _checked("config 'generator'", feed.GeneratorConfig, **cfg["generator"])
+    for name, pair in cfg["pairs"].items():
+        path = pair.get("input")
+        if type(path) is not str or not Path(path).name:
+            raise CliError(f"config 'pairs.{name}.input' must be a file path, got {path!r}")
+        _generator(cfg, name)
+    # any variant: the block's own values do not depend on it
+    _checked("config 'model'", net.ModelConfig, variant=features.VARIANTS[0], **cfg["model"])
+    _checked("config 'schedule'", net.TrainSchedule, seed=cfg["seed"], **cfg["schedule"])
     return cfg
 
 
@@ -175,13 +195,11 @@ def _read_csv(path) -> tuple[dict, list[str], list[list[str]]]:
 
 def cmd_generate(cfg: dict, out_dir: Path, pair: str | None) -> int:
     report = {}
-    for i, name in enumerate(_select_pairs(cfg, pair)):
-        pair_cfg = cfg["pairs"][name]
-        gen = _deep_merge(cfg["generator"], pair_cfg.get("generator", {}))
-        gcfg = feed.GeneratorConfig(**gen)
-        path = Path(pair_cfg["input"])
+    for name in _select_pairs(cfg, pair):
+        path = Path(cfg["pairs"][name]["input"])
         path.parent.mkdir(parents=True, exist_ok=True)
-        n = feed.write_stream(path, gcfg, seed=cfg["seed"] + sorted(cfg["pairs"]).index(name))
+        n = feed.write_stream(path, _generator(cfg, name),
+                              seed=cfg["seed"] + sorted(cfg["pairs"]).index(name))
         report[name] = {"path": str(path), "events": n}
         print(f"generated {name}: {n} events -> {path}")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -256,28 +274,27 @@ def cmd_build(cfg: dict, out_dir: Path, pair: str | None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _model_config_from(cfg: dict, ds: features.Dataset) -> net.ModelConfig:
-    m = cfg["model"]
-    return net.ModelConfig(
-        variant=ds.variant, S=ds.S,
-        layers=tuple(m["layers"]), dense_hidden=tuple(m["dense_hidden"]),
-        emb_dims=dict(m["emb_dims"]), dropout=m["dropout"],
-        norm_mean=ds.norm_stats["mean"], norm_sd=ds.norm_stats["sd"],
-    )
-
-
-def _schedule_from(cfg: dict) -> net.TrainSchedule:
-    s = cfg["schedule"]
-    return net.TrainSchedule(epochs=s["epochs"], batch_size=s["batch_size"], lr=s["lr"],
-                             beta1=s["beta1"], beta2=s["beta2"], eps=s["eps"],
-                             patience=s["patience"], seed=cfg["seed"])
+def _check_search(search) -> None:
+    """`search` is null or {"space": {name: [candidates, ...]}, "budget": n >= 1};
+    hyper_search checks each candidate."""
+    if search is None:
+        return
+    if not isinstance(search, dict) or search.keys() != {"space", "budget"}:
+        raise CliError(f"config 'search' must be null or an object with the keys "
+                       f"'budget' and 'space', got {search!r}")
+    space = search["space"]
+    if not (isinstance(space, dict) and space
+            and all(isinstance(v, list) and v for v in space.values())):
+        raise CliError(f"config 'search.space' must be an object of non-empty lists, "
+                       f"got {space!r}")
+    checks.integer(search["budget"], "config 'search.budget'", CliError, 1)
 
 
 def cmd_train(cfg: dict, out_dir: Path, pair: str, variant: str,
               dataset_path: str | None = None) -> int:
     if pair is None or variant is None:
         raise CliError("train requires --pair and --variant")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _check_search(cfg["search"])
     path = Path(dataset_path) if dataset_path else out_dir / f"{pair}.{variant}.ds"
     ds = features.load_dataset(path)
     if ds.norm_stats is None:
@@ -285,17 +302,21 @@ def cmd_train(cfg: dict, out_dir: Path, pair: str, variant: str,
     tr, va = ds.subset("train"), ds.subset("validation")
     if tr.n == 0 or va.n == 0:
         raise CliError("train and validation splits must be non-empty")
-    model_cfg = _model_config_from(cfg, ds)
-    schedule = _schedule_from(cfg)
+    # load_config checked the model block, so a rejected value is the dataset's
+    model_cfg = _checked(f"dataset {path}", net.ModelConfig, variant=ds.variant, S=ds.S,
+                         norm_mean=ds.norm_stats["mean"], norm_sd=ds.norm_stats["sd"],
+                         **cfg["model"])
+    schedule = net.TrainSchedule(seed=cfg["seed"], **cfg["schedule"])
     # windows are gathered from the dataset's event table once per split
     train_xy, val_xy = (tr.X, tr.y), (va.X, va.y)
     trials = None
-    if cfg.get("search"):
-        model_cfg, schedule, trials = net.hyper_search(
-            cfg["search"]["space"], cfg["search"]["budget"], cfg["seed"],
-            model_cfg, train_xy, val_xy, schedule)
+    if cfg["search"] is not None:
+        model_cfg, schedule, trials = _checked(
+            "config 'search.space'", net.hyper_search, cfg["search"]["space"],
+            cfg["search"]["budget"], cfg["seed"], model_cfg, train_xy, val_xy, schedule)
     model = net.Model(model_cfg, seed=cfg["seed"])
     result = net.train(model, train_xy, val_xy, schedule)
+    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = out_dir / f"{pair}.{variant}.ckpt"
     net.save_checkpoint(model, ckpt, extras={
         "train_pair": pair, "best_epoch": result.best_epoch,
@@ -324,7 +345,6 @@ def cmd_train(cfg: dict, out_dir: Path, pair: str, variant: str,
 def cmd_evaluate(out_dir: Path, checkpoint: str, dataset: str, split: str) -> int:
     if split not in features.SPLIT_NAMES:
         raise CliError(f"split must be one of {sorted(features.SPLIT_NAMES)}")
-    out_dir.mkdir(parents=True, exist_ok=True)
     model, extras = net.load_checkpoint(checkpoint)
     ds = features.load_dataset(dataset)
     if model.cfg.variant != ds.variant:
@@ -338,6 +358,7 @@ def cmd_evaluate(out_dir: Path, checkpoint: str, dataset: str, split: str) -> in
     stem = f"pred_{train_pair}__{ds.pair}.{ds.variant}.{split}"
     meta = {"variant": ds.variant, "train_pair": train_pair, "test_pair": ds.pair,
             "split": split}
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / f"{stem}.csv", ["timestamp_ms", "y", "yhat", "p1"],
                [(int(t), int(a), int(b), float(p)) for t, a, b, p
                 in zip(sub.event_time, sub.y, yhat, probs[:, 1])], meta=meta)
@@ -451,6 +472,8 @@ def cmd_report(out_dir: Path, pred_paths, stream: str | None = None) -> int:
 
 
 def cmd_gradcheck(n: int, seed: int, tol: float = 1e-4) -> int:
+    checks.integer(n, "--n", CliError, 1)
+    checks.integer(seed, "--seed", CliError, 0)
     results = net.run_gradcheck(n_configs=n, seed=seed)
     worst = 0.0
     for desc, err in results:
@@ -461,6 +484,8 @@ def cmd_gradcheck(n: int, seed: int, tol: float = 1e-4) -> int:
 
 
 def cmd_selftest(n_events: int, seed: int) -> int:
+    checks.integer(n_events, "--events", CliError, 0)
+    checks.integer(seed, "--seed", CliError, 0)
     ok = True
 
     # book vs naive reference, compared after every event

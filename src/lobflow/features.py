@@ -42,7 +42,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from . import container, lob
+from . import checks, container, lob
 from .feed import EventKind, OrderEvent, Side
 
 VARIANTS = ("orderflow", "bench1", "bench2")
@@ -365,6 +365,7 @@ def load_dataset(path) -> Dataset:
     ds = Dataset(**fields, **arrays)
     if not all(type(v) is int and v >= 0 for v in (ds.T, ds.S)):
         raise FeatureError(f"{path}: T and S must be non-negative integers")
+    _check_fields(path, ds)
     if ds.variant not in VARIANTS or ds.table.ndim != 2 \
             or ds.table.shape[1] != _table_width(ds.variant, ds.S):
         raise FeatureError(f"{path}: table shape {ds.table.shape} does not fit variant "
@@ -380,6 +381,25 @@ def load_dataset(path) -> Dataset:
     if np.any((ds.split < SPLIT_NONE) | (ds.split > SPLIT_TEST)):
         raise FeatureError(f"{path}: split codes must lie in [{SPLIT_NONE}, {SPLIT_TEST}]")
     return ds
+
+
+def _check_fields(path, ds: Dataset) -> None:
+    """The header's norm stats, split ranges and counters; whether the
+    stats fit a model is the model config's to check."""
+    stats = ds.norm_stats
+    if stats is not None:
+        if not (isinstance(stats, dict) and stats.keys() == {"mean", "sd"}
+                and all(isinstance(v, list) for v in stats.values())
+                and len(stats["mean"]) == len(stats["sd"])):
+            raise FeatureError(f"{path}: norm_stats must be null or "
+                               "{\"mean\": [...], \"sd\": [...]} of equal length")
+        for key, values in stats.items():
+            for v in values:
+                checks.number(v, f"{path}: norm_stats.{key} entry", FeatureError)
+    if ds.split_ranges is not None and not isinstance(ds.split_ranges, dict):
+        raise FeatureError(f"{path}: split_ranges must be null or an object")
+    if not (isinstance(ds.counters, dict) and all(type(v) is int for v in ds.counters.values())):
+        raise FeatureError(f"{path}: counters must be an object of integers")
 
 
 def dataset_digest(ds: Dataset) -> str:

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, islice
 from typing import Iterable, Iterator, Optional
 
+from . import checks
 from .atomic import atomic_open
 
 
@@ -234,13 +234,20 @@ PLANTED_LAST_EVENT_SIDE = "last-event-side"
 
 @dataclass
 class GeneratorConfig:
-    """Settings for the synthetic order-flow generator.
+    """Settings for the synthetic order-flow generator, and the defaults
+    of a run config's `generator` block.
+
+    Construction checks every value and raises :class:`InvalidConfig`:
+    integer counts, prices and times (`n_events` >= 0, `start_price` >
+    `seed_levels` >= 2 so the opening ladder stays at positive prices,
+    `0 <= min_gap_ms <= 2 * mean_gap_ms`), finite non-negative order-mix
+    proportions summing to 1, and a known `planted` rule.
 
     Sizes are emitted as dyadic rationals (multiples of 2^-6) so that
     aggregate float arithmetic downstream is exact.
     """
 
-    n_events: int = 1000
+    n_events: int = 20_000
     start_price: int = 10_000          # ticks
     start_ts: int = 1_510_000_000_000  # ms since epoch
     mean_gap_ms: int = 40
@@ -252,34 +259,22 @@ class GeneratorConfig:
     planted: Optional[str] = None      # None or PLANTED_LAST_EVENT_SIDE
     seed_levels: int = 12              # ladder depth planted at stream start
 
-    def validate(self) -> None:
-        for name in ("n_events", "start_price", "start_ts", "mean_gap_ms", "min_gap_ms",
-                     "seed_levels"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
-        for name in ("prop_limit", "prop_market", "prop_cancel"):
-            value = getattr(self, name)
-            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-                    or not math.isfinite(value)):
-                raise InvalidConfig(f"{name} must be a finite number, got {value!r}")
-        if self.n_events < 0:
-            raise InvalidConfig("n_events must be >= 0")
-        if self.start_price <= 0:
-            raise InvalidConfig("start_price must be > 0")
-        if self.mean_gap_ms < 0:
-            raise InvalidConfig("mean_gap_ms must be >= 0")
-        if not 0 <= self.min_gap_ms <= max(2 * self.mean_gap_ms, 1):
+    def __post_init__(self) -> None:
+        for name, lo in (("n_events", 0), ("start_price", 1), ("mean_gap_ms", 0),
+                         ("min_gap_ms", 0), ("seed_levels", 2)):
+            checks.integer(getattr(self, name), name, InvalidConfig, lo)
+        checks.integer(self.start_ts, "start_ts", InvalidConfig)
+        if self.min_gap_ms > 2 * self.mean_gap_ms:
             raise InvalidConfig("min_gap_ms must be in [0, 2*mean_gap_ms]")
+        if self.start_price <= self.seed_levels:
+            raise InvalidConfig("start_price must exceed seed_levels")
         props = (self.prop_limit, self.prop_market, self.prop_cancel)
-        if any(p < 0 for p in props):
-            raise InvalidConfig("order-mix proportions must be >= 0")
+        for name, p in zip(("prop_limit", "prop_market", "prop_cancel"), props):
+            checks.number(p, name, InvalidConfig, lo=0)
         if abs(sum(props) - 1.0) > 1e-9:
             raise InvalidConfig(f"order-mix proportions sum to {sum(props)}, not 1")
         if self.planted not in (None, PLANTED_LAST_EVENT_SIDE):
             raise InvalidConfig(f"unknown planted rule {self.planted!r}")
-        if self.seed_levels < 2:
-            raise InvalidConfig("seed_levels must be >= 2")
 
 
 def _dyadic_size(rng) -> float:
@@ -299,26 +294,25 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> Iterator[str]:
 
     from . import lob
 
-    config.validate()
     rng = np.random.default_rng(seed)
     book = lob.OrderBook()
 
     state = {"seq": 0, "ts": config.start_ts}
 
     def emit(kind: EventKind, side: Side, price: Optional[int], size: float,
-             order_id: Optional[str] = None) -> tuple[str, OrderEvent]:
+             order_id: Optional[str] = None) -> str:
         state["seq"] += 1
         state["ts"] += int(rng.integers(config.min_gap_ms, 2 * config.mean_gap_ms + 1))
         ev = OrderEvent(state["ts"], state["seq"], kind, side, price, size,
                         order_id if order_id is not None else f"o{state['seq']}")
         book.apply_event(ev)
-        return serialize_event(ev), ev
+        return serialize_event(ev)
 
     def seed_ladder():
         p = config.start_price
         for off in range(1, config.seed_levels + 1):
-            yield emit(EventKind.LIMIT, Side.SELL, p + off, _dyadic_size(rng))[0]
-            yield emit(EventKind.LIMIT, Side.BUY, p - off, _dyadic_size(rng))[0]
+            yield emit(EventKind.LIMIT, Side.SELL, p + off, _dyadic_size(rng))
+            yield emit(EventKind.LIMIT, Side.BUY, p - off, _dyadic_size(rng))
 
     stream = _planted_stream if config.planted == PLANTED_LAST_EVENT_SIDE else _noise_stream
     yield from islice(chain(seed_ladder(), stream(config, rng, book, emit)), config.n_events)
@@ -340,7 +334,7 @@ def _planted_stream(config, rng, book, emit):
         else:
             round_events.append((EventKind.LIMIT, Side.SELL, book.best_ask() + 2 + int(rng.integers(0, 5)), _dyadic_size(rng)))
         for kind, s, price, size in round_events:
-            yield emit(kind, s, price, size)[0]
+            yield emit(kind, s, price, size)
         # mover: the one event per round that moves the mid, in direction `up`.
         # Wide spreads are re-tightened with an inward quote on the planted
         # side (same label semantics, keeps bests anchored); otherwise a
@@ -349,42 +343,33 @@ def _planted_stream(config, rng, book, emit):
         if ba - bb >= 4:
             if up:
                 price = min(bb + 1 + int(rng.integers(0, 3)), ba - 1)
-                yield emit(EventKind.LIMIT, Side.BUY, price, _dyadic_size(rng))[0]
+                yield emit(EventKind.LIMIT, Side.BUY, price, _dyadic_size(rng))
             else:
                 price = max(ba - 1 - int(rng.integers(0, 3)), bb + 1)
-                yield emit(EventKind.LIMIT, Side.SELL, price, _dyadic_size(rng))[0]
+                yield emit(EventKind.LIMIT, Side.SELL, price, _dyadic_size(rng))
         else:
             opp_best = ba if up else bb
             level_size = book.level_size(Side.SELL if up else Side.BUY, opp_best)
-            yield emit(EventKind.MARKET, side, None, level_size)[0]
+            yield emit(EventKind.MARKET, side, None, level_size)
 
 
 def _noise_stream(config, rng, book, emit):
-    live: list[str] = list(book.resting)
     while True:
         u = rng.random()
         side = Side.BUY if rng.integers(0, 2) == 0 else Side.SELL
-        if u < config.prop_cancel and live:
-            # cancel a random live order, fully or by half
-            idx = int(rng.integers(0, len(live)))
-            oid = live[idx]
-            order = book.resting.get(oid)
-            if order is None:
-                live.pop(idx)
-                continue
+        if u < config.prop_cancel and book.resting:
+            # cancel a random live order, fully or by half; `resting` keeps
+            # the orders in the order they came to rest
+            oid = list(book.resting)[int(rng.integers(0, len(book.resting)))]
+            order = book.resting[oid]
             full = rng.random() < 0.9 or order.remaining < 1e-9
             size = order.remaining if full else order.remaining / 2.0
-            line, _ = emit(EventKind.CANCEL, order.side, order.price_ticks, size, order_id=oid)
-            if full:
-                live.pop(idx)
-            yield line
+            yield emit(EventKind.CANCEL, order.side, order.price_ticks, size, order_id=oid)
         elif u < config.prop_cancel + config.prop_market:
             opp = book.best_ask() if side is Side.BUY else book.best_bid()
             if opp is None:
                 continue
-            line, _ = emit(EventKind.MARKET, side, None, _dyadic_size(rng))
-            live = [oid for oid in live if oid in book.resting]
-            yield line
+            yield emit(EventKind.MARKET, side, None, _dyadic_size(rng))
         else:
             if side is Side.BUY:
                 ref = book.best_bid() or (config.start_price - 2)
@@ -392,11 +377,7 @@ def _noise_stream(config, rng, book, emit):
             else:
                 ref = book.best_ask() or (config.start_price + 2)
                 price = max(1, ref + int(rng.integers(-2, 8)))
-            line, ev = emit(EventKind.LIMIT, side, price, _dyadic_size(rng))
-            if ev.order_id in book.resting:
-                live.append(ev.order_id)
-            live = [oid for oid in live if oid in book.resting]
-            yield line
+            yield emit(EventKind.LIMIT, side, price, _dyadic_size(rng))
 
 
 def write_stream(path, config: GeneratorConfig, seed: int) -> int:

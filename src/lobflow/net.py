@@ -22,13 +22,14 @@ cache: c and tanh(c) live in two rotating slots.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, asdict
-from typing import Iterable, Optional
+import math
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Optional
 
 import numpy as np
 
-from . import container, stats as statsmod
-from .features import MissingStats, transform_numeric
+from . import checks, container, stats as statsmod
+from .features import VARIANTS, MissingStats, transform_numeric
 
 
 class NetError(Exception):
@@ -55,6 +56,10 @@ class NonFiniteGradient(NetError):
     pass
 
 
+class InvalidConfig(NetError):
+    """A ModelConfig or TrainSchedule value is out of its domain."""
+
+
 PROB_CLAMP = 1e-12
 
 # orderflow categorical covariates: (name, cardinality, raw column, code offset)
@@ -64,6 +69,18 @@ DEFAULT_EMB_DIMS = {"kind": 2, "side": 2, "hour": 4}
 
 @dataclass
 class ModelConfig:
+    """The network's shape.  The fields after `variant` and `S`, up to
+    `dropout`, are a run config's `model` block and its defaults; the
+    dataset sets the variant, `S` and the norm stats.
+
+    Construction checks every value and raises :class:`InvalidConfig`:
+    a known variant, `S` >= 1 and `K` >= 2, non-empty integer `layers`
+    >= 1 and integer `dense_hidden` widths >= 1 (both kept as tuples),
+    integer `emb_dims` >= 1 for exactly kind, side and hour, `dropout`
+    in [0, 1), and norm stats that are null or `numeric_width` finite
+    numbers, every sd > 0.
+    """
+
     variant: str                      # "orderflow" | "bench1" | "bench2"
     S: int = 5
     layers: tuple = (64, 64)          # LSTM state size per layer
@@ -73,6 +90,36 @@ class ModelConfig:
     K: int = 2
     norm_mean: Optional[list] = None
     norm_sd: Optional[list] = None
+
+    def __post_init__(self) -> None:
+        if self.variant not in VARIANTS:
+            raise InvalidConfig(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        checks.integer(self.S, "S", InvalidConfig, 1)
+        checks.integer(self.K, "K", InvalidConfig, 2)
+        for name in ("layers", "dense_hidden"):
+            widths = getattr(self, name)
+            if not isinstance(widths, (list, tuple)):
+                raise InvalidConfig(f"{name} must be a list of integers, got {widths!r}")
+            for w in widths:
+                checks.integer(w, f"{name} entry", InvalidConfig, 1)
+            setattr(self, name, tuple(widths))
+        if not self.layers:
+            raise InvalidConfig("layers must not be empty")
+        if not isinstance(self.emb_dims, dict) or self.emb_dims.keys() != DEFAULT_EMB_DIMS.keys():
+            raise InvalidConfig(f"emb_dims must have exactly the keys {sorted(DEFAULT_EMB_DIMS)}, "
+                                f"got {self.emb_dims!r}")
+        for name, dim in self.emb_dims.items():
+            checks.integer(dim, f"emb_dims.{name}", InvalidConfig, 1)
+        checks.number(self.dropout, "dropout", InvalidConfig, 0, 1)
+        for name, lo in (("norm_mean", -math.inf), ("norm_sd", 0)):
+            values = getattr(self, name)
+            if values is None:
+                continue
+            if not isinstance(values, (list, tuple)) or len(values) != self.numeric_width:
+                raise InvalidConfig(f"{name} must be null or a list of {self.numeric_width} "
+                                    f"numbers for {self.variant}, got {values!r}")
+            for v in values:
+                checks.number(v, f"{name} entry", InvalidConfig, lo, lo_open=True)
 
     @property
     def numeric_width(self) -> int:
@@ -86,19 +133,6 @@ class ModelConfig:
         if self.variant == "orderflow":
             w += sum(self.emb_dims[name] for name, *_ in CATEGORICALS)
         return w
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["layers"] = list(self.layers)
-        d["dense_hidden"] = list(self.dense_hidden)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["layers"] = tuple(d["layers"])
-        d["dense_hidden"] = tuple(d["dense_hidden"])
-        return cls(**d)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -182,8 +216,6 @@ class Model:
         h_{t-1} -> h_t path is never masked.
         """
         rate = self.cfg.dropout if train else 0.0
-        if not 0.0 <= rate < 1.0:
-            raise InvalidRate(f"dropout rate {rate}")
         if rate > 0.0 and rng is None:
             raise NetError("training-mode forward needs an rng for dropout")
         return self._run(X, rate, rng, keep=True)
@@ -447,6 +479,15 @@ def adam_step(params: dict, grads: dict, state: AdamState,
 
 @dataclass
 class TrainSchedule:
+    """Adam and early-stopping settings.  Every field but `seed` (the
+    run's) is a run config's `schedule` block and its default.
+
+    Construction checks every value and raises :class:`InvalidConfig`:
+    integer `epochs` and `batch_size` >= 1 and `patience` and `seed` >=
+    0, a finite `lr` >= 0, `beta1` and `beta2` in [0, 1) and a finite
+    `eps` > 0.
+    """
+
     epochs: int = 50
     batch_size: int = 256
     lr: float = 1e-3
@@ -455,6 +496,14 @@ class TrainSchedule:
     eps: float = 1e-8
     patience: int = 5
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name, lo in (("epochs", 1), ("batch_size", 1), ("patience", 0), ("seed", 0)):
+            checks.integer(getattr(self, name), name, InvalidConfig, lo)
+        checks.number(self.lr, "lr", InvalidConfig, 0)
+        checks.number(self.beta1, "beta1", InvalidConfig, 0, 1)
+        checks.number(self.beta2, "beta2", InvalidConfig, 0, 1)
+        checks.number(self.eps, "eps", InvalidConfig, 0, lo_open=True)
 
 
 @dataclass
@@ -531,29 +580,33 @@ def hyper_search(space: dict, budget: int, seed: int, base_cfg: ModelConfig,
     """Seeded random search over discrete choice lists.
 
     `space` maps ModelConfig / TrainSchedule field names to lists of
-    candidate values.  Returns (best_cfg, best_schedule, trials) with
+    candidate values; every candidate is checked before the first
+    trial trains.  Returns (best_cfg, best_schedule, trials) with
     trials sorted in evaluation order.
     """
     if budget < 1:
         raise EmptySpace("budget must be >= 1")
     if not space or any(len(v) == 0 for v in space.values()):
         raise EmptySpace("search space must be non-empty")
+    cfg_fields = {f.name for f in fields(ModelConfig)}
+    sch_fields = {f.name for f in fields(TrainSchedule)}
+
+    def settings(choice: dict) -> tuple[ModelConfig, TrainSchedule]:
+        unknown = sorted(choice.keys() - cfg_fields - sch_fields)
+        if unknown:
+            raise NetError(f"unknown search dimension {unknown[0]!r}")
+        return (replace(base_cfg, **{k: v for k, v in choice.items() if k in cfg_fields}),
+                replace(schedule, **{k: v for k, v in choice.items() if k in sch_fields}))
+
+    for k, values in space.items():
+        for v in values:
+            settings({k: v})
     rng = np.random.default_rng(seed)
-    cfg_fields = set(ModelConfig.__dataclass_fields__)
-    sch_fields = set(TrainSchedule.__dataclass_fields__)
     trials = []
     best = None
     for trial in range(budget):
         choice = {k: v[int(rng.integers(0, len(v)))] for k, v in space.items()}
-        cfg = copy.deepcopy(base_cfg)
-        sch = copy.deepcopy(schedule)
-        for k, v in choice.items():
-            if k in cfg_fields:
-                setattr(cfg, k, tuple(v) if isinstance(v, list) else v)
-            elif k in sch_fields:
-                setattr(sch, k, v)
-            else:
-                raise NetError(f"unknown search dimension {k!r}")
+        cfg, sch = settings(choice)
         model = Model(cfg, seed=schedule.seed + trial)
         result = train(model, train_xy, val_xy, sch)
         trials.append({"trial": trial, "choice": choice, "val_loss": result.best_val_loss})
@@ -629,7 +682,7 @@ def run_gradcheck(n_configs: int = 20, seed: int = 0, step: float = 1e-5) -> lis
         cfg = ModelConfig(variant=variant, S=S, layers=(H,) * L,
                           dense_hidden=(4,) * (D - 1), dropout=0.0,
                           emb_dims={"kind": 2, "side": 2, "hour": 3})
-        cfg.norm_mean, cfg.norm_sd = [0.0] * cfg.numeric_width, [1.0] * cfg.numeric_width
+        cfg = replace(cfg, norm_mean=[0.0] * cfg.numeric_width, norm_sd=[1.0] * cfg.numeric_width)
         model = Model(cfg, seed=seed + 1000 + k)
         X = random_raw_batch(variant, 3, T, S, rng)
         if variant == "orderflow":
@@ -650,7 +703,7 @@ _CKPT_MAGIC = b"OFCK"
 def save_checkpoint(model: Model, path, extras: Optional[dict] = None) -> None:
     """Write the config, `extras` and the float64 tensors, in name order,
     as a :mod:`lobflow.container` file."""
-    container.write(path, _CKPT_MAGIC, {"config": model.cfg.to_dict(), "extras": extras or {}},
+    container.write(path, _CKPT_MAGIC, {"config": asdict(model.cfg), "extras": extras or {}},
                     {n: np.ascontiguousarray(model.params[n], dtype=np.float64)
                      for n in sorted(model.params)})
 
@@ -663,10 +716,10 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     """
     fields, params = container.read(path, _CKPT_MAGIC, NetError)
     try:
-        cfg = ModelConfig.from_dict(fields["config"])
+        cfg = ModelConfig(**fields["config"])
         extras = dict(fields.get("extras", {}))
         fitted = {name: p.shape for name, p in Model(cfg).params.items()}
-    except (ValueError, KeyError, TypeError) as e:
+    except (InvalidConfig, ValueError, KeyError, TypeError) as e:
         raise NetError(f"checkpoint {path} has a corrupt header: {e}") from e
     if {n: p.shape for n, p in params.items()} != fitted \
             or any(p.dtype != np.float64 for p in params.values()):

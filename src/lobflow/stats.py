@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy.special import betainc
+from scipy.special import betainc, betaincc
 
 
 class StatsError(Exception):
@@ -160,7 +160,15 @@ def t_cdf(t: float, df: int) -> float:
 
 
 def t_sf_two_sided(t: float, df: int) -> float:
-    return 2.0 * (1.0 - t_cdf(abs(t), df))
+    """P(|T| >= |t|), the regularized incomplete beta I_x(df/2, 1/2) at
+    x = df / (df + t^2); while x > 1/2 it is taken as the complement
+    I_{1-x}(1/2, df/2), so that no p loses digits to 1 - (1 - p)."""
+    if df < 1:
+        raise InvalidDf(f"df must be >= 1, got {df}")
+    t2 = t * t
+    if t2 < df:
+        return float(betaincc(0.5, df / 2.0, t2 / (df + t2)))
+    return float(betainc(df / 2.0, 0.5, df / (df + t2)))
 
 
 # ---------------------------------------------------------------------------

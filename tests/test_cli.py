@@ -1,10 +1,17 @@
+import contextlib
+import copy
+import io
 import json
+import math
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lobflow import cli, features, feed, net, stats
+from lobflow import cli, container, features, feed, net, stats
 
 
 def base_config(root: Path, split_ranges=None, n_events=16000):
@@ -79,6 +86,9 @@ def pipeline(tmp_path_factory):
 # ---------------------------------------------------------------------------
 # config loading
 # ---------------------------------------------------------------------------
+
+
+TRAIN = "train --pair X --variant orderflow"
 
 
 class TestConfig:
@@ -157,14 +167,51 @@ class TestConfig:
         ("generate", {"seed": -1}, "'seed'"),
         ("build", {"seed": True}, "'seed'"),
         ("generate --seed -1", {}, "'seed'"),
+        ("build", {"generator": {"n_events": "x"}}, "'generator': n_events"),
+        ("generate", {"generator": {"mean_gap_ms": 0, "min_gap_ms": 1}},
+         "'generator': min_gap_ms"),
+        ("generate", {"pairs": {"X": {"generator": {"prop_limit": -0.5}}}},
+         "'pairs.X.generator': prop_limit"),
+        ("generate", {"pairs": {"X": {"input": 5}}}, "'pairs.X.input'"),
+        (TRAIN, {"model": {"layers": []}}, "'model': layers"),
+        (TRAIN, {"model": {"layers": [0]}}, "'model': layers"),
+        (TRAIN, {"model": {"dense_hidden": [2.5]}}, "'model': dense_hidden"),
+        (TRAIN, {"model": {"emb_dims": {"hour": 0}}}, "'model': emb_dims.hour"),
+        (TRAIN, {"model": {"emb_dims": {"day": 2}}}, "'model': emb_dims"),
+        (TRAIN, {"model": {"dropout": 1.0}}, "'model': dropout"),
+        (TRAIN, {"schedule": {"epochs": 0}}, "'schedule': epochs"),
+        (TRAIN, {"schedule": {"batch_size": 0}}, "'schedule': batch_size"),
+        (TRAIN, {"schedule": {"lr": -1.0}}, "'schedule': lr"),
+        (TRAIN, {"schedule": {"lr": "x"}}, "'schedule': lr"),
+        (TRAIN, {"schedule": {"patience": None}}, "'schedule': patience"),
+        (TRAIN, {"schedule": {"beta1": 1.0}}, "'schedule': beta1"),
+        (TRAIN, {"schedule": {"eps": 0}}, "'schedule': eps"),
+        (TRAIN, {"search": "x"}, "'search'"),
+        (TRAIN, {"search": [1]}, "'search'"),
+        (TRAIN, {"search": {"space": {"lr": [1e-3]}}}, "'search'"),
+        (TRAIN, {"search": {"budget": 1}}, "'search'"),
+        (TRAIN, {"search": {"space": "x", "budget": 1}}, "'search.space'"),
+        (TRAIN, {"search": {"space": {"lr": 1e-3}, "budget": 1}}, "'search.space'"),
+        (TRAIN, {"search": {"space": {"lr": []}, "budget": 1}}, "'search.space'"),
+        (TRAIN, {"search": {"space": {"lr": [1e-3]}, "budget": "x"}}, "'search.budget'"),
+        (TRAIN, {"search": {"space": {"lr": [1e-3]}, "budget": 0}}, "'search.budget'"),
+        ("gradcheck --seed -1", {}, "--seed"),
+        ("gradcheck --n -1", {}, "--n"),
+        ("selftest --seed -1", {}, "--seed"),
+        ("selftest --events -1", {}, "--events"),
     ])
     def test_malformed_value_is_error_exit(self, tmp_path, capsys, command, patch, key):
         cfg = {"pairs": {"X": {"input": str(tmp_path / "x.ofr")}},
                "split_ranges": {"train": [0, 1], "validation": [1, 2], "test": [2, 3]},
-               **patch}
+               **copy.deepcopy(patch)}
+        for pair in cfg["pairs"].values():
+            pair.setdefault("input", str(tmp_path / "x.ofr"))
         p = write_config(tmp_path / "c.json", cfg)
+        argv = command.split()
+        if argv[0] in ("generate", "build", "train"):
+            argv += ["--config", p, "--out", str(tmp_path / "out")]
         capsys.readouterr()
-        rc = cli.main([*command.split(), "--config", p, "--out", str(tmp_path / "out")])
+        rc = cli.main(argv)
         assert rc == cli.EXIT_ERROR
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
@@ -369,6 +416,54 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "labels" in err[0]
 
+    def _rewritten(self, src, dst, magic, change):
+        fields, arrays = container.read(src, magic, ValueError)
+        change(fields)
+        container.write(dst, magic, fields, arrays)
+        return str(dst)
+
+    @pytest.mark.parametrize("norm_stats,key", [
+        ("x", "norm_stats"),
+        ({"mean": [0.0], "sd": [1.0]}, "norm_mean"),   # one channel; orderflow has three
+    ])
+    def test_dataset_with_bad_norm_stats_is_error(self, pipeline, tmp_path, capsys,
+                                                   norm_stats, key):
+        ds = self._rewritten(pipeline["out"] / "AAA.orderflow.ds", tmp_path / "bad.ds", b"OFDS",
+                             lambda f: f.update(norm_stats=norm_stats))
+        capsys.readouterr()
+        rc = cli.main(["train", "--config", pipeline["cfgfile"], "--out", str(tmp_path / "out"),
+                       "--pair", "AAA", "--variant", "orderflow", "--dataset", ds])
+        assert rc == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_checkpoint_with_bad_norm_mean_is_error(self, pipeline, tmp_path, capsys):
+        ckpt = self._rewritten(pipeline["out"] / "AAA.orderflow.ckpt", tmp_path / "bad.ckpt",
+                               b"OFCK", lambda f: f["config"].update(norm_mean="x"))
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--checkpoint", ckpt,
+                       "--dataset", str(pipeline["out"] / "AAA.orderflow.ds"),
+                       "--split", "test", "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "norm_mean" in err[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_search_candidate_is_error_before_training(self, pipeline, tmp_path, capsys,
+                                                          monkeypatch):
+        monkeypatch.setattr(net, "train", lambda *a: pytest.fail("a trial trained"))
+        cfg = {**pipeline["config"], "search": {"space": {"lr": [1e-3, -1.0]}, "budget": 2}}
+        cfgfile = write_config(tmp_path / "search.json", cfg)
+        capsys.readouterr()
+        rc = cli.main(["train", "--config", cfgfile, "--out", str(tmp_path / "out"),
+                       "--pair", "AAA", "--variant", "orderflow",
+                       "--dataset", str(pipeline["out"] / "AAA.orderflow.ds")])
+        assert rc == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config 'search.space': lr")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("old,new", [
         ('"kind":"limit"', '"kind":[1]'),
         ('"side":"buy"', '"side":{}'),
@@ -494,3 +589,87 @@ class TestVerificationCommands:
 
     def test_selftest_command(self):
         assert cli.main(["selftest", "--events", "1500", "--seed", "2"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# config fuzz: one key replaced by an arbitrary small JSON value
+# ---------------------------------------------------------------------------
+
+# the command that reads each top-level key
+_READER = {"version": "generate", "seed": "generate", "pairs": "generate",
+           "generator": "generate", "T": "build", "S": "build", "warm_up": "build",
+           "split_ranges": "build", "model": "train", "schedule": "train", "search": "train"}
+
+_LEAVES = (st.none() | st.booleans() | st.text(alphabet="ab", max_size=2)
+           | st.integers(-3, 3) | st.floats(-3, 3).filter(lambda x: not x.is_integer())
+           | st.sampled_from([math.nan, math.inf, -math.inf]))
+_NAMES = st.sampled_from(["a", "kind", "side", "hour", "lr", "layers", "space", "budget",
+                          "train", "validation", "test", "input", "count"])
+# small integers drawn a third of the time, as most settings are counts
+_VALUES = st.integers(-3, 3) | _LEAVES | st.recursive(
+    _LEAVES, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_NAMES, inner, max_size=3),
+    max_leaves=6)
+
+
+def _paths(node, prefix=()):
+    """Every key path of a config, blocks and leaves alike."""
+    for k, v in node.items():
+        yield prefix + (k,)
+        if isinstance(v, dict):
+            yield from _paths(v, prefix + (k,))
+
+
+class TestConfigFuzz:
+    @pytest.fixture(scope="class")
+    def tiny(self, tmp_path_factory):
+        """A 300-event stream, its orderflow .ds and a config every command accepts."""
+        root = tmp_path_factory.mktemp("fuzz")
+        cfg = {
+            "version": 1, "seed": 3,
+            "pairs": {"X": {"input": "X.ofr", "generator": {"seed_levels": 4}}},
+            "generator": {**cli.CONFIG_DEFAULTS["generator"], "n_events": 300,
+                          "mean_gap_ms": 2000, "min_gap_ms": 1,
+                          "planted": feed.PLANTED_LAST_EVENT_SIDE},
+            "warm_up": {"count": 20, "ts": None}, "T": 4, "S": 2,
+            "model": {"layers": [3], "dense_hidden": [2],
+                      "emb_dims": {"kind": 1, "side": 1, "hour": 1}, "dropout": 0.1},
+            "schedule": {**cli.CONFIG_DEFAULTS["schedule"], "epochs": 1, "batch_size": 16,
+                         "lr": 1e-2, "patience": 1},
+            "search": {"space": {"lr": [1e-2]}, "budget": 1},
+        }
+        with pytest.MonkeyPatch.context() as mp:
+            mp.chdir(root)
+            assert cli.main(["generate", "--config", write_config(root / "c.json", cfg),
+                             "--out", "out"]) == cli.EXIT_OK
+            lo, hi = stream_span("X.ofr")
+            a, b = lo + (hi - lo) * 6 // 10, lo + (hi - lo) * 8 // 10
+            cfg["split_ranges"] = {"train": [lo, a], "validation": [a, b], "test": [b, hi + 1]}
+            assert cli.main(["build", "--config", write_config(root / "c.json", cfg),
+                             "--out", "out"]) == cli.EXIT_OK
+        return {"stream": root / "X.ofr", "ds": root / "out" / "X.orderflow.ds", "cfg": cfg}
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_one_replaced_value_is_a_clean_exit(self, tiny, data):
+        cfg = copy.deepcopy(tiny["cfg"])
+        path = data.draw(st.sampled_from(sorted(_paths(cfg))), label="key")
+        block = cfg
+        for k in path[:-1]:
+            block = block[k]
+        block[path[-1]] = data.draw(_VALUES, label="value")
+        command = _READER[path[0]]
+        with tempfile.TemporaryDirectory() as work, pytest.MonkeyPatch.context() as mp:
+            mp.chdir(work)
+            argv = [command, "--config", write_config(Path(work) / "c.json", cfg),
+                    "--out", "out"]
+            if command == "build":
+                os.symlink(tiny["stream"], "X.ofr")
+            if command == "train":
+                argv += ["--pair", "X", "--variant", "orderflow", "--dataset", str(tiny["ds"])]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = cli.main(argv)
+        assert rc in (cli.EXIT_OK, cli.EXIT_ERROR, cli.EXIT_WARN)
+        if rc == cli.EXIT_ERROR:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), lines

@@ -623,6 +623,14 @@ class TestSerialization:
         ({"table": np.zeros((1, 6), np.int64)}, "fields and arrays"),
         ({"split": None}, "fields and arrays"),
         ({"bogus": 1}, "fields and arrays"),
+        ({"norm_stats": "x"}, "norm_stats"),
+        ({"norm_stats": {"mean": [0.0]}}, "norm_stats"),
+        ({"norm_stats": {"mean": [0.0], "sd": [1.0, 1.0]}}, "norm_stats"),
+        ({"norm_stats": {"mean": ["x"], "sd": [1.0]}}, "norm_stats.mean"),
+        ({"norm_stats": {"mean": [0.0], "sd": [float("nan")]}}, "norm_stats.sd"),
+        ({"split_ranges": [1, 2]}, "split_ranges"),
+        ({"counters": []}, "counters"),
+        ({"counters": {"samples": 1.5}}, "counters"),
     ])
     def test_arrays_not_fitting_header_rejected(self, tmp_path, change, match):
         fields = {"variant": "orderflow", "T": 1, "S": 1, "pair": "X", "norm_stats": None,

@@ -247,11 +247,14 @@ class TestGenerator:
         {"prop_limit": -0.1, "prop_market": 0.6, "prop_cancel": 0.5},
         {"planted": "astrology"},
         {"mean_gap_ms": -4},
+        {"mean_gap_ms": 0, "min_gap_ms": 1},   # no gap in [1, 2 * 0] to draw
+        {"start_price": 12},                   # the opening ladder would reach price 0
+        {"n_events": True},
+        {"prop_cancel": float("nan")},
     ])
     def test_invalid_config(self, bad):
-        cfg = feed.GeneratorConfig(**bad)
         with pytest.raises(feed.InvalidConfig):
-            list(feed.generate_synthetic(cfg, seed=0))
+            feed.GeneratorConfig(**bad)
 
     def test_planted_rule_links_last_side_to_label(self, planted_events):
         # the event immediately before every mid move carries the move's side

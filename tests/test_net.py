@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -17,6 +18,40 @@ def small_cfg(variant="orderflow", S=2, layers=(5,), dense_hidden=(), dropout=0.
 
 def raw_batch(variant="orderflow", B=4, T=3, S=2, seed=0):
     return net.random_raw_batch(variant, B, T, S, np.random.default_rng(seed))
+
+
+# ---------------------------------------------------------------------------
+# config values
+# ---------------------------------------------------------------------------
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("change", [
+        {"variant": "bench3"}, {"S": 0}, {"K": 1}, {"layers": []}, {"layers": [0]},
+        {"layers": [4.0]}, {"layers": 4}, {"dense_hidden": [True]}, {"dense_hidden": None},
+        {"emb_dims": {"kind": 2, "side": 2}}, {"emb_dims": {"kind": 2, "side": 2, "hour": 0}},
+        {"emb_dims": [2, 2, 3]}, {"dropout": 1.0}, {"dropout": -0.1}, {"dropout": "x"},
+        {"norm_mean": [0.0]}, {"norm_mean": [0.0, float("nan"), 0.0]}, {"norm_mean": "x"},
+        {"norm_sd": [1.0, 0.0, 1.0]}, {"norm_sd": [1.0, 1.0, float("inf")]},
+    ], ids=repr)
+    def test_model_config_rejects(self, change):
+        with pytest.raises(net.InvalidConfig, match=next(iter(change))):
+            dataclasses.replace(small_cfg(), **change)
+
+    @pytest.mark.parametrize("change", [
+        {"epochs": 0}, {"epochs": 2.0}, {"batch_size": 0}, {"batch_size": None},
+        {"patience": -1}, {"patience": None}, {"seed": -1}, {"lr": -1.0}, {"lr": "x"},
+        {"lr": float("inf")}, {"lr": 10 ** 400}, {"beta1": 1.0}, {"beta2": -0.5},
+        {"eps": 0.0}, {"eps": False},
+    ], ids=repr)
+    def test_schedule_rejects(self, change):
+        with pytest.raises(net.InvalidConfig, match=next(iter(change))):
+            TrainSchedule(**change)
+
+    def test_widths_become_tuples(self):
+        cfg = small_cfg(layers=[4, 3], dense_hidden=[2])
+        assert cfg.layers == (4, 3) and cfg.dense_hidden == (2,)
+        assert TrainSchedule(lr=0, beta1=0.0, patience=0).lr == 0
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +511,17 @@ class TestHyperSearch:
             net.hyper_search({"lr": [1e-3]}, 0, 0, small_cfg(), (X, y), (X, y),
                              TrainSchedule())
 
+    @pytest.mark.parametrize("space,match", [
+        ({"lr": [1e-3, -1.0]}, "lr"), ({"layers": [[4], []]}, "layers"),
+        ({"bogus": [1]}, "unknown search dimension 'bogus'"),
+    ])
+    def test_bad_candidate_rejected_before_training(self, space, match, monkeypatch):
+        X, y = self._xy()
+        monkeypatch.setattr(net, "train", lambda *a: pytest.fail("a trial trained"))
+        with pytest.raises(net.NetError, match=match):
+            net.hyper_search(space, 2, 0, small_cfg(), (X, y), (X, y),
+                             TrainSchedule(epochs=1, batch_size=16))
+
     def test_best_not_worse_than_median(self):
         X, y = self._xy()
         space = {"lr": [0.0, 3e-3], "layers": [[4], [6]]}
@@ -554,8 +600,19 @@ class TestCheckpoint:
     def test_extras_not_an_object_rejected(self, tmp_path):
         m = Model(small_cfg(), seed=4)
         p = tmp_path / "m.ckpt"
-        container.write(p, b"OFCK", {"config": m.cfg.to_dict(), "extras": 5}, m.params)
+        container.write(p, b"OFCK", {"config": dataclasses.asdict(m.cfg), "extras": 5}, m.params)
         with pytest.raises(net.NetError, match="corrupt header"):
+            net.load_checkpoint(p)
+
+    @pytest.mark.parametrize("key,value", [
+        ("norm_mean", "x"), ("norm_sd", [1.0, 0.0, 1.0]), ("layers", []), ("variant", "x"),
+    ])
+    def test_config_out_of_domain_rejected(self, tmp_path, key, value):
+        m = Model(small_cfg(), seed=4)
+        p = tmp_path / "m.ckpt"
+        container.write(p, b"OFCK", {"config": {**dataclasses.asdict(m.cfg), key: value},
+                                     "extras": {}}, m.params)
+        with pytest.raises(net.NetError, match=f"corrupt header: {key}"):
             net.load_checkpoint(p)
 
     def test_interrupted_save_keeps_old_checkpoint(self, tmp_path):

@@ -162,6 +162,24 @@ class TestTCdf:
     def test_invalid_df(self):
         with pytest.raises(stats.InvalidDf):
             stats.t_cdf(1.0, 0)
+        with pytest.raises(stats.InvalidDf):
+            stats.t_sf_two_sided(1.0, 0)
+
+    def test_two_sided_p_matches_scipy(self):
+        # relative precision also far in the tail (p < 1e-16), where
+        # 2 * (1 - cdf) would be 0 or off by 1e-17 absolute
+        from scipy.stats import t as student_t
+        tiny = 0
+        for df in (1, 2, 3, 7, 10, 30, 60, 200, 1000):
+            for t in (0.05, 0.3, 1.0, 1.96, 3.5, 10.0, 12.0, 40.0, 300.0):
+                want = 2.0 * student_t.sf(t, df)
+                for sign in (1.0, -1.0):
+                    got = stats.t_sf_two_sided(sign * t, df)
+                    assert abs(got - want) <= 1e-12 * want, (t, df, got, want)
+                tiny += want < 1e-16
+        assert tiny >= 10
+        assert stats.t_sf_two_sided(0.0, 5) == 1.0
+        assert stats.t_sf_two_sided(math.inf, 5) == 0.0
 
 
 # ---------------------------------------------------------------------------
