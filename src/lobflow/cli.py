@@ -41,8 +41,8 @@ def _defaults(cls, set_elsewhere=()) -> dict:
             for f in dataclasses.fields(cls) if f.name not in set_elsewhere}
 
 
-# ModelConfig fields a dataset sets, not the config (K is its two label classes)
-_DATASET_SET = ("variant", "S", "K", "norm_mean", "norm_sd")
+# ModelConfig fields a dataset sets, not the config
+_DATASET_SET = ("variant", "S", "norm_mean", "norm_sd")
 
 CONFIG_DEFAULTS = {
     "version": 1,
@@ -124,8 +124,9 @@ def load_config(path, seed_override=None) -> dict:
     except (OSError, ValueError) as e:
         raise CliError(f"cannot read config {path}: {e}") from e
     _check_config(raw)
-    if raw.get("version", 1) != 1:
-        raise CliError(f"unsupported config version {raw.get('version')}")
+    version = raw.get("version", 1)
+    if type(version) is not int or version != 1:
+        raise CliError(f"unsupported config 'version' {version!r}; this lobflow reads 1")
     cfg = _deep_merge(CONFIG_DEFAULTS, raw)
     if seed_override is not None:
         cfg["seed"] = seed_override
@@ -220,25 +221,10 @@ def _warm_kwargs(cfg: dict) -> dict:
     return {"warm_count": w["count"]}
 
 
-def _split_ranges(cfg: dict) -> list[tuple[int, int]]:
-    """The train, validation and test ranges; other `split_ranges` keys are ignored."""
-    ranges = cfg["split_ranges"]
-    if ranges is None:
-        raise CliError("config has no split_ranges")
-    if not isinstance(ranges, dict):
-        raise CliError("config split_ranges must be a JSON object")
-    out = []
-    for name in features.SPLIT_NAMES:
-        r = ranges.get(name)
-        if not (isinstance(r, list) and len(r) == 2 and all(type(v) is int for v in r)):
-            raise CliError(f"config 'split_ranges.{name}' must be a list of two integers, "
-                           f"got {r!r}")
-        out.append(tuple(r))
-    return out
-
-
 def cmd_build(cfg: dict, out_dir: Path, pair: str | None) -> int:
-    ranges = _split_ranges(cfg)
+    if cfg["split_ranges"] is None:
+        raise CliError("config has no split_ranges")
+    ranges = features.check_split_ranges(cfg["split_ranges"], "config ").values()
     out_dir.mkdir(parents=True, exist_ok=True)
     warn = False
     report = {"config": cfg, "pairs": {}}
@@ -379,10 +365,25 @@ def cmd_evaluate(out_dir: Path, checkpoint: str, dataset: str, split: str) -> in
 def _load_predictions(paths) -> list[dict]:
     sets = []
     for p in paths:
-        meta, header, rows = _read_csv(p)
+        try:
+            meta, header, rows = _read_csv(p)
+        except UnicodeDecodeError as e:
+            raise CliError(f"{p}: not UTF-8 text: {e.reason} at byte {e.start}") from None
         if header[:3] != ["timestamp_ms", "y", "yhat"]:
             continue
-        preds = [(int(r[0]), int(r[1]), int(r[2])) for r in rows]
+        for key in ("variant", "train_pair", "test_pair"):
+            if key not in meta:
+                raise CliError(f"{p}: prediction file has no '# {key}=' line")
+        preds = []
+        for r in rows:
+            try:
+                pred = (int(r[0]), int(r[1]), int(r[2]))
+            except (ValueError, IndexError):
+                pred = None
+            if pred is None or not {pred[1], pred[2]} <= {0, 1}:
+                raise CliError(f"{p}: line {','.join(r)!r} does not start with an integer "
+                               "timestamp_ms and a y and yhat of 0 or 1")
+            preds.append(pred)
         sets.append({"path": str(p), "meta": meta, "preds": preds})
     if not sets:
         raise CliError("no prediction files found")
@@ -395,13 +396,15 @@ def cmd_report(out_dir: Path, pred_paths, stream: str | None = None) -> int:
         pred_paths = sorted(p for p in out_dir.glob("pred_*.csv")
                             if not p.name.endswith(".daily_mcc.csv"))
     sets = _load_predictions(pred_paths)
+    # the daily MCC series of each same-pair set, for Table 1 and Figure 1
+    same_pair = [s for s in sets if s["meta"]["train_pair"] == s["meta"]["test_pair"]]
+    for s in same_pair:
+        s["daily"] = stats.daily_mcc(s["preds"])
 
     # Table-1 style: slope of daily MCC over test dates, same-pair sets only
     t1_rows = []
-    for s in sorted(sets, key=lambda s: (s["meta"]["test_pair"], s["meta"]["variant"])):
-        if s["meta"]["train_pair"] != s["meta"]["test_pair"]:
-            continue
-        series = stats.daily_mcc(s["preds"])
+    for s in sorted(same_pair, key=lambda s: (s["meta"]["test_pair"], s["meta"]["variant"])):
+        series = s["daily"]
         if len(series) < 3:
             continue
         r = stats.slope_regression(series)
@@ -434,11 +437,8 @@ def cmd_report(out_dir: Path, pred_paths, stream: str | None = None) -> int:
 
     # Figure-1 style: daily MCC lines per model, one chart per test pair
     by_pair: dict[str, dict] = {}
-    for s in sets:
-        m = s["meta"]
-        if m["train_pair"] != m["test_pair"]:
-            continue
-        by_pair.setdefault(m["test_pair"], {})[m["variant"]] = stats.daily_mcc(s["preds"])
+    for s in same_pair:
+        by_pair.setdefault(s["meta"]["test_pair"], {})[s["meta"]["variant"]] = s["daily"]
     for pair_name, variants in sorted(by_pair.items()):
         dates = sorted({d for series in variants.values() for d in series.dates})
         lines = {}
@@ -518,13 +518,18 @@ def cmd_selftest(n_events: int, seed: int) -> int:
           f"(max abs err {worst:.2e})")
     ok = ok and worst < 1e-12
 
-    worst = 0.0
+    # the CDF, and the two-sided p-value that table1_slopes.csv reports
+    worst_cdf = worst_p = 0.0
     for df in (1, 2, 5, 30, 200):
         for t in (-3.0, -0.5, 0.0, 1.0, 1.96, 4.2):
-            worst = max(worst, abs(stats.t_cdf(t, df) - oracle.t_cdf_quadrature(t, df)))
-    print(f"{'PASS' if worst < 1e-9 else 'FAIL'} t_cdf vs quadrature "
-          f"(max abs err {worst:.2e})")
-    ok = ok and worst < 1e-9
+            worst_cdf = max(worst_cdf,
+                            abs(stats.t_cdf(t, df) - oracle.t_cdf_quadrature(t, df)))
+            worst_p = max(worst_p, abs(stats.t_sf_two_sided(t, df)
+                                       - 2 * (1 - oracle.t_cdf_quadrature(abs(t), df))))
+    for name, worst in (("t_cdf", worst_cdf), ("t_sf_two_sided", worst_p)):
+        print(f"{'PASS' if worst < 1e-9 else 'FAIL'} {name} vs quadrature "
+              f"(max abs err {worst:.2e})")
+        ok = ok and worst < 1e-9
     return EXIT_OK if ok else EXIT_ERROR
 
 

@@ -23,11 +23,11 @@ import numpy as np
 
 from .atomic import atomic_open
 
-# one version for both formats; datasets were at 2 and checkpoints at 1
-VERSION = 3
+# one version for both formats, raised whenever either layout changes
+VERSION = 4
 _PREFIX = struct.Struct("<4sII")   # magic, version, header length
 _HEX = 64                          # hex characters of the digest ending the header
-_DTYPES = ("<f8", "<i8", "|u1", "|i1")
+_DTYPES = ("<f8", "<i8", "|u1")    # the dtypes the two formats store
 
 
 def write(path, magic: bytes, fields: dict, arrays: dict) -> None:

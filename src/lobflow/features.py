@@ -3,10 +3,13 @@
 The replayed stream is turned into length-T samples, one per mid-price
 moving event, labelled 1 for an upward move and 0 for a downward move.
 Each variant stores its features once per replayed event, as one row of
-a table; a sample stores only the end index of its window, which is the
-table rows [end - T, end) of the T events strictly preceding the mover.
-`Dataset.X` gathers the (N, T, F) windows from the table on demand.
-Three variants are built in one pass on shared labels and window ends:
+a table; a sample stores only its label and the table row `end` of its
+mover, whose window is the rows [end - T, end) of the T events strictly
+preceding it.  Everything else about a sample is derived: `Dataset.X`
+gathers the (N, T, F) windows from the table, the event time is the
+mover's `table_ts[end]`, and the split is the one of the dataset's
+`split_ranges` that holds that time.  Three variants are built in one
+pass on shared labels and window ends:
 
   orderflow  per event: [dt_ms, hour, size, kind, side, rel_price]
   bench1     per event: [bid px*S, bid vol*S, ask px*S, ask vol*S, mid,
@@ -28,15 +31,16 @@ transform and is dropped by the encoder.
 
 Building never gathers windows: the train statistics weight each table
 row by the number of train windows that hold it, and the dataset digest
-hashes the stored arrays, of which the windows are a function.  Only
-training and evaluation read `Dataset.X`.
+hashes the stored arrays and the split ranges, of which the windows,
+event times and splits are functions.  Only training and evaluation
+read `Dataset.X`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Iterable, Optional
 
@@ -114,23 +118,43 @@ def _cumsum0(a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Dataset:
+    """One variant's event table and samples.  Sample i is labelled by
+    the event of table row end[i] and sees the rows [end[i] - T, end[i]);
+    its event time, split and window are read from those rows and the
+    split ranges, never stored."""
+
     variant: str
     T: int
     S: int
     pair: str
     table: np.ndarray        # (E, C) float64, raw columns of each replayed event
     table_ts: np.ndarray     # (E,) int64 ms, timestamp of each table row's event
-    end: np.ndarray          # (N,) int64, sample window is table rows [end - T, end)
+    end: np.ndarray          # (N,) int64, table row of each sample's mover
     y: np.ndarray            # (N,) uint8
-    event_time: np.ndarray   # (N,) int64 ms, labelling-event timestamp
-    split: np.ndarray        # (N,) int8, SPLIT_* codes
     norm_stats: Optional[dict] = None   # {"mean": [...], "sd": [...]} per encoded channel
-    split_ranges: Optional[dict] = None
+    split_ranges: Optional[dict] = None  # {name: [start_ms, end_ms]}, see check_split_ranges
     counters: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
         return len(self.y)
+
+    @property
+    def event_time(self) -> np.ndarray:
+        """(N,) int64 ms, timestamp of each sample's labelling event."""
+        return self.table_ts[self.end]
+
+    @property
+    def split(self) -> np.ndarray:
+        """(N,) int8 SPLIT_* code of the split range holding each event
+        time; SPLIT_NONE outside them, or everywhere without ranges."""
+        split = np.full(self.n, SPLIT_NONE, dtype=np.int8)
+        if self.split_ranges is not None:
+            t = self.event_time
+            for name, code in SPLIT_NAMES.items():
+                a, b = self.split_ranges[name]
+                split[(t >= a) & (t < b)] = code
+        return split
 
     @property
     def X(self) -> np.ndarray:
@@ -144,12 +168,11 @@ class Dataset:
 
     def subset(self, split_name: str) -> "Dataset":
         m = self.split == SPLIT_NAMES[split_name]
-        return Dataset(self.variant, self.T, self.S, self.pair, self.table, self.table_ts,
-                       self.end[m], self.y[m], self.event_time[m], self.split[m],
-                       self.norm_stats, self.split_ranges, dict(self.counters))
+        return replace(self, end=self.end[m], y=self.y[m], counters=dict(self.counters))
 
     def split_counts(self) -> dict:
-        return {name: int(np.sum(self.split == code)) for name, code in SPLIT_NAMES.items()}
+        split = self.split
+        return {name: int(np.sum(split == code)) for name, code in SPLIT_NAMES.items()}
 
 
 def _gather(ds: Dataset, end: np.ndarray) -> np.ndarray:
@@ -186,7 +209,7 @@ def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SY
                                                until_count=warm_count)
     counters["warmup_events"] = n_warm
 
-    ts, flow, snaps, ends, labels, times = [], [], [], [], [], []
+    ts, flow, snaps, ends, labels = [], [], [], [], []
     for j, ev in enumerate(rest):
         try:
             rel = book.relative_price(ev.side, ev.price_ticks)
@@ -209,7 +232,6 @@ def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SY
             if j >= T:
                 ends.append(j)
                 labels.append(1 if delta.mid2_after > delta.mid2_before else 0)
-                times.append(ev.timestamp_ms)
             else:
                 counters["skipped_insufficient_history"] = \
                     counters.get("skipped_insufficient_history", 0) + 1
@@ -220,7 +242,6 @@ def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SY
     flow = np.asarray(flow, dtype=np.float64).reshape(len(ts), 4)
     end = np.asarray(ends, dtype=np.int64)
     y = np.asarray(labels, dtype=np.uint8)
-    t = np.asarray(times, dtype=np.int64)
     dt = np.diff(ts, prepend=ts[:1] if warm_last_ts is None else warm_last_ts)
     tables = {"orderflow": np.column_stack((dt, hour_utc(ts), flow))}
     if need_snap:
@@ -230,7 +251,7 @@ def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SY
         keep = undefined[end] == undefined[end - T]
         if not keep.all():
             counters["skipped_undefined_mid"] = int(np.sum(~keep))
-            end, y, t = end[keep], y[keep], t[keep]
+            end, y = end[keep], y[keep]
         tables["bench2"] = snap[:, :w]
         if need_counts:
             kind, side = flow[:, 1], flow[:, 2]
@@ -238,31 +259,46 @@ def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SY
             tables["bench1"] = np.column_stack((snap, market & (side == Side.BUY.value),
                                                 market & (side == Side.SELL.value)))
     counters["samples"] = len(end)
-    return {v: Dataset(v, T, S, pair, tables[v], ts, end.copy(), y.copy(), t.copy(),
-                       np.full(len(y), SPLIT_NONE, dtype=np.int8), counters=dict(counters))
+    return {v: Dataset(v, T, S, pair, tables[v], ts, end.copy(), y.copy(),
+                       counters=dict(counters))
             for v in variants}
 
 
-def split_by_date(ds: Dataset, train_range, val_range, test_range) -> Dataset:
-    """Tag samples by half-open [start_ms, end_ms) ranges; drop the rest.
-
-    Ranges must be disjoint and ordered train < validation < test.
-    """
-    ranges = [("train", train_range), ("validation", val_range), ("test", test_range)]
-    for name, (a, b) in ranges:
-        if not a < b:
-            raise UnorderedRanges(f"{name} range is empty or inverted")
-    for (n1, r1), (n2, r2) in zip(ranges, ranges[1:]):
+def check_split_ranges(ranges, where: str = "") -> dict:
+    """The train, validation and test entries of a `split_ranges` object,
+    checked: each is a half-open [start_ms, end_ms) list of two integers,
+    non-empty, and each ends at or before the next starts.  Other keys
+    are ignored.  A failure raises FeatureError (UnorderedRanges or
+    OverlappingRanges for the order) with `where` before the message."""
+    if not isinstance(ranges, dict):
+        raise FeatureError(f"{where}split_ranges must be a JSON object, got {ranges!r}")
+    out = {}
+    for name in SPLIT_NAMES:
+        r = ranges.get(name)
+        if not (isinstance(r, list) and len(r) == 2):
+            raise FeatureError(f"{where}'split_ranges.{name}' must be a list of two integers, "
+                               f"got {r!r}")
+        for v in r:
+            checks.integer(v, f"{where}'split_ranges.{name}' entry", FeatureError)
+        if not r[0] < r[1]:
+            raise UnorderedRanges(f"{where}'split_ranges.{name}' {r} is empty or inverted")
+        out[name] = list(r)
+    pairs = list(out.items())
+    for (n1, r1), (n2, r2) in zip(pairs, pairs[1:]):
         if r1[0] < r2[1] and r2[0] < r1[1]:
-            raise OverlappingRanges(f"{n1} and {n2} ranges overlap")
+            raise OverlappingRanges(f"{where}split_ranges {n1} and {n2} overlap")
         if r1[1] > r2[0]:
-            raise UnorderedRanges(f"{n1} range must precede {n2}")
-    split = np.full(ds.n, SPLIT_NONE, dtype=np.int8)
-    for name, (a, b) in ranges:
-        split[(ds.event_time >= a) & (ds.event_time < b)] = SPLIT_NAMES[name]
-    ds.split = split
-    ds.split_ranges = {name: list(rng) for name, rng in ranges}
-    ds.counters["dropped_outside_ranges"] = int(np.sum(split == SPLIT_NONE))
+            raise UnorderedRanges(f"{where}split_ranges {n1} must precede {n2}")
+    return out
+
+
+def split_by_date(ds: Dataset, train_range, val_range, test_range) -> Dataset:
+    """Split samples by half-open [start_ms, end_ms) ranges of their
+    event time, which must be disjoint and ordered train < validation <
+    test; the samples outside them are in no split."""
+    ranges = (train_range, val_range, test_range)
+    ds.split_ranges = check_split_ranges({name: list(r) for name, r in zip(SPLIT_NAMES, ranges)})
+    ds.counters["dropped_outside_ranges"] = int(np.sum(ds.split == SPLIT_NONE))
     return ds
 
 
@@ -340,8 +376,7 @@ _MAGIC = b"OFDS"
 # the stored header fields and arrays, in file order, under their Dataset
 # names; every other array is derived from them
 _FIELDS = ("variant", "T", "S", "pair", "norm_stats", "split_ranges", "counters")
-_STORED = (("table", "<f8"), ("table_ts", "<i8"), ("end", "<i8"),
-           ("y", "|u1"), ("event_time", "<i8"), ("split", "|i1"))
+_STORED = (("table", "<f8"), ("table_ts", "<i8"), ("end", "<i8"), ("y", "|u1"))
 
 
 def _stored(ds: Dataset) -> dict:
@@ -351,7 +386,7 @@ def _stored(ds: Dataset) -> dict:
 def save_dataset(ds: Dataset, path) -> None:
     """Write `ds` as a :mod:`lobflow.container` file: the header fields,
     then table (E, C) float64, table_ts (E,) int64 and the per-sample
-    end int64, y uint8, event_time int64 and split int8."""
+    end int64 and y uint8."""
     container.write(path, _MAGIC, {k: getattr(ds, k) for k in _FIELDS}, _stored(ds))
 
 
@@ -371,15 +406,13 @@ def load_dataset(path) -> Dataset:
         raise FeatureError(f"{path}: table shape {ds.table.shape} does not fit variant "
                            f"{ds.variant!r}, S={ds.S}")
     E = len(ds.table)
-    if ds.table_ts.shape != (E,) or any(a.shape != (ds.y.size,)
-                                        for a in (ds.end, ds.y, ds.event_time, ds.split)):
+    if ds.table_ts.shape != (E,) or any(a.shape != (ds.y.size,) for a in (ds.end, ds.y)):
         raise FeatureError(f"{path}: table or per-sample arrays differ in length")
-    if ds.n and (ds.end.min() < ds.T or ds.end.max() > E):
+    # a sample's window is the rows [end - T, end), and its mover row end
+    if ds.n and (ds.end.min() < ds.T or ds.end.max() >= E):
         raise FeatureError(f"{path}: window ends outside the {E}-event table")
     if np.any(ds.y > 1):
         raise FeatureError(f"{path}: labels must be 0 or 1")
-    if np.any((ds.split < SPLIT_NONE) | (ds.split > SPLIT_TEST)):
-        raise FeatureError(f"{path}: split codes must lie in [{SPLIT_NONE}, {SPLIT_TEST}]")
     return ds
 
 
@@ -396,15 +429,16 @@ def _check_fields(path, ds: Dataset) -> None:
         for key, values in stats.items():
             for v in values:
                 checks.number(v, f"{path}: norm_stats.{key} entry", FeatureError)
-    if ds.split_ranges is not None and not isinstance(ds.split_ranges, dict):
-        raise FeatureError(f"{path}: split_ranges must be null or an object")
+    if ds.split_ranges is not None:
+        check_split_ranges(ds.split_ranges, f"{path}: ")
     if not (isinstance(ds.counters, dict) and all(type(v) is int for v in ds.counters.values())):
         raise FeatureError(f"{path}: counters must be an object of integers")
 
 
 def dataset_digest(ds: Dataset) -> str:
     """Stable content hash used by determinism checks: the header fields
-    and the stored arrays, of which the windows are a function."""
+    and the stored arrays, of which the windows, event times and splits
+    are functions."""
     h = hashlib.sha256()
     h.update(json.dumps([ds.variant, ds.T, ds.S, ds.pair, ds.n, len(ds.table_ts),
                          ds.norm_stats, ds.split_ranges], sort_keys=True).encode())

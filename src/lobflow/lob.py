@@ -254,7 +254,7 @@ class OrderBook:
         for k in range(depth - n_a):
             asks.append(last_a + (k + 1))
             avol.append(0.0)
-        return LobSnapshot(depth, bids, bvol, asks, avol, n_b, n_a)
+        return LobSnapshot(bids, bvol, asks, avol, n_b, n_a)
 
     def dump(self) -> str:
         """Deterministic text listing `side price size count`, sorted by price."""
@@ -269,14 +269,13 @@ class OrderBook:
 
 @dataclass
 class LobSnapshot:
-    """Top-`depth` levels per side; shallow sides padded with zero volume.
+    """The top levels per side; shallow sides padded with zero volume.
 
     Pad prices continue the side's monotone direction one tick per step
     past the last real level (from 0 when the side is empty), keeping
     bid prices strictly decreasing and ask prices strictly increasing.
     """
 
-    depth: int
     bid_prices: list[int]
     bid_volumes: list[float]
     ask_prices: list[int]

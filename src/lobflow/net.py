@@ -61,6 +61,8 @@ class InvalidConfig(NetError):
 
 
 PROB_CLAMP = 1e-12
+# output classes: the mid moves down (label 0) or up (label 1)
+K = 2
 
 # orderflow categorical covariates: (name, cardinality, raw column, code offset)
 CATEGORICALS = (("kind", 3, 3, 1), ("side", 2, 4, 1), ("hour", 24, 1, 0))
@@ -74,10 +76,10 @@ class ModelConfig:
     dataset sets the variant, `S` and the norm stats.
 
     Construction checks every value and raises :class:`InvalidConfig`:
-    a known variant, `S` >= 1 and `K` >= 2, non-empty integer `layers`
-    >= 1 and integer `dense_hidden` widths >= 1 (both kept as tuples),
-    integer `emb_dims` >= 1 for exactly kind, side and hour, `dropout`
-    in [0, 1), and norm stats that are null or `numeric_width` finite
+    a known variant, `S` >= 1, non-empty integer `layers` >= 1 and
+    integer `dense_hidden` widths >= 1 (both kept as tuples), integer
+    `emb_dims` >= 1 for exactly kind, side and hour, `dropout` in
+    [0, 1), and norm stats that are null or `numeric_width` finite
     numbers, every sd > 0.
     """
 
@@ -87,7 +89,6 @@ class ModelConfig:
     dense_hidden: tuple = ()          # widths of tanh head layers before the output
     emb_dims: dict = field(default_factory=lambda: dict(DEFAULT_EMB_DIMS))
     dropout: float = 0.1
-    K: int = 2
     norm_mean: Optional[list] = None
     norm_sd: Optional[list] = None
 
@@ -95,7 +96,6 @@ class ModelConfig:
         if self.variant not in VARIANTS:
             raise InvalidConfig(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         checks.integer(self.S, "S", InvalidConfig, 1)
-        checks.integer(self.K, "K", InvalidConfig, 2)
         for name in ("layers", "dense_hidden"):
             widths = getattr(self, name)
             if not isinstance(widths, (list, tuple)):
@@ -171,7 +171,7 @@ class Model:
             b[H:2 * H] = 1.0  # forget-gate bias, stable start
             p[f"lstm/{l}/b"] = b
             in_w = H
-        widths = [cfg.layers[-1], *cfg.dense_hidden, cfg.K]
+        widths = [cfg.layers[-1], *cfg.dense_hidden, K]
         for d, (a, b_) in enumerate(zip(widths, widths[1:])):
             p[f"head/{d}/W"] = _uniform(rng, a, (a, b_))
             p[f"head/{d}/b"] = np.zeros(b_)
@@ -227,7 +227,7 @@ class Model:
         out = []
         for i in range(0, len(X), batch_size):
             out.append(self._run(X[i:i + batch_size], 0.0, None, keep=False)[0])
-        return np.concatenate(out) if out else np.empty((0, self.cfg.K))
+        return np.concatenate(out) if out else np.empty((0, K))
 
     def _run(self, X: np.ndarray, rate: float, rng, keep: bool) -> tuple[np.ndarray, dict]:
         """Shared forward pass.  With `keep`, the cache holds what backward
@@ -240,7 +240,7 @@ class Model:
             raise EmptyBatch("empty batch")
 
         enc, emb_cache = self.encode(X)
-        cache: dict = {"X": X, "emb": emb_cache, "layers": [], "rate": rate}
+        cache: dict = {"emb": emb_cache, "layers": []}
 
         # LSTM layers run time-major: x, h and every state buffer are (T, B, .)
         x = np.ascontiguousarray(enc.transpose(1, 0, 2))
@@ -508,7 +508,6 @@ class TrainSchedule:
 
 @dataclass
 class TrainResult:
-    params: dict
     history: list
     best_epoch: int
     best_val_loss: float
@@ -526,7 +525,8 @@ def train(model: Model, train_xy, val_xy, schedule: TrainSchedule) -> TrainResul
     """Mini-batch Adam with per-epoch validation and early stopping.
 
     Stops once the validation loss has failed to improve for more than
-    `patience` consecutive epochs; returns the best-validation params.
+    `patience` consecutive epochs, and leaves the best-validation params
+    in `model`.
     """
     Xtr, ytr = train_xy
     Xva, yva = val_xy
@@ -563,7 +563,7 @@ def train(model: Model, train_xy, val_xy, schedule: TrainSchedule) -> TrainResul
             if since_improve > schedule.patience:
                 break
     model.params = best_params
-    return TrainResult(best_params, history, best_epoch, float(best_loss))
+    return TrainResult(history, best_epoch, float(best_loss))
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,17 @@ class TestConfig:
         ("build", {"split_ranges": {"train": [0, 1], "validation": [1, 2], "test": [2]}},
          "'split_ranges.test'"),
         ("build", {"split_ranges": [[0, 1], [1, 2], [2, 3]]}, "split_ranges"),
+        ("build", {"split_ranges": {"train": [0, 1.5], "validation": [2, 3], "test": [3, 4]}},
+         "'split_ranges.train'"),
+        ("build", {"split_ranges": {"train": [1, 0], "validation": [1, 2], "test": [2, 3]}},
+         "'split_ranges.train'"),
+        ("build", {"split_ranges": {"train": [0, 2], "validation": [1, 3], "test": [3, 4]}},
+         "split_ranges train and validation overlap"),
+        ("build", {"split_ranges": {"train": [0, 1], "validation": [3, 4], "test": [1, 2]}},
+         "split_ranges validation must precede test"),
+        ("generate", {"version": True}, "'version'"),
+        ("generate", {"version": 1.0}, "'version'"),
+        ("generate", {"version": "1"}, "'version'"),
         ("generate", {"generator": {"n_events": "x"}}, "n_events"),
         ("generate", {"generator": {"n_events": 1e3}}, "n_events"),
         ("generate", {"generator": {"prop_cancel": None}}, "prop_cancel"),
@@ -511,6 +522,34 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: timestamp {2**62} ms")
 
+    @pytest.mark.parametrize("lines,match", [
+        (["1510000000000,1,0,0.5", "1510000000001,1,x,0.5"], "'1510000000001,1,x,0.5'"),
+        (["1510000000000,1"], "'1510000000000,1'"),
+        (["1510000000000,1.0,0,0.5"], "'1510000000000,1.0,0,0.5'"),
+        (["1510000000000,5,0,0.5"], "'1510000000000,5,0,0.5'"),
+        (["1510000000000,1,-1,0.5"], "'1510000000000,1,-1,0.5'"),
+        (["1510000000000,1,\udcff,0.5"], "not UTF-8 text"),
+    ])
+    def test_report_on_malformed_prediction_row_is_error(self, tmp_path, capsys, lines, match):
+        pred = tmp_path / "pred_X__X.orderflow.test.csv"
+        pred.write_bytes(("# split=test\n# test_pair=X\n# train_pair=X\n# variant=orderflow\n"
+                          "timestamp_ms,y,yhat,p1\n" + "\n".join(lines) + "\n")
+                         .encode("utf-8", "surrogateescape"))
+        capsys.readouterr()
+        rc = cli.main(["report", "--out", str(tmp_path / "out"), "--pred", str(pred)])
+        assert rc == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {pred}: ") and match in err[0]
+
+    def test_report_on_prediction_file_without_pairs_is_error(self, tmp_path, capsys):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("# variant=orderflow\ntimestamp_ms,y,yhat,p1\n1510000000000,1,1,0.9\n")
+        capsys.readouterr()
+        rc = cli.main(["report", "--out", str(tmp_path / "out"), "--pred", str(pred)])
+        assert rc == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {pred}: prediction file has no '# train_pair=' line"]
+
     def test_truncated_checkpoint_is_error(self, pipeline, tmp_path, capsys):
         src = pipeline["out"] / "AAA.orderflow.ckpt"
         cut = tmp_path / "cut.ckpt"
@@ -587,8 +626,12 @@ class TestVerificationCommands:
     def test_gradcheck_command(self):
         assert cli.main(["gradcheck", "--n", "2", "--seed", "1"]) == 0
 
-    def test_selftest_command(self):
+    def test_selftest_command(self, capsys):
         assert cli.main(["selftest", "--events", "1500", "--seed", "2"]) == 0
+        out = capsys.readouterr().out
+        # the p-value of table1_slopes.csv is checked, not only the CDF
+        for name in ("t_cdf", "t_sf_two_sided"):
+            assert f"PASS {name} vs quadrature" in out
 
 
 # ---------------------------------------------------------------------------

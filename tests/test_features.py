@@ -416,6 +416,20 @@ class TestSplitByDate:
         with pytest.raises(features.UnorderedRanges):
             features.split_by_date(ds, (10, 5), (20, 30), (40, 50))
 
+    def test_split_and_event_time_are_derived(self, planted_datasets):
+        ds = planted_datasets["orderflow"]
+        np.testing.assert_array_equal(ds.event_time, ds.table_ts[ds.end])
+        for name in ("split", "event_time"):
+            with pytest.raises(TypeError):
+                dataclasses.replace(ds, **{name: getattr(ds, name)})
+        # retagging is moving a range: the tags follow the header's ranges
+        (a, b), (_, c) = ds.split_ranges["train"], ds.split_ranges["validation"]
+        moved = dataclasses.replace(ds, split_ranges={**ds.split_ranges, "train": [a, c],
+                                                      "validation": [c, c + 1]})
+        counts = ds.split_counts()
+        assert moved.split_counts()["train"] == counts["train"] + counts["validation"]
+        assert np.all(moved.split[ds.split == features.SPLIT_VAL] == features.SPLIT_TRAIN)
+
 
 # ---------------------------------------------------------------------------
 # normalization stats
@@ -506,7 +520,7 @@ class TestNormStats:
 
 
 class TestDigest:
-    STORED = ("table", "table_ts", "end", "y", "event_time", "split")
+    STORED = ("table", "table_ts", "end", "y")
 
     def test_equal_for_equal_datasets(self, planted_datasets, tmp_path):
         ds = planted_datasets["bench1"]
@@ -516,23 +530,25 @@ class TestDigest:
         features.save_dataset(ds, p)
         assert features.dataset_digest(features.load_dataset(p)) == features.dataset_digest(ds)
 
-    @pytest.mark.parametrize("change", ["table", "table_ts", "end", "y", "event_time", "split",
-                                        "norm_stats"])
+    @pytest.mark.parametrize("change", ["table", "table_ts", "end", "y", "norm_stats",
+                                        "split_ranges"])
     def test_changes_with_each_stored_field(self, planted_datasets, change):
         ds = planted_datasets["orderflow"]
         if change == "norm_stats":
             stats = {"mean": [ds.norm_stats["mean"][0] + 1e-9, *ds.norm_stats["mean"][1:]],
                      "sd": ds.norm_stats["sd"]}
             other = dataclasses.replace(ds, norm_stats=stats)
+        elif change == "split_ranges":
+            (a, b), (_, c) = ds.split_ranges["train"], ds.split_ranges["validation"]
+            other = dataclasses.replace(ds, split_ranges={**ds.split_ranges, "train": [a, b - 1],
+                                                          "validation": [b - 1, c]})
         else:
             arr = getattr(ds, change).copy()
             flat = arr.reshape(-1)
             if change == "y":
                 flat[0] = 1 - flat[0]
-            elif change == "split":
-                flat[0] = features.SPLIT_VAL if flat[0] != features.SPLIT_VAL else features.SPLIT_TEST
             elif change == "end":
-                flat[0] += 1 if flat[0] < len(ds.table) else -1
+                flat[0] += 1 if flat[0] < len(ds.table) - 1 else -1
             else:
                 flat[len(flat) // 2] += 1
             other = dataclasses.replace(ds, **{change: arr})
@@ -556,8 +572,8 @@ class TestSerialization:
         p = tmp_path / "of.ds"
         features.save_dataset(ds, p)
         old = p.read_bytes()
-        # the split column fails to convert
-        broken = dataclasses.replace(ds, split=np.array([object()] * ds.n, dtype=object))
+        # the label column fails to convert
+        broken = dataclasses.replace(ds, y=np.array([object()] * ds.n, dtype=object))
         with pytest.raises(TypeError):
             features.save_dataset(broken, p)
         assert list(tmp_path.iterdir()) == [p]
@@ -579,7 +595,7 @@ class TestSerialization:
             features.save_dataset(ds, p)
             _, _, hlen = struct.unpack("<4sII", p.read_bytes()[:12])
             E, C = ds.table.shape
-            assert p.stat().st_size == 12 + hlen + E * C * 8 + E * 8 + ds.n * 18
+            assert p.stat().st_size == 12 + hlen + E * C * 8 + E * 8 + ds.n * 9
 
     @pytest.mark.parametrize("change", ["cut", "extend"])
     def test_wrong_length_rejected(self, planted_datasets, tmp_path, change):
@@ -621,14 +637,28 @@ class TestSerialization:
         ({"T": -1}, "non-negative"),
         ({"y": np.zeros(1, np.uint8)}, "differ in length"),
         ({"table": np.zeros((1, 6), np.int64)}, "fields and arrays"),
-        ({"split": None}, "fields and arrays"),
+        ({"y": None}, "fields and arrays"),
+        ({"event_time": np.zeros(0, np.int64)}, "fields and arrays"),
         ({"bogus": 1}, "fields and arrays"),
         ({"norm_stats": "x"}, "norm_stats"),
         ({"norm_stats": {"mean": [0.0]}}, "norm_stats"),
         ({"norm_stats": {"mean": [0.0], "sd": [1.0, 1.0]}}, "norm_stats"),
         ({"norm_stats": {"mean": ["x"], "sd": [1.0]}}, "norm_stats.mean"),
         ({"norm_stats": {"mean": [0.0], "sd": [float("nan")]}}, "norm_stats.sd"),
+        # the window [0, 1) fits, but the labelling event, row 1, is not in the table
+        ({"end": np.ones(1, np.int64), "y": np.zeros(1, np.uint8)}, "outside"),
         ({"split_ranges": [1, 2]}, "split_ranges"),
+        ({"split_ranges": {"train": [0, 1], "validation": [1, 2]}}, "'split_ranges.test'"),
+        ({"split_ranges": {"train": [0, 1], "validation": [1, 2.5], "test": [3, 4]}},
+         "'split_ranges.validation' entry"),
+        ({"split_ranges": {"train": [0, 1], "validation": [1, 2], "test": "x"}},
+         "'split_ranges.test'"),
+        ({"split_ranges": {"train": [1, 0], "validation": [1, 2], "test": [3, 4]}},
+         "'split_ranges.train' .* inverted"),
+        ({"split_ranges": {"train": [0, 2], "validation": [1, 3], "test": [3, 4]}},
+         "split_ranges train and validation overlap"),
+        ({"split_ranges": {"train": [2, 3], "validation": [0, 1], "test": [3, 4]}},
+         "split_ranges train must precede validation"),
         ({"counters": []}, "counters"),
         ({"counters": {"samples": 1.5}}, "counters"),
     ])
@@ -636,25 +666,21 @@ class TestSerialization:
         fields = {"variant": "orderflow", "T": 1, "S": 1, "pair": "X", "norm_stats": None,
                   "split_ranges": None, "counters": {}}
         arrays = {"table": np.zeros((1, 6)), "table_ts": np.zeros(1, np.int64),
-                  "end": np.zeros(0, np.int64), "y": np.zeros(0, np.uint8),
-                  "event_time": np.zeros(0, np.int64), "split": np.zeros(0, np.int8)}
+                  "end": np.zeros(0, np.int64), "y": np.zeros(0, np.uint8)}
         for k, v in change.items():
-            (arrays if k in arrays else fields)[k] = v
+            (arrays if k in arrays or isinstance(v, np.ndarray) else fields)[k] = v
         p = tmp_path / "bad.ds"
         container.write(p, b"OFDS", fields, {k: v for k, v in arrays.items() if v is not None})
         with pytest.raises(features.FeatureError, match=match):
             features.load_dataset(p)
 
-    @pytest.mark.parametrize("column,value,match", [
-        ("y", 7, "labels"), ("split", 9, "split codes"), ("split", -2, "split codes"),
-    ])
-    def test_bad_label_or_split_rejected(self, planted_datasets, tmp_path, column, value, match):
+    def test_bad_label_rejected(self, planted_datasets, tmp_path):
         ds = planted_datasets["orderflow"]
-        bad = dataclasses.replace(ds, **{column: getattr(ds, column).copy()})
-        getattr(bad, column)[0] = value
+        bad = dataclasses.replace(ds, y=ds.y.copy())
+        bad.y[0] = 7
         p = tmp_path / "bad.ds"
         features.save_dataset(bad, p)
-        with pytest.raises(features.FeatureError, match=match):
+        with pytest.raises(features.FeatureError, match="labels"):
             features.load_dataset(p)
 
     def test_version_1_rejected(self, tmp_path):

@@ -27,7 +27,7 @@ def raw_batch(variant="orderflow", B=4, T=3, S=2, seed=0):
 
 class TestConfigValues:
     @pytest.mark.parametrize("change", [
-        {"variant": "bench3"}, {"S": 0}, {"K": 1}, {"layers": []}, {"layers": [0]},
+        {"variant": "bench3"}, {"S": 0}, {"layers": []}, {"layers": [0]},
         {"layers": [4.0]}, {"layers": 4}, {"dense_hidden": [True]}, {"dense_hidden": None},
         {"emb_dims": {"kind": 2, "side": 2}}, {"emb_dims": {"kind": 2, "side": 2, "hour": 0}},
         {"emb_dims": [2, 2, 3]}, {"dropout": 1.0}, {"dropout": -0.1}, {"dropout": "x"},
@@ -219,7 +219,7 @@ def reference_loss_and_grads(m, X, y, train=False, rng=None):
     probs = net.softmax(a)
 
     grads = {k: np.zeros_like(v) for k, v in P.items()}
-    da = (probs - np.eye(cfg.K)[y]) / B
+    da = (probs - np.eye(net.K)[y]) / B
     for d in range(m.n_dense - 1, -1, -1):
         a_in, mask, z = head[d]
         if d < m.n_dense - 1:
@@ -469,11 +469,12 @@ class TestTrain:
         X, y = toy_xy()
         sched = TrainSchedule(epochs=3, batch_size=16, lr=1e-3, patience=5, seed=9)
         cfg = small_cfg(dropout=0.1)
-        r1 = net.train(Model(cfg, seed=2), (X, y), (X, y), sched)
-        r2 = net.train(Model(cfg, seed=2), (X, y), (X, y), sched)
+        m1, m2 = Model(cfg, seed=2), Model(cfg, seed=2)
+        r1 = net.train(m1, (X, y), (X, y), sched)
+        r2 = net.train(m2, (X, y), (X, y), sched)
         assert r1.history == r2.history
-        for k in r1.params:
-            np.testing.assert_array_equal(r1.params[k], r2.params[k])
+        for k in m1.params:
+            np.testing.assert_array_equal(m1.params[k], m2.params[k])
 
     def test_empty_split_rejected(self):
         X, y = toy_xy()
