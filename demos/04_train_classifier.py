@@ -4,7 +4,8 @@ The stream carries a planted rule (the side of the most recent event
 determines the next mid move), so a small model should reach a
 near-perfect Matthews correlation coefficient on held-out data.
 Everything — embeddings, LSTM, backpropagation through time, Adam,
-dropout, early stopping — is plain float64 numpy.
+dropout, early stopping — is plain numpy: the LSTM computes in float32,
+the parameters, Adam and the loss stay float64.
 """
 
 from lobflow import feed, features, net, stats

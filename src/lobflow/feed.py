@@ -220,9 +220,27 @@ def iter_events(lines: Iterable[str]) -> Iterator[OrderEvent]:
 
 
 def read_events(path) -> Iterator[OrderEvent]:
-    """Stream validated events from an `.ofr` file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        yield from iter_events(fh)
+    """Stream validated events from an `.ofr` file.  Bytes that are not
+    UTF-8 raise :class:`MalformedRecord` naming the first such line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from iter_events(fh)
+    except UnicodeDecodeError as e:
+        raise MalformedRecord(f"line {_first_undecodable_line(path)}: not UTF-8 text "
+                              f"({e.reason})") from e
+
+
+def _first_undecodable_line(path) -> int:
+    """1-based number, counted as `read_events` counts, of the first line
+    holding a byte that is not UTF-8.  Such bytes decode to lone
+    surrogates under `surrogateescape`, which then fail to encode."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return line_no
+    raise AssertionError(f"{path} decodes as UTF-8")
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,19 @@
 Stacked LSTM over length-T feature sequences, tanh embeddings for the
 categorical order-flow covariates, a dense softmax head, mean NLL loss,
 exact backpropagation through time, Adam, inverted dropout on the
-non-recurrent connections only, and early-stopped training.  Everything
-is plain float64 numpy; gradients are verified against central finite
-differences (see :func:`check_gradients`).
+non-recurrent connections only, and early-stopped training, all in
+plain numpy.  Gradients are verified against central finite differences
+(see :func:`check_gradients`).
+
+Precision follows the master-copy scheme of mixed-precision training
+(Micikevicius et al. 2018, arXiv 1710.03740) with float64/float32 in
+place of FP32/FP16: the parameters, Adam's moments, the checkpoint
+tensors, the embeddings, the head, the softmax and the loss are
+float64, while the LSTM layers compute in the `dtype` that `forward`,
+`predict` and `loss_and_grads` take, float32 by default.  Each call
+casts the LSTM weights once and keeps the casts for backward, whose
+weight gradients go back to float64 before Adam.  The gradient check
+runs in float64.
 
 The LSTM layers run time-major.  Each layer computes its input
 projection x @ Wx + b for all T steps in one GEMM into a contiguous
@@ -207,31 +217,35 @@ class Model:
 
     # -- forward ------------------------------------------------------------
 
-    def forward(self, X: np.ndarray, train: bool = False, rng=None) -> tuple[np.ndarray, dict]:
+    def forward(self, X: np.ndarray, train: bool = False, rng=None,
+                dtype=np.float32) -> tuple[np.ndarray, dict]:
         """Run the full network; returns (probs (B, K), cache for backward).
 
         Dropout is applied only when `train` is True, and only on the
         non-recurrent connections: the encoded inputs of every LSTM
         layer and the inputs of every dense layer.  The recurrent
-        h_{t-1} -> h_t path is never masked.
+        h_{t-1} -> h_t path is never masked.  The LSTM layers compute
+        in `dtype`; the probabilities are float64 either way.
         """
         rate = self.cfg.dropout if train else 0.0
         if rate > 0.0 and rng is None:
             raise NetError("training-mode forward needs an rng for dropout")
-        return self._run(X, rate, rng, keep=True)
+        return self._run(X, rate, rng, keep=True, dtype=dtype)
 
-    def predict(self, X: np.ndarray, batch_size: int = 128) -> np.ndarray:
+    def predict(self, X: np.ndarray, batch_size: int = 128, dtype=np.float32) -> np.ndarray:
         """Inference probabilities; keeps no per-step state.  Each chunk of
         `batch_size` samples still needs a (T, batch_size, 4H) gate buffer,
         so larger chunks cost memory (and, measured, no time)."""
         out = []
         for i in range(0, len(X), batch_size):
-            out.append(self._run(X[i:i + batch_size], 0.0, None, keep=False)[0])
+            out.append(self._run(X[i:i + batch_size], 0.0, None, keep=False, dtype=dtype)[0])
         return np.concatenate(out) if out else np.empty((0, K))
 
-    def _run(self, X: np.ndarray, rate: float, rng, keep: bool) -> tuple[np.ndarray, dict]:
+    def _run(self, X: np.ndarray, rate: float, rng, keep: bool,
+             dtype) -> tuple[np.ndarray, dict]:
         """Shared forward pass.  With `keep`, the cache holds what backward
-        needs; without it, each LSTM layer keeps only its h sequence."""
+        needs, the `dtype` casts of the LSTM weights included; without it,
+        each LSTM layer keeps only its h sequence."""
         cfg = self.cfg
         if X.ndim != 3:
             raise ShapeMismatch(f"expected (B, T, F) batch, got shape {X.shape}")
@@ -242,22 +256,24 @@ class Model:
         enc, emb_cache = self.encode(X)
         cache: dict = {"emb": emb_cache, "layers": []}
 
-        # LSTM layers run time-major: x, h and every state buffer are (T, B, .)
-        x = np.ascontiguousarray(enc.transpose(1, 0, 2))
+        # LSTM layers run time-major in `dtype`: x, h and every state
+        # buffer are (T, B, .)
+        x = np.ascontiguousarray(enc.transpose(1, 0, 2), dtype=dtype)
         for l in range(len(cfg.layers)):
             mask = None
             if rate > 0.0:
                 mask = np.ascontiguousarray(
-                    dropout_mask((B, T, x.shape[-1]), rate, rng).transpose(1, 0, 2))
+                    dropout_mask((B, T, x.shape[-1]), rate, rng).transpose(1, 0, 2), dtype=dtype)
                 x = x * mask
-            h, state = _lstm_forward(x, self.params[f"lstm/{l}/Wx"],
-                                     self.params[f"lstm/{l}/Wh"], self.params[f"lstm/{l}/b"],
-                                     keep)
+            Wx, Wh, b = (self.params[f"lstm/{l}/{n}"].astype(dtype, copy=False)
+                         for n in ("Wx", "Wh", "b"))
+            h, state = _lstm_forward(x, Wx, Wh, b, keep)
             if keep:
-                cache["layers"].append({"in": x, "mask": mask, "h": h, "state": state})
+                cache["layers"].append({"in": x, "mask": mask, "h": h, "state": state,
+                                        "Wx": Wx, "Wh": Wh})
             x = h
 
-        a = x[-1]  # h^L at the final step
+        a = x[-1].astype(np.float64)  # h^L at the final step; the head is float64
         head = []
         for d in range(self.n_dense):
             mask = None
@@ -281,8 +297,8 @@ class Model:
         p = np.clip(probs[np.arange(len(y)), y], PROB_CLAMP, 1.0)
         return float(-np.mean(np.log(p)))
 
-    def loss_on(self, X: np.ndarray, y: np.ndarray) -> float:
-        return self.loss(self.predict(X), y)
+    def loss_on(self, X: np.ndarray, y: np.ndarray, dtype=np.float32) -> float:
+        return self.loss(self.predict(X, dtype=dtype), y)
 
     def backward(self, cache: dict, y: np.ndarray) -> dict:
         """Exact gradients of the mean NLL w.r.t. every parameter."""
@@ -304,20 +320,21 @@ class Model:
             if rec["mask"] is not None:
                 da = da * rec["mask"]
 
-        # da is now d/d h^L_T; BPTT through the stack, top layer first
-        dh = da
+        # da is now d/d h^L_T; BPTT through the stack, top layer first, in
+        # the forward's LSTM dtype; the weight gradients return to float64
+        dh = da.astype(cache["layers"][-1]["h"].dtype)
         for l in range(len(cfg.layers) - 1, -1, -1):
             rec = cache["layers"][l]
             h = rec["h"]
             T, _, H = h.shape
-            dz = _lstm_backward(h, rec["state"], self.params[f"lstm/{l}/Wh"], dh)
+            dz = _lstm_backward(h, rec["state"], rec["Wh"], dh)
             dz = dz.reshape(T * B, 4 * H)
-            grads[f"lstm/{l}/Wx"] = rec["in"].reshape(T * B, -1).T @ dz
+            grads[f"lstm/{l}/Wx"] = (rec["in"].reshape(T * B, -1).T @ dz).astype(np.float64)
             # h_{t-1} is zero at t = 0, so dWh pairs h[:-1] with dz[1:]
-            grads[f"lstm/{l}/Wh"] = h[:-1].reshape(-1, H).T @ dz[B:]
-            grads[f"lstm/{l}/b"] = dz.sum(axis=0)
+            grads[f"lstm/{l}/Wh"] = (h[:-1].reshape(-1, H).T @ dz[B:]).astype(np.float64)
+            grads[f"lstm/{l}/b"] = dz.sum(axis=0, dtype=np.float64)
             # the dh of the layer below (or d enc)
-            dh = (dz @ self.params[f"lstm/{l}/Wx"].T).reshape(T, B, -1)
+            dh = (dz @ rec["Wx"].T).reshape(T, B, -1)
             if rec["mask"] is not None:
                 dh *= rec["mask"]
 
@@ -334,8 +351,9 @@ class Model:
                 offset += dim
         return {k: grads[k] for k in self.params}
 
-    def loss_and_grads(self, X, y, train=False, rng=None) -> tuple[float, dict]:
-        probs, cache = self.forward(X, train=train, rng=rng)
+    def loss_and_grads(self, X, y, train=False, rng=None,
+                       dtype=np.float32) -> tuple[float, dict]:
+        probs, cache = self.forward(X, train=train, rng=rng, dtype=dtype)
         return self.loss(probs, y), self.backward(cache, y)
 
 
@@ -346,7 +364,8 @@ class Model:
 
 def _lstm_forward(x: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray,
                   keep: bool) -> tuple[np.ndarray, Optional[tuple]]:
-    """One LSTM layer over a contiguous (T, B, F) input.
+    """One LSTM layer over a contiguous (T, B, F) input, computed in the
+    dtype of `x` and the weights.
 
     The input projection x @ Wx + b is one GEMM over all T steps into a
     (T, B, 4H) buffer; each step adds h_{t-1} @ Wh to its slice and
@@ -359,13 +378,13 @@ def _lstm_forward(x: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray,
     gates = (x.reshape(T * B, -1) @ Wx).reshape(T, B, 4 * H)
     gates += b
     slots = T if keep else 2
-    c = np.empty((slots, B, H))
-    tc = np.empty((slots, B, H))
-    h = np.empty((T, B, H))
-    h_prev = np.zeros((B, H))
-    c_prev = np.zeros((B, H))
-    # sigmoid as 1 / (1 + exp(-z)): exp overflows to inf for z < -709,
-    # which gives the exact limit 0
+    c = np.empty((slots, B, H), dtype=x.dtype)
+    tc = np.empty((slots, B, H), dtype=x.dtype)
+    h = np.empty((T, B, H), dtype=x.dtype)
+    h_prev = np.zeros((B, H), dtype=x.dtype)
+    c_prev = np.zeros((B, H), dtype=x.dtype)
+    # sigmoid as 1 / (1 + exp(-z)): exp overflows to inf for z < -88.7 in
+    # float32 (-709 in float64), which gives the exact limit 0
     with np.errstate(over="ignore"):
         for t in range(T):
             z = gates[t]
@@ -388,16 +407,17 @@ def _lstm_forward(x: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray,
 
 def _lstm_backward(h: np.ndarray, state: tuple, Wh: np.ndarray,
                    dh_out: np.ndarray) -> np.ndarray:
-    """BPTT through one layer; returns the (T, B, 4H) pre-activation
-    gradients dz.  `dh_out` is the gradient from above: (T, B, H), or
-    (B, H) for the top layer, whose final step alone feeds the head.
-    Only dz_t @ Wh.T stays inside the loop; the caller turns the stacked
-    dz into dWx, dWh, db and the input gradient with one GEMM each."""
+    """BPTT through one layer, in the dtype of `h`; returns the (T, B, 4H)
+    pre-activation gradients dz.  `dh_out` is the gradient from above:
+    (T, B, H), or (B, H) for the top layer, whose final step alone feeds
+    the head.  Only dz_t @ Wh.T stays inside the loop; the caller turns
+    the stacked dz into dWx, dWh, db and the input gradient with one
+    GEMM each."""
     gates, c, tc = state
     T, B, H = h.shape
     dz = np.empty_like(gates)
     WhT = Wh.T
-    zero = np.zeros((B, H))
+    zero = np.zeros((B, H), dtype=h.dtype)
     top = dh_out.ndim == 2
     dh_next = dh_out if top else zero
     dc_next = zero
@@ -623,7 +643,9 @@ def hyper_search(space: dict, budget: int, seed: int, base_cfg: ModelConfig,
 def check_gradients(model: Model, X, y, step: float = 1e-5) -> dict:
     """Per-parameter-group norm relative error between analytic and
     central-finite-difference gradients of the batch loss."""
-    _, analytic = model.loss_and_grads(X, y)
+    _, cache = model.forward(X, dtype=np.float64)
+    assert all(rec["h"].dtype == np.float64 for rec in cache["layers"]), "needs a float64 forward"
+    analytic = model.backward(cache, y)
     errors = {}
     for key, p in model.params.items():
         num = np.zeros_like(p)
@@ -632,9 +654,9 @@ def check_gradients(model: Model, X, y, step: float = 1e-5) -> dict:
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + step
-            up = model.loss_on(X, y)
+            up = model.loss_on(X, y, dtype=np.float64)
             flat[j] = orig - step
-            down = model.loss_on(X, y)
+            down = model.loss_on(X, y, dtype=np.float64)
             flat[j] = orig
             nflat[j] = (up - down) / (2 * step)
         a = analytic[key]

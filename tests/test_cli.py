@@ -379,6 +379,18 @@ class TestExitCodes:
                        "--variant", "orderflow"])
         assert rc == cli.EXIT_ERROR
 
+    def test_build_on_non_utf8_stream_is_error(self, pipeline, tmp_path, capsys):
+        first = (pipeline["root"] / "AAA.ofr").read_bytes().split(b"\n")[0]
+        bad = tmp_path / "bad.ofr"
+        bad.write_bytes(first + b"\n\xff\xfe\n")
+        cfg = dict(pipeline["config"], pairs={"AAA": {"input": str(bad)}})
+        cfgfile = write_config(tmp_path / "bad.json", cfg)
+        capsys.readouterr()
+        rc = cli.main(["build", "--config", cfgfile, "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: line 2: not UTF-8 text")
+
     def test_truncated_dataset_is_error(self, pipeline, tmp_path, capsys):
         data = (pipeline["out"] / "AAA.orderflow.ds").read_bytes()
         cut = tmp_path / "cut.ds"

@@ -162,6 +162,33 @@ class TestIterEvents:
         assert [feed.serialize_event(e) for e in got] == noise_lines
 
 
+def _good(seq):
+    return (f'{{"ts":1,"seq":{seq},"kind":"limit","side":"buy","price":10,"size":1,'
+            f'"id":"o{seq}"}}').encode()
+
+
+class TestReadEvents:
+    @pytest.mark.parametrize("lines,bad_line", [
+        ([_good(1), b"\xff\xfe"], 2),
+        ([b"\xff\xfe"], 1),
+        # past the first 8 KiB text chunk, and a two-byte sequence cut
+        # short by the end of the file
+        ([_good(i) for i in range(300)] + [b'{"id":"\xc3'], 301),
+        # a bare carriage return ends a line too
+        ([_good(1), b"", _good(2) + b"\r" + b"\x80"], 4),
+    ])
+    def test_non_utf8_bytes_name_the_line(self, tmp_path, lines, bad_line):
+        path = tmp_path / "bad.ofr"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(feed.MalformedRecord, match=f"^line {bad_line}: not UTF-8 text"):
+            list(feed.read_events(path))
+
+    def test_utf8_stream_reads(self, tmp_path, noise_lines):
+        path = tmp_path / "ok.ofr"
+        path.write_text("\n".join(noise_lines) + "\n", encoding="utf-8")
+        assert [feed.serialize_event(e) for e in feed.read_events(path)] == noise_lines
+
+
 class TestWriteStream:
     def interrupt_after(self, monkeypatch, k):
         real = feed.generate_synthetic

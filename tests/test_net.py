@@ -275,7 +275,8 @@ class TestReferenceLSTM:
         X = raw_batch(variant, B=5, T=T, seed=3)
         y = np.array([0, 1, 1, 0, 1])
         for train in (False, True):
-            probs, cache = m.forward(X, train=train, rng=np.random.default_rng(8))
+            probs, cache = m.forward(X, train=train, rng=np.random.default_rng(8),
+                                     dtype=np.float64)
             grads = m.backward(cache, y)
             _, ref_probs, ref_grads = reference_loss_and_grads(
                 m, X, y, train=train, rng=np.random.default_rng(8))
@@ -284,29 +285,54 @@ class TestReferenceLSTM:
             for k in ref_grads:
                 assert _rel(grads[k], ref_grads[k]) <= 1e-12, (train, k)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("variant", ["orderflow", "bench1", "bench2"])
-    def test_predict_equals_forward_bitwise(self, variant):
+    def test_predict_equals_forward_bitwise(self, variant, dtype):
         m = Model(small_cfg(variant, layers=(6, 4), dense_hidden=(5,), dropout=0.3), seed=2)
         X = raw_batch(variant, B=9, T=12, seed=4)
-        np.testing.assert_array_equal(m.predict(X), m.forward(X)[0])
+        np.testing.assert_array_equal(m.predict(X, dtype=dtype), m.forward(X, dtype=dtype)[0])
 
-    def test_saturated_gates_stay_finite_without_warnings(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_saturated_gates_stay_finite_without_warnings(self, dtype):
         m = Model(small_cfg(layers=(6, 4), dense_hidden=(5,)), seed=0)
         for l in range(2):
             H = m.cfg.layers[l]
-            # i and o gates driven past -800, f and g past +800
+            # i and o gates driven past -800, f and g past +800: beyond
+            # where exp overflows in either dtype (-88.7 and -709)
             m.params[f"lstm/{l}/b"][:] = np.repeat([-900.0, 900.0, 900.0, -900.0], H)
         X = raw_batch(B=4, T=5)
         y = np.array([0, 1, 0, 1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            probs, cache = m.forward(X)
+            probs, cache = m.forward(X, dtype=dtype)
             grads = m.backward(cache, y)
-            predicted = m.predict(X)
+            predicted = m.predict(X, dtype=dtype)
         assert np.all(np.isfinite(probs)) and np.all(np.isfinite(predicted))
         assert all(np.all(np.isfinite(g)) for g in grads.values())
         gates = cache["layers"][0]["state"][0]
+        assert gates.dtype == dtype
         assert set(np.unique(gates)) <= {0.0, 1.0}
+
+
+class TestPrecision:
+    """The float32 LSTM against the float64 one, on the benchmark's shape."""
+
+    def test_float32_within_stated_bounds_of_float64(self):
+        cfg = dataclasses.replace(small_cfg(layers=(64, 64)), emb_dims=dict(net.DEFAULT_EMB_DIMS))
+        m = Model(cfg, seed=3)
+        X = raw_batch(B=64, T=100, seed=5)
+        y = np.random.default_rng(6).integers(0, 2, 64)
+        p32, c32 = m.forward(X, dtype=np.float32)
+        p64, c64 = m.forward(X, dtype=np.float64)
+        assert c32["layers"][0]["h"].dtype == np.float32 and p32.dtype == np.float64
+        # bounds: probabilities within 1e-6 absolute, every gradient group
+        # within 1e-4 relative, and the same predicted class
+        assert np.max(np.abs(p32 - p64)) <= 1e-6
+        np.testing.assert_array_equal(p32.argmax(axis=1), p64.argmax(axis=1))
+        g32, g64 = m.backward(c32, y), m.backward(c64, y)
+        for k in g64:
+            assert g32[k].dtype == np.float64
+            assert _rel(g32[k], g64[k]) <= 1e-4, k
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +368,10 @@ class TestGradients:
         m = Model(small_cfg(), seed=1)
         X = raw_batch(B=3)
         y = np.array([1, 0, 1])
-        _, g1 = m.loss_and_grads(X, y)
-        _, g2 = m.loss_and_grads(np.concatenate([X, X]), np.concatenate([y, y]))
+        # float64: a float32 GEMM sums the doubled rows in another order
+        _, g1 = m.loss_and_grads(X, y, dtype=np.float64)
+        _, g2 = m.loss_and_grads(np.concatenate([X, X]), np.concatenate([y, y]),
+                                 dtype=np.float64)
         for k in g1:
             np.testing.assert_allclose(g1[k], g2[k], atol=1e-12)
 
@@ -464,6 +492,26 @@ class TestTrain:
         res = net.train(m, (X, y), (X, y), sched)
         probs = m.predict(X)
         assert abs(m.loss(probs, y) - res.best_val_loss) < 1e-12
+
+    def test_master_weights_moments_and_grads_stay_float64(self, tmp_path, monkeypatch):
+        seen = []
+
+        def recording_adam_step(params, grads, state, **kw):
+            seen.append([a.dtype for d in (grads, state.m, state.v) for a in d.values()])
+            adam_step(params, grads, state, **kw)
+            seen.append([a.dtype for d in (params, state.m, state.v) for a in d.values()])
+
+        adam_step = net.adam_step
+        monkeypatch.setattr(net, "adam_step", recording_adam_step)
+        X, y = toy_xy()
+        m = Model(small_cfg(layers=(4, 3), dropout=0.1), seed=0)
+        net.train(m, (X, y), (X, y), TrainSchedule(epochs=2, batch_size=32, seed=0))
+        assert len(seen) == 8 and all(d == np.float64 for step in seen for d in step)
+        assert all(p.dtype == np.float64 for p in m.params.values())
+        p = tmp_path / "m.ckpt"
+        net.save_checkpoint(m, p)
+        back, _ = net.load_checkpoint(p)
+        np.testing.assert_array_equal(back.predict(X), m.predict(X))
 
     def test_fixed_seed_bitwise_deterministic(self):
         X, y = toy_xy()
