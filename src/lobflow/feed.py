@@ -12,6 +12,11 @@ string.  Unknown keys are rejected.  Files carry the `.ofr` extension.
 
 Lines written by :func:`serialize_event` are canonical; for canonical
 lines ``serialize_event(parse_event(line)) == line`` byte for byte.
+:func:`parse_event` reads a canonical line with one regular-expression
+match, without building a dict.  Any other valid JSON spelling of a
+record (other key order, whitespace, escapes) is still accepted through
+``json.loads``, and every rejected line is rejected there, so each error
+type and message comes from one place.
 
 :func:`iter_events` (and :func:`read_events` on a file) parses a stream
 in order and enforces its invariants: strictly increasing `seq` and
@@ -22,7 +27,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice
 from typing import Iterable, Iterator, Optional
@@ -82,20 +88,42 @@ _ALL_KEYS = _REQUIRED_KEYS | {"price"}
 _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 
-@dataclass(frozen=True)
 class OrderEvent:
-    """One parsed exchange message."""
+    """One parsed exchange message.  Treat it as immutable; equality and
+    hashing ignore `size_str`."""
 
-    timestamp_ms: int
-    seq: int
-    kind: EventKind
-    side: Side
-    price_ticks: Optional[int]  # None for market orders
-    size: float
-    order_id: str
-    # Preserved only when `size` arrived as a decimal string, so that
-    # serialization round-trips byte-exactly.
-    size_str: Optional[str] = field(default=None, compare=False)
+    __slots__ = ("timestamp_ms", "seq", "kind", "side", "price_ticks", "size",
+                 "order_id", "size_str")
+
+    def __init__(self, timestamp_ms: int, seq: int, kind: EventKind, side: Side,
+                 price_ticks: Optional[int], size: float, order_id: str,
+                 size_str: Optional[str] = None) -> None:
+        self.timestamp_ms = timestamp_ms
+        self.seq = seq
+        self.kind = kind
+        self.side = side
+        self.price_ticks = price_ticks  # None for market orders
+        self.size = size
+        self.order_id = order_id
+        # Preserved only when `size` arrived as a decimal string, so that
+        # serialization round-trips byte-exactly.
+        self.size_str = size_str
+
+    def _key(self) -> tuple:
+        return (self.timestamp_ms, self.seq, self.kind, self.side, self.price_ticks,
+                self.size, self.order_id)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 def _bad_value(name: str, value) -> SchemaViolation:
@@ -106,8 +134,47 @@ def _bad_value(name: str, value) -> SchemaViolation:
     return SchemaViolation(f"bad {name} {value!r}")
 
 
+# One canonical line, as `serialize_event` writes it.  ASCII digits only,
+# JSON's integer and number grammar, and strings without escapes or control
+# characters, so each captured text is what `json.loads` would decode.
+# `ts`, `seq` and `price` take at most 18 digits and so always fit int64,
+# and `price` takes no sign or leading zero and so is always positive.
+_INT = r"-?(?:0|[1-9][0-9]{0,17})"
+_STR = r'([^"\\\x00-\x1f]*)'
+_CANONICAL = re.compile(
+    rf'\{{"ts":({_INT}),"seq":({_INT}),"kind":"(limit|market|cancel)","side":"(buy|sell)",'
+    r'(?:"price":([1-9][0-9]{0,17}),)?'
+    rf'"size":(?:(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)|"{_STR}"),'
+    rf'"id":"{_STR}"\}}')
+
+
+def _parse_canonical(line: str) -> Optional[OrderEvent]:
+    """The event of a canonical line whose values pass every check, else
+    None: the general path then parses the line and names its fault."""
+    m = _CANONICAL.fullmatch(line)
+    if m is None:
+        return None
+    ts, seq, kind, side, price, number, size_str, oid = m.groups()
+    kind = _KIND_FROM_WIRE[kind]
+    if (price is None) is not (kind is EventKind.MARKET):
+        return None
+    # float() of a JSON number rounds as float(int(...)) does, and overflows
+    # to inf instead of raising, which the size check below then refuses
+    try:
+        size = float(number if size_str is None else size_str)
+    except ValueError:
+        return None
+    if not 0.0 < size < math.inf:
+        return None
+    return OrderEvent(int(ts), int(seq), kind, _SIDE_FROM_WIRE[side],
+                      None if price is None else int(price), size, oid, size_str)
+
+
 def parse_event(line: str) -> OrderEvent:
     """Parse and validate one wire-format line into an OrderEvent."""
+    ev = _parse_canonical(line)
+    if ev is not None:
+        return ev
     try:
         obj = json.loads(line)
     except ValueError as e:

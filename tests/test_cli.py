@@ -674,35 +674,36 @@ def _paths(node, prefix=()):
             yield from _paths(v, prefix + (k,))
 
 
-class TestConfigFuzz:
-    @pytest.fixture(scope="class")
-    def tiny(self, tmp_path_factory):
-        """A 300-event stream, its orderflow .ds and a config every command accepts."""
-        root = tmp_path_factory.mktemp("fuzz")
-        cfg = {
-            "version": 1, "seed": 3,
-            "pairs": {"X": {"input": "X.ofr", "generator": {"seed_levels": 4}}},
-            "generator": {**cli.CONFIG_DEFAULTS["generator"], "n_events": 300,
-                          "mean_gap_ms": 2000, "min_gap_ms": 1,
-                          "planted": feed.PLANTED_LAST_EVENT_SIDE},
-            "warm_up": {"count": 20, "ts": None}, "T": 4, "S": 2,
-            "model": {"layers": [3], "dense_hidden": [2],
-                      "emb_dims": {"kind": 1, "side": 1, "hour": 1}, "dropout": 0.1},
-            "schedule": {**cli.CONFIG_DEFAULTS["schedule"], "epochs": 1, "batch_size": 16,
-                         "lr": 1e-2, "patience": 1},
-            "search": {"space": {"lr": [1e-2]}, "budget": 1},
-        }
-        with pytest.MonkeyPatch.context() as mp:
-            mp.chdir(root)
-            assert cli.main(["generate", "--config", write_config(root / "c.json", cfg),
-                             "--out", "out"]) == cli.EXIT_OK
-            lo, hi = stream_span("X.ofr")
-            a, b = lo + (hi - lo) * 6 // 10, lo + (hi - lo) * 8 // 10
-            cfg["split_ranges"] = {"train": [lo, a], "validation": [a, b], "test": [b, hi + 1]}
-            assert cli.main(["build", "--config", write_config(root / "c.json", cfg),
-                             "--out", "out"]) == cli.EXIT_OK
-        return {"stream": root / "X.ofr", "ds": root / "out" / "X.orderflow.ds", "cfg": cfg}
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """A 300-event stream, its orderflow .ds and a config every command accepts."""
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg = {
+        "version": 1, "seed": 3,
+        "pairs": {"X": {"input": "X.ofr", "generator": {"seed_levels": 4}}},
+        "generator": {**cli.CONFIG_DEFAULTS["generator"], "n_events": 300,
+                      "mean_gap_ms": 2000, "min_gap_ms": 1,
+                      "planted": feed.PLANTED_LAST_EVENT_SIDE},
+        "warm_up": {"count": 20, "ts": None}, "T": 4, "S": 2,
+        "model": {"layers": [3], "dense_hidden": [2],
+                  "emb_dims": {"kind": 1, "side": 1, "hour": 1}, "dropout": 0.1},
+        "schedule": {**cli.CONFIG_DEFAULTS["schedule"], "epochs": 1, "batch_size": 16,
+                     "lr": 1e-2, "patience": 1},
+        "search": {"space": {"lr": [1e-2]}, "budget": 1},
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        assert cli.main(["generate", "--config", write_config(root / "c.json", cfg),
+                         "--out", "out"]) == cli.EXIT_OK
+        lo, hi = stream_span("X.ofr")
+        a, b = lo + (hi - lo) * 6 // 10, lo + (hi - lo) * 8 // 10
+        cfg["split_ranges"] = {"train": [lo, a], "validation": [a, b], "test": [b, hi + 1]}
+        assert cli.main(["build", "--config", write_config(root / "c.json", cfg),
+                         "--out", "out"]) == cli.EXIT_OK
+    return {"stream": root / "X.ofr", "ds": root / "out" / "X.orderflow.ds", "cfg": cfg}
 
+
+class TestConfigFuzz:
     @settings(max_examples=600, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_one_replaced_value_is_a_clean_exit(self, tiny, data):
@@ -728,3 +729,44 @@ class TestConfigFuzz:
         if rc == cli.EXIT_ERROR:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
+# ---------------------------------------------------------------------------
+# stream fuzz: a truncated, extended or bit-flipped .ofr stream
+# ---------------------------------------------------------------------------
+
+_PREDICTIONS = ("# split=test\n# test_pair=X\n# train_pair=X\n# variant=orderflow\n"
+                "timestamp_ms,y,yhat,p1\n1510000000000,1,1,0.9\n1510000000000,0,1,0.6\n")
+
+
+class TestStreamFuzz:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_damaged_stream_is_a_clean_exit(self, tiny, data):
+        raw = tiny["stream"].read_bytes()
+        damage = data.draw(st.sampled_from(["truncate", "extend", "flip"]), label="damage")
+        if damage == "truncate":
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="at")]
+        elif damage == "extend":
+            raw += data.draw(st.binary(min_size=1, max_size=64)
+                             | st.sampled_from(raw.splitlines(keepends=True)), label="tail")
+        else:
+            i = data.draw(st.integers(0, len(raw) - 1), label="byte")
+            bit = data.draw(st.integers(0, 7), label="bit")
+            raw = raw[:i] + bytes([raw[i] ^ 1 << bit]) + raw[i + 1:]
+        with tempfile.TemporaryDirectory() as work, pytest.MonkeyPatch.context() as mp:
+            mp.chdir(work)
+            Path("X.ofr").write_bytes(raw)
+            Path("pred.csv").write_text(_PREDICTIONS)
+            for argv in (["build", "--config", write_config(Path(work) / "c.json", tiny["cfg"]),
+                          "--out", "out"],
+                         ["report", "--out", "out", "--pred", "pred.csv", "--stream", "X.ofr"]):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    rc = cli.main(argv)
+                lines = err.getvalue().splitlines()
+                assert rc in (cli.EXIT_OK, cli.EXIT_ERROR, cli.EXIT_WARN), (argv[0], rc)
+                if rc == cli.EXIT_ERROR:
+                    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+                if rc == cli.EXIT_WARN:
+                    assert len(lines) == 1 and lines[0].startswith("warning:"), lines

@@ -1,11 +1,44 @@
+import contextlib
 import hashlib
 import json
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lobflow import feed
 from lobflow.feed import EventKind, Side
+
+# canonical lines, as `serialize_event` writes them
+_EVENT_LINES = st.builds(
+    lambda ts, seq, kind, side, price, size, size_str, oid: feed.serialize_event(feed.OrderEvent(
+        ts, seq, kind, side, None if kind is EventKind.MARKET else price, size, oid, size_str)),
+    st.integers(0, 2 ** 48), st.integers(1, 2 ** 48), st.sampled_from(list(EventKind)),
+    st.sampled_from(list(Side)), st.integers(1, 10 ** 9), st.floats(1e-9, 1e9),
+    st.none() | st.from_regex(r"[0-9]{1,4}(\.[0-9]{1,4})?", fullmatch=True),
+    st.from_regex(r"o[0-9]{1,6}", fullmatch=True) | st.text(max_size=4))
+# values at and around every bound the parser checks
+_INT64ISH = (st.integers(-10, 10 ** 13)
+             | st.sampled_from([2 ** 63 - 1, 2 ** 63, -2 ** 63, -2 ** 63 - 1, 10 ** 17, 10 ** 18,
+                                -10 ** 18, 10 ** 19])
+             | st.integers())
+_SIZES = (st.floats() | st.integers(-3, 10 ** 400)
+          | st.from_regex(r"-?[0-9]{1,4}(\.[0-9]{1,4})?([eE][-+]?[0-9]{1,3})?", fullmatch=True)
+          | st.text(max_size=6))
+# compact JSON objects with the wire keys in wire order, a price on any
+# kind, values near every bound and ids with and without escapes
+_NEAR_LINES = st.builds(
+    lambda ts, seq, kind, side, price, size, oid, ascii: json.dumps(
+        {"ts": ts, "seq": seq, "kind": kind, "side": side,
+         **({} if price is None else {"price": price}), "size": size, "id": oid},
+        separators=(",", ":"), ensure_ascii=ascii),
+    _INT64ISH, _INT64ISH, st.sampled_from(["limit", "market", "cancel"]),
+    st.sampled_from(["buy", "sell"]), st.none() | _INT64ISH, _SIZES, st.text(max_size=6),
+    st.booleans())
+# characters that matter to the JSON grammar and to the fast path's regex
+_CHARS = st.sampled_from(list('0123456789-+.eE"\\{}[],: \t\r\x00\x1f\x7fabcdeflmnrstuyzNI')
+                         + ["\u00e9", "\u0661", "\u2028", "\ufeff"]) | st.characters()
 
 
 class TestParse:
@@ -99,6 +132,158 @@ class TestParse:
 
     def test_invariant_violation_is_schema_violation(self):
         assert issubclass(feed.InvariantViolation, feed.SchemaViolation)
+
+
+def _outcome(line, fast=True):
+    """What `parse_event` makes of `line`: the event's full repr (every
+    field, `size_str` included), or the error's type and message."""
+    with (contextlib.nullcontext() if fast
+          else mock.patch.object(feed, "_parse_canonical", lambda line: None)):
+        try:
+            return repr(feed.parse_event(line))
+        except feed.FeedError as e:
+            return type(e), str(e)
+
+
+def _line(size="1.5", price=',"price":10', kind="limit", oid='"x"', ts="1", seq="1"):
+    return (f'{{"ts":{ts},"seq":{seq},"kind":"{kind}","side":"buy"{price},"size":{size},'
+            f'"id":{oid}}}')
+
+
+_CANONICAL_LINE = _line()
+
+
+class TestFastPath:
+    """Canonical lines skip `json.loads`; every line parses as it does
+    through `json.loads` alone."""
+
+    def test_generated_lines_take_the_fast_path(self, monkeypatch, noise_lines):
+        cfg = feed.GeneratorConfig(n_events=3000, planted=feed.PLANTED_LAST_EVENT_SIDE)
+        streams = [noise_lines, list(feed.generate_synthetic(cfg, seed=5))]
+        kinds = {json.loads(line)["kind"] for line in streams[0] + streams[1]}
+        assert kinds == {"limit", "market", "cancel"}
+
+        def no_json(line):
+            raise AssertionError(f"general path taken by {line!r}")
+        monkeypatch.setattr(feed, "json", SimpleNamespace(loads=no_json))
+        for lines in streams:
+            assert len(list(feed.iter_events(lines))) == len(lines)
+
+    @pytest.mark.parametrize("line,fast", [
+        (_CANONICAL_LINE, True),
+        (_line(kind="market", price=""), True),
+        (_line(kind="cancel"), True),
+        # sizes
+        (_line(size="1e-3"), True),
+        (_line(size="1.5E+2"), True),
+        (_line(size="2"), True),
+        (_line(size="-0.0"), False),
+        (_line(size="0"), False),
+        (_line(size='"0.5"'), True),
+        (_line(size='"nan"'), False),
+        (_line(size='"inf"'), False),
+        (_line(size='"1_0"'), True),
+        (_line(size='" 2.5 "'), True),
+        (_line(size='"1/2"'), False),
+        (_line(size='"1e400"'), False),
+        (_line(size="1" * 400), False),
+        (_line(size="1" * 400 + ".5"), False),
+        (_line(size=f'"{"1" * 400}"'), False),
+        (_line(size="1" * 5000), False),
+        (_line(size="1e400"), False),
+        (_line(size="NaN"), False),
+        (_line(size="Infinity"), False),
+        (_line(size=".5"), False),
+        (_line(size="5."), False),
+        (_line(size="+5"), False),
+        (_line(size="true"), False),
+        # leading zeros and non-ASCII digits
+        (_line(ts="01"), False),
+        (_line(size="01.5"), False),
+        (_line(price=',"price":007'), False),
+        (_line(ts="-0"), True),
+        (_line(seq='"1"'), False),
+        (_line(seq="\u0661"), False),
+        (_line(ts="1\u0661"), False),
+        (_line(price=',"price":1\u0661'), False),
+        (_line(size="1\u0661"), False),
+        # int64: 18 digits take the fast path, the bounds the general one
+        (_line(ts="9" * 18, seq="-" + "9" * 18, price=',"price":' + "9" * 18), True),
+        (_line(ts=str(2 ** 63 - 1), seq=str(-2 ** 63), price=f',"price":{2 ** 63 - 1}'), False),
+        (_line(ts=str(2 ** 63)), False),
+        (_line(ts=str(-2 ** 63 - 1)), False),
+        (_line(seq=str(2 ** 63)), False),
+        (_line(seq=str(-2 ** 63 - 1)), False),
+        (_line(price=f',"price":{2 ** 63}'), False),
+        # price against kind
+        (_line(price=',"price":0'), False),
+        (_line(price=',"price":-3'), False),
+        (_line(price=',"price":1.5'), False),
+        (_line(kind="market"), False),
+        (_line(price=""), False),
+        (_line(kind="cancel", price=""), False),
+        (_line(kind="stop"), False),
+        (_line(kind="Limit"), False),
+        # ids
+        (_line(oid='"a\\u00e9"'), False),
+        (_line(oid='"a\u00e9\u2028"'), True),
+        (_line(oid='"a\\"b"'), False),
+        (_line(oid='"a\\\\"'), False),
+        (_line(oid='"a\x00"'), False),
+        (_line(oid='"a\x1f"'), False),
+        (_line(oid='"a\x7f"'), True),
+        (_line(oid='""'), True),
+        (_line(oid="7"), False),
+        # other spellings of one object
+        ('{"ts":2,' + _CANONICAL_LINE[1:], False),
+        (_CANONICAL_LINE[:-1] + ',"id":"y"}', False),
+        ('{"seq":1,"ts":1' + _CANONICAL_LINE[len('{"ts":1,"seq":1'):], False),
+        (" " + _CANONICAL_LINE + " ", False),
+        (_CANONICAL_LINE + "\r", False),
+        (_CANONICAL_LINE + "\n", False),
+        (_CANONICAL_LINE.replace(",", ", "), False),
+        (_CANONICAL_LINE.replace(":", ": "), False),
+        ("\ufeff" + _CANONICAL_LINE, False),
+        (_CANONICAL_LINE + "{}", False),
+        (_CANONICAL_LINE[:-1] + ',"extra":1}', False),
+        (_CANONICAL_LINE[:-1], False),
+        ("", False),
+    ])
+    def test_edge_cases_match_the_general_path(self, line, fast):
+        assert (feed._parse_canonical(line) is not None) == fast
+        assert _outcome(line) == _outcome(line, fast=False)
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(line=_EVENT_LINES | _NEAR_LINES, data=st.data())
+    def test_one_character_edits_match_the_general_path(self, line, data):
+        i = data.draw(st.integers(0, len(line)), label="at")
+        edit = data.draw(st.sampled_from(["keep", "insert", "delete", "replace"]), label="edit")
+        if edit != "keep":
+            ch = "" if edit == "delete" else data.draw(_CHARS, label="char")
+            line = line[:i] + ch + line[i + (edit != "insert"):]
+        assert _outcome(line) == _outcome(line, fast=False)
+
+
+class TestOrderEvent:
+    def test_equality_and_hash_ignore_size_str(self):
+        a = feed.OrderEvent(1, 2, EventKind.LIMIT, Side.BUY, 10, 0.5, "x")
+        b = feed.OrderEvent(1, 2, EventKind.LIMIT, Side.BUY, 10, 0.5, "x", "0.50")
+        assert a == b and hash(a) == hash(b) and a.size_str is None
+        assert a != feed.OrderEvent(1, 2, EventKind.LIMIT, Side.BUY, 10, 0.5, "y")
+        assert a != (1, 2, EventKind.LIMIT, Side.BUY, 10, 0.5, "x")
+
+    def test_slotted_with_positional_signature(self):
+        ev = feed.OrderEvent(1, 2, EventKind.MARKET, Side.SELL, None, 0.5, "x")
+        assert not hasattr(ev, "__dict__")
+        assert (ev.timestamp_ms, ev.seq, ev.kind, ev.side, ev.price_ticks, ev.size,
+                ev.order_id, ev.size_str) == (1, 2, EventKind.MARKET, Side.SELL, None, 0.5,
+                                              "x", None)
+
+    def test_repr_names_every_field(self):
+        ev = feed.OrderEvent(1, 2, EventKind.LIMIT, Side.BUY, 10, 0.5, "x", "0.5")
+        assert repr(ev) == ("OrderEvent(timestamp_ms=1, seq=2, kind=<EventKind.LIMIT: 1>, "
+                            "side=<Side.BUY: 1>, price_ticks=10, size=0.5, order_id='x', "
+                            "size_str='0.5')")
 
 
 class TestRoundTrip:
