@@ -30,12 +30,13 @@ print(f"\nrelative price of a buy at best ({bb}):",
 print(f"relative price of a buy 3 ticks below:",
       book.relative_price(Side.BUY, bb - 3))
 
-# fixed-depth snapshot, shallow sides padded with zero volume
+# fixed-depth snapshot as one row: bid prices, bid volumes, ask prices,
+# ask volumes; shallow sides padded with zero volume
 snap = book.snapshot(5)
 print("\ntop-5 snapshot:")
-for p, v in zip(snap.bid_prices, snap.bid_volumes):
+for p, v in zip(snap[0:5], snap[5:10]):
     print(f"  bid {p}  {v:.6g}")
-for p, v in zip(snap.ask_prices, snap.ask_volumes):
+for p, v in zip(snap[10:15], snap[15:20]):
     print(f"  ask {p}  {v:.6g}")
 
 # the whole book state matches a naive full-scan reference exactly

@@ -8,19 +8,22 @@ mover, whose window is the rows [end - T, end) of the T events strictly
 preceding it.  Everything else about a sample is derived: `Dataset.X`
 gathers the (N, T, F) windows from the table, the event time is the
 mover's `table_ts[end]`, and the split is the one of the dataset's
-`split_ranges` that holds that time.  Three variants are built in one
-pass on shared labels and window ends:
+`split_ranges` that holds that time.  One loop replays the stream into
+one book: its warm-up prefix only builds the book, and every later event
+becomes a table row.  Three variants are built in that pass on shared
+labels and window ends:
 
   orderflow  per event: [dt_ms, hour, size, kind, side, rel_price]
   bench1     per event: [bid px*S, bid vol*S, ask px*S, ask vol*S, mid,
                          mo_rate_buy, mo_rate_sell]
   bench2     bench1 without the two MO-rate columns
 
-The MO rates depend on the window, so the bench1 table holds the
-best-bid and best-ask order counts and buy and sell market-order flags
-in their place.  The gather derives each rate as the number of market
-orders of that side in the window over that step's best-level order
-count (0 when the count is 0).
+The MO rates depend on the window, so the bench1 row is the book's
+snapshot row and mid with the best-bid and best-ask order counts and
+the buy and sell market-order flags appended in their place; the bench2
+table is its first 4S + 1 columns.  The gather derives each rate as the
+number of market orders of that side in the window over that step's
+best-level order count (0 when the count is 0).
 
 Feature values are stored raw; the normalization applied at the model
 input (log1p on dt, log on size and rel_price, snapshot prices as tick
@@ -41,7 +44,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from typing import Iterable, Optional
 
 import numpy as np
@@ -73,31 +75,6 @@ class MissingStats(FeatureError):
 
 def hour_utc(timestamp_ms):
     return (timestamp_ms // 3_600_000) % 24
-
-
-def warm_up(events: Iterable[OrderEvent], until_ts: Optional[int] = None,
-            until_count: Optional[int] = None):
-    """Apply the stream prefix to a new book without emitting anything.
-
-    The boundary is either a timestamp (events with ts < until_ts are
-    consumed) or an event count.  Returns (book, consumed, remaining
-    iterator, last_consumed_ts).
-    """
-    if (until_ts is None) == (until_count is None):
-        raise ValueError("exactly one of until_ts / until_count required")
-    book = lob.OrderBook()
-    it = iter(events)
-    consumed = 0
-    last_ts = None
-    for ev in it:
-        if until_ts is not None and ev.timestamp_ms >= until_ts:
-            return book, consumed, chain([ev], it), last_ts
-        if until_count is not None and consumed >= until_count:
-            return book, consumed, chain([ev], it), last_ts
-        book.apply_event(ev)
-        consumed += 1
-        last_ts = ev.timestamp_ms
-    return book, consumed, iter(()), last_ts
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +152,13 @@ class Dataset:
         return {name: int(np.sum(split == code)) for name, code in SPLIT_NAMES.items()}
 
 
+def _window_market_orders(ds: Dataset, end: np.ndarray) -> np.ndarray:
+    """(len(end), 2) counts of buy and sell market orders in the bench1
+    windows [end - T, end)."""
+    mo = _cumsum0(ds.table[:, 4 * ds.S + 3:])
+    return mo[end] - mo[end - ds.T]
+
+
 def _gather(ds: Dataset, end: np.ndarray) -> np.ndarray:
     """The (len(end), T, F) windows ending before the given table rows."""
     rows = end[:, None] - ds.T + np.arange(ds.T)
@@ -183,8 +167,7 @@ def _gather(ds: Dataset, end: np.ndarray) -> np.ndarray:
     w = 4 * ds.S + 1
     X = np.zeros(rows.shape + (w + 2,))
     X[..., :w] = ds.table[rows, :w]
-    mo = _cumsum0(ds.table[:, w + 2:])
-    n_mo = (mo[end] - mo[end - ds.T])[:, None, :]
+    n_mo = _window_market_orders(ds, end)[:, None, :]
     counts = ds.table[rows, w:w + 2]
     np.divide(n_mo, counts, out=X[..., w:], where=counts > 0)
     return X
@@ -195,22 +178,32 @@ def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SY
                    variants: tuple = VARIANTS) -> dict[str, Dataset]:
     """Single replay pass producing every requested variant on shared labels.
 
-    Movers with fewer than T events since the warm-up are skipped.  When a
-    snapshot variant is requested, samples whose window holds an event
-    with no defined mid are dropped from all variants so the variants
-    stay index-aligned.
+    The stream's warm-up prefix, the events with ts < warm_until_ts or
+    the first warm_count events (none by default), only builds the book;
+    it ends at the first event past it.  Movers with fewer than T events
+    since the warm-up are skipped.  When a snapshot variant is requested,
+    samples whose window holds an event with no defined mid are dropped
+    from all variants so the variants stay index-aligned.
     """
-    counters: dict = {}
-    need_snap = any(v != "orderflow" for v in variants)
-    need_counts = "bench1" in variants
+    if warm_until_ts is not None and warm_count is not None:
+        raise ValueError("at most one of warm_until_ts / warm_count")
     if warm_until_ts is None and warm_count is None:
         warm_count = 0
-    book, n_warm, rest, warm_last_ts = warm_up(iter(events), until_ts=warm_until_ts,
-                                               until_count=warm_count)
-    counters["warmup_events"] = n_warm
+    counters: dict = {"warmup_events": 0}
+    need_snap = any(v != "orderflow" for v in variants)
+    need_counts = "bench1" in variants
+    book = lob.OrderBook()
+    warming, n_warm, warm_last_ts = True, 0, None
 
     ts, flow, snaps, ends, labels = [], [], [], [], []
-    for j, ev in enumerate(rest):
+    for ev in events:
+        if warming:
+            if (ev.timestamp_ms < warm_until_ts if warm_count is None else n_warm < warm_count):
+                book.apply_event(ev)
+                n_warm += 1
+                warm_last_ts = ev.timestamp_ms
+                continue
+            warming = False
         try:
             rel = book.relative_price(ev.side, ev.price_ticks)
         except lob.EmptySide:
@@ -218,15 +211,17 @@ def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SY
             rel = 1
             counters["rel_price_fallbacks"] = counters.get("rel_price_fallbacks", 0) + 1
         delta = book.apply_event(ev)
+        j = len(ts)
         ts.append(ev.timestamp_ms)
         flow.append((ev.size, ev.kind.value, ev.side.value, rel))
         if need_snap:
-            s = book.snapshot(S)
-            row = s.bid_prices + s.bid_volumes + s.ask_prices + s.ask_volumes
+            row = book.snapshot(S)
             row.append(delta.mid2_after / 2 if delta.mid2_after is not None else np.nan)
             if need_counts:
-                row.append(book.level_count(Side.BUY, book.best_bid()))
-                row.append(book.level_count(Side.SELL, book.best_ask()))
+                market = ev.kind is EventKind.MARKET
+                row += (book.level_count(Side.BUY, book.best_bid()),
+                        book.level_count(Side.SELL, book.best_ask()),
+                        market and ev.side is Side.BUY, market and ev.side is Side.SELL)
             snaps.append(row)
         if delta.mid_changed:
             if j >= T:
@@ -237,6 +232,7 @@ def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SY
                     counters.get("skipped_insufficient_history", 0) + 1
         elif delta.mid2_before is None and delta.mid2_after is not None:
             counters["mid_became_defined"] = counters.get("mid_became_defined", 0) + 1
+    counters["warmup_events"] = n_warm
 
     ts = np.asarray(ts, dtype=np.int64)
     flow = np.asarray(flow, dtype=np.float64).reshape(len(ts), 4)
@@ -246,18 +242,13 @@ def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SY
     tables = {"orderflow": np.column_stack((dt, hour_utc(ts), flow))}
     if need_snap:
         w = 4 * S + 1
-        snap = np.asarray(snaps, dtype=np.float64).reshape(len(ts), w + 2 * need_counts)
+        snap = np.asarray(snaps, dtype=np.float64).reshape(len(ts), w + 4 * need_counts)
         undefined = _cumsum0(np.isnan(snap[:, w - 1]))
         keep = undefined[end] == undefined[end - T]
         if not keep.all():
             counters["skipped_undefined_mid"] = int(np.sum(~keep))
             end, y = end[keep], y[keep]
-        tables["bench2"] = snap[:, :w]
-        if need_counts:
-            kind, side = flow[:, 1], flow[:, 2]
-            market = kind == EventKind.MARKET.value
-            tables["bench1"] = np.column_stack((snap, market & (side == Side.BUY.value),
-                                                market & (side == Side.SELL.value)))
+        tables["bench1"], tables["bench2"] = snap, snap[:, :w]
     counters["samples"] = len(end)
     return {v: Dataset(v, T, S, pair, tables[v], ts, end.copy(), y.copy(),
                        counters=dict(counters))
@@ -355,8 +346,7 @@ def compute_norm_stats(ds: Dataset) -> dict:
     var = (w * (z - mean[:, None]) ** 2).sum(axis=1) / n
     if ds.variant == "bench1":
         c = 4 * ds.S + 1
-        mo = _cumsum0(ds.table[:, c + 2:])
-        n_mo = mo[end] - mo[end - T]
+        n_mo = _window_market_orders(ds, end)
         counts = ds.table[:, c:c + 2]
         inv = np.divide(1.0, counts, out=np.zeros_like(counts), where=counts > 0)
         m1 = [(_cover(E, T, end, n_mo[:, k]) * inv[:, k]).sum() / n for k in (0, 1)]

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, islice
 from typing import Iterable, Iterator, Optional
@@ -88,42 +88,21 @@ _ALL_KEYS = _REQUIRED_KEYS | {"price"}
 _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class OrderEvent:
     """One parsed exchange message.  Treat it as immutable; equality and
     hashing ignore `size_str`."""
 
-    __slots__ = ("timestamp_ms", "seq", "kind", "side", "price_ticks", "size",
-                 "order_id", "size_str")
-
-    def __init__(self, timestamp_ms: int, seq: int, kind: EventKind, side: Side,
-                 price_ticks: Optional[int], size: float, order_id: str,
-                 size_str: Optional[str] = None) -> None:
-        self.timestamp_ms = timestamp_ms
-        self.seq = seq
-        self.kind = kind
-        self.side = side
-        self.price_ticks = price_ticks  # None for market orders
-        self.size = size
-        self.order_id = order_id
-        # Preserved only when `size` arrived as a decimal string, so that
-        # serialization round-trips byte-exactly.
-        self.size_str = size_str
-
-    def _key(self) -> tuple:
-        return (self.timestamp_ms, self.seq, self.kind, self.side, self.price_ticks,
-                self.size, self.order_id)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
+    timestamp_ms: int
+    seq: int
+    kind: EventKind
+    side: Side
+    price_ticks: Optional[int]  # None for market orders
+    size: float
+    order_id: str
+    # Preserved only when `size` arrived as a decimal string, so that
+    # serialization round-trips byte-exactly.
+    size_str: Optional[str] = field(default=None, compare=False)
 
 
 def _bad_value(name: str, value) -> SchemaViolation:

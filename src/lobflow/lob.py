@@ -7,7 +7,8 @@ Marketable limit orders execute on arrival in price priority; market
 orders larger than the opposing liquidity execute what is available and
 drop the remainder, counted on the book in `dropped_market_events` and
 `dropped_market_size`.  `OrderBook.snapshot(depth)` gives the top levels
-of each side as a `LobSnapshot`.
+of each side as one flat row: bid prices (best first), bid volumes, ask
+prices, ask volumes.
 """
 
 from __future__ import annotations
@@ -236,9 +237,17 @@ class OrderBook:
             self._remove_level(levels, prices, price)
         return taken
 
-    # -- snapshots / dumps --------------------------------------------------
+    # -- snapshots ----------------------------------------------------------
 
-    def snapshot(self, depth: int) -> "LobSnapshot":
+    def snapshot(self, depth: int) -> list:
+        """The top `depth` levels per side as one row: bid prices (best
+        first), bid volumes, ask prices, ask volumes.
+
+        Shallow sides are padded with zero volume at prices that continue
+        the side's monotone direction one tick per step past the last real
+        level (from 0 when the side is empty), keeping bid prices strictly
+        decreasing and ask prices strictly increasing.
+        """
         if depth < 1:
             raise ValueError("snapshot depth must be >= 1")
         bids = list(reversed(self._bid_prices[-depth:]))
@@ -254,32 +263,4 @@ class OrderBook:
         for k in range(depth - n_a):
             asks.append(last_a + (k + 1))
             avol.append(0.0)
-        return LobSnapshot(bids, bvol, asks, avol, n_b, n_a)
-
-    def dump(self) -> str:
-        """Deterministic text listing `side price size count`, sorted by price."""
-        lines = []
-        for name, levels, prices in (("buy", self._bids, self._bid_prices),
-                                     ("sell", self._asks, self._ask_prices)):
-            for price in prices:
-                lvl = levels[price]
-                lines.append(f"{name} {price} {lvl.size!r} {lvl.count}")
-        return "\n".join(lines)
-
-
-@dataclass
-class LobSnapshot:
-    """The top levels per side; shallow sides padded with zero volume.
-
-    Pad prices continue the side's monotone direction one tick per step
-    past the last real level (from 0 when the side is empty), keeping
-    bid prices strictly decreasing and ask prices strictly increasing.
-    """
-
-    bid_prices: list[int]
-    bid_volumes: list[float]
-    ask_prices: list[int]
-    ask_volumes: list[float]
-    n_real_bids: int
-    n_real_asks: int
-
+        return bids + bvol + asks + avol

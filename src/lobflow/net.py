@@ -333,10 +333,12 @@ class Model:
             # h_{t-1} is zero at t = 0, so dWh pairs h[:-1] with dz[1:]
             grads[f"lstm/{l}/Wh"] = (h[:-1].reshape(-1, H).T @ dz[B:]).astype(np.float64)
             grads[f"lstm/{l}/b"] = dz.sum(axis=0, dtype=np.float64)
-            # the dh of the layer below (or d enc)
-            dh = (dz @ rec["Wx"].T).reshape(T, B, -1)
+            # the dh of the layer below; below layer 0 only the embedding
+            # columns (none for bench1 and bench2) have parameters
+            n_in = len(rec["Wx"]) if l else cfg.input_width - cfg.numeric_width
+            dh = (dz @ rec["Wx"][:n_in].T).reshape(T, B, -1)
             if rec["mask"] is not None:
-                dh *= rec["mask"]
+                dh *= rec["mask"][..., :n_in]
 
         if cfg.variant == "orderflow":
             offset = 0

@@ -16,36 +16,55 @@ from lobflow.feed import EventKind, Side
 
 
 class TestWarmUp:
-    def test_until_first_ts_consumes_nothing(self, planted_events):
-        first = planted_events[0].timestamp_ms
-        book, n, rest, last = features.warm_up(planted_events, until_ts=first)
-        assert n == 0 and last is None
-        assert next(iter(rest)) is planted_events[0]
+    """The warm-up prefix only builds the book; the table starts after it."""
 
-    def test_until_infinity_consumes_all(self, planted_events):
-        book, n, rest, last = features.warm_up(planted_events, until_ts=2**62)
-        assert n == len(planted_events)
-        assert list(rest) == []
-        assert last == planted_events[-1].timestamp_ms
+    def test_until_first_ts_consumes_nothing(self, planted_events):
+        events = planted_events[:300]
+        ds = features.build_datasets(events, T=10, S=3, warm_until_ts=events[0].timestamp_ms,
+                                     variants=("orderflow",))["orderflow"]
+        assert ds.counters["warmup_events"] == 0
+        assert ds.table_ts[0] == events[0].timestamp_ms and ds.table[0, 0] == 0
+        assert len(ds.table) == len(events)
+
+    def test_until_past_the_end_consumes_all(self, planted_events):
+        got = features.build_datasets(planted_events, T=10, S=3, warm_until_ts=2**62)
+        for ds in got.values():
+            assert ds.counters["warmup_events"] == len(planted_events)
+            assert len(ds.table) == len(ds.table_ts) == ds.n == 0
 
     def test_count_boundary(self, planted_events):
-        book, n, rest, last = features.warm_up(planted_events, until_count=7)
-        assert n == 7
-        assert last == planted_events[6].timestamp_ms
-        assert next(iter(rest)) is planted_events[7]
+        events = planted_events[:300]
+        ds = features.build_datasets(events, T=10, S=3, warm_count=7,
+                                     variants=("orderflow",))["orderflow"]
+        assert ds.counters["warmup_events"] == 7
+        assert ds.table_ts[0] == events[7].timestamp_ms
+        assert ds.table[0, 0] == events[7].timestamp_ms - events[6].timestamp_ms
 
     def test_warm_book_matches_oracle(self, planted_events):
-        book, n, _, _ = features.warm_up(planted_events, until_count=500)
+        n, S = 500, 4
+        ds = features.build_datasets(planted_events[:n + 100], T=10, S=S, warm_count=n,
+                                     variants=("bench2",))["bench2"]
         ref = oracle.ReferenceBook()
-        for e in planted_events[:n]:
+        for e in planted_events[:n + 1]:
             ref.apply(e)
-        assert oracle.compare_books(book, ref) is None
+        row = ds.table[0]
+        for side, px, vol in ((Side.BUY, row[:S], row[S:2 * S]),
+                              (Side.SELL, row[2 * S:3 * S], row[3 * S:4 * S])):
+            want = ref.top_levels(side, S)
+            assert list(zip(px.tolist(), vol.tolist()))[:len(want)] == want
+            assert not vol[len(want):].any()
 
-    def test_exactly_one_boundary_required(self, planted_events):
+    def test_no_keyword_is_count_zero(self, planted_events):
+        events = planted_events[:300]
+        got = [features.build_datasets(events, T=10, S=3, **kw)
+               for kw in ({}, {"warm_count": 0})]
+        assert got[0]["orderflow"].counters["warmup_events"] == 0
+        for v in features.VARIANTS:
+            assert features.dataset_digest(got[0][v]) == features.dataset_digest(got[1][v])
+
+    def test_both_boundaries_rejected(self, planted_events):
         with pytest.raises(ValueError):
-            features.warm_up(planted_events)
-        with pytest.raises(ValueError):
-            features.warm_up(planted_events, until_ts=1, until_count=1)
+            features.build_datasets(planted_events, T=10, S=3, warm_until_ts=1, warm_count=1)
 
 
 # ---------------------------------------------------------------------------
@@ -56,8 +75,12 @@ class TestWarmUp:
 def reference_build(events, T, S, warm_count):
     """Annotate each event, keep the T most recent annotations and copy
     them out per mover, window by window, for all three variants."""
-    book, n_warm, rest, prev_ts = features.warm_up(events, until_count=warm_count)
-    counters = {"warmup_events": n_warm}
+    book = lob.OrderBook()
+    for ev in events[:warm_count]:
+        book.apply_event(ev)
+    prev_ts = events[warm_count - 1].timestamp_ms if warm_count else None
+    rest = events[warm_count:]
+    counters = {"warmup_events": warm_count}
 
     def bump(key, by=1):
         counters[key] = counters.get(key, 0) + by
@@ -74,7 +97,6 @@ def reference_build(events, T, S, warm_count):
             rel = 1
             bump("rel_price_fallbacks")
         book.apply_event(ev)
-        s = book.snapshot(S)
         bb, ba = book.best_bid(), book.best_ask()
         mid_before, mid = mid, (bb + ba) / 2 if bb is not None and ba is not None else None
         ann = {
@@ -83,7 +105,7 @@ def reference_build(events, T, S, warm_count):
                      ev.timestamp_ms // 3_600_000 % 24, ev.size, ev.kind.value,
                      ev.side.value, rel],
             "mid": mid,
-            "snap": s.bid_prices + s.bid_volumes + s.ask_prices + s.ask_volumes,
+            "snap": book.snapshot(S),
             "bb": book.level_count(Side.BUY, bb) if bb is not None else 0,
             "ba": book.level_count(Side.SELL, ba) if ba is not None else 0,
             "mo": (ev.kind is EventKind.MARKET and ev.side is Side.BUY,

@@ -104,10 +104,9 @@ class TestErrors:
         book, ref = lob.OrderBook(), oracle.ReferenceBook()
         book.apply_event(rest)
         ref.apply(rest)
-        before = book.dump()
         with pytest.raises(lob.CancelMismatch, match="o1"):
             book.apply_event(feed.parse_event(cancel))
-        assert book.dump() == before and "o1" in book.resting
+        assert oracle.compare_books(book, ref) is None and "o1" in book.resting
         with pytest.raises(lob.CancelMismatch):
             ref.apply(feed.parse_event(cancel))
         assert oracle.compare_books(book, ref) is None
@@ -193,33 +192,33 @@ class TestSnapshot:
         book.apply_event(ev(seq=2, price=99))
         book.apply_event(ev(seq=3, side=Side.SELL, price=102))
         snap = book.snapshot(5)
-        assert snap.n_real_bids == 2 and snap.n_real_asks == 1
-        assert snap.bid_prices == [100, 99, 98, 97, 96]
-        assert snap.bid_volumes[:2] == [1.0, 1.0]
-        assert snap.bid_volumes[2:] == [0.0, 0.0, 0.0]
-        assert snap.ask_prices == [102, 103, 104, 105, 106]
+        assert len(snap) == 20
+        assert snap[:5] == [100, 99, 98, 97, 96]
+        assert snap[5:7] == [1.0, 1.0]
+        assert snap[7:10] == [0.0, 0.0, 0.0]
+        assert snap[10:15] == [102, 103, 104, 105, 106]
+        assert snap[15:] == [1.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_depth_one_is_bests(self, ev):
         book = lob.OrderBook()
         book.apply_event(ev(seq=1, price=100, size=2.0))
         book.apply_event(ev(seq=2, side=Side.SELL, price=103, size=0.5))
-        snap = book.snapshot(1)
-        assert snap.bid_prices == [100] and snap.bid_volumes == [2.0]
-        assert snap.ask_prices == [103] and snap.ask_volumes == [0.5]
+        assert book.snapshot(1) == [100, 2.0, 103, 0.5]
 
     def test_monotone_prices(self, noise_lines):
         book = lob.OrderBook()
         for line in noise_lines[:500]:
             book.apply_event(feed.parse_event(line))
         snap = book.snapshot(8)
-        assert all(a > b for a, b in zip(snap.bid_prices, snap.bid_prices[1:]))
-        assert all(a < b for a, b in zip(snap.ask_prices, snap.ask_prices[1:]))
+        bid_prices, ask_prices = snap[:8], snap[16:24]
+        assert all(a > b for a, b in zip(bid_prices, bid_prices[1:]))
+        assert all(a < b for a, b in zip(ask_prices, ask_prices[1:]))
 
     def test_empty_book_snapshot(self):
         snap = lob.OrderBook().snapshot(3)
-        assert snap.bid_prices == [-1, -2, -3]
-        assert snap.ask_prices == [1, 2, 3]
-        assert snap.bid_volumes == snap.ask_volumes == [0.0, 0.0, 0.0]
+        assert snap[:3] == [-1, -2, -3]
+        assert snap[6:9] == [1, 2, 3]
+        assert snap[3:6] == snap[9:] == [0.0, 0.0, 0.0]
 
     def test_matches_oracle_top_levels(self, noise_lines):
         book = lob.OrderBook()
@@ -231,10 +230,8 @@ class TestSnapshot:
         snap = book.snapshot(4)
         ref_bids = ref.top_levels(Side.BUY, 4)
         ref_asks = ref.top_levels(Side.SELL, 4)
-        got_bids = list(zip(snap.bid_prices, snap.bid_volumes))[:snap.n_real_bids]
-        got_asks = list(zip(snap.ask_prices, snap.ask_volumes))[:snap.n_real_asks]
-        assert got_bids == ref_bids
-        assert got_asks == ref_asks
+        assert list(zip(snap[:4], snap[4:8]))[:len(ref_bids)] == ref_bids
+        assert list(zip(snap[8:12], snap[12:]))[:len(ref_asks)] == ref_asks
 
     def test_depth_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -289,12 +286,3 @@ class TestOracleEquivalence:
             book.apply_event(e)
             ref.apply(e)
         assert book.dropped_market_events == ref.dropped_market_events
-
-
-class TestDump:
-    def test_deterministic_sorted(self, ev):
-        book = lob.OrderBook()
-        book.apply_event(ev(seq=1, price=100, size=1.0))
-        book.apply_event(ev(seq=2, price=99, size=0.25))
-        book.apply_event(ev(seq=3, side=Side.SELL, price=102, size=2.0))
-        assert book.dump() == "buy 99 0.25 1\nbuy 100 1.0 1\nsell 102 2.0 1"
