@@ -6,7 +6,7 @@ Each variant stores its features once per replayed event, as one row of
 a table; a sample stores only its label and the table row `end` of its
 mover, whose window is the rows [end - T, end) of the T events strictly
 preceding it.  Everything else about a sample is derived: `Dataset.X`
-gathers the (N, T, F) windows from the table, the event time is the
+gathers the (N, T, C) windows as plain table rows, the event time is the
 mover's `table_ts[end]`, and the split is the one of the dataset's
 `split_ranges` that holds that time.  One loop replays the stream into
 one book: its warm-up prefix only builds the book, and every later event
@@ -15,15 +15,15 @@ labels and window ends:
 
   orderflow  per event: [dt_ms, hour, size, kind, side, rel_price]
   bench1     per event: [bid px*S, bid vol*S, ask px*S, ask vol*S, mid,
-                         mo_rate_buy, mo_rate_sell]
-  bench2     bench1 without the two MO-rate columns
+                         bid orders, ask orders, buy MO, sell MO]
+  bench2     bench1's first 4S + 1 columns
 
-The MO rates depend on the window, so the bench1 row is the book's
-snapshot row and mid with the best-bid and best-ask order counts and
-the buy and sell market-order flags appended in their place; the bench2
-table is its first 4S + 1 columns.  The gather derives each rate as the
-number of market orders of that side in the window over that step's
-best-level order count (0 when the count is 0).
+bench1's features end in two market-order rates, which depend on the
+window, so its row holds what they are made of: the order counts of the
+best bid and best ask levels and 0/1 flags for a buy or sell market
+order.  `transform_numeric` derives each rate where the window is
+encoded: the number of market orders of that side in the window over
+that step's best-level order count (0 when the count is 0).
 
 Feature values are stored raw; the normalization applied at the model
 input (log1p on dt, log on size and rel_price, snapshot prices as tick
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
@@ -82,7 +83,8 @@ def hour_utc(timestamp_ms):
 # ---------------------------------------------------------------------------
 
 
-def _table_width(variant: str, S: int) -> int:
+def table_width(variant: str, S: int) -> int:
+    """Columns of a variant's table row, and so of each step of its windows."""
     if variant == "orderflow":
         return 6
     return 4 * S + (5 if variant == "bench1" else 1)
@@ -135,7 +137,7 @@ class Dataset:
 
     @property
     def X(self) -> np.ndarray:
-        """(N, T, F) float64 raw feature windows, gathered from the table."""
+        """(N, T, C) float64 raw feature windows, gathered from the table."""
         return _gather(self, self.end)
 
     @property
@@ -152,25 +154,9 @@ class Dataset:
         return {name: int(np.sum(split == code)) for name, code in SPLIT_NAMES.items()}
 
 
-def _window_market_orders(ds: Dataset, end: np.ndarray) -> np.ndarray:
-    """(len(end), 2) counts of buy and sell market orders in the bench1
-    windows [end - T, end)."""
-    mo = _cumsum0(ds.table[:, 4 * ds.S + 3:])
-    return mo[end] - mo[end - ds.T]
-
-
 def _gather(ds: Dataset, end: np.ndarray) -> np.ndarray:
-    """The (len(end), T, F) windows ending before the given table rows."""
-    rows = end[:, None] - ds.T + np.arange(ds.T)
-    if ds.variant != "bench1":
-        return ds.table[rows]
-    w = 4 * ds.S + 1
-    X = np.zeros(rows.shape + (w + 2,))
-    X[..., :w] = ds.table[rows, :w]
-    n_mo = _window_market_orders(ds, end)[:, None, :]
-    counts = ds.table[rows, w:w + 2]
-    np.divide(n_mo, counts, out=X[..., w:], where=counts > 0)
-    return X
+    """The (len(end), T, C) windows: the table rows [end - T, end)."""
+    return ds.table[end[:, None] - ds.T + np.arange(ds.T)]
 
 
 def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SYN",
@@ -195,7 +181,10 @@ def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SY
     book = lob.OrderBook()
     warming, n_warm, warm_last_ts = True, 0, None
 
-    ts, flow, snaps, ends, labels = [], [], [], [], []
+    # flat typed buffers, 8 bytes a value, that the tables view without a copy;
+    # fromlist converts a row in about half the time extend takes
+    ts, flow, snaps = array("q"), array("d"), array("d")
+    ends, labels = [], []
     for ev in events:
         if warming:
             if (ev.timestamp_ms < warm_until_ts if warm_count is None else n_warm < warm_count):
@@ -213,7 +202,7 @@ def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SY
         delta = book.apply_event(ev)
         j = len(ts)
         ts.append(ev.timestamp_ms)
-        flow.append((ev.size, ev.kind.value, ev.side.value, rel))
+        flow.fromlist([ev.size, ev.kind.value, ev.side.value, rel])
         if need_snap:
             row = book.snapshot(S)
             row.append(delta.mid2_after / 2 if delta.mid2_after is not None else np.nan)
@@ -222,7 +211,7 @@ def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SY
                 row += (book.level_count(Side.BUY, book.best_bid()),
                         book.level_count(Side.SELL, book.best_ask()),
                         market and ev.side is Side.BUY, market and ev.side is Side.SELL)
-            snaps.append(row)
+            snaps.fromlist(row)
         if delta.mid_changed:
             if j >= T:
                 ends.append(j)
@@ -234,15 +223,15 @@ def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SY
             counters["mid_became_defined"] = counters.get("mid_became_defined", 0) + 1
     counters["warmup_events"] = n_warm
 
-    ts = np.asarray(ts, dtype=np.int64)
-    flow = np.asarray(flow, dtype=np.float64).reshape(len(ts), 4)
+    ts = np.frombuffer(ts, dtype=np.int64)
+    flow = np.frombuffer(flow).reshape(len(ts), 4)
     end = np.asarray(ends, dtype=np.int64)
     y = np.asarray(labels, dtype=np.uint8)
     dt = np.diff(ts, prepend=ts[:1] if warm_last_ts is None else warm_last_ts)
     tables = {"orderflow": np.column_stack((dt, hour_utc(ts), flow))}
     if need_snap:
         w = 4 * S + 1
-        snap = np.asarray(snaps, dtype=np.float64).reshape(len(ts), w + 4 * need_counts)
+        snap = np.frombuffer(snaps).reshape(len(ts), w + 4 * need_counts)
         undefined = _cumsum0(np.isnan(snap[:, w - 1]))
         keep = undefined[end] == undefined[end - T]
         if not keep.all():
@@ -302,7 +291,10 @@ def transform_numeric(X: np.ndarray, variant: str, S: int) -> np.ndarray:
     """Map raw features to the numeric channels the model standardizes.
 
     orderflow: (..., 3) = [log1p dt, log size, log rel_price]
-    bench*:    (..., 4S [+2]) = [px - mid, log1p vol, raw rates]
+    bench*:    (..., 4S [+2]) = [px - mid, log1p vol, MO rates]
+
+    bench1 needs whole windows, (..., T, C): a step's rate counts the
+    market orders over the step axis of its window.
     """
     if variant == "orderflow":
         return np.stack([np.log1p(X[..., 0]), np.log(X[..., 2]), np.log(X[..., 5])], axis=-1)
@@ -311,7 +303,9 @@ def transform_numeric(X: np.ndarray, variant: str, S: int) -> np.ndarray:
     ask_off = X[..., 2 * S:3 * S] - mid
     parts = [bid_off, np.log1p(X[..., S:2 * S]), ask_off, np.log1p(X[..., 3 * S:4 * S])]
     if variant == "bench1":
-        parts.append(X[..., 4 * S + 1:4 * S + 3])
+        n = X[..., 4 * S + 3:].sum(axis=-2, keepdims=True)
+        counts = X[..., 4 * S + 1:4 * S + 3]
+        parts.append(np.divide(n, counts, out=np.zeros(counts.shape), where=counts > 0))
     return np.concatenate(parts, axis=-1)
 
 
@@ -346,7 +340,8 @@ def compute_norm_stats(ds: Dataset) -> dict:
     var = (w * (z - mean[:, None]) ** 2).sum(axis=1) / n
     if ds.variant == "bench1":
         c = 4 * ds.S + 1
-        n_mo = _window_market_orders(ds, end)
+        mo = _cumsum0(ds.table[:, c + 2:])
+        n_mo = mo[end] - mo[end - T]
         counts = ds.table[:, c:c + 2]
         inv = np.divide(1.0, counts, out=np.zeros_like(counts), where=counts > 0)
         m1 = [(_cover(E, T, end, n_mo[:, k]) * inv[:, k]).sum() / n for k in (0, 1)]
@@ -392,7 +387,7 @@ def load_dataset(path) -> Dataset:
         raise FeatureError(f"{path}: T and S must be non-negative integers")
     _check_fields(path, ds)
     if ds.variant not in VARIANTS or ds.table.ndim != 2 \
-            or ds.table.shape[1] != _table_width(ds.variant, ds.S):
+            or ds.table.shape[1] != table_width(ds.variant, ds.S):
         raise FeatureError(f"{path}: table shape {ds.table.shape} does not fit variant "
                            f"{ds.variant!r}, S={ds.S}")
     E = len(ds.table)

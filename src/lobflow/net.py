@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from . import checks, container, stats as statsmod
-from .features import VARIANTS, MissingStats, transform_numeric
+from .features import VARIANTS, MissingStats, table_width, transform_numeric
 
 
 class NetError(Exception):
@@ -194,8 +194,12 @@ class Model:
     # -- input encoding -----------------------------------------------------
 
     def encode(self, X: np.ndarray) -> tuple[np.ndarray, dict]:
-        """Raw (B, T, F_raw) features -> (B, T, input_width) model inputs."""
+        """Raw (B, T, C) table-row windows -> (B, T, input_width) model inputs."""
         cfg = self.cfg
+        width = table_width(cfg.variant, cfg.S)
+        if X.shape[-1] != width:
+            raise ShapeMismatch(f"a {cfg.variant} model at S={cfg.S} reads {width} raw "
+                                f"columns per step, got {X.shape[-1]}")
         if cfg.norm_mean is None or cfg.norm_sd is None:
             raise MissingStats("model has no normalization stats")
         mean = np.asarray(cfg.norm_mean)
@@ -669,8 +673,8 @@ def check_gradients(model: Model, X, y, step: float = 1e-5) -> dict:
 
 def random_raw_batch(variant: str, B: int, T: int, S: int, rng) -> np.ndarray:
     """Valid-range random raw features for gradient checks."""
+    X = np.empty((B, T, table_width(variant, S)))
     if variant == "orderflow":
-        X = np.empty((B, T, 6))
         X[..., 0] = rng.integers(0, 500, (B, T))             # dt_ms
         X[..., 1] = rng.integers(0, 24, (B, T))              # hour
         X[..., 2] = rng.uniform(0.05, 2.0, (B, T))           # size
@@ -678,8 +682,6 @@ def random_raw_batch(variant: str, B: int, T: int, S: int, rng) -> np.ndarray:
         X[..., 4] = rng.integers(1, 3, (B, T))               # side
         X[..., 5] = rng.integers(1, 12, (B, T))              # rel_price
         return X
-    width = 4 * S + (3 if variant == "bench1" else 1)
-    X = np.empty((B, T, width))
     mid = rng.uniform(95.0, 105.0, (B, T))
     X[..., 0:S] = mid[..., None] - rng.integers(1, 10, (B, T, S))
     X[..., S:2 * S] = rng.uniform(0.0, 3.0, (B, T, S))
@@ -687,7 +689,8 @@ def random_raw_batch(variant: str, B: int, T: int, S: int, rng) -> np.ndarray:
     X[..., 3 * S:4 * S] = rng.uniform(0.0, 3.0, (B, T, S))
     X[..., 4 * S] = mid
     if variant == "bench1":
-        X[..., 4 * S + 1:] = rng.uniform(0.0, 1.0, (B, T, 2))
+        X[..., 4 * S + 1:4 * S + 3] = rng.integers(0, 4, (B, T, 2))   # best-level order counts
+        X[..., 4 * S + 3:] = rng.integers(0, 2, (B, T, 2))            # market-order flags
     return X
 
 

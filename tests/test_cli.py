@@ -366,6 +366,34 @@ class TestExitCodes:
                        "--split", "test", "--out", str(tmp_path)])
         assert rc == cli.EXIT_ERROR
 
+    def test_snapshot_depth_mismatch_is_error(self, pipeline, tmp_path, capsys):
+        # bench2 checkpoints at S=3 and S=5, each evaluated on the other's dataset
+        cfg = {**pipeline["config"], "S": 5,
+               "schedule": {**pipeline["config"]["schedule"], "epochs": 1}}
+        cfgfile = write_config(tmp_path / "s5.json", cfg)
+        s3, s5 = pipeline["out"], tmp_path / "s5"
+        assert cli.main(["build", "--config", cfgfile, "--out", str(s5),
+                         "--pair", "AAA"]) == cli.EXIT_OK
+        ckpts = {}
+        for ds in (s3, s5):
+            out = tmp_path / f"ckpt{len(ckpts)}"
+            assert cli.main(["train", "--config", cfgfile, "--out", str(out), "--pair", "AAA",
+                             "--variant", "bench2", "--dataset", str(ds / "AAA.bench2.ds")]) \
+                == cli.EXIT_OK
+            ckpts[ds] = out / "AAA.bench2.ckpt"
+        capsys.readouterr()
+        for ckpt, ds in ((ckpts[s3], s5 / "AAA.bench2.ds"), (ckpts[s5], s3 / "AAA.bench2.ds")):
+            rc = cli.main(["evaluate", "--checkpoint", str(ckpt), "--dataset", str(ds),
+                           "--split", "test", "--out", str(tmp_path / "pred")])
+            assert rc == cli.EXIT_ERROR
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: a bench2 model at S=")
+        assert not (tmp_path / "pred").exists()
+        # an orderflow row does not depend on S
+        assert cli.main(["evaluate", "--checkpoint", str(s3 / "AAA.orderflow.ckpt"),
+                         "--dataset", str(s5 / "AAA.orderflow.ds"), "--split", "test",
+                         "--out", str(tmp_path / "pred")]) == cli.EXIT_OK
+
     def test_build_without_ranges(self, pipeline, tmp_path):
         cfg = dict(pipeline["config"])
         cfg["split_ranges"] = None

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import struct
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -87,6 +88,7 @@ def reference_build(events, T, S, warm_count):
 
     window = deque(maxlen=T)
     X = {v: [] for v in features.VARIANTS}
+    rates = []
     y, times, last_ts = [], [], []
     bb, ba = book.best_bid(), book.best_ask()
     mid = (bb + ba) / 2 if bb is not None and ba is not None else None
@@ -123,8 +125,9 @@ def reference_build(events, T, S, warm_count):
                 X["orderflow"].append(np.array([a["flow"] for a in window], dtype=float))
                 X["bench2"].append(np.array([a["snap"] + [a["mid"]] for a in window]))
                 X["bench1"].append(np.array(
-                    [a["snap"] + [a["mid"], n_buy / a["bb"] if a["bb"] else 0.0,
-                                  n_sell / a["ba"] if a["ba"] else 0.0] for a in window]))
+                    [a["snap"] + [a["mid"], a["bb"], a["ba"], *a["mo"]] for a in window]))
+                rates.append(np.array([[n_buy / a["bb"] if a["bb"] else 0.0,
+                                        n_sell / a["ba"] if a["ba"] else 0.0] for a in window]))
                 degenerate = sum(1 for a in window if not (a["bb"] and a["ba"]))
                 if degenerate:
                     bump("degenerate_rates", degenerate)
@@ -135,7 +138,8 @@ def reference_build(events, T, S, warm_count):
             bump("mid_became_defined")
         window.append(ann)
     counters["samples"] = len(y)
-    return X, np.array(y, dtype=np.uint8), np.array(times), np.array(last_ts), counters
+    return (X, np.stack(rates), np.array(y, dtype=np.uint8), np.array(times),
+            np.array(last_ts), counters)
 
 
 def market_heavy_noise():
@@ -148,7 +152,8 @@ class TestReferenceWindows:
     @pytest.mark.parametrize("stream", ["planted", "noise"])
     def test_byte_equal_to_per_window_build(self, stream, planted_events):
         events, warm = (planted_events, 40) if stream == "planted" else (market_heavy_noise(), 0)
-        X, y, times, last_ts, counters = reference_build(events, T=10, S=3, warm_count=warm)
+        X, rates, y, times, last_ts, counters = reference_build(events, T=10, S=3,
+                                                                warm_count=warm)
         if stream == "noise":
             assert counters["skipped_undefined_mid"] > 0
         got = features.build_datasets(events, T=10, S=3, warm_count=warm)
@@ -160,6 +165,24 @@ class TestReferenceWindows:
             assert ds.event_time.tobytes() == times.astype(np.int64).tobytes()
             assert ds.window_last_ts.tobytes() == last_ts.astype(np.int64).tobytes()
             assert ds.counters == counters
+        got_rates = features.transform_numeric(got["bench1"].X, "bench1", 3)[..., -2:]
+        assert got_rates.shape == rates.shape
+        assert got_rates.tobytes() == rates.tobytes()
+
+
+class TestBuildMemory:
+    def test_traced_peak_within_twice_the_tables(self, planted_events):
+        # the rows go to flat typed buffers that the tables then view; a
+        # Python object per row and value would take about 3x the tables
+        tracemalloc.start()
+        try:
+            got = features.build_datasets(planted_events, T=10, S=3, warm_count=40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        of = got["orderflow"]
+        stored = of.table.nbytes + got["bench1"].table.nbytes + of.table_ts.nbytes
+        assert peak <= 2 * stored, peak / stored
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +288,7 @@ class TestLabelStream:
         events = stream(ev, (1, dict(price=100)), (1, dict(side=Side.SELL, price=110)),
                         (1, dict(price=90, size=1.0)))
         ds = features.build_datasets(events, T=1, S=2)["bench1"]
-        assert ds.n == 0 and ds.X.shape == (0, 1, 11)
+        assert ds.n == 0 and ds.X.shape == (0, 1, 13)
         assert ds.counters["mid_became_defined"] == 1
         assert "skipped_insufficient_history" not in ds.counters
 
@@ -309,8 +332,9 @@ class TestExtractSnapshot:
                         (1, dict(price=99)), (1, dict(price=101)))
         # the window starts after the first event, which precedes a defined mid
         X = features.build_datasets(events, T=2, S=2)["bench1"].X
-        assert X.shape == (1, 2, 11)
-        assert np.all(X[..., 9:] == 0.0)
+        assert X.shape == (1, 2, 13)
+        assert np.all(X[..., 11:] == 0.0)                 # no market-order flags
+        assert np.all(features.transform_numeric(X, "bench1", 2)[..., 8:] == 0.0)
 
     def test_stated_rate_formula(self, ev):
         # 5 buy market orders in the window, best-bid level holding 20 orders
@@ -323,15 +347,19 @@ class TestExtractSnapshot:
         specs.append((1, dict(side=Side.SELL, price=104, size=1.0)))
         ds = features.build_datasets(stream(ev, *specs), T=25, S=2)["bench1"]
         assert ds.n == 1 and ds.y[0] == 0
-        assert ds.X[0, -1, 9] == 5 / 20       # buy MO rate at the last step
-        assert ds.X[0, -1, 10] == 0.0         # no sell MOs in the window
-        assert ds.X[0, 0, 9] == 5 / 1         # first step: best bid holds b0 only
+        rates = features.transform_numeric(ds.X, "bench1", 2)[..., 8:]
+        assert rates[0, -1, 0] == 5 / 20      # buy MO rate at the last step
+        assert rates[0, -1, 1] == 0.0         # no sell MOs in the window
+        assert rates[0, 0, 0] == 5 / 1        # first step: best bid holds b0 only
 
     def test_bench2_is_bench1_minus_rates(self, planted_datasets):
         b1 = planted_datasets["bench1"]
         b2 = planted_datasets["bench2"]
-        assert b1.X.shape[2] == b2.X.shape[2] + 2
+        assert b1.X.shape[2] == b2.X.shape[2] + 4
         np.testing.assert_array_equal(b1.X[..., :b2.X.shape[2]], b2.X)
+        z1, z2 = (features.transform_numeric(ds.X, ds.variant, ds.S) for ds in (b1, b2))
+        assert z1.shape[2] == z2.shape[2] + 2
+        np.testing.assert_array_equal(z1[..., :z2.shape[2]], z2)
         np.testing.assert_array_equal(b1.y, b2.y)
         np.testing.assert_array_equal(b1.event_time, b2.event_time)
 
@@ -345,14 +373,26 @@ class TestExtractSnapshot:
         assert ds.n == 0
         assert ds.counters["skipped_undefined_mid"] == 1
         assert "degenerate_rates" not in ds.counters
-        # a zero best-level count gives rate 0 in the gather
-        table = np.zeros((2, features._table_width("bench1", 2)))
-        table[:, 9:11] = [[0, 4], [2, 0]]            # bid / ask order counts
-        table[:, 11:13] = [[1, 0], [0, 1]]           # buy / sell MO flags
-        ds = features.Dataset("bench1", 2, 2, "SYN", table, np.arange(2), np.array([2]),
-                              np.zeros(1, np.uint8), np.zeros(1, np.int64),
-                              np.zeros(1, np.int8))
-        np.testing.assert_array_equal(ds.X[0, :, 9:], [[0.0, 1 / 4], [1 / 2, 0.0]])
+        # a zero best-level count gives rate 0 in the transform
+        table = np.zeros((3, features.table_width("bench1", 2)))
+        table[:2, 9:11] = [[0, 4], [2, 0]]           # bid / ask order counts
+        table[:2, 11:13] = [[1, 0], [0, 1]]          # buy / sell MO flags
+        ds = features.Dataset(variant="bench1", T=2, S=2, pair="SYN", table=table,
+                              table_ts=np.arange(3), end=np.array([2]),
+                              y=np.zeros(1, np.uint8))
+        rates = features.transform_numeric(ds.X, "bench1", 2)[0, :, 8:]
+        np.testing.assert_array_equal(rates, [[0.0, 1 / 4], [1 / 2, 0.0]])
+
+    def test_rates_need_no_table_pass(self, planted_datasets, monkeypatch):
+        ds = planted_datasets["bench1"]
+        want = features.transform_numeric(ds.X[:64], "bench1", ds.S)
+
+        def no_cumsum(a):
+            raise AssertionError("a bench1 gather ran a pass over the whole table")
+
+        monkeypatch.setattr(features, "_cumsum0", no_cumsum)
+        got = features.transform_numeric(features._gather(ds, ds.end[:64]), "bench1", ds.S)
+        assert got.tobytes() == want.tobytes()
 
     def test_undefined_mid_returns_none(self, ev):
         # the first event precedes a defined mid; the only window holds it
@@ -528,8 +568,9 @@ class TestNormStats:
 
     def test_snapshot_transform_offsets(self):
         S = 2
-        # bid px 100,99 | bid vol 1,2 | ask px 102,103 | ask vol 3,4 | mid 101 | rates
-        X = np.array([[[100, 99, 1, 2, 102, 103, 3, 4, 101.0, 0.25, 0.5]]])
+        # bid px 100,99 | bid vol 1,2 | ask px 102,103 | ask vol 3,4 | mid 101
+        # | bid / ask order counts 4, 2 | one buy and one sell market order
+        X = np.array([[[100, 99, 1, 2, 102, 103, 3, 4, 101.0, 4, 2, 1, 1]]])
         z = features.transform_numeric(X, "bench1", S)
         np.testing.assert_allclose(
             z[0, 0],

@@ -131,6 +131,15 @@ class TestForward:
         with pytest.raises(net.CategoryOutOfRange):
             m.encode(X)
 
+    @pytest.mark.parametrize("variant", ["bench1", "bench2"])
+    def test_encode_rejects_other_snapshot_depth(self, variant):
+        m = Model(small_cfg(variant, S=2), seed=0)
+        for S in (1, 3):
+            with pytest.raises(net.ShapeMismatch, match="S=2"):
+                m.encode(raw_batch(variant, S=S))
+        # an orderflow row does not depend on S
+        Model(small_cfg(S=3), seed=0).encode(raw_batch(S=2))
+
     def test_missing_norm_stats(self):
         cfg = small_cfg()
         cfg.norm_mean = None
