@@ -26,19 +26,20 @@ model_cfg = net.ModelConfig(variant="orderflow", S=ds.S, layers=(8,),
                             norm_mean=ds.norm_stats["mean"], norm_sd=ds.norm_stats["sd"])
 model = net.Model(model_cfg, seed=0)
 
-# sanity: a fresh model is a coin flip (loss ~ ln 2 = 0.693)
+# sanity: a fresh model is a coin flip (loss ~ ln 2 = 0.693); `windows`
+# gathers each minibatch's (or predict chunk's) windows from the table
 tr, va, te = (ds.subset(s) for s in ("train", "validation", "test"))
-print(f"initial loss on train split: {model.loss_on(tr.X, tr.y):.4f}")
+print(f"initial loss on train split: {model.loss_on(tr.windows, tr.y):.4f}")
 
 schedule = net.TrainSchedule(epochs=10, batch_size=128, lr=3e-3, patience=3, seed=0)
-result = net.train(model, (tr.X, tr.y), (va.X, va.y), schedule)
+result = net.train(model, (tr.windows, tr.y), (va.windows, va.y), schedule)
 for h in result.history:
     print(f"epoch {h['epoch']}: train loss {h['train_loss']:.4f}  "
           f"val loss {h['val_loss']:.4f}  val MCC {h['val_mcc']:.3f}")
 print(f"early stop restored epoch {result.best_epoch} "
       f"(val loss {result.best_val_loss:.4f})")
 
-yhat = model.predict(te.X).argmax(axis=1)
+yhat = model.predict(te.windows).argmax(axis=1)
 print("test MCC:", round(stats.mcc(stats.confusion(te.y, yhat)), 4))
 
 # gradients are exact: verified against central finite differences

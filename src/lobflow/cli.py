@@ -293,8 +293,9 @@ def cmd_train(cfg: dict, out_dir: Path, pair: str, variant: str,
                          norm_mean=ds.norm_stats["mean"], norm_sd=ds.norm_stats["sd"],
                          **cfg["model"])
     schedule = net.TrainSchedule(seed=cfg["seed"], **cfg["schedule"])
-    # windows are gathered from the dataset's event table once per split
-    train_xy, val_xy = (tr.X, tr.y), (va.X, va.y)
+    # windows are gathered from the dataset's event table one minibatch or
+    # predict chunk at a time
+    train_xy, val_xy = (tr.windows, tr.y), (va.windows, va.y)
     trials = None
     if cfg["search"] is not None:
         model_cfg, schedule, trials = _checked(
@@ -338,7 +339,7 @@ def cmd_evaluate(out_dir: Path, checkpoint: str, dataset: str, split: str) -> in
     sub = ds.subset(split)
     if sub.n == 0:
         raise CliError(f"{split} split of {dataset} is empty")
-    probs = model.predict(sub.X)
+    probs = model.predict(sub.windows)
     yhat = probs.argmax(axis=1)
     train_pair = extras.get("train_pair", "unknown")
     stem = f"pred_{train_pair}__{ds.pair}.{ds.variant}.{split}"

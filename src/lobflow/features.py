@@ -35,8 +35,10 @@ transform and is dropped by the encoder.
 Building never gathers windows: the train statistics weight each table
 row by the number of train windows that hold it, and the dataset digest
 hashes the stored arrays and the split ranges, of which the windows,
-event times and splits are functions.  Only training and evaluation
-read `Dataset.X`.
+event times and splits are functions.  Training and evaluation gather
+one minibatch or predict chunk at a time, through `Dataset.windows`;
+`Dataset.X`, all windows at once, is kept for tests, demos and the
+benchmark.
 """
 
 from __future__ import annotations
@@ -72,10 +74,6 @@ class UnorderedRanges(FeatureError):
 
 class MissingStats(FeatureError):
     pass
-
-
-def hour_utc(timestamp_ms):
-    return (timestamp_ms // 3_600_000) % 24
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +139,11 @@ class Dataset:
         return _gather(self, self.end)
 
     @property
+    def windows(self) -> "Windows":
+        """The windows of `X`, gathered only for the samples indexed."""
+        return Windows(self)
+
+    @property
     def window_last_ts(self) -> np.ndarray:
         """(N,) int64 ms, timestamp of each window's newest event (look-ahead audit)."""
         return self.table_ts[self.end - 1]
@@ -157,6 +160,23 @@ class Dataset:
 def _gather(ds: Dataset, end: np.ndarray) -> np.ndarray:
     """The (len(end), T, C) windows: the table rows [end - T, end)."""
     return ds.table[end[:, None] - ds.T + np.arange(ds.T)]
+
+
+class Windows:
+    """A dataset's windows, gathered on indexing: its length is the
+    sample count, and indexing it with an int array or a slice of sample
+    positions returns those samples' rows of `Dataset.X`."""
+
+    __slots__ = ("ds",)
+
+    def __init__(self, ds: Dataset):
+        self.ds = ds
+
+    def __len__(self) -> int:
+        return self.ds.n
+
+    def __getitem__(self, idx) -> np.ndarray:
+        return _gather(self.ds, self.ds.end[idx])
 
 
 def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SYN",
@@ -181,10 +201,10 @@ def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SY
     book = lob.OrderBook()
     warming, n_warm, warm_last_ts = True, 0, None
 
-    # flat typed buffers, 8 bytes a value, that the tables view without a copy;
-    # fromlist converts a row in about half the time extend takes
+    # flat typed buffers that the tables and per-sample arrays view without
+    # a copy; fromlist converts a row in about half the time extend takes
     ts, flow, snaps = array("q"), array("d"), array("d")
-    ends, labels = [], []
+    ends, labels = array("q"), array("B")
     for ev in events:
         if warming:
             if (ev.timestamp_ms < warm_until_ts if warm_count is None else n_warm < warm_count):
@@ -202,7 +222,8 @@ def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SY
         delta = book.apply_event(ev)
         j = len(ts)
         ts.append(ev.timestamp_ms)
-        flow.fromlist([ev.size, ev.kind.value, ev.side.value, rel])
+        # dt and hour are filled in from ts after the loop, in place
+        flow.fromlist([0.0, 0.0, ev.size, ev.kind.value, ev.side.value, rel])
         if need_snap:
             row = book.snapshot(S)
             row.append(delta.mid2_after / 2 if delta.mid2_after is not None else np.nan)
@@ -224,11 +245,15 @@ def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SY
     counters["warmup_events"] = n_warm
 
     ts = np.frombuffer(ts, dtype=np.int64)
-    flow = np.frombuffer(flow).reshape(len(ts), 4)
-    end = np.asarray(ends, dtype=np.int64)
-    y = np.asarray(labels, dtype=np.uint8)
-    dt = np.diff(ts, prepend=ts[:1] if warm_last_ts is None else warm_last_ts)
-    tables = {"orderflow": np.column_stack((dt, hour_utc(ts), flow))}
+    end = np.frombuffer(ends, dtype=np.int64)
+    y = np.frombuffer(labels, dtype=np.uint8)
+    flow = np.frombuffer(flow).reshape(len(ts), 6)
+    flow[:1, 0] = ts[:1] - (ts[:1] if warm_last_ts is None else warm_last_ts)
+    np.subtract(ts[1:], ts[:-1], out=flow[1:, 0])
+    # the UTC hour, through the column itself: no (E,) temporaries
+    np.floor_divide(ts, 3_600_000, out=flow[:, 1])
+    np.remainder(flow[:, 1], 24, out=flow[:, 1])
+    tables = {"orderflow": flow}
     if need_snap:
         w = 4 * S + 1
         snap = np.frombuffer(snaps).reshape(len(ts), w + 4 * need_counts)

@@ -25,8 +25,11 @@ over all four gates and tanh on the g block.  Training forwards keep
 c and tanh(c) as (T, B, H) arrays for backward, which runs the
 elementwise gate derivatives step by step and then forms dWx, dWh, db
 and the input gradient with one GEMM (or sum) each over the stacked
-pre-activation gradients.  `predict` runs the same loop without a
-cache: c and tanh(c) live in two rotating slots.
+pre-activation gradients.  Backward consumes the cache: it writes each
+layer's pre-activation gradients dz over that layer's gate buffer, and
+drops the layer's record before the layer below runs, so a train step
+holds little more than one forward cache.  `predict` runs the same loop
+without a cache: c and tanh(c) live in two rotating slots.
 """
 
 from __future__ import annotations
@@ -236,10 +239,11 @@ class Model:
             raise NetError("training-mode forward needs an rng for dropout")
         return self._run(X, rate, rng, keep=True, dtype=dtype)
 
-    def predict(self, X: np.ndarray, batch_size: int = 128, dtype=np.float32) -> np.ndarray:
+    def predict(self, X, batch_size: int = 128, dtype=np.float32) -> np.ndarray:
         """Inference probabilities; keeps no per-step state.  Each chunk of
         `batch_size` samples still needs a (T, batch_size, 4H) gate buffer,
-        so larger chunks cost memory (and, measured, no time)."""
+        so larger chunks cost memory (and, measured, no time).  `X` is read
+        only as len(X) and the chunks X[i:j]."""
         out = []
         for i in range(0, len(X), batch_size):
             out.append(self._run(X[i:i + batch_size], 0.0, None, keep=False, dtype=dtype)[0])
@@ -305,8 +309,16 @@ class Model:
         return self.loss(self.predict(X, dtype=dtype), y)
 
     def backward(self, cache: dict, y: np.ndarray) -> dict:
-        """Exact gradients of the mean NLL w.r.t. every parameter."""
+        """Exact gradients of the mean NLL w.r.t. every parameter.
+
+        Consumes the cache: each LSTM layer's record leaves it once its
+        gradients are formed, and its gate buffer holds dz meanwhile.  A
+        second call on the same cache raises NetError."""
         cfg = self.cfg
+        layers = cache["layers"]
+        if len(layers) != len(cfg.layers):
+            raise NetError("backward needs an unconsumed cache from forward: "
+                           "it consumes the cache, so it cannot run twice on one")
         probs = cache["probs"]
         B = len(y)
         grads = {}
@@ -326,12 +338,13 @@ class Model:
 
         # da is now d/d h^L_T; BPTT through the stack, top layer first, in
         # the forward's LSTM dtype; the weight gradients return to float64
-        dh = da.astype(cache["layers"][-1]["h"].dtype)
+        dh = da.astype(layers[-1]["h"].dtype)
         for l in range(len(cfg.layers) - 1, -1, -1):
-            rec = cache["layers"][l]
+            rec = layers.pop()
             h = rec["h"]
             T, _, H = h.shape
-            dz = _lstm_backward(h, rec["state"], rec["Wh"], dh)
+            # c and tanh(c) go with the popped state; dz is the gate buffer
+            dz = _lstm_backward(h, rec.pop("state"), rec["Wh"], dh)
             dz = dz.reshape(T * B, 4 * H)
             grads[f"lstm/{l}/Wx"] = (rec["in"].reshape(T * B, -1).T @ dz).astype(np.float64)
             # h_{t-1} is zero at t = 0, so dWh pairs h[:-1] with dz[1:]
@@ -343,6 +356,7 @@ class Model:
             dh = (dz @ rec["Wx"][:n_in].T).reshape(T, B, -1)
             if rec["mask"] is not None:
                 dh *= rec["mask"][..., :n_in]
+            del rec, dz  # free the layer before the next one's BPTT
 
         if cfg.variant == "orderflow":
             offset = 0
@@ -414,14 +428,17 @@ def _lstm_forward(x: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray,
 def _lstm_backward(h: np.ndarray, state: tuple, Wh: np.ndarray,
                    dh_out: np.ndarray) -> np.ndarray:
     """BPTT through one layer, in the dtype of `h`; returns the (T, B, 4H)
-    pre-activation gradients dz.  `dh_out` is the gradient from above:
-    (T, B, H), or (B, H) for the top layer, whose final step alone feeds
-    the head.  Only dz_t @ Wh.T stays inside the loop; the caller turns
-    the stacked dz into dWx, dWh, db and the input gradient with one
-    GEMM each."""
+    pre-activation gradients dz, written over the forward's gate buffer.
+    `dh_out` is the gradient from above: (T, B, H), or (B, H) for the top
+    layer, whose final step alone feeds the head.  Only dz_t @ Wh.T stays
+    inside the loop; the caller turns the stacked dz into dWx, dWh, db
+    and the input gradient with one GEMM each.
+
+    Step t reads the activated gates[t] only at step t, so it computes
+    dz_t in a (B, 4H) scratch buffer and then copies it over gates[t]."""
     gates, c, tc = state
     T, B, H = h.shape
-    dz = np.empty_like(gates)
+    d = np.empty((B, 4 * H), dtype=gates.dtype)
     WhT = Wh.T
     zero = np.zeros((B, H), dtype=h.dtype)
     top = dh_out.ndim == 2
@@ -434,7 +451,6 @@ def _lstm_backward(h: np.ndarray, state: tuple, Wh: np.ndarray,
         dh = dh_next if top else dh_out[t] + dh_next
         dc = dc_next + dh * o * (1.0 - tc_t ** 2)
         # d = d(loss)/d(activated gate), then times the activation's slope
-        d = dz[t]
         np.multiply(dc, g, out=d[:, :H])
         np.multiply(dc, c[t - 1] if t else zero, out=d[:, H:2 * H])
         np.multiply(dc, i, out=d[:, 2 * H:3 * H])
@@ -444,8 +460,9 @@ def _lstm_backward(h: np.ndarray, state: tuple, Wh: np.ndarray,
         slope[:, 2 * H:3 * H] = 1.0 - g ** 2
         d *= slope
         dc_next = dc * f
+        z[...] = d
         dh_next = d @ WhT
-    return dz
+    return gates
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +557,7 @@ class TrainResult:
 
 
 def _eval_split(model: Model, X, y) -> tuple[float, float]:
+    """Loss and MCC of `model` on (X, y); X is read as `predict` reads it."""
     probs = model.predict(X)
     loss = model.loss(probs, y)
     yhat = probs.argmax(axis=1)
@@ -552,7 +570,9 @@ def train(model: Model, train_xy, val_xy, schedule: TrainSchedule) -> TrainResul
 
     Stops once the validation loss has failed to improve for more than
     `patience` consecutive epochs, and leaves the best-validation params
-    in `model`.
+    in `model`.  The windows of `train_xy` are read only as len(X) and
+    one minibatch X[idx] at a time, for an int array idx; those of
+    `val_xy` as `predict` reads them.
     """
     Xtr, ytr = train_xy
     Xva, yva = val_xy

@@ -621,6 +621,33 @@ class TestBuildCost:
         built = json.loads((pipeline["out"] / "build_report.json").read_text())
         assert report["pairs"]["AAA"] == built["pairs"]["AAA"]
 
+    def test_train_and_evaluate_gather_one_batch_at_a_time(self, pipeline, tmp_path,
+                                                           monkeypatch):
+        # a minibatch holds at most batch_size windows and a predict chunk 128
+        limit = max(pipeline["config"]["schedule"]["batch_size"], 128)
+        gather = features._gather
+
+        def one_batch(ds, end):
+            if len(end) > limit:
+                raise AssertionError(f"gathered {len(end)} windows at once")
+            return gather(ds, end)
+
+        monkeypatch.setattr(features, "_gather", one_batch)
+        src, out = pipeline["out"], tmp_path / "out"
+        ds = str(src / "AAA.orderflow.ds")
+        search = write_config(tmp_path / "search.json", {
+            **pipeline["config"], "search": {"space": {"batch_size": [32, 100]}, "budget": 2}})
+        for cfgfile, where in ((pipeline["cfgfile"], out), (search, out / "search")):
+            assert cli.main(["train", "--config", cfgfile, "--out", str(where), "--pair", "AAA",
+                             "--variant", "orderflow", "--dataset", ds]) == cli.EXIT_OK
+        assert (out / "search" / "AAA.orderflow.search_log.csv").exists()
+        ckpt = "AAA.orderflow.ckpt"
+        assert (out / ckpt).read_bytes() == (src / ckpt).read_bytes()
+        stem = "pred_AAA__AAA.orderflow.test"
+        assert cli.main(["evaluate", "--checkpoint", str(src / ckpt),
+                         "--dataset", ds, "--split", "test", "--out", str(out)]) == cli.EXIT_OK
+        assert (out / f"{stem}.csv").read_bytes() == (src / f"{stem}.csv").read_bytes()
+
 
 class TestDeterminism:
     def test_generate_build_byte_identical(self, tmp_path):

@@ -184,6 +184,43 @@ class TestBuildMemory:
         stored = of.table.nbytes + got["bench1"].table.nbytes + of.table_ts.nbytes
         assert peak <= 2 * stored, peak / stored
 
+    def test_orderflow_table_is_its_buffer(self, planted_events):
+        # dt and hour go into the row buffer with the other columns, so the
+        # table is a view of it and no step copies the rows.  The replay's
+        # book is the same in any layout, so its own traced peak (about 0.7x
+        # the table on this stream) is taken off before the bound
+        tracemalloc.start()
+        try:
+            book = lob.OrderBook()
+            for e in planted_events:
+                book.apply_event(e)
+            book_peak = tracemalloc.get_traced_memory()[1]
+            del book
+            tracemalloc.stop()
+            tracemalloc.start()
+            of = features.build_datasets(planted_events, T=10, S=3, warm_count=40,
+                                         variants=("orderflow",))["orderflow"]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = of.table.nbytes + of.table_ts.nbytes
+        assert peak - book_peak <= 1.5 * stored, (peak - book_peak) / stored
+
+
+class TestWindowView:
+    @pytest.mark.parametrize("variant", features.VARIANTS)
+    def test_indexing_equals_gathered_windows(self, planted_datasets, variant):
+        ds = planted_datasets[variant]
+        X = ds.X
+        assert len(ds.windows) == ds.n == len(X)
+        rng = np.random.default_rng(0)
+        for idx in (rng.permutation(ds.n)[:37], np.array([ds.n - 1, 0, 0]),
+                    np.array([], dtype=np.int64), slice(5, 69), slice(ds.n - 3, ds.n + 100),
+                    slice(0, 0)):
+            got, want = ds.windows[idx], X[idx]
+            assert got.dtype == want.dtype and got.shape == want.shape, idx
+            assert got.tobytes() == want.tobytes(), idx
+
 
 # ---------------------------------------------------------------------------
 # annotation and labelling, through build_datasets

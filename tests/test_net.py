@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -314,13 +315,63 @@ class TestReferenceLSTM:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             probs, cache = m.forward(X, dtype=dtype)
+            # backward writes dz over the gate buffer: read the gates first
+            gates = cache["layers"][0]["state"][0].copy()
             grads = m.backward(cache, y)
             predicted = m.predict(X, dtype=dtype)
         assert np.all(np.isfinite(probs)) and np.all(np.isfinite(predicted))
         assert all(np.all(np.isfinite(g)) for g in grads.values())
-        gates = cache["layers"][0]["state"][0]
         assert gates.dtype == dtype
         assert set(np.unique(gates)) <= {0.0, 1.0}
+
+
+def _cache_bytes(obj) -> int:
+    """Bytes of the distinct arrays (or their bases) a forward cache holds."""
+    seen = {}
+    stack = [obj]
+    while stack:
+        o = stack.pop()
+        if isinstance(o, np.ndarray):
+            base = o if o.base is None else o.base
+            seen[id(base)] = base.nbytes
+        elif isinstance(o, dict):
+            stack.extend(o.values())
+        elif isinstance(o, (list, tuple)):
+            stack.extend(o)
+    return sum(seen.values())
+
+
+class TestBackwardMemory:
+    """Backward consumes the forward cache instead of growing beside it."""
+
+    def test_traced_peak_within_the_forward_cache(self):
+        # the benchmark's shape: 64x64, B=64, T=100, dropout 0.1; backward
+        # writes each layer's dz over its gate buffer and frees the layer
+        # before the next one's BPTT, so it needs little beyond the cache
+        cfg = dataclasses.replace(small_cfg(layers=(64, 64), dropout=0.1),
+                                  emb_dims=dict(net.DEFAULT_EMB_DIMS))
+        m = Model(cfg, seed=0)
+        X = raw_batch(B=64, T=100, seed=1)
+        y = np.random.default_rng(2).integers(0, 2, 64)
+        tracemalloc.start()
+        try:
+            _, cache = m.forward(X, train=True, rng=np.random.default_rng(3))
+            held = _cache_bytes(cache)
+            tracemalloc.reset_peak()
+            m.backward(cache, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * held, peak / held
+
+    def test_second_backward_raises(self):
+        m = Model(small_cfg(layers=(6, 4), dense_hidden=(5,)), seed=0)
+        X = raw_batch(B=4, T=5)
+        y = np.array([0, 1, 0, 1])
+        _, cache = m.forward(X)
+        m.backward(cache, y)
+        with pytest.raises(net.NetError):
+            m.backward(cache, y)
 
 
 class TestPrecision:
