@@ -243,6 +243,8 @@ def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SY
         elif delta.mid2_before is None and delta.mid2_after is not None:
             counters["mid_became_defined"] = counters.get("mid_became_defined", 0) + 1
     counters["warmup_events"] = n_warm
+    if book.dropped_market_events:
+        counters["dropped_market_events"] = book.dropped_market_events
 
     ts = np.frombuffer(ts, dtype=np.int64)
     end = np.frombuffer(ends, dtype=np.int64)

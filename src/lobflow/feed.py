@@ -30,6 +30,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import chain, islice
 from typing import Iterable, Iterator, Optional
 
@@ -66,7 +67,7 @@ class EventKind(Enum):
     MARKET = 2
     CANCEL = 3
 
-    @property
+    @cached_property
     def wire(self) -> str:
         return self.name.lower()
 
@@ -75,7 +76,7 @@ class Side(Enum):
     BUY = 1
     SELL = 2
 
-    @property
+    @cached_property
     def wire(self) -> str:
         return self.name.lower()
 
@@ -230,13 +231,36 @@ def parse_event(line: str) -> OrderEvent:
     return OrderEvent(ts, seq, kind, side, price, size, oid, size_str)
 
 
+# the C function that `json.dumps` calls to quote and escape a string
+_json_str = json.encoder.encode_basestring_ascii
+
+
 def serialize_event(ev: OrderEvent) -> str:
-    """Render an event as one canonical wire line (no trailing newline)."""
-    obj: dict = {"ts": ev.timestamp_ms, "seq": ev.seq, "kind": ev.kind.wire, "side": ev.side.wire}
+    """Render an event as one canonical wire line (no trailing newline).
+
+    The line is what ``json.dumps(obj, separators=(",", ":"))`` writes for
+    the event's object, byte for byte.  Exact ints, finite floats and
+    strings fill one template (an f-string writes an exact int or float as
+    its repr, as `json` does); any other value, such as a bool, a numpy
+    scalar or a misplaced None, goes through `json.dumps` itself."""
+    ts, seq, price, oid = ev.timestamp_ms, ev.seq, ev.price_ticks, ev.order_id
+    size = ev.size if ev.size_str is None else ev.size_str
+    if type(size) is str:
+        size = _json_str(size)
+    elif type(size) is not float or not -math.inf < size < math.inf:
+        size = None  # `json` spells NaN and infinities differently from repr
+    if size is not None and type(ts) is int and type(seq) is int and type(oid) is str:
+        if ev.kind is EventKind.MARKET:
+            return (f'{{"ts":{ts},"seq":{seq},"kind":"market","side":"{ev.side.wire}",'
+                    f'"size":{size},"id":{_json_str(oid)}}}')
+        if type(price) is int:
+            return (f'{{"ts":{ts},"seq":{seq},"kind":"{ev.kind.wire}","side":"{ev.side.wire}",'
+                    f'"price":{price},"size":{size},"id":{_json_str(oid)}}}')
+    obj: dict = {"ts": ts, "seq": seq, "kind": ev.kind.wire, "side": ev.side.wire}
     if ev.kind is not EventKind.MARKET:
-        obj["price"] = ev.price_ticks
+        obj["price"] = price
     obj["size"] = ev.size_str if ev.size_str is not None else ev.size
-    obj["id"] = ev.order_id
+    obj["id"] = oid
     return json.dumps(obj, separators=(",", ":"))
 
 
@@ -360,16 +384,18 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> Iterator[str]:
 
     rng = np.random.default_rng(seed)
     book = lob.OrderBook()
-
-    state = {"seq": 0, "ts": config.start_ts}
+    integers, apply_event = rng.integers, book.apply_event
+    gap_lo, gap_hi = config.min_gap_ms, 2 * config.mean_gap_ms + 1
+    seq, ts = 0, config.start_ts
 
     def emit(kind: EventKind, side: Side, price: Optional[int], size: float,
              order_id: Optional[str] = None) -> str:
-        state["seq"] += 1
-        state["ts"] += int(rng.integers(config.min_gap_ms, 2 * config.mean_gap_ms + 1))
-        ev = OrderEvent(state["ts"], state["seq"], kind, side, price, size,
-                        order_id if order_id is not None else f"o{state['seq']}")
-        book.apply_event(ev)
+        nonlocal seq, ts
+        seq += 1
+        ts += int(integers(gap_lo, gap_hi))
+        ev = OrderEvent(ts, seq, kind, side, price, size,
+                        order_id if order_id is not None else f"o{seq}")
+        apply_event(ev)
         return serialize_event(ev)
 
     def seed_ladder():
@@ -424,7 +450,7 @@ def _noise_stream(config, rng, book, emit):
         if u < config.prop_cancel and book.resting:
             # cancel a random live order, fully or by half; `resting` keeps
             # the orders in the order they came to rest
-            oid = list(book.resting)[int(rng.integers(0, len(book.resting)))]
+            oid = next(islice(book.resting, int(rng.integers(0, len(book.resting))), None))
             order = book.resting[oid]
             full = rng.random() < 0.9 or order.remaining < 1e-9
             size = order.remaining if full else order.remaining / 2.0
@@ -452,7 +478,6 @@ def write_stream(path, config: GeneratorConfig, seed: int) -> int:
     n = 0
     with atomic_open(path, "w", encoding="utf-8") as fh:
         for line in generate_synthetic(config, seed):
-            fh.write(line)
-            fh.write("\n")
+            fh.write(line + "\n")
             n += 1
     return n

@@ -137,6 +137,8 @@ def reference_build(events, T, S, warm_count):
         elif mid_before is None and mid is not None:
             bump("mid_became_defined")
         window.append(ann)
+    if book.dropped_market_events:
+        counters["dropped_market_events"] = book.dropped_market_events
     counters["samples"] = len(y)
     return (X, np.stack(rates), np.array(y, dtype=np.uint8), np.array(times),
             np.array(last_ts), counters)
@@ -168,6 +170,20 @@ class TestReferenceWindows:
         got_rates = features.transform_numeric(got["bench1"].X, "bench1", 3)[..., -2:]
         assert got_rates.shape == rates.shape
         assert got_rates.tobytes() == rates.tobytes()
+
+    @pytest.mark.parametrize("warm", [0, 500])
+    def test_dropped_market_events_match_oracle(self, warm, planted_events):
+        # the book's drops, warm-up included (12 of the 129 fall in the
+        # first 500 events); a stream that drops none adds no counter
+        events = market_heavy_noise()
+        ref = oracle.ReferenceBook()
+        for e in events:
+            ref.apply(e)
+        assert ref.dropped_market_events > 0
+        for ds in features.build_datasets(events, T=10, S=3, warm_count=warm).values():
+            assert ds.counters["dropped_market_events"] == ref.dropped_market_events
+        planted = features.build_datasets(planted_events, T=10, S=3, warm_count=40)
+        assert all("dropped_market_events" not in ds.counters for ds in planted.values())
 
 
 class TestBuildMemory:

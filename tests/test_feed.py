@@ -1,9 +1,11 @@
 import contextlib
 import hashlib
 import json
+import math
 from types import SimpleNamespace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -308,6 +310,78 @@ class TestRoundTrip:
         assert feed.serialize_event(feed.parse_event(line)) == line
 
 
+def _json_line(ev):
+    """The `json.dumps` rendering of `ev` that `serialize_event` must
+    equal byte for byte."""
+    obj: dict = {"ts": ev.timestamp_ms, "seq": ev.seq, "kind": ev.kind.wire, "side": ev.side.wire}
+    if ev.kind is not EventKind.MARKET:
+        obj["price"] = ev.price_ticks
+    obj["size"] = ev.size_str if ev.size_str is not None else ev.size
+    obj["id"] = ev.order_id
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def _written(f, ev):
+    """The line `f` writes for `ev`, or the error's type and message."""
+    try:
+        return f(ev)
+    except (TypeError, ValueError) as e:
+        return type(e), str(e)
+
+
+# values that `serialize_event` hands to `json.dumps`; `7` only in the
+# size and string fields, since ts, seq and price are ints on the wire
+_MISTYPED = st.sampled_from([True, False, None, 7, np.int64(5), np.float64(0.5), np.str_("x")])
+_WIRE_INT = st.integers() | st.sampled_from([2 ** 63 - 1, 2 ** 63, -2 ** 63 - 1, 10 ** 30])
+_WIRE_TEXT = st.text(_CHARS | st.sampled_from(["\U0001d11e", "\U0010ffff"]), max_size=6)
+_WIRE_FLOAT = st.floats() | st.sampled_from([5e-324, 1e16, 1e22, 1 / 3, -0.0, 2.0 ** 70,
+                                            math.nan, math.inf, -math.inf])
+
+
+class TestSerialize:
+    """`serialize_event` fills one template with exact ints, finite floats
+    and strings, and writes what `json.dumps` writes for every input."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(list(EventKind)), side=st.sampled_from(list(Side)),
+           ts=_WIRE_INT, seq=_WIRE_INT, price=_WIRE_INT, size=_WIRE_FLOAT,
+           size_str=st.none() | _WIRE_TEXT, oid=_WIRE_TEXT, data=st.data())
+    def test_equals_json_dumps(self, kind, side, ts, seq, price, size, size_str, oid, data):
+        fields = dict(timestamp_ms=ts, seq=seq, price_ticks=price, size=size,
+                      size_str=size_str, order_id=oid)
+        for name in data.draw(st.sets(st.sampled_from(sorted(fields)), max_size=2),
+                              label="mistyped"):
+            fields[name] = data.draw(_MISTYPED, label=name)
+        ev = feed.OrderEvent(kind=kind, side=side, **fields)
+        ts, seq, price, size, size_str, oid = (ev.timestamp_ms, ev.seq, ev.price_ticks,
+                                               ev.size, ev.size_str, ev.order_id)
+        templated = (type(ts) is int and type(seq) is int and type(oid) is str
+                     and (kind is EventKind.MARKET or type(price) is int)
+                     and (type(size_str) is str if size_str is not None
+                          else type(size) is float and math.isfinite(size)))
+        dumped = []
+
+        def dumps(obj, **kw):
+            dumped.append(obj)
+            return json.dumps(obj, **kw)
+        with mock.patch.object(feed, "json", SimpleNamespace(dumps=dumps)):
+            assert _written(feed.serialize_event, ev) == _written(_json_line, ev)
+        assert bool(dumped) is not templated
+
+    def test_generated_lines_skip_json_dumps(self, monkeypatch):
+        streams = [feed.generate_synthetic(feed.GeneratorConfig(n_events=3000), seed=5),
+                   feed.generate_synthetic(feed.GeneratorConfig(
+                       n_events=3000, planted=feed.PLANTED_LAST_EVENT_SIDE), seed=5)]
+
+        def no_json(obj, **kw):
+            raise AssertionError(f"json.dumps called on {obj!r}")
+        monkeypatch.setattr(feed, "json", SimpleNamespace(dumps=no_json))
+        lines = [line for stream in streams for line in stream]
+        monkeypatch.undo()
+        assert len(lines) == 6000
+        assert {json.loads(line)["kind"] for line in lines} == {"limit", "market", "cancel"}
+
+
 class TestIterEvents:
     def test_empty(self):
         assert list(feed.iter_events([])) == []
@@ -447,6 +521,23 @@ class TestGenerator:
             h.update("".join(line + "\n" for line in lines).encode())
             h.update(b"\0")
         assert h.hexdigest() == digest
+
+    # SHA-256 of the files `write_stream` writes for the set-up inputs of
+    # the benchmark's replay, build and learn workloads at seed 7, recorded
+    # before the generator wrote lines through a template
+    @pytest.mark.parametrize("n,gap,min_gap,planted,digest", [
+        (30_000, 10_000, 0, None,
+         "99020af58b40bff8a9da9c36423f896fd5d843aec618b2861f5afeed1bfa6455"),
+        (8_000, 60_000, 1, feed.PLANTED_LAST_EVENT_SIDE,
+         "5f93081ea00fdc2f4fee8545f6b37b78595b7c3ed4b1514acecc712aa27cabda"),
+        (14_380, 180_000, 1, feed.PLANTED_LAST_EVENT_SIDE,
+         "b9b4300aec19fe509a6a1aa43f569d9f4707d6b51cb61b2deebe25b98b91685b"),
+    ])
+    def test_benchmark_streams_pinned(self, tmp_path, n, gap, min_gap, planted, digest):
+        cfg = feed.GeneratorConfig(n_events=n, mean_gap_ms=gap, min_gap_ms=min_gap,
+                                   planted=planted)
+        assert feed.write_stream(tmp_path / "s.ofr", cfg, seed=7) == n
+        assert hashlib.sha256((tmp_path / "s.ofr").read_bytes()).hexdigest() == digest
 
     def test_output_is_valid_stream(self, noise_lines):
         events = list(feed.iter_events(noise_lines))
