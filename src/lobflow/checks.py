@@ -14,13 +14,15 @@ import numbers
 _INT64_END = 2 ** 63
 
 
-def integer(value, name: str, error: type, lo: int = -_INT64_END) -> None:
-    """`value` must be an int in [lo, 2**63), so that it fits int64."""
+def integer(value, name: str, error: type, lo: int = -_INT64_END,
+            hi: int = _INT64_END - 1) -> None:
+    """`value` must be an int in [lo, hi]; the default range is int64's."""
     if type(value) is not int or value < lo:
         bound = f" >= {lo}" if lo > -_INT64_END else ""
         raise error(f"{name} must be an integer{bound}, got {value!r}")
-    if value >= _INT64_END:
-        raise error(f"{name} must be below 2**63, got {value!r}")
+    if value > hi:
+        limit = "below 2**63" if hi == _INT64_END - 1 else f"at most {hi}"
+        raise error(f"{name} must be {limit}, got {value!r}")
 
 
 def number(value, name: str, error: type, lo: float = -math.inf, hi: float = math.inf,

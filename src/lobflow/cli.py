@@ -41,6 +41,11 @@ def _defaults(cls, set_elsewhere=()) -> dict:
             for f in dataclasses.fields(cls) if f.name not in set_elsewhere}
 
 
+# the longest window (events) and the deepest book snapshot (levels) a
+# config may ask for, so that an oversized value stops before any work
+MAX_T = 10_000
+MAX_S = 100
+
 # ModelConfig fields a dataset sets, not the config
 _DATASET_SET = ("variant", "S", "norm_mean", "norm_sd")
 
@@ -132,9 +137,10 @@ def load_config(path, seed_override=None) -> dict:
         cfg["seed"] = seed_override
     if not cfg["pairs"]:
         raise CliError("config declares no pairs")
-    for key, value, lo in (("seed", cfg["seed"], 0), ("T", cfg["T"], 1), ("S", cfg["S"], 1),
-                           ("warm_up.count", cfg["warm_up"]["count"], 0)):
-        checks.integer(value, f"config {key!r}", CliError, lo)
+    for key, value, bounds in (("seed", cfg["seed"], (0,)), ("T", cfg["T"], (1, MAX_T)),
+                               ("S", cfg["S"], (1, MAX_S)),
+                               ("warm_up.count", cfg["warm_up"]["count"], (0,))):
+        checks.integer(value, f"config {key!r}", CliError, *bounds)
     ts = cfg["warm_up"]["ts"]
     if ts is not None:
         checks.integer(ts, "config 'warm_up.ts'", CliError)

@@ -30,12 +30,35 @@ layer's pre-activation gradients dz over that layer's gate buffer, and
 drops the layer's record before the layer below runs, so a train step
 holds little more than one forward cache.  `predict` runs the same loop
 without a cache: c and tanh(c) live in two rotating slots.
+
+`train` computes each minibatch's gradient as two fixed shards, rows
+[0, ceil(B/2)) and [ceil(B/2), B) (one shard when B = 1), and combines
+them in shard order, weighted by shard size, before Adam: synchronous
+data-parallel SGD (Dean et al. 2012; Goyal et al. 2017, arXiv
+1706.02677) with the minibatch and learning rate unchanged, so only the
+order of the gradient sums differs from a whole-batch step.  The
+process count is min(2, len(os.sched_getaffinity(0))); `taskset -c 0`
+gives one.  With two, a worker forked once per `train` call computes
+shard 1 while the parent computes shard 0; with one, the parent runs
+both shards in turn through the same shard function, so the trained
+bytes do not depend on the core count.  The parent draws the dropout
+masks of the whole batch from the train rng, in a whole-batch
+forward's order and shapes, and sends the worker the float64 params,
+shard 1's sample indices and its rows of the masks as bool keep masks.
+The dW GEMMs sum over half batches, so trained params, train logs and
+predictions changed once when the shards came in.  On a 1-CPU host the
+two half shards cost about 10% more per step than one whole batch (from
+single-process step times at B=32 and B=64, not measured end to end).
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import multiprocessing
+import os
+import signal
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
@@ -80,6 +103,8 @@ K = 2
 # orderflow categorical covariates: (name, cardinality, raw column, code offset)
 CATEGORICALS = (("kind", 3, 3, 1), ("side", 2, 4, 1), ("hour", 24, 1, 0))
 DEFAULT_EMB_DIMS = {"kind": 2, "side": 2, "hour": 4}
+# largest LSTM and dense width a config may ask for
+MAX_WIDTH = 4096
 
 
 @dataclass
@@ -89,8 +114,8 @@ class ModelConfig:
     dataset sets the variant, `S` and the norm stats.
 
     Construction checks every value and raises :class:`InvalidConfig`:
-    a known variant, `S` >= 1, non-empty integer `layers` >= 1 and
-    integer `dense_hidden` widths >= 1 (both kept as tuples), integer
+    a known variant, `S` >= 1, non-empty integer `layers` and integer
+    `dense_hidden` widths in [1, MAX_WIDTH] (both kept as tuples), integer
     `emb_dims` >= 1 for exactly kind, side and hour, `dropout` in
     [0, 1), and norm stats that are null or `numeric_width` finite
     numbers, every sd > 0.
@@ -114,7 +139,7 @@ class ModelConfig:
             if not isinstance(widths, (list, tuple)):
                 raise InvalidConfig(f"{name} must be a list of integers, got {widths!r}")
             for w in widths:
-                checks.integer(w, f"{name} entry", InvalidConfig, 1)
+                checks.integer(w, f"{name} entry", InvalidConfig, 1, MAX_WIDTH)
             setattr(self, name, tuple(widths))
         if not self.layers:
             raise InvalidConfig("layers must not be empty")
@@ -225,19 +250,37 @@ class Model:
     # -- forward ------------------------------------------------------------
 
     def forward(self, X: np.ndarray, train: bool = False, rng=None,
-                dtype=np.float32) -> tuple[np.ndarray, dict]:
+                dtype=np.float32, masks: Optional[list] = None) -> tuple[np.ndarray, dict]:
         """Run the full network; returns (probs (B, K), cache for backward).
 
         Dropout is applied only when `train` is True, and only on the
         non-recurrent connections: the encoded inputs of every LSTM
         layer and the inputs of every dense layer.  The recurrent
-        h_{t-1} -> h_t path is never masked.  The LSTM layers compute
-        in `dtype`; the probabilities are float64 either way.
+        h_{t-1} -> h_t path is never masked.  Its keep masks are
+        `masks`, as :meth:`dropout_masks` draws them, or else drawn
+        from `rng`.  The LSTM layers compute in `dtype`; the
+        probabilities are float64 either way.
         """
-        rate = self.cfg.dropout if train else 0.0
-        if rate > 0.0 and rng is None:
-            raise NetError("training-mode forward needs an rng for dropout")
-        return self._run(X, rate, rng, keep=True, dtype=dtype)
+        if not train:
+            masks = None
+        elif masks is None and self.cfg.dropout > 0.0:
+            if rng is None:
+                raise NetError("training-mode forward needs an rng or masks for dropout")
+            masks = self.dropout_masks(*_batch_shape(X), rng)
+        return self._run(X, masks, keep=True, dtype=dtype)
+
+    def dropout_masks(self, B: int, T: int, rng) -> Optional[list]:
+        """The bool keep masks of a training forward over B windows of T
+        steps, drawn from `rng` in the order and shapes the forward uses
+        them: each LSTM layer's (B, T, input width), then each dense
+        layer's (B, input width).  None when the model has no dropout."""
+        cfg = self.cfg
+        if cfg.dropout == 0.0:
+            return None
+        lstm_in = (cfg.input_width, *cfg.layers[:-1])
+        dense_in = (cfg.layers[-1], *cfg.dense_hidden)
+        return ([_keep_mask((B, T, w), cfg.dropout, rng) for w in lstm_in]
+                + [_keep_mask((B, w), cfg.dropout, rng) for w in dense_in])
 
     def predict(self, X, batch_size: int = 128, dtype=np.float32) -> np.ndarray:
         """Inference probabilities; keeps no per-step state.  Each chunk of
@@ -246,20 +289,18 @@ class Model:
         only as len(X) and the chunks X[i:j]."""
         out = []
         for i in range(0, len(X), batch_size):
-            out.append(self._run(X[i:i + batch_size], 0.0, None, keep=False, dtype=dtype)[0])
+            out.append(self._run(X[i:i + batch_size], None, keep=False, dtype=dtype)[0])
         return np.concatenate(out) if out else np.empty((0, K))
 
-    def _run(self, X: np.ndarray, rate: float, rng, keep: bool,
+    def _run(self, X: np.ndarray, masks: Optional[list], keep: bool,
              dtype) -> tuple[np.ndarray, dict]:
-        """Shared forward pass.  With `keep`, the cache holds what backward
-        needs, the `dtype` casts of the LSTM weights included; without it,
-        each LSTM layer keeps only its h sequence."""
+        """Shared forward pass, with dropout when `masks` holds the keep
+        masks of :meth:`dropout_masks`.  With `keep`, the cache holds what
+        backward needs, the `dtype` casts of the LSTM weights included;
+        without it, each LSTM layer keeps only its h sequence."""
         cfg = self.cfg
-        if X.ndim != 3:
-            raise ShapeMismatch(f"expected (B, T, F) batch, got shape {X.shape}")
-        B, T, _ = X.shape
-        if B == 0:
-            raise EmptyBatch("empty batch")
+        _batch_shape(X)
+        masks = None if masks is None else iter(masks)
 
         enc, emb_cache = self.encode(X)
         cache: dict = {"emb": emb_cache, "layers": []}
@@ -269,9 +310,9 @@ class Model:
         x = np.ascontiguousarray(enc.transpose(1, 0, 2), dtype=dtype)
         for l in range(len(cfg.layers)):
             mask = None
-            if rate > 0.0:
+            if masks is not None:
                 mask = np.ascontiguousarray(
-                    dropout_mask((B, T, x.shape[-1]), rate, rng).transpose(1, 0, 2), dtype=dtype)
+                    _inverted(next(masks), cfg.dropout).transpose(1, 0, 2), dtype=dtype)
                 x = x * mask
             Wx, Wh, b = (self.params[f"lstm/{l}/{n}"].astype(dtype, copy=False)
                          for n in ("Wx", "Wh", "b"))
@@ -285,8 +326,8 @@ class Model:
         head = []
         for d in range(self.n_dense):
             mask = None
-            if rate > 0.0:
-                mask = dropout_mask(a.shape, rate, rng)
+            if masks is not None:
+                mask = _inverted(next(masks), cfg.dropout)
                 a = a * mask
             W, b = self.params[f"head/{d}/W"], self.params[f"head/{d}/b"]
             z = a @ W + b
@@ -371,10 +412,19 @@ class Model:
                 offset += dim
         return {k: grads[k] for k in self.params}
 
-    def loss_and_grads(self, X, y, train=False, rng=None,
-                       dtype=np.float32) -> tuple[float, dict]:
-        probs, cache = self.forward(X, train=train, rng=rng, dtype=dtype)
+    def loss_and_grads(self, X, y, train=False, rng=None, dtype=np.float32,
+                       masks: Optional[list] = None) -> tuple[float, dict]:
+        probs, cache = self.forward(X, train=train, rng=rng, dtype=dtype, masks=masks)
         return self.loss(probs, y), self.backward(cache, y)
+
+
+def _batch_shape(X) -> tuple[int, int]:
+    """(B, T) of a non-empty (B, T, F) batch of windows."""
+    if X.ndim != 3:
+        raise ShapeMismatch(f"expected (B, T, F) batch, got shape {X.shape}")
+    if len(X) == 0:
+        raise EmptyBatch("empty batch")
+    return X.shape[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -466,17 +516,26 @@ def _lstm_backward(h: np.ndarray, state: tuple, Wh: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Dropout mask (exposed for the wiring tests)
+# Dropout masks (`dropout_mask` is exposed for the wiring tests)
 # ---------------------------------------------------------------------------
 
 
 def dropout_mask(shape, rate: float, rng) -> np.ndarray:
     """Inverted dropout mask: zeros with probability `rate`, else 1/(1-rate)."""
+    keep = _keep_mask(shape, rate, rng) if rate != 0.0 else np.ones(shape, dtype=bool)
+    return _inverted(keep, rate)
+
+
+def _keep_mask(shape, rate: float, rng) -> np.ndarray:
+    """Bool dropout keep mask: False with probability `rate`."""
     if not 0.0 <= rate < 1.0:
         raise InvalidRate(f"rate {rate} not in [0, 1)")
-    if rate == 0.0:
-        return np.ones(shape)
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+    return rng.random(shape) >= rate
+
+
+def _inverted(keep: np.ndarray, rate: float) -> np.ndarray:
+    """The inverted-dropout mask of bool `keep`: 0 where dropped, else 1/(1-rate)."""
+    return keep / (1.0 - rate)
 
 
 # ---------------------------------------------------------------------------
@@ -570,14 +629,17 @@ def train(model: Model, train_xy, val_xy, schedule: TrainSchedule) -> TrainResul
 
     Stops once the validation loss has failed to improve for more than
     `patience` consecutive epochs, and leaves the best-validation params
-    in `model`.  The windows of `train_xy` are read only as len(X) and
-    one minibatch X[idx] at a time, for an int array idx; those of
-    `val_xy` as `predict` reads them.
+    in `model`.  Each minibatch's gradient is computed as two shards
+    (see the module docstring), the second on a forked worker when the
+    affinity mask holds two CPUs or more.  The windows of `train_xy` are
+    read only as len(X), X[:1] and one shard X[idx] at a time, for an int
+    array idx; those of `val_xy` as `predict` reads them.
     """
     Xtr, ytr = train_xy
     Xva, yva = val_xy
     if len(ytr) == 0 or len(yva) == 0:
         raise EmptyBatch("train and validation splits must be non-empty")
+    T = _batch_shape(Xtr[:1])[1]
     rng = np.random.default_rng(schedule.seed)
     opt = AdamState.zeros_like(model.params)
     history = []
@@ -585,31 +647,125 @@ def train(model: Model, train_xy, val_xy, schedule: TrainSchedule) -> TrainResul
     best_params = copy.deepcopy(model.params)
     best_epoch = -1
     since_improve = 0
-    for epoch in range(schedule.epochs):
-        perm = rng.permutation(len(ytr))
-        total = 0.0
-        nb = 0
-        for start in range(0, len(perm), schedule.batch_size):
-            idx = perm[start:start + schedule.batch_size]
-            loss, grads = model.loss_and_grads(Xtr[idx], ytr[idx], train=True, rng=rng)
-            adam_step(model.params, grads, opt, lr=schedule.lr, beta1=schedule.beta1,
-                      beta2=schedule.beta2, eps=schedule.eps)
-            total += loss * len(idx)
-            nb += len(idx)
-        val_loss, val_mcc = _eval_split(model, Xva, yva)
-        history.append({"epoch": epoch, "train_loss": total / nb,
-                        "val_loss": val_loss, "val_mcc": val_mcc})
-        if val_loss < best_loss:
-            best_loss = val_loss
-            best_params = copy.deepcopy(model.params)
-            best_epoch = epoch
-            since_improve = 0
-        else:
-            since_improve += 1
-            if since_improve > schedule.patience:
-                break
+    # min(2, CPUs in the affinity mask) processes; a worker only when a
+    # minibatch can hold two shards
+    parallel = min(schedule.batch_size, len(ytr)) > 1 and len(os.sched_getaffinity(0)) > 1
+    with _ShardWorker(model, Xtr, ytr) if parallel else nullcontext() as worker:
+        for epoch in range(schedule.epochs):
+            perm = rng.permutation(len(ytr))
+            total = 0.0
+            nb = 0
+            for start in range(0, len(perm), schedule.batch_size):
+                idx = perm[start:start + schedule.batch_size]
+                loss, grads = _minibatch_step(model, Xtr, ytr, idx, T, rng, worker)
+                adam_step(model.params, grads, opt, lr=schedule.lr, beta1=schedule.beta1,
+                          beta2=schedule.beta2, eps=schedule.eps)
+                total += loss * len(idx)
+                nb += len(idx)
+            val_loss, val_mcc = _eval_split(model, Xva, yva)
+            history.append({"epoch": epoch, "train_loss": total / nb,
+                            "val_loss": val_loss, "val_mcc": val_mcc})
+            if val_loss < best_loss:
+                best_loss = val_loss
+                best_params = copy.deepcopy(model.params)
+                best_epoch = epoch
+                since_improve = 0
+            else:
+                since_improve += 1
+                if since_improve > schedule.patience:
+                    break
     model.params = best_params
     return TrainResult(history, best_epoch, float(best_loss))
+
+
+def _minibatch_step(model: Model, X, y, idx: np.ndarray, T: int, rng,
+                    worker: Optional["_ShardWorker"]) -> tuple[float, dict]:
+    """Mean loss and gradients of the minibatch `idx` of (X, y), T steps
+    per window: the mean over its shards weighted by shard size, summed
+    shard 0 first.  The whole batch's dropout keep masks are drawn from
+    `rng` first, as a whole-batch forward would draw them; `worker`, if
+    given, computes shard 1 while this process computes shard 0."""
+    B = len(idx)
+    masks = model.dropout_masks(B, T, rng)
+    half = (B + 1) // 2
+    shards = [slice(0, half), slice(half, B)] if B > 1 else [slice(0, B)]
+    jobs = [(idx[s], None if masks is None else [m[s] for m in masks]) for s in shards]
+    if worker is not None and len(jobs) == 2:
+        worker.submit(model.params, *jobs[1])
+        parts = [_shard_loss_grads(model, X, y, *jobs[0]), worker.result()]
+    else:
+        parts = [_shard_loss_grads(model, X, y, *job) for job in jobs]
+    sizes = [len(rows) for rows, _ in jobs]
+    loss = sum(n * part[0] for n, part in zip(sizes, parts)) / B
+    grads = {k: sum(n * part[1][k] for n, part in zip(sizes, parts)) / B for k in parts[0][1]}
+    return loss, grads
+
+
+def _shard_loss_grads(model: Model, X, y, rows: np.ndarray, masks: Optional[list]):
+    """Mean loss and gradients of the training windows `rows`, with their
+    rows of the batch's keep masks.  Both processes run their shards
+    through this one function."""
+    return model.loss_and_grads(X[rows], y[rows], train=True, masks=masks)
+
+
+class _ShardWorker:
+    """A process forked from the caller that computes shard 1 of each
+    minibatch.  It inherits the model and the training windows at fork,
+    so the windows are never pickled; each request carries the params,
+    the shard's sample indices and its keep masks.  As a context manager
+    it ends the process on exit."""
+
+    def __init__(self, model: Model, X, y):
+        ctx = multiprocessing.get_context("fork")
+        self.conn, child = ctx.Pipe()
+        self.proc = ctx.Process(target=_serve_shards, args=(child, self.conn, model, X, y),
+                                daemon=True)
+        self.proc.start()
+        child.close()
+
+    def __enter__(self) -> "_ShardWorker":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            self.proc.terminate()   # the shard it may be computing is not needed
+        self.conn.close()           # an idle worker reads EOF and returns
+        self.proc.join()
+
+    def submit(self, params: dict, rows: np.ndarray, masks: Optional[list]) -> None:
+        try:
+            self.conn.send((params, rows, masks))
+        except OSError as e:
+            raise NetError(f"the shard worker exited: {e}") from e
+
+    def result(self) -> tuple[float, dict]:
+        """The submitted shard's (loss, grads); an exception the shard
+        raised is raised here again."""
+        try:
+            out = self.conn.recv()
+        except (EOFError, OSError) as e:
+            raise NetError("the shard worker exited before it returned its shard") from e
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+
+def _serve_shards(conn, parent_end, model: Model, X, y) -> None:
+    """The worker's loop: run each requested shard until the parent
+    closes its end of the pipe (the worker's inherited copy of that end
+    is closed first, or it would never read EOF)."""
+    parent_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent handles ^C and ends it
+    try:
+        while True:
+            model.params, rows, masks = conn.recv()
+            try:
+                out = _shard_loss_grads(model, X, y, rows, masks)
+            except Exception as e:   # raised again in the parent
+                out = e
+            conn.send(out)
+    except (EOFError, OSError):   # the parent closed its end
+        pass
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import math
+import multiprocessing
 import os
 import tempfile
 from pathlib import Path
@@ -137,6 +138,13 @@ class TestConfig:
         loaded = cli.load_config(write_config(tmp_path / "c.json", cfg))
         assert cli._warm_kwargs(loaded) == {"warm_until_ts": 123}
 
+    def test_largest_sizes_accepted(self, tmp_path):
+        # the bounds are checked on the config alone: nothing is read or built
+        cfg = {"pairs": {"X": {"input": "x.ofr"}}, "T": cli.MAX_T, "S": cli.MAX_S,
+               "model": {"layers": [net.MAX_WIDTH], "dense_hidden": [net.MAX_WIDTH]}}
+        loaded = cli.load_config(write_config(tmp_path / "c.json", cfg))
+        assert (loaded["T"], loaded["S"]) == (cli.MAX_T, cli.MAX_S)
+
     def test_unknown_generator_key_is_error_exit(self, tmp_path, capsys):
         cfg = {"pairs": {"X": {"input": str(tmp_path / "x.ofr")}}, "generator": {"bogus": 1}}
         p = write_config(tmp_path / "c.json", cfg)
@@ -152,6 +160,8 @@ class TestConfig:
         ("build", {"T": "x"}, "'T'"),
         ("build", {"T": 0}, "'T'"),
         ("build", {"T": True}, "'T'"),
+        ("build", {"T": cli.MAX_T + 1}, "'T' must be at most"),
+        ("build", {"S": cli.MAX_S + 1}, "'S' must be at most"),
         ("build", {"warm_up": {"count": "x"}}, "'warm_up.count'"),
         ("build", {"warm_up": {"count": -1}}, "'warm_up.count'"),
         ("build", {"warm_up": {"ts": 1.5}}, "'warm_up.ts'"),
@@ -186,6 +196,8 @@ class TestConfig:
         ("generate", {"pairs": {"X": {"input": 5}}}, "'pairs.X.input'"),
         (TRAIN, {"model": {"layers": []}}, "'model': layers"),
         (TRAIN, {"model": {"layers": [0]}}, "'model': layers"),
+        (TRAIN, {"model": {"layers": [8, net.MAX_WIDTH + 1]}},
+         "'model': layers entry must be at most"),
         (TRAIN, {"model": {"dense_hidden": [2.5]}}, "'model': dense_hidden"),
         (TRAIN, {"model": {"emb_dims": {"hour": 0}}}, "'model': emb_dims.hour"),
         (TRAIN, {"model": {"emb_dims": {"day": 2}}}, "'model': emb_dims"),
@@ -466,6 +478,27 @@ class TestExitCodes:
         assert rc == cli.EXIT_ERROR
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "labels" in err[0]
+
+    def test_failed_worker_shard_is_error_exit(self, pipeline, tmp_path, capfd, monkeypatch):
+        # two CPUs, so a worker computes shard 1; its shard fails there only
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        parent, shard = os.getpid(), net._shard_loss_grads
+
+        def failing(*args):
+            if os.getpid() != parent:
+                raise net.CategoryOutOfRange("kind value out of range")
+            return shard(*args)
+
+        monkeypatch.setattr(net, "_shard_loss_grads", failing)
+        capfd.readouterr()
+        rc = cli.main(["train", "--config", pipeline["cfgfile"], "--out", str(tmp_path / "out"),
+                       "--pair", "AAA", "--variant", "orderflow",
+                       "--dataset", str(pipeline["out"] / "AAA.orderflow.ds")])
+        assert rc == cli.EXIT_ERROR
+        err = capfd.readouterr().err.splitlines()
+        assert err == ["error: kind value out of range"]
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "out").exists()
 
     def _rewritten(self, src, dst, magic, change):
         fields, arrays = container.read(src, magic, ValueError)

@@ -1,4 +1,6 @@
 import dataclasses
+import multiprocessing
+import os
 import tracemalloc
 import warnings
 
@@ -29,6 +31,7 @@ def raw_batch(variant="orderflow", B=4, T=3, S=2, seed=0):
 class TestConfigValues:
     @pytest.mark.parametrize("change", [
         {"variant": "bench3"}, {"S": 0}, {"layers": []}, {"layers": [0]},
+        {"layers": [net.MAX_WIDTH + 1]}, {"dense_hidden": [4, net.MAX_WIDTH + 1]},
         {"layers": [4.0]}, {"layers": 4}, {"dense_hidden": [True]}, {"dense_hidden": None},
         {"emb_dims": {"kind": 2, "side": 2}}, {"emb_dims": {"kind": 2, "side": 2, "hour": 0}},
         {"emb_dims": [2, 2, 3]}, {"dropout": 1.0}, {"dropout": -0.1}, {"dropout": "x"},
@@ -52,6 +55,8 @@ class TestConfigValues:
     def test_widths_become_tuples(self):
         cfg = small_cfg(layers=[4, 3], dense_hidden=[2])
         assert cfg.layers == (4, 3) and cfg.dense_hidden == (2,)
+        # the largest width passes the check (the config allocates nothing)
+        assert small_cfg(layers=[net.MAX_WIDTH]).layers == (net.MAX_WIDTH,)
         assert TrainSchedule(lr=0, beta1=0.0, patience=0).lr == 0
 
 
@@ -589,6 +594,111 @@ class TestTrain:
         m = Model(small_cfg(), seed=0)
         with pytest.raises(net.EmptyBatch):
             net.train(m, (X[:0], y[:0]), (X, y), TrainSchedule(epochs=1))
+
+
+def _cpus(monkeypatch, n):
+    """Make the affinity mask show `n` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _benchmark_model(dropout=0.1):
+    """TestPrecision's shape: a 64x64 orderflow model, B=64, T=100."""
+    cfg = dataclasses.replace(small_cfg(layers=(64, 64), dropout=dropout),
+                              emb_dims=dict(net.DEFAULT_EMB_DIMS))
+    X = raw_batch(B=64, T=100, seed=5)
+    return Model(cfg, seed=3), X, np.random.default_rng(6).integers(0, 2, 64)
+
+
+class TestShards:
+    """A minibatch's gradient as two half-batch shards, shard 1 on a
+    forked worker when the affinity mask shows two CPUs."""
+
+    def test_one_and_two_cpus_byte_identical(self, monkeypatch):
+        # 49 samples in batches of 16: shards of 8 and 8, then a lone sample
+        X, y = toy_xy(n=49)
+        cfg = small_cfg(layers=(4, 3), dense_hidden=(5,), dropout=0.2)
+        sched = TrainSchedule(epochs=3, batch_size=16, lr=1e-2, patience=5, seed=4)
+        started = []
+        start = net._ShardWorker.__init__
+        monkeypatch.setattr(net._ShardWorker, "__init__",
+                            lambda self, *a: started.append(1) or start(self, *a))
+        runs = []
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            m = Model(cfg, seed=2)
+            res = net.train(m, (X, y), (X, y), sched)
+            assert multiprocessing.active_children() == []
+            runs.append((m.params, res.history))
+        assert started == [1]   # a worker ran shard 1 only with two CPUs
+        (p1, h1), (p2, h2) = runs
+        assert h1 == h2
+        for k in p1:
+            assert p1[k].tobytes() == p2[k].tobytes(), k
+
+    def test_two_shard_step_near_the_whole_batch(self):
+        # the same masks, drawn from the same seed; only the sums' order differs
+        m, X, y = _benchmark_model()
+        idx = np.arange(64)
+        loss, grads = net._minibatch_step(m, X, y, idx, 100, np.random.default_rng(7), None)
+        ref_loss, ref = m.loss_and_grads(X, y, train=True, rng=np.random.default_rng(7))
+        assert abs(loss - ref_loss) <= 1e-5 * abs(ref_loss)
+        for k in ref:
+            assert _rel(grads[k], ref[k]) <= 1e-5, k
+
+    def test_one_shard_step_with_parent_masks_is_loss_and_grads(self):
+        m, X, y = _benchmark_model()
+        masks = m.dropout_masks(64, 100, np.random.default_rng(7))
+        assert all(mask.dtype == bool for mask in masks)
+        loss, grads = m.loss_and_grads(X, y, train=True, masks=masks)
+        ref_loss, ref = m.loss_and_grads(X, y, train=True, rng=np.random.default_rng(7))
+        assert loss == ref_loss
+        for k in ref:
+            assert grads[k].tobytes() == ref[k].tobytes(), k
+        # a minibatch of one sample is one shard
+        loss, grads = net._minibatch_step(m, X, y, np.array([5]), 100,
+                                          np.random.default_rng(8), None)
+        ref_loss, ref = m.loss_and_grads(X[[5]], y[[5]], train=True, rng=np.random.default_rng(8))
+        assert loss == ref_loss
+        for k in ref:
+            assert grads[k].tobytes() == ref[k].tobytes(), k
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_shard_error_raised_again_with_its_type(self, monkeypatch, cpus):
+        _cpus(monkeypatch, cpus)
+        X, y = toy_xy(n=32)
+        sched = TrainSchedule(epochs=1, batch_size=32, seed=0)
+        # the first minibatch is the first permutation; only its second
+        # half (shard 1) holds a kind code out of range
+        bad = X.copy()
+        bad[np.random.default_rng(sched.seed).permutation(32)[16:], :, 3] = 9
+        with pytest.raises(net.CategoryOutOfRange):
+            net.train(Model(small_cfg(), seed=0), (bad, y), (X, y), sched)
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_is_a_net_error(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        parent, shard = os.getpid(), net._shard_loss_grads
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return shard(*args)
+
+        monkeypatch.setattr(net, "_shard_loss_grads", dying)
+        X, y = toy_xy(n=32)
+        with pytest.raises(net.NetError, match="worker exited") as caught:
+            net.train(Model(small_cfg(), seed=0), (X, y), (X, y),
+                      TrainSchedule(epochs=1, batch_size=32))
+        assert not isinstance(caught.value, EOFError)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exits_when_its_pipe_closes(self):
+        X, y = toy_xy(n=8)
+        worker = net._ShardWorker(Model(small_cfg(), seed=0), X, y)
+        worker.conn.close()
+        worker.proc.join(timeout=60)
+        assert worker.proc.exitcode == 0
+        assert multiprocessing.active_children() == []
 
 
 class TestHyperSearch:
