@@ -1,7 +1,7 @@
 """Demo: limit order book reconstruction from a replayed stream.
 
 Builds the book event by event, then inspects best bid/ask, the exact
-rational mid-price, relative prices, fixed-depth snapshots, and the
+half-tick mid-price, relative prices, fixed-depth snapshots, and the
 cross-check against the naive reference implementation.
 """
 
@@ -19,7 +19,7 @@ for ev in feed.iter_events(feed.generate_synthetic(cfg, seed=7)):
     executed += delta.executed
 
 print("best bid / best ask:", book.best_bid(), "/", book.best_ask())
-print("mid-price (exact rational ticks):", book.mid_price())
+print("mid-price (ticks, from the exact half-tick mid2):", book.mid2() / 2)
 print("total executed size:", round(executed, 6))
 print("market orders dropped for lack of liquidity:", book.dropped_market_events)
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import checks, feed, features, lob, net, oracle, stats, svg
 from .atomic import atomic_open
+from .features import MAX_S, MAX_T
 
 EXIT_OK, EXIT_ERROR, EXIT_WARN = 0, 1, 2
 
@@ -40,11 +41,6 @@ def _defaults(cls, set_elsewhere=()) -> dict:
     return {f.name: f.default_factory() if f.default is dataclasses.MISSING else f.default
             for f in dataclasses.fields(cls) if f.name not in set_elsewhere}
 
-
-# the longest window (events) and the deepest book snapshot (levels) a
-# config may ask for, so that an oversized value stops before any work
-MAX_T = 10_000
-MAX_S = 100
 
 # ModelConfig fields a dataset sets, not the config
 _DATASET_SET = ("variant", "S", "norm_mean", "norm_sd")
@@ -289,6 +285,11 @@ def cmd_train(cfg: dict, out_dir: Path, pair: str, variant: str,
     _check_search(cfg["search"])
     path = Path(dataset_path) if dataset_path else out_dir / f"{pair}.{variant}.ds"
     ds = features.load_dataset(path)
+    # the checkpoint's name and its train_pair come from --pair and --variant
+    if ds.variant != variant:
+        raise VariantMismatch(f"dataset {path} is {ds.variant}, --variant is {variant}")
+    if ds.pair != pair:
+        raise CliError(f"dataset {path} holds pair {ds.pair}, --pair is {pair}")
     if ds.norm_stats is None:
         raise CliError(f"dataset {path} has no normalization stats (rebuild it)")
     tr, va = ds.subset("train"), ds.subset("validation")

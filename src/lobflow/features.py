@@ -56,6 +56,13 @@ from .feed import EventKind, OrderEvent, Side
 
 VARIANTS = ("orderflow", "bench1", "bench2")
 
+# the longest window (events) and the deepest book snapshot (levels) a
+# run config may ask for, so that an oversized value stops before any
+# work; net.ModelConfig bounds S too, so a checkpoint header cannot ask
+# for more
+MAX_T = 10_000
+MAX_S = 100
+
 SPLIT_NONE, SPLIT_TRAIN, SPLIT_VAL, SPLIT_TEST = -1, 0, 1, 2
 SPLIT_NAMES = {"train": SPLIT_TRAIN, "validation": SPLIT_VAL, "test": SPLIT_TEST}
 

@@ -1,8 +1,8 @@
 """Limit order book: price-level aggregation, matching, snapshots.
 
 Prices are integer tick counts throughout.  The mid-price is carried as
-the integer `best bid + best ask`, in half ticks, so half-tick mids carry
-no rounding; `mid_price()` gives it as an exact `Fraction` of a tick.
+the integer `best bid + best ask`, in half ticks (`mid2()`), so
+half-tick mids carry no rounding.
 Marketable limit orders execute on arrival in price priority; market
 orders larger than the opposing liquidity execute what is available and
 drop the remainder, counted on the book in `dropped_market_events` and
@@ -16,7 +16,6 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .feed import EventKind, OrderEvent, Side
@@ -113,12 +112,6 @@ class OrderBook:
         """Best bid + best ask: the mid in half ticks; None if a side is empty."""
         bids, asks = self._bid_prices, self._ask_prices
         return bids[-1] + asks[0] if bids and asks else None
-
-    def mid_price(self) -> Fraction:
-        mid2 = self.mid2()
-        if mid2 is None:
-            raise EmptySide("mid-price requires both sides non-empty")
-        return Fraction(mid2, 2)
 
     def level_size(self, side: Side, price: int) -> float:
         lvl = (self._bids if side is Side.BUY else self._asks).get(price)

@@ -5,7 +5,10 @@ categorical order-flow covariates, a dense softmax head, mean NLL loss,
 exact backpropagation through time, Adam, inverted dropout on the
 non-recurrent connections only, and early-stopped training, all in
 plain numpy.  Gradients are verified against central finite differences
-(see :func:`check_gradients`).
+(see :func:`check_gradients`).  Dropout has one input: the bool keep
+masks that `Model.dropout_masks` draws, which `forward` and
+`loss_and_grads` take as `masks`.  A pass given masks is a training
+pass; a pass without them is the inference pass.
 
 Precision follows the master-copy scheme of mixed-precision training
 (Micikevicius et al. 2018, arXiv 1710.03740) with float64/float32 in
@@ -65,7 +68,7 @@ from typing import Optional
 import numpy as np
 
 from . import checks, container, stats as statsmod
-from .features import VARIANTS, MissingStats, table_width, transform_numeric
+from .features import MAX_S, VARIANTS, MissingStats, table_width, transform_numeric
 
 
 class NetError(Exception):
@@ -81,10 +84,6 @@ class CategoryOutOfRange(NetError):
 
 
 class EmptyBatch(NetError):
-    pass
-
-
-class InvalidRate(NetError):
     pass
 
 
@@ -114,11 +113,11 @@ class ModelConfig:
     dataset sets the variant, `S` and the norm stats.
 
     Construction checks every value and raises :class:`InvalidConfig`:
-    a known variant, `S` >= 1, non-empty integer `layers` and integer
-    `dense_hidden` widths in [1, MAX_WIDTH] (both kept as tuples), integer
-    `emb_dims` >= 1 for exactly kind, side and hour, `dropout` in
-    [0, 1), and norm stats that are null or `numeric_width` finite
-    numbers, every sd > 0.
+    a known variant, integer `S` in [1, MAX_S], non-empty integer `layers`
+    and integer `dense_hidden` widths in [1, MAX_WIDTH] (both kept as
+    tuples), integer `emb_dims` in [1, MAX_WIDTH] for exactly kind, side
+    and hour, `dropout` in [0, 1), and norm stats that are null or
+    `numeric_width` finite numbers, every sd > 0.
     """
 
     variant: str                      # "orderflow" | "bench1" | "bench2"
@@ -133,7 +132,7 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise InvalidConfig(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        checks.integer(self.S, "S", InvalidConfig, 1)
+        checks.integer(self.S, "S", InvalidConfig, 1, MAX_S)
         for name in ("layers", "dense_hidden"):
             widths = getattr(self, name)
             if not isinstance(widths, (list, tuple)):
@@ -147,7 +146,7 @@ class ModelConfig:
             raise InvalidConfig(f"emb_dims must have exactly the keys {sorted(DEFAULT_EMB_DIMS)}, "
                                 f"got {self.emb_dims!r}")
         for name, dim in self.emb_dims.items():
-            checks.integer(dim, f"emb_dims.{name}", InvalidConfig, 1)
+            checks.integer(dim, f"emb_dims.{name}", InvalidConfig, 1, MAX_WIDTH)
         checks.number(self.dropout, "dropout", InvalidConfig, 0, 1)
         for name, lo in (("norm_mean", -math.inf), ("norm_sd", 0)):
             values = getattr(self, name)
@@ -249,24 +248,18 @@ class Model:
 
     # -- forward ------------------------------------------------------------
 
-    def forward(self, X: np.ndarray, train: bool = False, rng=None,
-                dtype=np.float32, masks: Optional[list] = None) -> tuple[np.ndarray, dict]:
+    def forward(self, X: np.ndarray, masks: Optional[list] = None,
+                dtype=np.float32) -> tuple[np.ndarray, dict]:
         """Run the full network; returns (probs (B, K), cache for backward).
 
-        Dropout is applied only when `train` is True, and only on the
-        non-recurrent connections: the encoded inputs of every LSTM
-        layer and the inputs of every dense layer.  The recurrent
-        h_{t-1} -> h_t path is never masked.  Its keep masks are
-        `masks`, as :meth:`dropout_masks` draws them, or else drawn
-        from `rng`.  The LSTM layers compute in `dtype`; the
-        probabilities are float64 either way.
+        `masks`, the bool keep masks that :meth:`dropout_masks` draws,
+        make the pass a training pass: dropout on the non-recurrent
+        connections only, the encoded inputs of every LSTM layer and the
+        inputs of every dense layer.  The recurrent h_{t-1} -> h_t path
+        is never masked.  Without masks nothing is dropped.  The LSTM
+        layers compute in `dtype`; the probabilities are float64 either
+        way.
         """
-        if not train:
-            masks = None
-        elif masks is None and self.cfg.dropout > 0.0:
-            if rng is None:
-                raise NetError("training-mode forward needs an rng or masks for dropout")
-            masks = self.dropout_masks(*_batch_shape(X), rng)
         return self._run(X, masks, keep=True, dtype=dtype)
 
     def dropout_masks(self, B: int, T: int, rng) -> Optional[list]:
@@ -279,8 +272,8 @@ class Model:
             return None
         lstm_in = (cfg.input_width, *cfg.layers[:-1])
         dense_in = (cfg.layers[-1], *cfg.dense_hidden)
-        return ([_keep_mask((B, T, w), cfg.dropout, rng) for w in lstm_in]
-                + [_keep_mask((B, w), cfg.dropout, rng) for w in dense_in])
+        return ([rng.random((B, T, w)) >= cfg.dropout for w in lstm_in]
+                + [rng.random((B, w)) >= cfg.dropout for w in dense_in])
 
     def predict(self, X, batch_size: int = 128, dtype=np.float32) -> np.ndarray:
         """Inference probabilities; keeps no per-step state.  Each chunk of
@@ -311,8 +304,9 @@ class Model:
         for l in range(len(cfg.layers)):
             mask = None
             if masks is not None:
+                # inverted dropout: 0 where dropped, else 1/(1-rate)
                 mask = np.ascontiguousarray(
-                    _inverted(next(masks), cfg.dropout).transpose(1, 0, 2), dtype=dtype)
+                    (next(masks) / (1.0 - cfg.dropout)).transpose(1, 0, 2), dtype=dtype)
                 x = x * mask
             Wx, Wh, b = (self.params[f"lstm/{l}/{n}"].astype(dtype, copy=False)
                          for n in ("Wx", "Wh", "b"))
@@ -327,7 +321,7 @@ class Model:
         for d in range(self.n_dense):
             mask = None
             if masks is not None:
-                mask = _inverted(next(masks), cfg.dropout)
+                mask = next(masks) / (1.0 - cfg.dropout)
                 a = a * mask
             W, b = self.params[f"head/{d}/W"], self.params[f"head/{d}/b"]
             z = a @ W + b
@@ -412,9 +406,9 @@ class Model:
                 offset += dim
         return {k: grads[k] for k in self.params}
 
-    def loss_and_grads(self, X, y, train=False, rng=None, dtype=np.float32,
-                       masks: Optional[list] = None) -> tuple[float, dict]:
-        probs, cache = self.forward(X, train=train, rng=rng, dtype=dtype, masks=masks)
+    def loss_and_grads(self, X, y, masks: Optional[list] = None,
+                       dtype=np.float32) -> tuple[float, dict]:
+        probs, cache = self.forward(X, masks=masks, dtype=dtype)
         return self.loss(probs, y), self.backward(cache, y)
 
 
@@ -513,29 +507,6 @@ def _lstm_backward(h: np.ndarray, state: tuple, Wh: np.ndarray,
         z[...] = d
         dh_next = d @ WhT
     return gates
-
-
-# ---------------------------------------------------------------------------
-# Dropout masks (`dropout_mask` is exposed for the wiring tests)
-# ---------------------------------------------------------------------------
-
-
-def dropout_mask(shape, rate: float, rng) -> np.ndarray:
-    """Inverted dropout mask: zeros with probability `rate`, else 1/(1-rate)."""
-    keep = _keep_mask(shape, rate, rng) if rate != 0.0 else np.ones(shape, dtype=bool)
-    return _inverted(keep, rate)
-
-
-def _keep_mask(shape, rate: float, rng) -> np.ndarray:
-    """Bool dropout keep mask: False with probability `rate`."""
-    if not 0.0 <= rate < 1.0:
-        raise InvalidRate(f"rate {rate} not in [0, 1)")
-    return rng.random(shape) >= rate
-
-
-def _inverted(keep: np.ndarray, rate: float) -> np.ndarray:
-    """The inverted-dropout mask of bool `keep`: 0 where dropped, else 1/(1-rate)."""
-    return keep / (1.0 - rate)
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +676,7 @@ def _shard_loss_grads(model: Model, X, y, rows: np.ndarray, masks: Optional[list
     """Mean loss and gradients of the training windows `rows`, with their
     rows of the batch's keep masks.  Both processes run their shards
     through this one function."""
-    return model.loss_and_grads(X[rows], y[rows], train=True, masks=masks)
+    return model.loss_and_grads(X[rows], y[rows], masks=masks)
 
 
 class _ShardWorker:

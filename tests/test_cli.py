@@ -200,6 +200,8 @@ class TestConfig:
          "'model': layers entry must be at most"),
         (TRAIN, {"model": {"dense_hidden": [2.5]}}, "'model': dense_hidden"),
         (TRAIN, {"model": {"emb_dims": {"hour": 0}}}, "'model': emb_dims.hour"),
+        (TRAIN, {"model": {"emb_dims": {"hour": 10 ** 9}}},
+         "'model': emb_dims.hour must be at most"),
         (TRAIN, {"model": {"emb_dims": {"day": 2}}}, "'model': emb_dims"),
         (TRAIN, {"model": {"dropout": 1.0}}, "'model': dropout"),
         (TRAIN, {"schedule": {"epochs": 0}}, "'schedule': epochs"),
@@ -532,6 +534,42 @@ class TestExitCodes:
         assert rc == cli.EXIT_ERROR
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "norm_mean" in err[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("change,message", [
+        ({"variant": "bench2", "S": 10 ** 9, "norm_mean": None, "norm_sd": None},
+         "S must be at most"),
+        ({"emb_dims": {"kind": 2, "side": 2, "hour": 10 ** 9}}, "emb_dims.hour must be at most"),
+    ], ids=["S", "emb_dims"])
+    def test_checkpoint_asking_for_huge_tensors_is_error(self, pipeline, tmp_path, capsys,
+                                                         change, message):
+        # the header's config is checked before a Model is built, so the
+        # tensors it asks for are never allocated
+        ckpt = self._rewritten(pipeline["out"] / "AAA.orderflow.ckpt", tmp_path / "big.ckpt",
+                               b"OFCK", lambda f: f["config"].update(change))
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--checkpoint", ckpt,
+                       "--dataset", str(pipeline["out"] / "AAA.orderflow.ds"),
+                       "--split", "test", "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dataset,message", [
+        ("AAA.bench2.ds", "is bench2, --variant is orderflow"),
+        ("BBB.orderflow.ds", "holds pair BBB, --pair is AAA"),
+    ], ids=["variant", "pair"])
+    def test_train_on_another_pair_or_variant_is_error(self, pipeline, tmp_path, capsys,
+                                                       dataset, message):
+        # the checkpoint's name and train_pair would mislabel the model
+        capsys.readouterr()
+        rc = cli.main(["train", "--config", pipeline["cfgfile"], "--out", str(tmp_path / "out"),
+                       "--pair", "AAA", "--variant", "orderflow",
+                       "--dataset", str(pipeline["out"] / dataset)])
+        assert rc == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: dataset ") and message in err[0]
         assert not (tmp_path / "out").exists()
 
     def test_bad_search_candidate_is_error_before_training(self, pipeline, tmp_path, capsys,

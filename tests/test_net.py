@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lobflow import container, net
-from lobflow.features import MissingStats
+from lobflow.features import MAX_S, MissingStats
 from lobflow.net import Model, ModelConfig, TrainSchedule
 
 
@@ -30,10 +30,11 @@ def raw_batch(variant="orderflow", B=4, T=3, S=2, seed=0):
 
 class TestConfigValues:
     @pytest.mark.parametrize("change", [
-        {"variant": "bench3"}, {"S": 0}, {"layers": []}, {"layers": [0]},
+        {"variant": "bench3"}, {"S": 0}, {"S": MAX_S + 1}, {"layers": []}, {"layers": [0]},
         {"layers": [net.MAX_WIDTH + 1]}, {"dense_hidden": [4, net.MAX_WIDTH + 1]},
         {"layers": [4.0]}, {"layers": 4}, {"dense_hidden": [True]}, {"dense_hidden": None},
         {"emb_dims": {"kind": 2, "side": 2}}, {"emb_dims": {"kind": 2, "side": 2, "hour": 0}},
+        {"emb_dims": {"kind": 2, "side": 2, "hour": net.MAX_WIDTH + 1}},
         {"emb_dims": [2, 2, 3]}, {"dropout": 1.0}, {"dropout": -0.1}, {"dropout": "x"},
         {"norm_mean": [0.0]}, {"norm_mean": [0.0, float("nan"), 0.0]}, {"norm_mean": "x"},
         {"norm_sd": [1.0, 0.0, 1.0]}, {"norm_sd": [1.0, 1.0, float("inf")]},
@@ -194,20 +195,23 @@ def _ref_sigmoid(z):
     return out
 
 
-def reference_loss_and_grads(m, X, y, train=False, rng=None):
+def reference_loss_and_grads(m, X, y, masks=None):
     """The batch-major, step-by-step LSTM: each step computes its gates
     with three masked sigmoids, keeps a tuple of its arrays, and backward
-    accumulates every weight gradient step by step."""
+    accumulates every weight gradient step by step.  `masks`, the bool
+    keep masks of `m.dropout_masks`, are scaled to keep / (1 - rate) here
+    and used in their draw order: every LSTM layer, then every dense
+    layer."""
     cfg, P = m.cfg, m.params
     B, T, _ = X.shape
-    rate = cfg.dropout if train else 0.0
+    scaled = iter(() if masks is None else [keep / (1.0 - cfg.dropout) for keep in masks])
     inp, emb = m.encode(X)
     layers = []
     for l, H in enumerate(cfg.layers):
         Wx, Wh, b = P[f"lstm/{l}/Wx"], P[f"lstm/{l}/Wh"], P[f"lstm/{l}/b"]
         mask = None
-        if rate > 0.0:
-            mask = net.dropout_mask((B, T, inp.shape[-1]), rate, rng)
+        if masks is not None:
+            mask = next(scaled)
             inp = inp * mask
         h, c = np.zeros((B, H)), np.zeros((B, H))
         steps, hs = [], np.empty((B, T, H))
@@ -225,8 +229,8 @@ def reference_loss_and_grads(m, X, y, train=False, rng=None):
     a, head = inp[:, -1], []
     for d in range(m.n_dense):
         mask = None
-        if rate > 0.0:
-            mask = net.dropout_mask(a.shape, rate, rng)
+        if masks is not None:
+            mask = next(scaled)
             a = a * mask
         z = a @ P[f"head/{d}/W"] + P[f"head/{d}/b"]
         head.append((a, mask, z))
@@ -289,16 +293,14 @@ class TestReferenceLSTM:
         m = Model(small_cfg(variant, layers=layers, dense_hidden=dense, dropout=0.3), seed=11)
         X = raw_batch(variant, B=5, T=T, seed=3)
         y = np.array([0, 1, 1, 0, 1])
-        for train in (False, True):
-            probs, cache = m.forward(X, train=train, rng=np.random.default_rng(8),
-                                     dtype=np.float64)
+        for masks in (None, m.dropout_masks(5, T, np.random.default_rng(8))):
+            probs, cache = m.forward(X, masks=masks, dtype=np.float64)
             grads = m.backward(cache, y)
-            _, ref_probs, ref_grads = reference_loss_and_grads(
-                m, X, y, train=train, rng=np.random.default_rng(8))
+            _, ref_probs, ref_grads = reference_loss_and_grads(m, X, y, masks=masks)
             np.testing.assert_allclose(probs, ref_probs, rtol=1e-12, atol=0)
             assert sorted(grads) == sorted(ref_grads)
             for k in ref_grads:
-                assert _rel(grads[k], ref_grads[k]) <= 1e-12, (train, k)
+                assert _rel(grads[k], ref_grads[k]) <= 1e-12, (masks is None, k)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("variant", ["orderflow", "bench1", "bench2"])
@@ -360,7 +362,7 @@ class TestBackwardMemory:
         y = np.random.default_rng(2).integers(0, 2, 64)
         tracemalloc.start()
         try:
-            _, cache = m.forward(X, train=True, rng=np.random.default_rng(3))
+            _, cache = m.forward(X, masks=m.dropout_masks(64, 100, np.random.default_rng(3)))
             held = _cache_bytes(cache)
             tracemalloc.reset_peak()
             m.backward(cache, y)
@@ -485,25 +487,34 @@ class TestAdam:
 
 
 class TestDropout:
-    def test_rate_zero_identity(self):
-        mask = net.dropout_mask((4, 4), 0.0, np.random.default_rng(0))
-        np.testing.assert_array_equal(mask, np.ones((4, 4)))
+    def test_rate_zero_draws_no_masks(self):
+        m = Model(small_cfg(layers=(4, 3), dense_hidden=(5,), dropout=0.0), seed=0)
+        assert m.dropout_masks(4, 3, np.random.default_rng(0)) is None
 
     def test_inverted_scaling_mean_one(self):
-        rng = np.random.default_rng(0)
-        mask = net.dropout_mask((2000, 100), 0.3, rng)
-        assert abs(mask.mean() - 1.0) < 0.01
-        vals = np.unique(mask)
-        np.testing.assert_allclose(vals, [0.0, 1.0 / 0.7])
+        m = Model(small_cfg(layers=(4, 3), dense_hidden=(5,), dropout=0.3), seed=0)
+        masks = m.dropout_masks(2000, 10, np.random.default_rng(0))
+        # bool keep masks in the forward's order: each LSTM layer's
+        # (B, T, input width), then each dense layer's (B, input width)
+        assert [k.shape for k in masks] == [(2000, 10, m.cfg.input_width), (2000, 10, 4),
+                                           (2000, 3), (2000, 5)]
+        assert all(k.dtype == bool for k in masks)
+        kept = np.concatenate([k.ravel() for k in masks])
+        assert abs(kept.mean() / 0.7 - 1.0) < 0.01   # keep / (1 - rate) has mean one
 
-    def test_invalid_rate(self):
-        with pytest.raises(net.InvalidRate):
-            net.dropout_mask((2,), 1.0, np.random.default_rng(0))
+    def test_masks_alone_make_a_training_pass(self):
+        m = Model(small_cfg(layers=(4, 3), dense_hidden=(5,), dropout=0.4), seed=0)
+        X = raw_batch(B=3, T=4)
+        masks = m.dropout_masks(3, 4, np.random.default_rng(2))
+        probs, cache = m.forward(X, masks=masks, dtype=np.float64)
+        assert all(rec["mask"] is not None for rec in cache["layers"] + cache["head"])
+        _, ref_probs, _ = reference_loss_and_grads(m, X, np.array([0, 1, 1]), masks=masks)
+        np.testing.assert_allclose(probs, ref_probs, rtol=1e-12, atol=0)
 
     def test_masks_only_on_non_recurrent_paths(self):
         m = Model(small_cfg(layers=(4, 3), dense_hidden=(5,), dropout=0.4), seed=0)
         X = raw_batch(B=2, T=3)
-        _, cache = m.forward(X, train=True, rng=np.random.default_rng(1))
+        _, cache = m.forward(X, masks=m.dropout_masks(2, 3, np.random.default_rng(1)))
         # every LSTM layer's input and every head layer's input are masked
         for rec in cache["layers"]:
             assert rec["mask"] is not None
@@ -514,11 +525,6 @@ class TestDropout:
         _, cache = m.forward(X)
         assert all(rec["mask"] is None for rec in cache["layers"])
         assert all(rec["mask"] is None for rec in cache["head"])
-
-    def test_train_mode_needs_rng(self):
-        m = Model(small_cfg(dropout=0.2), seed=0)
-        with pytest.raises(net.NetError):
-            m.forward(raw_batch(), train=True)
 
 
 # ---------------------------------------------------------------------------
@@ -640,24 +646,19 @@ class TestShards:
         m, X, y = _benchmark_model()
         idx = np.arange(64)
         loss, grads = net._minibatch_step(m, X, y, idx, 100, np.random.default_rng(7), None)
-        ref_loss, ref = m.loss_and_grads(X, y, train=True, rng=np.random.default_rng(7))
+        ref_loss, ref = m.loss_and_grads(X, y, masks=m.dropout_masks(64, 100,
+                                                                     np.random.default_rng(7)))
         assert abs(loss - ref_loss) <= 1e-5 * abs(ref_loss)
         for k in ref:
             assert _rel(grads[k], ref[k]) <= 1e-5, k
 
     def test_one_shard_step_with_parent_masks_is_loss_and_grads(self):
+        # a minibatch of one sample is one shard, with the masks the step draws
         m, X, y = _benchmark_model()
-        masks = m.dropout_masks(64, 100, np.random.default_rng(7))
-        assert all(mask.dtype == bool for mask in masks)
-        loss, grads = m.loss_and_grads(X, y, train=True, masks=masks)
-        ref_loss, ref = m.loss_and_grads(X, y, train=True, rng=np.random.default_rng(7))
-        assert loss == ref_loss
-        for k in ref:
-            assert grads[k].tobytes() == ref[k].tobytes(), k
-        # a minibatch of one sample is one shard
         loss, grads = net._minibatch_step(m, X, y, np.array([5]), 100,
                                           np.random.default_rng(8), None)
-        ref_loss, ref = m.loss_and_grads(X[[5]], y[[5]], train=True, rng=np.random.default_rng(8))
+        ref_loss, ref = m.loss_and_grads(X[[5]], y[[5]],
+                                         masks=m.dropout_masks(1, 100, np.random.default_rng(8)))
         assert loss == ref_loss
         for k in ref:
             assert grads[k].tobytes() == ref[k].tobytes(), k
