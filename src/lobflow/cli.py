@@ -50,7 +50,7 @@ CONFIG_DEFAULTS = {
     "seed": 0,
     "pairs": {},
     "generator": _defaults(feed.GeneratorConfig),
-    "warm_up": {"count": 100, "ts": None},
+    "warm_up": {"count": 100},
     "T": 100,
     "S": 5,
     "split_ranges": None,
@@ -72,7 +72,7 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 # blocks whose keys must be a subset of their CONFIG_DEFAULTS block
 _CHECKED_BLOCKS = ("generator", "warm_up", "model", "schedule")
-_PAIR_KEYS = ("input", "generator")
+_PAIR_KEYS = ("input",)
 
 
 def _check_keys(block, allowed, where: str) -> None:
@@ -96,9 +96,6 @@ def _check_config(raw) -> None:
         raise CliError("config pairs must be a JSON object")
     for name, pair in pairs.items():
         _check_keys(pair, _PAIR_KEYS, f"pairs.{name}.")
-        if "generator" in pair:
-            _check_keys(pair["generator"], CONFIG_DEFAULTS["generator"],
-                        f"pairs.{name}.generator.")
 
 
 def _checked(where: str, make, *args, **kwargs):
@@ -108,12 +105,6 @@ def _checked(where: str, make, *args, **kwargs):
         return make(*args, **kwargs)
     except (feed.InvalidConfig, net.InvalidConfig) as e:
         raise CliError(f"{where}: {e}") from e
-
-
-def _generator(cfg: dict, name: str) -> feed.GeneratorConfig:
-    """Pair `name`'s generator: the top-level block under its own."""
-    gen = _deep_merge(cfg["generator"], cfg["pairs"][name].get("generator", {}))
-    return _checked(f"config 'pairs.{name}.generator'", feed.GeneratorConfig, **gen)
 
 
 def load_config(path, seed_override=None) -> dict:
@@ -137,15 +128,11 @@ def load_config(path, seed_override=None) -> dict:
                                ("S", cfg["S"], (1, MAX_S)),
                                ("warm_up.count", cfg["warm_up"]["count"], (0,))):
         checks.integer(value, f"config {key!r}", CliError, *bounds)
-    ts = cfg["warm_up"]["ts"]
-    if ts is not None:
-        checks.integer(ts, "config 'warm_up.ts'", CliError)
     _checked("config 'generator'", feed.GeneratorConfig, **cfg["generator"])
     for name, pair in cfg["pairs"].items():
         path = pair.get("input")
         if type(path) is not str or not Path(path).name:
             raise CliError(f"config 'pairs.{name}.input' must be a file path, got {path!r}")
-        _generator(cfg, name)
     # any variant: the block's own values do not depend on it
     _checked("config 'model'", net.ModelConfig, variant=features.VARIANTS[0], **cfg["model"])
     _checked("config 'schedule'", net.TrainSchedule, seed=cfg["seed"], **cfg["schedule"])
@@ -197,11 +184,12 @@ def _read_csv(path) -> tuple[dict, list[str], list[list[str]]]:
 
 
 def cmd_generate(cfg: dict, out_dir: Path, pair: str | None) -> int:
+    gen = feed.GeneratorConfig(**cfg["generator"])
     report = {}
     for name in _select_pairs(cfg, pair):
         path = Path(cfg["pairs"][name]["input"])
         path.parent.mkdir(parents=True, exist_ok=True)
-        n = feed.write_stream(path, _generator(cfg, name),
+        n = feed.write_stream(path, gen,
                               seed=cfg["seed"] + sorted(cfg["pairs"]).index(name))
         report[name] = {"path": str(path), "events": n}
         print(f"generated {name}: {n} events -> {path}")
@@ -216,13 +204,6 @@ def cmd_generate(cfg: dict, out_dir: Path, pair: str | None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _warm_kwargs(cfg: dict) -> dict:
-    w = cfg["warm_up"]
-    if w["ts"] is not None:
-        return {"warm_until_ts": w["ts"]}
-    return {"warm_count": w["count"]}
-
-
 def cmd_build(cfg: dict, out_dir: Path, pair: str | None) -> int:
     if cfg["split_ranges"] is None:
         raise CliError("config has no split_ranges")
@@ -233,7 +214,7 @@ def cmd_build(cfg: dict, out_dir: Path, pair: str | None) -> int:
     for name in _select_pairs(cfg, pair):
         events = feed.read_events(cfg["pairs"][name]["input"])
         datasets = features.build_datasets(events, T=cfg["T"], S=cfg["S"], pair=name,
-                                           **_warm_kwargs(cfg))
+                                           warm_count=cfg["warm_up"]["count"])
         pair_report = {}
         for variant, ds in datasets.items():
             features.split_by_date(ds, *ranges)
@@ -303,13 +284,15 @@ def cmd_train(cfg: dict, out_dir: Path, pair: str, variant: str,
     # windows are gathered from the dataset's event table one minibatch or
     # predict chunk at a time
     train_xy, val_xy = (tr.windows, tr.y), (va.windows, va.y)
-    trials = None
-    if cfg["search"] is not None:
-        model_cfg, schedule, trials = _checked(
+    if cfg["search"] is None:
+        trials = None
+        model = net.Model(model_cfg, seed=cfg["seed"])
+        result = net.train(model, train_xy, val_xy, schedule)
+    else:
+        # the winning trial's model is the one saved: no model is trained twice
+        model, result, trials = _checked(
             "config 'search.space'", net.hyper_search, cfg["search"]["space"],
             cfg["search"]["budget"], cfg["seed"], model_cfg, train_xy, val_xy, schedule)
-    model = net.Model(model_cfg, seed=cfg["seed"])
-    result = net.train(model, train_xy, val_xy, schedule)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = out_dir / f"{pair}.{variant}.ckpt"
     net.save_checkpoint(model, ckpt, extras={

@@ -8,10 +8,10 @@ mover, whose window is the rows [end - T, end) of the T events strictly
 preceding it.  Everything else about a sample is derived: `Dataset.X`
 gathers the (N, T, C) windows as plain table rows, the event time is the
 mover's `table_ts[end]`, and the split is the one of the dataset's
-`split_ranges` that holds that time.  One loop replays the stream into
-one book: its warm-up prefix only builds the book, and every later event
-becomes a table row.  Three variants are built in that pass on shared
-labels and window ends:
+`split_ranges` that holds that time.  The stream's first `warm_count`
+events only build the book; one loop then replays every later event
+into the same book and makes it a table row.  Three variants are built
+in that pass on shared labels and window ends:
 
   orderflow  per event: [dt_ms, hour, size, kind, side, rel_price]
   bench1     per event: [bid px*S, bid vol*S, ask px*S, ask vol*S, mid,
@@ -47,6 +47,7 @@ import hashlib
 import json
 from array import array
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Iterable, Optional
 
 import numpy as np
@@ -187,39 +188,31 @@ class Windows:
 
 
 def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SYN",
-                   warm_until_ts: Optional[int] = None, warm_count: Optional[int] = None,
-                   variants: tuple = VARIANTS) -> dict[str, Dataset]:
+                   warm_count: int = 0, variants: tuple = VARIANTS) -> dict[str, Dataset]:
     """Single replay pass producing every requested variant on shared labels.
 
-    The stream's warm-up prefix, the events with ts < warm_until_ts or
-    the first warm_count events (none by default), only builds the book;
-    it ends at the first event past it.  Movers with fewer than T events
+    The stream's first `warm_count` events only build the book; every
+    later event becomes a table row.  Movers with fewer than T events
     since the warm-up are skipped.  When a snapshot variant is requested,
     samples whose window holds an event with no defined mid are dropped
     from all variants so the variants stay index-aligned.
     """
-    if warm_until_ts is not None and warm_count is not None:
-        raise ValueError("at most one of warm_until_ts / warm_count")
-    if warm_until_ts is None and warm_count is None:
-        warm_count = 0
-    counters: dict = {"warmup_events": 0}
+    book = lob.OrderBook()
+    events = iter(events)
+    n_warm, warm_last_ts = 0, None
+    for ev in islice(events, warm_count):
+        book.apply_event(ev)
+        n_warm += 1
+        warm_last_ts = ev.timestamp_ms
+    counters: dict = {"warmup_events": n_warm}
     need_snap = any(v != "orderflow" for v in variants)
     need_counts = "bench1" in variants
-    book = lob.OrderBook()
-    warming, n_warm, warm_last_ts = True, 0, None
 
     # flat typed buffers that the tables and per-sample arrays view without
     # a copy; fromlist converts a row in about half the time extend takes
     ts, flow, snaps = array("q"), array("d"), array("d")
     ends, labels = array("q"), array("B")
     for ev in events:
-        if warming:
-            if (ev.timestamp_ms < warm_until_ts if warm_count is None else n_warm < warm_count):
-                book.apply_event(ev)
-                n_warm += 1
-                warm_last_ts = ev.timestamp_ms
-                continue
-            warming = False
         try:
             rel = book.relative_price(ev.side, ev.price_ticks)
         except lob.EmptySide:
@@ -249,7 +242,6 @@ def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SY
                     counters.get("skipped_insufficient_history", 0) + 1
         elif delta.mid2_before is None and delta.mid2_after is not None:
             counters["mid_became_defined"] = counters.get("mid_became_defined", 0) + 1
-    counters["warmup_events"] = n_warm
     if book.dropped_market_events:
         counters["dropped_market_events"] = book.dropped_market_events
 
@@ -417,8 +409,9 @@ def load_dataset(path) -> Dataset:
             or [(k, a.dtype.str) for k, a in arrays.items()] != list(_STORED):
         raise FeatureError(f"{path}: its fields and arrays are not a dataset's")
     ds = Dataset(**fields, **arrays)
-    if not all(type(v) is int and v >= 0 for v in (ds.T, ds.S)):
-        raise FeatureError(f"{path}: T and S must be non-negative integers")
+    # the bounds load_config applies to a run's T and S
+    checks.integer(ds.T, f"{path}: T", FeatureError, 1, MAX_T)
+    checks.integer(ds.S, f"{path}: S", FeatureError, 1, MAX_S)
     _check_fields(path, ds)
     if ds.variant not in VARIANTS or ds.table.ndim != 2 \
             or ds.table.shape[1] != table_width(ds.variant, ds.S):

@@ -104,6 +104,8 @@ CATEGORICALS = (("kind", 3, 3, 1), ("side", 2, 4, 1), ("hour", 24, 1, 0))
 DEFAULT_EMB_DIMS = {"kind": 2, "side": 2, "hour": 4}
 # largest LSTM and dense width a config may ask for
 MAX_WIDTH = 4096
+# samples per chunk of Model.predict
+PREDICT_CHUNK = 128
 
 
 @dataclass
@@ -275,14 +277,14 @@ class Model:
         return ([rng.random((B, T, w)) >= cfg.dropout for w in lstm_in]
                 + [rng.random((B, w)) >= cfg.dropout for w in dense_in])
 
-    def predict(self, X, batch_size: int = 128, dtype=np.float32) -> np.ndarray:
+    def predict(self, X, dtype=np.float32) -> np.ndarray:
         """Inference probabilities; keeps no per-step state.  Each chunk of
-        `batch_size` samples still needs a (T, batch_size, 4H) gate buffer,
-        so larger chunks cost memory (and, measured, no time).  `X` is read
-        only as len(X) and the chunks X[i:j]."""
+        PREDICT_CHUNK samples still needs a (T, PREDICT_CHUNK, 4H) gate
+        buffer, so larger chunks cost memory (and, measured, no time).
+        `X` is read only as len(X) and the chunks X[i:j]."""
         out = []
-        for i in range(0, len(X), batch_size):
-            out.append(self._run(X[i:i + batch_size], None, keep=False, dtype=dtype)[0])
+        for i in range(0, len(X), PREDICT_CHUNK):
+            out.append(self._run(X[i:i + PREDICT_CHUNK], None, keep=False, dtype=dtype)[0])
         return np.concatenate(out) if out else np.empty((0, K))
 
     def _run(self, X: np.ndarray, masks: Optional[list], keep: bool,
@@ -413,9 +415,9 @@ class Model:
 
 
 def _batch_shape(X) -> tuple[int, int]:
-    """(B, T) of a non-empty (B, T, F) batch of windows."""
-    if X.ndim != 3:
-        raise ShapeMismatch(f"expected (B, T, F) batch, got shape {X.shape}")
+    """(B, T) of a non-empty (B, T, F) batch of windows, T >= 1."""
+    if X.ndim != 3 or X.shape[1] == 0:
+        raise ShapeMismatch(f"expected (B, T, F) batch with T >= 1, got shape {X.shape}")
     if len(X) == 0:
         raise EmptyBatch("empty batch")
     return X.shape[:2]
@@ -754,8 +756,10 @@ def hyper_search(space: dict, budget: int, seed: int, base_cfg: ModelConfig,
 
     `space` maps ModelConfig / TrainSchedule field names to lists of
     candidate values; every candidate is checked before the first
-    trial trains.  Returns (best_cfg, best_schedule, trials) with
-    trials sorted in evaluation order.
+    trial trains.  Trial i trains a fresh model seeded `schedule.seed +
+    i`.  Returns (model, result, trials): the lowest-validation-loss
+    trial's trained Model and TrainResult, and the trials in evaluation
+    order.
     """
     if budget < 1:
         raise EmptySpace("budget must be >= 1")
@@ -783,9 +787,9 @@ def hyper_search(space: dict, budget: int, seed: int, base_cfg: ModelConfig,
         model = Model(cfg, seed=schedule.seed + trial)
         result = train(model, train_xy, val_xy, sch)
         trials.append({"trial": trial, "choice": choice, "val_loss": result.best_val_loss})
-        if best is None or result.best_val_loss < best[0]:
-            best = (result.best_val_loss, cfg, sch)
-    return best[1], best[2], trials
+        if best is None or result.best_val_loss < best[1].best_val_loss:
+            best = (model, result)
+    return best[0], best[1], trials
 
 
 # ---------------------------------------------------------------------------

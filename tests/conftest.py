@@ -1,7 +1,16 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from lobflow import feed, features
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers():
+    """Every test ends with no child process left running."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="session")

@@ -123,20 +123,18 @@ class TestConfig:
         ({"model": {"bogus": 1}}, "'model.bogus'"),
         ({"schedule": {"bogus": 1}}, "'schedule.bogus'"),
         ({"pairs": {"X": {"input": "x.ofr", "bogus": 1}}}, "'pairs.X.bogus'"),
-        ({"pairs": {"X": {"input": "x.ofr", "generator": {"bogus": 1}}}},
-         "'pairs.X.generator.bogus'"),
     ])
     def test_unknown_key_named(self, tmp_path, patch, key):
         cfg = {"pairs": {"X": {"input": "x.ofr"}}, **patch}
         with pytest.raises(cli.CliError, match=key):
             cli.load_config(write_config(tmp_path / "c.json", cfg))
 
-    def test_free_form_blocks_and_warm_up_ts_accepted(self, tmp_path):
-        cfg = {"pairs": {"X": {"input": "x.ofr", "generator": {"n_events": 5}}},
-               "search": {"lr": [1e-3]}, "split_ranges": {"train": [0, 1], "note": "x"},
-               "warm_up": {"ts": 123}}
+    def test_free_form_blocks_accepted(self, tmp_path):
+        cfg = {"pairs": {"X": {"input": "x.ofr"}},
+               "search": {"lr": [1e-3]}, "split_ranges": {"train": [0, 1], "note": "x"}}
         loaded = cli.load_config(write_config(tmp_path / "c.json", cfg))
-        assert cli._warm_kwargs(loaded) == {"warm_until_ts": 123}
+        assert loaded["search"] == cfg["search"]
+        assert loaded["split_ranges"] == cfg["split_ranges"]
 
     def test_largest_sizes_accepted(self, tmp_path):
         # the bounds are checked on the config alone: nothing is read or built
@@ -164,7 +162,7 @@ class TestConfig:
         ("build", {"S": cli.MAX_S + 1}, "'S' must be at most"),
         ("build", {"warm_up": {"count": "x"}}, "'warm_up.count'"),
         ("build", {"warm_up": {"count": -1}}, "'warm_up.count'"),
-        ("build", {"warm_up": {"ts": 1.5}}, "'warm_up.ts'"),
+        ("build", {"warm_up": {"ts": 1.5}}, "unknown config key 'warm_up.ts'"),
         ("build", {"split_ranges": {"train": [0, 1]}}, "'split_ranges.validation'"),
         ("build", {"split_ranges": {"train": [0, 1], "validation": [1, 2], "test": [2]}},
          "'split_ranges.test'"),
@@ -191,8 +189,8 @@ class TestConfig:
         ("build", {"generator": {"n_events": "x"}}, "'generator': n_events"),
         ("generate", {"generator": {"mean_gap_ms": 0, "min_gap_ms": 1}},
          "'generator': min_gap_ms"),
-        ("generate", {"pairs": {"X": {"generator": {"prop_limit": -0.5}}}},
-         "'pairs.X.generator': prop_limit"),
+        ("generate", {"pairs": {"X": {"generator": {"n_events": 5}}}},
+         "unknown config key 'pairs.X.generator'"),
         ("generate", {"pairs": {"X": {"input": 5}}}, "'pairs.X.input'"),
         (TRAIN, {"model": {"layers": []}}, "'model': layers"),
         (TRAIN, {"model": {"layers": [0]}}, "'model': layers"),
@@ -282,6 +280,22 @@ class TestPipelineOutputs:
         assert len(rows) >= 1
         # planted rule is learnable: validation MCC should be high
         assert float(rows[-1][3]) > 0.9
+
+    def test_search_saves_the_winning_trial(self, pipeline, tmp_path):
+        # one candidate, so the trials differ only in their seeds; trial 0
+        # has the run's seed, and here a later trial wins
+        cfg = {**pipeline["config"], "search": {"space": {"epochs": [2]}, "budget": 3}}
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", write_config(tmp_path / "search.json", cfg),
+                         "--out", str(out), "--pair", "AAA", "--variant", "orderflow",
+                         "--dataset", str(pipeline["out"] / "AAA.orderflow.ds")]) == cli.EXIT_OK
+        _, _, rows = cli._read_csv(out / "AAA.orderflow.search_log.csv")
+        losses = [float(r[1]) for r in rows]
+        assert losses.index(min(losses)) != 0
+        _, extras = net.load_checkpoint(out / "AAA.orderflow.ckpt")
+        assert extras["best_val_loss"] == min(losses)
+        _, _, log = cli._read_csv(out / "AAA.orderflow.train_log.csv")
+        assert min(float(r[2]) for r in log) == min(losses)
 
     def test_predictions_written(self, pipeline):
         same = pipeline["out"] / "pred_AAA__AAA.orderflow.test.csv"
@@ -524,6 +538,22 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("T,match", [(0, "T must be an integer >= 1"),
+                                         (features.MAX_T + 1, "T must be at most")])
+    def test_dataset_with_out_of_bounds_T_is_error(self, pipeline, tmp_path, capsys, T, match):
+        ds = self._rewritten(pipeline["out"] / "AAA.orderflow.ds", tmp_path / "bad.ds", b"OFDS",
+                             lambda f: f.update(T=T))
+        for argv in (["train", "--config", pipeline["cfgfile"], "--pair", "AAA",
+                      "--variant", "orderflow", "--dataset", ds],
+                     ["evaluate", "--checkpoint", str(pipeline["out"] / "AAA.orderflow.ckpt"),
+                      "--dataset", ds]):
+            capsys.readouterr()
+            rc = cli.main(argv + ["--out", str(tmp_path / "out")])
+            assert rc == cli.EXIT_ERROR
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:") and match in err[0]
+            assert not (tmp_path / "out").exists()
+
     def test_checkpoint_with_bad_norm_mean_is_error(self, pipeline, tmp_path, capsys):
         ckpt = self._rewritten(pipeline["out"] / "AAA.orderflow.ckpt", tmp_path / "bad.ckpt",
                                b"OFCK", lambda f: f["config"].update(norm_mean="x"))
@@ -694,8 +724,8 @@ class TestBuildCost:
 
     def test_train_and_evaluate_gather_one_batch_at_a_time(self, pipeline, tmp_path,
                                                            monkeypatch):
-        # a minibatch holds at most batch_size windows and a predict chunk 128
-        limit = max(pipeline["config"]["schedule"]["batch_size"], 128)
+        # a minibatch holds at most batch_size windows and a predict chunk PREDICT_CHUNK
+        limit = max(pipeline["config"]["schedule"]["batch_size"], net.PREDICT_CHUNK)
         gather = features._gather
 
         def one_batch(ds, end):
@@ -806,11 +836,11 @@ def tiny(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     cfg = {
         "version": 1, "seed": 3,
-        "pairs": {"X": {"input": "X.ofr", "generator": {"seed_levels": 4}}},
+        "pairs": {"X": {"input": "X.ofr"}},
         "generator": {**cli.CONFIG_DEFAULTS["generator"], "n_events": 300,
-                      "mean_gap_ms": 2000, "min_gap_ms": 1,
+                      "mean_gap_ms": 2000, "min_gap_ms": 1, "seed_levels": 4,
                       "planted": feed.PLANTED_LAST_EVENT_SIDE},
-        "warm_up": {"count": 20, "ts": None}, "T": 4, "S": 2,
+        "warm_up": {"count": 20}, "T": 4, "S": 2,
         "model": {"layers": [3], "dense_hidden": [2],
                   "emb_dims": {"kind": 1, "side": 1, "hour": 1}, "dropout": 0.1},
         "schedule": {**cli.CONFIG_DEFAULTS["schedule"], "epochs": 1, "batch_size": 16,

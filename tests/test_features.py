@@ -19,16 +19,17 @@ from lobflow.feed import EventKind, Side
 class TestWarmUp:
     """The warm-up prefix only builds the book; the table starts after it."""
 
-    def test_until_first_ts_consumes_nothing(self, planted_events):
+    def test_count_zero_consumes_nothing(self, planted_events):
         events = planted_events[:300]
-        ds = features.build_datasets(events, T=10, S=3, warm_until_ts=events[0].timestamp_ms,
+        ds = features.build_datasets(events, T=10, S=3, warm_count=0,
                                      variants=("orderflow",))["orderflow"]
         assert ds.counters["warmup_events"] == 0
         assert ds.table_ts[0] == events[0].timestamp_ms and ds.table[0, 0] == 0
         assert len(ds.table) == len(events)
 
-    def test_until_past_the_end_consumes_all(self, planted_events):
-        got = features.build_datasets(planted_events, T=10, S=3, warm_until_ts=2**62)
+    def test_count_past_the_end_consumes_all(self, planted_events):
+        got = features.build_datasets(planted_events, T=10, S=3,
+                                      warm_count=len(planted_events) + 1)
         for ds in got.values():
             assert ds.counters["warmup_events"] == len(planted_events)
             assert len(ds.table) == len(ds.table_ts) == ds.n == 0
@@ -62,10 +63,6 @@ class TestWarmUp:
         assert got[0]["orderflow"].counters["warmup_events"] == 0
         for v in features.VARIANTS:
             assert features.dataset_digest(got[0][v]) == features.dataset_digest(got[1][v])
-
-    def test_both_boundaries_rejected(self, planted_events):
-        with pytest.raises(ValueError):
-            features.build_datasets(planted_events, T=10, S=3, warm_until_ts=1, warm_count=1)
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +747,12 @@ class TestSerialization:
 
     @pytest.mark.parametrize("change,match", [
         ({"variant": "bench1"}, "does not fit variant"),
-        ({"T": -1}, "non-negative"),
+        ({"T": -1}, "T must be an integer >= 1"),
+        ({"T": 0}, "T must be an integer >= 1"),
+        ({"T": features.MAX_T + 1}, "T must be at most"),
+        ({"S": 0}, "S must be an integer >= 1"),
+        ({"S": features.MAX_S + 1}, "S must be at most"),
+        ({"T": True}, "T must be an integer"),
         ({"y": np.zeros(1, np.uint8)}, "differ in length"),
         ({"table": np.zeros((1, 6), np.int64)}, "fields and arrays"),
         ({"y": None}, "fields and arrays"),

@@ -163,17 +163,26 @@ class TestForward:
         p2, _ = m2.forward(raw_batch("bench2"))
         assert p1.shape == p2.shape == (4, 2)
 
-    def test_batch_partition_independent(self):
+    def test_batch_partition_independent(self, monkeypatch):
         m = Model(small_cfg(layers=(6, 4)), seed=3)
         X = raw_batch(B=37)
-        whole = m.predict(X, batch_size=37)
-        chunked = m.predict(X, batch_size=5)
-        np.testing.assert_allclose(whole, chunked, atol=1e-12)
+        got = []
+        for chunk in (37, 5):
+            monkeypatch.setattr(net, "PREDICT_CHUNK", chunk)
+            got.append(m.predict(X))
+        np.testing.assert_allclose(got[0], got[1], atol=1e-12)
 
     def test_bad_shape(self):
         m = Model(small_cfg(), seed=0)
         with pytest.raises(net.ShapeMismatch):
             m.forward(np.zeros((3, 6)))
+
+    def test_zero_step_batch(self):
+        m = Model(small_cfg(), seed=0)
+        X = np.zeros((3, 0, 6))
+        for run in (m.forward, m.predict):
+            with pytest.raises(net.ShapeMismatch, match="T >= 1"):
+                run(X)
 
     def test_empty_batch(self):
         m = Model(small_cfg(), seed=0)
@@ -709,19 +718,31 @@ class TestHyperSearch:
     def test_budget_one_returns_single_sample(self):
         X, y = self._xy()
         space = {"layers": [[4], [6]], "lr": [1e-3, 1e-2]}
-        cfg, sch, trials = net.hyper_search(space, 1, 0, small_cfg(), (X, y), (X, y),
-                                            TrainSchedule(epochs=1, batch_size=16))
+        model, result, trials = net.hyper_search(space, 1, 0, small_cfg(), (X, y), (X, y),
+                                                 TrainSchedule(epochs=1, batch_size=16))
         assert len(trials) == 1
-        assert list(cfg.layers) in space["layers"]
-        assert sch.lr in space["lr"]
+        choice = trials[0]["choice"]
+        assert choice["layers"] in space["layers"] and choice["lr"] in space["lr"]
+        assert list(model.cfg.layers) == choice["layers"]
+        assert result.best_val_loss == trials[0]["val_loss"]
 
     def test_singleton_space(self):
         X, y = self._xy()
-        cfg, sch, trials = net.hyper_search({"lr": [5e-3]}, 3, 0, small_cfg(),
-                                            (X, y), (X, y),
-                                            TrainSchedule(epochs=1, batch_size=16))
-        assert sch.lr == 5e-3
+        _, _, trials = net.hyper_search({"lr": [5e-3]}, 3, 0, small_cfg(), (X, y), (X, y),
+                                        TrainSchedule(epochs=1, batch_size=16))
         assert all(t["choice"] == {"lr": 5e-3} for t in trials)
+
+    def test_returns_the_winning_trials_model(self):
+        # trial i is seeded schedule.seed + i, so trial 0 alone has the
+        # schedule's seed; the winner here is a later trial
+        X, y = self._xy()
+        space = {"lr": [0.0, 3e-2]}
+        model, result, trials = net.hyper_search(space, 4, 1, small_cfg(), (X, y), (X, y),
+                                                 TrainSchedule(epochs=2, batch_size=16))
+        best = min(trials, key=lambda t: t["val_loss"])
+        assert best["trial"] != 0 and trials[0]["val_loss"] > best["val_loss"]
+        assert result.best_val_loss == best["val_loss"]
+        assert model.loss_on(X, y) == best["val_loss"]
 
     def test_empty_space_rejected(self):
         X, y = self._xy()
@@ -745,8 +766,8 @@ class TestHyperSearch:
     def test_best_not_worse_than_median(self):
         X, y = self._xy()
         space = {"lr": [0.0, 3e-3], "layers": [[4], [6]]}
-        cfg, sch, trials = net.hyper_search(space, 4, 1, small_cfg(), (X, y), (X, y),
-                                            TrainSchedule(epochs=2, batch_size=16))
+        _, _, trials = net.hyper_search(space, 4, 1, small_cfg(), (X, y), (X, y),
+                                        TrainSchedule(epochs=2, batch_size=16))
         losses = sorted(t["val_loss"] for t in trials)
         assert min(losses) <= losses[len(losses) // 2]
 
