@@ -318,6 +318,8 @@ def _first_undecodable_line(path) -> int:
 # ---------------------------------------------------------------------------
 
 PLANTED_LAST_EVENT_SIDE = "last-event-side"
+# most events a generated stream may hold
+MAX_EVENTS = 100_000_000
 
 
 @dataclass
@@ -326,10 +328,11 @@ class GeneratorConfig:
     of a run config's `generator` block.
 
     Construction checks every value and raises :class:`InvalidConfig`:
-    integer counts, prices and times (`n_events` >= 0, `start_price` >
-    `seed_levels` >= 2 so the opening ladder stays at positive prices,
-    `0 <= min_gap_ms <= 2 * mean_gap_ms`), finite non-negative order-mix
-    proportions summing to 1, and a known `planted` rule.
+    integer counts, prices and times (`n_events` in [0, MAX_EVENTS],
+    `start_price` > `seed_levels` >= 2 so the opening ladder stays at
+    positive prices, `0 <= min_gap_ms <= 2 * mean_gap_ms`), finite
+    non-negative order-mix proportions summing to 1, and a known
+    `planted` rule.
 
     Sizes are emitted as dyadic rationals (multiples of 2^-6) so that
     aggregate float arithmetic downstream is exact.
@@ -348,8 +351,9 @@ class GeneratorConfig:
     seed_levels: int = 12              # ladder depth planted at stream start
 
     def __post_init__(self) -> None:
-        for name, lo in (("n_events", 0), ("start_price", 1), ("mean_gap_ms", 0),
-                         ("min_gap_ms", 0), ("seed_levels", 2)):
+        checks.integer(self.n_events, "n_events", InvalidConfig, 0, MAX_EVENTS)
+        for name, lo in (("start_price", 1), ("mean_gap_ms", 0), ("min_gap_ms", 0),
+                         ("seed_levels", 2)):
             checks.integer(getattr(self, name), name, InvalidConfig, lo)
         checks.integer(self.start_ts, "start_ts", InvalidConfig)
         if self.min_gap_ms > 2 * self.mean_gap_ms:

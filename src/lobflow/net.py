@@ -44,14 +44,29 @@ process count is min(2, len(os.sched_getaffinity(0))); `taskset -c 0`
 gives one.  With two, a worker forked once per `train` call computes
 shard 1 while the parent computes shard 0; with one, the parent runs
 both shards in turn through the same shard function, so the trained
-bytes do not depend on the core count.  The parent draws the dropout
-masks of the whole batch from the train rng, in a whole-batch
-forward's order and shapes, and sends the worker the float64 params,
-shard 1's sample indices and its rows of the masks as bool keep masks.
-The dW GEMMs sum over half batches, so trained params, train logs and
-predictions changed once when the shards came in.  On a 1-CPU host the
-two half shards cost about 10% more per step than one whole batch (from
-single-process step times at B=32 and B=64, not measured end to end).
+bytes do not depend on the core count.  Each request to the worker
+carries the float64 params, the minibatch's sample indices and the
+train rng's PCG64 state before the batch's dropout draw.  Each process
+draws only its own shard's rows of the whole batch's keep masks,
+advancing the PCG64 past the other shard's uniforms, so every row gets
+the uniforms a whole-batch draw gives it and the parent's rng ends
+where that draw leaves it; the worker starts without waiting for the
+parent's draw.  The dW GEMMs sum over half batches, so trained params,
+train logs and predictions changed once when the shards came in.  On
+one CPU the two half shards take 17-20% longer per step than one
+whole batch (single-process steps at B=64, not measured end to end).
+
+The passes take their buffers from a :class:`Workspace`: the
+time-major input, the dropout scale masks and masked inputs, each
+layer's gate, c, tanh(c) and h buffers, backward's dh and the uniforms
+the masks are drawn from.  Called without one, a pass takes a fresh
+workspace, so it allocates fresh buffers and a cache that `forward`
+returns is the caller's alone.  `train` gives each of its processes one
+workspace for the whole call, so the steps and the validation predicts
+reuse the same pages instead of faulting in new ones every minibatch.
+The inference layers share one gate buffer and one h buffer, so with
+two equal LSTM layers a predict chunk of PREDICT_CHUNK windows fits in
+the memory of a half-batch training step at B=64.
 """
 
 from __future__ import annotations
@@ -104,8 +119,34 @@ CATEGORICALS = (("kind", 3, 3, 1), ("side", 2, 4, 1), ("hour", 24, 1, 0))
 DEFAULT_EMB_DIMS = {"kind": 2, "side": 2, "hour": 4}
 # largest LSTM and dense width a config may ask for
 MAX_WIDTH = 4096
+# largest minibatch a schedule may ask for
+MAX_BATCH = 65_536
 # samples per chunk of Model.predict
-PREDICT_CHUNK = 128
+PREDICT_CHUNK = 64
+# float64 uniforms per draw call of Model.dropout_masks (512 KiB)
+MASK_DRAW_BLOCK = 1 << 16
+
+
+class Workspace:
+    """Named buffers that the passes of one process reuse.
+
+    `take(name, shape, dtype)` returns a view of the first bytes of the
+    buffer `name`, replacing the buffer with a larger one when the
+    request does not fit, so each name holds its largest use.  A take
+    hands out the memory of the name's earlier views, which the caller
+    must be done with.  A fresh Workspace allocates fresh buffers.
+    """
+
+    def __init__(self) -> None:
+        self._bufs: dict = {}
+
+    def take(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        buf = self._bufs.get(name)
+        if buf is None or buf.nbytes < nbytes:
+            buf = self._bufs[name] = np.empty(nbytes, np.uint8)
+        return buf[:nbytes].view(dtype).reshape(shape)
 
 
 @dataclass
@@ -251,7 +292,7 @@ class Model:
     # -- forward ------------------------------------------------------------
 
     def forward(self, X: np.ndarray, masks: Optional[list] = None,
-                dtype=np.float32) -> tuple[np.ndarray, dict]:
+                dtype=np.float32, ws: Optional[Workspace] = None) -> tuple[np.ndarray, dict]:
         """Run the full network; returns (probs (B, K), cache for backward).
 
         `masks`, the bool keep masks that :meth:`dropout_masks` draws,
@@ -260,41 +301,78 @@ class Model:
         inputs of every dense layer.  The recurrent h_{t-1} -> h_t path
         is never masked.  Without masks nothing is dropped.  The LSTM
         layers compute in `dtype`; the probabilities are float64 either
-        way.
+        way.  The cache's buffers come from `ws` (fresh ones by default),
+        so a later pass on the same workspace overwrites them.
         """
-        return self._run(X, masks, keep=True, dtype=dtype)
+        return self._run(X, masks, keep=True, dtype=dtype, ws=ws)
 
-    def dropout_masks(self, B: int, T: int, rng) -> Optional[list]:
+    def dropout_masks(self, B: int, T: int, rng, rows: slice = slice(None),
+                      ws: Optional[Workspace] = None) -> Optional[list]:
         """The bool keep masks of a training forward over B windows of T
         steps, drawn from `rng` in the order and shapes the forward uses
         them: each LSTM layer's (B, T, input width), then each dense
-        layer's (B, input width).  None when the model has no dropout."""
+        layer's (B, input width).  None when the model has no dropout.
+
+        With `rows`, only those rows of each mask are drawn, and each
+        gets the uniforms the whole-batch draw gives it: `rng`, a PCG64
+        Generator as np.random.default_rng makes, is advanced past the
+        other rows (Generator.random takes one uint64 per float64) and
+        ends where the whole-batch draw leaves it.  The
+        uniforms are drawn MASK_DRAW_BLOCK at a time into `ws`, which
+        also holds the returned masks."""
         cfg = self.cfg
         if cfg.dropout == 0.0:
             return None
-        lstm_in = (cfg.input_width, *cfg.layers[:-1])
-        dense_in = (cfg.layers[-1], *cfg.dense_hidden)
-        return ([rng.random((B, T, w)) >= cfg.dropout for w in lstm_in]
-                + [rng.random((B, w)) >= cfg.dropout for w in dense_in])
+        ws = Workspace() if ws is None else ws
+        lo, hi, _ = rows.indices(B)
+        bits = rng.bit_generator
+        before = bits.state
+        row_shapes = ([(T, w) for w in (cfg.input_width, *cfg.layers[:-1])]
+                      + [(w,) for w in (cfg.layers[-1], *cfg.dense_hidden)])
+        masks = []
+        for k, shape in enumerate(row_shapes):
+            per_row = math.prod(shape)
+            keep = ws.take(f"keep{k}", (hi - lo, *shape), bool)
+            bits.advance(lo * per_row)
+            block = max(1, MASK_DRAW_BLOCK // per_row)
+            for r in range(0, hi - lo, block):
+                u = ws.take("u", (min(block, hi - lo - r), *shape), np.float64)
+                rng.random(out=u)
+                np.greater_equal(u, cfg.dropout, out=keep[r:r + len(u)])
+            bits.advance((B - hi) * per_row)
+            masks.append(keep)
+        # advance() drops the buffered 32-bit half that rng.permutation
+        # may leave, which a draw of float64s keeps
+        after = bits.state
+        after["has_uint32"], after["uinteger"] = before["has_uint32"], before["uinteger"]
+        bits.state = after
+        return masks
 
-    def predict(self, X, dtype=np.float32) -> np.ndarray:
-        """Inference probabilities; keeps no per-step state.  Each chunk of
-        PREDICT_CHUNK samples still needs a (T, PREDICT_CHUNK, 4H) gate
-        buffer, so larger chunks cost memory (and, measured, no time).
-        `X` is read only as len(X) and the chunks X[i:j]."""
-        out = []
+    def predict(self, X, dtype=np.float32, ws: Optional[Workspace] = None) -> np.ndarray:
+        """Inference probabilities; keeps no per-step state.  The chunks
+        of PREDICT_CHUNK samples run one after another on `ws` (a fresh
+        one by default); the layers of a chunk share one (T,
+        PREDICT_CHUNK, 4H) gate buffer and one (T, PREDICT_CHUNK, H) h
+        buffer, so with two equal LSTM layers a chunk fits in the buffers
+        of a half-batch training step at B=64.  `X` is read only as len(X) and the
+        chunks X[i:j]."""
+        ws = Workspace() if ws is None else ws
+        out = np.empty((len(X), K))
         for i in range(0, len(X), PREDICT_CHUNK):
-            out.append(self._run(X[i:i + PREDICT_CHUNK], None, keep=False, dtype=dtype)[0])
-        return np.concatenate(out) if out else np.empty((0, K))
+            out[i:i + PREDICT_CHUNK] = self._run(X[i:i + PREDICT_CHUNK], None, keep=False,
+                                                 dtype=dtype, ws=ws)[0]
+        return out
 
     def _run(self, X: np.ndarray, masks: Optional[list], keep: bool,
-             dtype) -> tuple[np.ndarray, dict]:
+             dtype, ws: Optional[Workspace]) -> tuple[np.ndarray, dict]:
         """Shared forward pass, with dropout when `masks` holds the keep
         masks of :meth:`dropout_masks`.  With `keep`, the cache holds what
         backward needs, the `dtype` casts of the LSTM weights included;
-        without it, each LSTM layer keeps only its h sequence."""
+        without it, the cache holds no LSTM layer.  The buffers come from
+        `ws`, a fresh Workspace by default."""
         cfg = self.cfg
-        _batch_shape(X)
+        B, T = _batch_shape(X)
+        ws = Workspace() if ws is None else ws
         masks = None if masks is None else iter(masks)
 
         enc, emb_cache = self.encode(X)
@@ -302,20 +380,34 @@ class Model:
 
         # LSTM layers run time-major in `dtype`: x, h and every state
         # buffer are (T, B, .)
-        x = np.ascontiguousarray(enc.transpose(1, 0, 2), dtype=dtype)
-        for l in range(len(cfg.layers)):
+        x = ws.take("x", (T, B, enc.shape[-1]), dtype)
+        np.copyto(x, enc.transpose(1, 0, 2))
+        # inverted dropout: 0 where dropped, else 1/(1-rate)
+        scale = np.dtype(dtype).type(1.0 / (1.0 - cfg.dropout))
+        # each kind of layer buffer, as (steps held, width per unit of H),
+        # is one workspace buffer: with `keep` the layers' parts sit side
+        # by side for backward; without it every layer reuses the start,
+        # and a layer above the first writes its h over its input
+        slots = T if keep else 2
+        kinds = {"gates": (T, 4), "c": (slots, 1), "tc": (slots, 1), "h": (T, 1)}
+        units = sum(cfg.layers) if keep else max(cfg.layers)
+        bufs = {k: ws.take(k, (n * B * w * units,), dtype) for k, (n, w) in kinds.items()}
+        at = 0
+        for l, H in enumerate(cfg.layers):
             mask = None
             if masks is not None:
-                # inverted dropout: 0 where dropped, else 1/(1-rate)
-                mask = np.ascontiguousarray(
-                    (next(masks) / (1.0 - cfg.dropout)).transpose(1, 0, 2), dtype=dtype)
-                x = x * mask
+                mask = np.multiply(next(masks).transpose(1, 0, 2), scale,
+                                   out=ws.take(f"{l}/mask", x.shape, dtype))
+                x = np.multiply(x, mask, out=ws.take(f"{l}/in", x.shape, dtype))
             Wx, Wh, b = (self.params[f"lstm/{l}/{n}"].astype(dtype, copy=False)
                          for n in ("Wx", "Wh", "b"))
-            h, state = _lstm_forward(x, Wx, Wh, b, keep)
+            gates, c, tc, h = (bufs[k][n * B * w * at:n * B * w * (at + H)].reshape(n, B, w * H)
+                               for k, (n, w) in kinds.items())
+            h, state = _lstm_forward(x, Wx, Wh, b, gates, c, tc, h)
             if keep:
                 cache["layers"].append({"in": x, "mask": mask, "h": h, "state": state,
                                         "Wx": Wx, "Wh": Wh})
+                at += H
             x = h
 
         a = x[-1].astype(np.float64)  # h^L at the final step; the head is float64
@@ -345,12 +437,13 @@ class Model:
     def loss_on(self, X: np.ndarray, y: np.ndarray, dtype=np.float32) -> float:
         return self.loss(self.predict(X, dtype=dtype), y)
 
-    def backward(self, cache: dict, y: np.ndarray) -> dict:
+    def backward(self, cache: dict, y: np.ndarray, ws: Optional[Workspace] = None) -> dict:
         """Exact gradients of the mean NLL w.r.t. every parameter.
 
         Consumes the cache: each LSTM layer's record leaves it once its
         gradients are formed, and its gate buffer holds dz meanwhile.  A
-        second call on the same cache raises NetError."""
+        second call on the same cache raises NetError.  The LSTM layers'
+        input gradients go into one buffer of `ws`."""
         cfg = self.cfg
         layers = cache["layers"]
         if len(layers) != len(cfg.layers):
@@ -358,6 +451,7 @@ class Model:
                            "it consumes the cache, so it cannot run twice on one")
         probs = cache["probs"]
         B = len(y)
+        ws = Workspace() if ws is None else ws
         grads = {}
 
         onehot = np.zeros_like(probs)
@@ -390,7 +484,8 @@ class Model:
             # the dh of the layer below; below layer 0 only the embedding
             # columns (none for bench1 and bench2) have parameters
             n_in = len(rec["Wx"]) if l else cfg.input_width - cfg.numeric_width
-            dh = (dz @ rec["Wx"][:n_in].T).reshape(T, B, -1)
+            dh = np.matmul(dz, rec["Wx"][:n_in].T,
+                           out=ws.take("dh", (T * B, n_in), dz.dtype)).reshape(T, B, -1)
             if rec["mask"] is not None:
                 dh *= rec["mask"][..., :n_in]
             del rec, dz  # free the layer before the next one's BPTT
@@ -408,10 +503,10 @@ class Model:
                 offset += dim
         return {k: grads[k] for k in self.params}
 
-    def loss_and_grads(self, X, y, masks: Optional[list] = None,
-                       dtype=np.float32) -> tuple[float, dict]:
-        probs, cache = self.forward(X, masks=masks, dtype=dtype)
-        return self.loss(probs, y), self.backward(cache, y)
+    def loss_and_grads(self, X, y, masks: Optional[list] = None, dtype=np.float32,
+                       ws: Optional[Workspace] = None) -> tuple[float, dict]:
+        probs, cache = self.forward(X, masks=masks, dtype=dtype, ws=ws)
+        return self.loss(probs, y), self.backward(cache, y, ws=ws)
 
 
 def _batch_shape(X) -> tuple[int, int]:
@@ -429,24 +524,24 @@ def _batch_shape(X) -> tuple[int, int]:
 
 
 def _lstm_forward(x: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray,
-                  keep: bool) -> tuple[np.ndarray, Optional[tuple]]:
+                  gates: np.ndarray, c: np.ndarray, tc: np.ndarray,
+                  h: np.ndarray) -> tuple[np.ndarray, tuple]:
     """One LSTM layer over a contiguous (T, B, F) input, computed in the
-    dtype of `x` and the weights.
+    dtype of `x` and the weights, written into the caller's buffers.
 
-    The input projection x @ Wx + b is one GEMM over all T steps into a
-    (T, B, 4H) buffer; each step adds h_{t-1} @ Wh to its slice and
-    overwrites it in place with the gate activations.  Returns the
-    (T, B, H) h sequence and, with `keep`, (gates, c, tanh(c)) for
-    backward; without it c and tanh(c) live in two rotating slots.
+    The input projection x @ Wx + b is one GEMM over all T steps into
+    the (T, B, 4H) `gates`; each step adds h_{t-1} @ Wh to its slice and
+    overwrites it in place with the gate activations.  `c` and `tc`, the
+    (slots, B, H) c and tanh(c), keep every step when slots = T and
+    rotate otherwise.  `h` may share memory with `x`, which the GEMM has
+    read before the first step writes h.  Returns the (T, B, H) h
+    sequence and (gates, c, tc), which backward needs when slots = T.
     """
     T, B, _ = x.shape
     H = Wh.shape[0]
-    gates = (x.reshape(T * B, -1) @ Wx).reshape(T, B, 4 * H)
+    np.matmul(x.reshape(T * B, -1), Wx, out=gates.reshape(T * B, 4 * H))
     gates += b
-    slots = T if keep else 2
-    c = np.empty((slots, B, H), dtype=x.dtype)
-    tc = np.empty((slots, B, H), dtype=x.dtype)
-    h = np.empty((T, B, H), dtype=x.dtype)
+    slots = len(c)
     h_prev = np.zeros((B, H), dtype=x.dtype)
     c_prev = np.zeros((B, H), dtype=x.dtype)
     # sigmoid as 1 / (1 + exp(-z)): exp overflows to inf for z < -88.7 in
@@ -468,7 +563,7 @@ def _lstm_forward(x: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray,
             np.tanh(c_t, out=tc[s])
             np.multiply(z[:, 3 * H:], tc[s], out=h[t])
             h_prev, c_prev = h[t], c_t
-    return h, ((gates, c, tc) if keep else None)
+    return h, (gates, c, tc)
 
 
 def _lstm_backward(h: np.ndarray, state: tuple, Wh: np.ndarray,
@@ -558,9 +653,9 @@ class TrainSchedule:
     run's) is a run config's `schedule` block and its default.
 
     Construction checks every value and raises :class:`InvalidConfig`:
-    integer `epochs` and `batch_size` >= 1 and `patience` and `seed` >=
-    0, a finite `lr` >= 0, `beta1` and `beta2` in [0, 1) and a finite
-    `eps` > 0.
+    integer `epochs` >= 1, `batch_size` in [1, MAX_BATCH], `patience`
+    and `seed` >= 0, a finite `lr` >= 0, `beta1` and `beta2` in [0, 1)
+    and a finite `eps` > 0.
     """
 
     epochs: int = 50
@@ -573,8 +668,9 @@ class TrainSchedule:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, lo in (("epochs", 1), ("batch_size", 1), ("patience", 0), ("seed", 0)):
+        for name, lo in (("epochs", 1), ("patience", 0), ("seed", 0)):
             checks.integer(getattr(self, name), name, InvalidConfig, lo)
+        checks.integer(self.batch_size, "batch_size", InvalidConfig, 1, MAX_BATCH)
         checks.number(self.lr, "lr", InvalidConfig, 0)
         checks.number(self.beta1, "beta1", InvalidConfig, 0, 1)
         checks.number(self.beta2, "beta2", InvalidConfig, 0, 1)
@@ -588,9 +684,9 @@ class TrainResult:
     best_val_loss: float
 
 
-def _eval_split(model: Model, X, y) -> tuple[float, float]:
+def _eval_split(model: Model, X, y, ws: Workspace) -> tuple[float, float]:
     """Loss and MCC of `model` on (X, y); X is read as `predict` reads it."""
-    probs = model.predict(X)
+    probs = model.predict(X, ws=ws)
     loss = model.loss(probs, y)
     yhat = probs.argmax(axis=1)
     cm = statsmod.confusion(y, yhat)
@@ -604,16 +700,18 @@ def train(model: Model, train_xy, val_xy, schedule: TrainSchedule) -> TrainResul
     `patience` consecutive epochs, and leaves the best-validation params
     in `model`.  Each minibatch's gradient is computed as two shards
     (see the module docstring), the second on a forked worker when the
-    affinity mask holds two CPUs or more.  The windows of `train_xy` are
-    read only as len(X), X[:1] and one shard X[idx] at a time, for an int
-    array idx; those of `val_xy` as `predict` reads them.
+    affinity mask holds two CPUs or more.  Each process keeps one
+    Workspace for the whole call; the parent's also serves the
+    validation predicts.  The windows of `train_xy` are read only as
+    len(X) and one shard X[idx] at a time, for an int array idx; those
+    of `val_xy` as `predict` reads them.
     """
     Xtr, ytr = train_xy
     Xva, yva = val_xy
     if len(ytr) == 0 or len(yva) == 0:
         raise EmptyBatch("train and validation splits must be non-empty")
-    T = _batch_shape(Xtr[:1])[1]
     rng = np.random.default_rng(schedule.seed)
+    ws = Workspace()
     opt = AdamState.zeros_like(model.params)
     history = []
     best_loss = np.inf
@@ -630,12 +728,12 @@ def train(model: Model, train_xy, val_xy, schedule: TrainSchedule) -> TrainResul
             nb = 0
             for start in range(0, len(perm), schedule.batch_size):
                 idx = perm[start:start + schedule.batch_size]
-                loss, grads = _minibatch_step(model, Xtr, ytr, idx, T, rng, worker)
+                loss, grads = _minibatch_step(model, Xtr, ytr, idx, rng, worker, ws)
                 adam_step(model.params, grads, opt, lr=schedule.lr, beta1=schedule.beta1,
                           beta2=schedule.beta2, eps=schedule.eps)
                 total += loss * len(idx)
                 nb += len(idx)
-            val_loss, val_mcc = _eval_split(model, Xva, yva)
+            val_loss, val_mcc = _eval_split(model, Xva, yva, ws)
             history.append({"epoch": epoch, "train_loss": total / nb,
                             "val_loss": val_loss, "val_mcc": val_mcc})
             if val_loss < best_loss:
@@ -651,42 +749,63 @@ def train(model: Model, train_xy, val_xy, schedule: TrainSchedule) -> TrainResul
     return TrainResult(history, best_epoch, float(best_loss))
 
 
-def _minibatch_step(model: Model, X, y, idx: np.ndarray, T: int, rng,
-                    worker: Optional["_ShardWorker"]) -> tuple[float, dict]:
-    """Mean loss and gradients of the minibatch `idx` of (X, y), T steps
-    per window: the mean over its shards weighted by shard size, summed
-    shard 0 first.  The whole batch's dropout keep masks are drawn from
-    `rng` first, as a whole-batch forward would draw them; `worker`, if
-    given, computes shard 1 while this process computes shard 0."""
-    B = len(idx)
-    masks = model.dropout_masks(B, T, rng)
+def _shards(B: int) -> list:
+    """The row ranges of a minibatch of B's shards: [0, ceil(B/2)) and
+    [ceil(B/2), B), or the one range [0, 1) when B = 1."""
     half = (B + 1) // 2
-    shards = [slice(0, half), slice(half, B)] if B > 1 else [slice(0, B)]
-    jobs = [(idx[s], None if masks is None else [m[s] for m in masks]) for s in shards]
-    if worker is not None and len(jobs) == 2:
-        worker.submit(model.params, *jobs[1])
-        parts = [_shard_loss_grads(model, X, y, *jobs[0]), worker.result()]
+    return [slice(0, half), slice(half, B)] if B > 1 else [slice(0, B)]
+
+
+def _pcg64(state: dict) -> np.random.Generator:
+    """A Generator whose PCG64 starts at `state`."""
+    bits = np.random.PCG64()
+    bits.state = state
+    return np.random.Generator(bits)
+
+
+def _minibatch_step(model: Model, X, y, idx: np.ndarray, rng,
+                    worker: Optional["_ShardWorker"],
+                    ws: Optional[Workspace] = None) -> tuple[float, dict]:
+    """Mean loss and gradients of the minibatch `idx` of (X, y): the mean
+    over its shards weighted by shard size, summed shard 0 first.  Each
+    shard draws its rows of the whole batch's dropout keep masks (see
+    :meth:`Model.dropout_masks`): shard 0 from `rng`, which ends where a
+    whole-batch draw leaves it, shard 1 from a copy of `rng`'s state
+    before the draw.  `worker`, if given, computes shard 1 while this
+    process computes shard 0 on `ws`."""
+    shards = _shards(len(idx))
+    state = rng.bit_generator.state
+    if worker is not None and len(shards) == 2:
+        worker.submit(model.params, idx, state)
+        parts = [_shard_loss_grads(model, X, y, idx, shards[0], rng, ws), worker.result()]
     else:
-        parts = [_shard_loss_grads(model, X, y, *job) for job in jobs]
-    sizes = [len(rows) for rows, _ in jobs]
-    loss = sum(n * part[0] for n, part in zip(sizes, parts)) / B
-    grads = {k: sum(n * part[1][k] for n, part in zip(sizes, parts)) / B for k in parts[0][1]}
+        rngs = (rng, _pcg64(state))
+        parts = [_shard_loss_grads(model, X, y, idx, s, r, ws) for s, r in zip(shards, rngs)]
+    sizes = [s.stop - s.start for s in shards]
+    loss = sum(n * part[0] for n, part in zip(sizes, parts)) / len(idx)
+    grads = {k: sum(n * part[1][k] for n, part in zip(sizes, parts)) / len(idx)
+             for k in parts[0][1]}
     return loss, grads
 
 
-def _shard_loss_grads(model: Model, X, y, rows: np.ndarray, masks: Optional[list]):
-    """Mean loss and gradients of the training windows `rows`, with their
-    rows of the batch's keep masks.  Both processes run their shards
-    through this one function."""
-    return model.loss_and_grads(X[rows], y[rows], masks=masks)
+def _shard_loss_grads(model: Model, X, y, idx: np.ndarray, rows: slice, rng,
+                      ws: Optional[Workspace]):
+    """Mean loss and gradients of the training windows idx[rows] of the
+    minibatch `idx`, with their rows of the batch's keep masks drawn from
+    `rng`, on `ws`.  Both processes run their shards through this one
+    function."""
+    Xs = X[idx[rows]]
+    masks = model.dropout_masks(len(idx), _batch_shape(Xs)[1], rng, rows, ws)
+    return model.loss_and_grads(Xs, y[idx[rows]], masks=masks, ws=ws)
 
 
 class _ShardWorker:
     """A process forked from the caller that computes shard 1 of each
     minibatch.  It inherits the model and the training windows at fork,
     so the windows are never pickled; each request carries the params,
-    the shard's sample indices and its keep masks.  As a context manager
-    it ends the process on exit."""
+    the minibatch's sample indices and the train rng's PCG64 state, from
+    which the worker draws shard 1's keep masks itself.  As a context
+    manager it ends the process on exit."""
 
     def __init__(self, model: Model, X, y):
         ctx = multiprocessing.get_context("fork")
@@ -705,9 +824,9 @@ class _ShardWorker:
         self.conn.close()           # an idle worker reads EOF and returns
         self.proc.join()
 
-    def submit(self, params: dict, rows: np.ndarray, masks: Optional[list]) -> None:
+    def submit(self, params: dict, idx: np.ndarray, state: dict) -> None:
         try:
-            self.conn.send((params, rows, masks))
+            self.conn.send((params, idx, state))
         except OSError as e:
             raise NetError(f"the shard worker exited: {e}") from e
 
@@ -724,16 +843,18 @@ class _ShardWorker:
 
 
 def _serve_shards(conn, parent_end, model: Model, X, y) -> None:
-    """The worker's loop: run each requested shard until the parent
-    closes its end of the pipe (the worker's inherited copy of that end
-    is closed first, or it would never read EOF)."""
+    """The worker's loop: run shard 1 of each requested minibatch on one
+    Workspace until the parent closes its end of the pipe (the worker's
+    inherited copy of that end is closed first, or it would never read
+    EOF)."""
     parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent handles ^C and ends it
+    ws = Workspace()
     try:
         while True:
-            model.params, rows, masks = conn.recv()
+            model.params, idx, state = conn.recv()
             try:
-                out = _shard_loss_grads(model, X, y, rows, masks)
+                out = _shard_loss_grads(model, X, y, idx, _shards(len(idx))[1], _pcg64(state), ws)
             except Exception as e:   # raised again in the parent
                 out = e
             conn.send(out)

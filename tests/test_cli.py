@@ -222,6 +222,7 @@ class TestConfig:
         ("gradcheck --n -1", {}, "--n"),
         ("selftest --seed -1", {}, "--seed"),
         ("selftest --events -1", {}, "--events"),
+        (f"selftest --events {feed.MAX_EVENTS + 1}", {}, "n_events"),
     ])
     def test_malformed_value_is_error_exit(self, tmp_path, capsys, command, patch, key):
         cfg = {"pairs": {"X": {"input": str(tmp_path / "x.ofr")}},

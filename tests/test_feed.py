@@ -554,10 +554,15 @@ class TestGenerator:
         {"start_price": 12},                   # the opening ladder would reach price 0
         {"n_events": True},
         {"prop_cancel": float("nan")},
+        {"n_events": feed.MAX_EVENTS + 1},
     ])
     def test_invalid_config(self, bad):
         with pytest.raises(feed.InvalidConfig):
             feed.GeneratorConfig(**bad)
+
+    def test_largest_event_count_passes_the_check(self):
+        # the config allocates and generates nothing
+        assert feed.GeneratorConfig(n_events=feed.MAX_EVENTS).n_events == feed.MAX_EVENTS
 
     def test_planted_rule_links_last_side_to_label(self, planted_events):
         # the event immediately before every mid move carries the move's side

@@ -45,6 +45,7 @@ class TestConfigValues:
 
     @pytest.mark.parametrize("change", [
         {"epochs": 0}, {"epochs": 2.0}, {"batch_size": 0}, {"batch_size": None},
+        {"batch_size": net.MAX_BATCH + 1},
         {"patience": -1}, {"patience": None}, {"seed": -1}, {"lr": -1.0}, {"lr": "x"},
         {"lr": float("inf")}, {"lr": 10 ** 400}, {"beta1": 1.0}, {"beta2": -0.5},
         {"eps": 0.0}, {"eps": False},
@@ -59,6 +60,7 @@ class TestConfigValues:
         # the largest width passes the check (the config allocates nothing)
         assert small_cfg(layers=[net.MAX_WIDTH]).layers == (net.MAX_WIDTH,)
         assert TrainSchedule(lr=0, beta1=0.0, patience=0).lr == 0
+        assert TrainSchedule(batch_size=net.MAX_BATCH).batch_size == net.MAX_BATCH
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +656,7 @@ class TestShards:
         # the same masks, drawn from the same seed; only the sums' order differs
         m, X, y = _benchmark_model()
         idx = np.arange(64)
-        loss, grads = net._minibatch_step(m, X, y, idx, 100, np.random.default_rng(7), None)
+        loss, grads = net._minibatch_step(m, X, y, idx, np.random.default_rng(7), None)
         ref_loss, ref = m.loss_and_grads(X, y, masks=m.dropout_masks(64, 100,
                                                                      np.random.default_rng(7)))
         assert abs(loss - ref_loss) <= 1e-5 * abs(ref_loss)
@@ -664,13 +666,75 @@ class TestShards:
     def test_one_shard_step_with_parent_masks_is_loss_and_grads(self):
         # a minibatch of one sample is one shard, with the masks the step draws
         m, X, y = _benchmark_model()
-        loss, grads = net._minibatch_step(m, X, y, np.array([5]), 100,
-                                          np.random.default_rng(8), None)
+        loss, grads = net._minibatch_step(m, X, y, np.array([5]), np.random.default_rng(8),
+                                          None)
         ref_loss, ref = m.loss_and_grads(X[[5]], y[[5]],
                                          masks=m.dropout_masks(1, 100, np.random.default_rng(8)))
         assert loss == ref_loss
         for k in ref:
             assert grads[k].tobytes() == ref[k].tobytes(), k
+
+    @pytest.mark.parametrize("block", [net.MASK_DRAW_BLOCK, 50])
+    @pytest.mark.parametrize("B", [1, 2, 7, 64])
+    def test_shard_mask_rows_are_the_whole_batch_rows(self, monkeypatch, B, block):
+        # block 50 draws the LSTM masks a row at a time and the dense ones
+        # in blocks of several rows, the last one partial
+        monkeypatch.setattr(net, "MASK_DRAW_BLOCK", block)
+        m = Model(small_cfg(layers=(6, 4), dense_hidden=(5,), dropout=0.3), seed=0)
+        T = 9
+        rng = np.random.default_rng(3)
+        rng.permutation(50)   # leaves a buffered 32-bit half, which the draw must keep
+        state = rng.bit_generator.state
+        assert state["has_uint32"] == 1
+        whole_rng = net._pcg64(state)
+        whole = m.dropout_masks(B, T, whole_rng)
+        # the plain whole-batch draw, in the forward's order and shapes
+        plain_rng = net._pcg64(state)
+        widths = [(T, m.cfg.input_width), (T, 6), (4,), (5,)]
+        assert [k.tobytes() for k in whole] == [
+            (plain_rng.random((B, *w)) >= 0.3).tobytes() for w in widths]
+        # the parent draws shard 0 from the train rng, the worker shard 1
+        # from a copy of its state, as _minibatch_step and _serve_shards do
+        shards = net._shards(B)
+        drawn = [m.dropout_masks(B, T, rng, shards[0])]
+        if len(shards) == 2:
+            drawn.append(m.dropout_masks(B, T, net._pcg64(state), shards[1]))
+        for rows, masks in zip(shards, drawn):
+            assert [k.tobytes() for k in masks] == [k[rows].tobytes() for k in whole]
+        assert rng.bit_generator.state == whole_rng.bit_generator.state == \
+            plain_rng.bit_generator.state
+
+    def test_reused_workspace_gives_the_fresh_bytes(self):
+        # one workspace through minibatches of 64, 17 and 64 rows and a
+        # one-sample shard, with a validation predict between steps
+        m, X, y = _benchmark_model()
+        ws = net.Workspace()
+        draw = np.random.default_rng(3)
+        for n in (64, 17, 64, 1):
+            idx = draw.permutation(64)[:n]
+            seed = int(draw.integers(1000))
+            loss, grads = net._minibatch_step(m, X, y, idx, np.random.default_rng(seed), None, ws)
+            ref_loss, ref = net._minibatch_step(m, X, y, idx, np.random.default_rng(seed), None)
+            assert loss == ref_loss
+            for k in ref:
+                assert grads[k].tobytes() == ref[k].tobytes(), (n, k)
+            assert m.predict(X[:n + 40], ws=ws).tobytes() == m.predict(X[:n + 40]).tobytes()
+
+    def test_returned_cache_is_not_overwritten(self):
+        m = Model(small_cfg(layers=(6, 4), dense_hidden=(5,), dropout=0.3), seed=0)
+        X, y = raw_batch(B=8, T=7, seed=1), np.arange(8) % 2
+        _, cache = m.forward(X, masks=m.dropout_masks(8, 7, np.random.default_rng(2)))
+
+        def held():
+            return [[a.tobytes() for a in (rec["in"], rec["mask"], rec["h"], *rec["state"])]
+                    for rec in cache["layers"]]
+
+        before = held()
+        X2 = raw_batch(B=8, T=7, seed=3)
+        m.forward(X2, masks=m.dropout_masks(8, 7, np.random.default_rng(4)))
+        m.loss_and_grads(X2, y, masks=m.dropout_masks(8, 7, np.random.default_rng(5)))
+        m.predict(X2)
+        assert held() == before
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_shard_error_raised_again_with_its_type(self, monkeypatch, cpus):
