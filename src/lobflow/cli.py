@@ -329,7 +329,7 @@ def cmd_evaluate(out_dir: Path, checkpoint: str, dataset: str, split: str) -> in
     sub = ds.subset(split)
     if sub.n == 0:
         raise CliError(f"{split} split of {dataset} is empty")
-    probs = model.predict(sub.windows)
+    probs = net.split_predict(model, sub.windows)
     yhat = probs.argmax(axis=1)
     train_pair = extras.get("train_pair", "unknown")
     stem = f"pred_{train_pair}__{ds.pair}.{ds.variant}.{split}"
@@ -354,7 +354,9 @@ def cmd_evaluate(out_dir: Path, checkpoint: str, dataset: str, split: str) -> in
 
 
 def _load_predictions(paths) -> list[dict]:
-    sets = []
+    """The prediction sets of `paths`, at most one per (variant, train
+    pair, test pair): the tables and figures key each set by those."""
+    sets, seen = [], {}
     for p in paths:
         try:
             meta, header, rows = _read_csv(p)
@@ -375,6 +377,11 @@ def _load_predictions(paths) -> list[dict]:
                 raise CliError(f"{p}: line {','.join(r)!r} does not start with an integer "
                                "timestamp_ms and a y and yhat of 0 or 1")
             preds.append(pred)
+        key = (meta["variant"], meta["train_pair"], meta["test_pair"])
+        if key in seen:
+            raise CliError(f"{seen[key]} and {p} both hold {key[0]} predictions of the "
+                           f"{key[1]} model on {key[2]}")
+        seen[key] = p
         sets.append({"path": str(p), "meta": meta, "preds": preds})
     if not sets:
         raise CliError("no prediction files found")

@@ -403,7 +403,8 @@ def save_dataset(ds: Dataset, path) -> None:
 
 def load_dataset(path) -> Dataset:
     """Read a `.ds` that :func:`save_dataset` wrote; the container checks
-    its bytes, this its fields, arrays and values."""
+    its bytes, this its fields, arrays and values (every table value
+    finite among them)."""
     fields, arrays = container.read(path, _MAGIC, FeatureError)
     if sorted(fields) != sorted(_FIELDS) \
             or [(k, a.dtype.str) for k, a in arrays.items()] != list(_STORED):
@@ -417,6 +418,11 @@ def load_dataset(path) -> Dataset:
             or ds.table.shape[1] != table_width(ds.variant, ds.S):
         raise FeatureError(f"{path}: table shape {ds.table.shape} does not fit variant "
                            f"{ds.variant!r}, S={ds.S}")
+    bad = np.argwhere(~np.isfinite(ds.table))
+    if len(bad):
+        row, col = bad[0]
+        raise FeatureError(f"{path}: table row {row}, column {col} is {ds.table[row, col]}, "
+                           "not a finite number")
     E = len(ds.table)
     if ds.table_ts.shape != (E,) or any(a.shape != (ds.y.size,) for a in (ds.end, ds.y)):
         raise FeatureError(f"{path}: table or per-sample arrays differ in length")

@@ -44,17 +44,27 @@ process count is min(2, len(os.sched_getaffinity(0))); `taskset -c 0`
 gives one.  With two, a worker forked once per `train` call computes
 shard 1 while the parent computes shard 0; with one, the parent runs
 both shards in turn through the same shard function, so the trained
-bytes do not depend on the core count.  Each request to the worker
-carries the float64 params, the minibatch's sample indices and the
-train rng's PCG64 state before the batch's dropout draw.  Each process
-draws only its own shard's rows of the whole batch's keep masks,
-advancing the PCG64 past the other shard's uniforms, so every row gets
-the uniforms a whole-batch draw gives it and the parent's rng ends
-where that draw leaves it; the worker starts without waiting for the
-parent's draw.  The dW GEMMs sum over half batches, so trained params,
+bytes do not depend on the core count.  The params, shard 1's grads and
+loss, and the worker's predictions pass through one anonymous shared
+mapping made before the fork (see :class:`_ShardWorker`), so each
+request to the worker carries only the minibatch's sample indices and
+the train rng's PCG64 state before the batch's dropout draw.  Each
+process draws only its own shard's rows of the whole batch's keep
+masks, advancing the PCG64 past the other shard's uniforms, so every
+row gets the uniforms a whole-batch draw gives it and the parent's rng
+ends where that draw leaves it; the worker starts without waiting for
+the parent's draw.  The dW GEMMs sum over half batches, so trained params,
 train logs and predictions changed once when the shards came in.  On
 one CPU the two half shards take 17-20% longer per step than one
 whole batch (single-process steps at B=64, not measured end to end).
+
+A predict of more than PREDICT_CHUNK windows splits the same way when
+there is a worker: the parent predicts the head and the worker the
+tail, split at the multiple of PREDICT_CHUNK nearest the middle, so
+each chunk keeps the rows and shape it has in one `Model.predict` and
+the probabilities keep their bytes.  `train`'s worker serves the
+validation predicts; :func:`split_predict` forks a predict-only worker
+for one call.
 
 The passes take their buffers from a :class:`Workspace`: the
 time-major input, the dropout scale masks and masked inputs, each
@@ -73,6 +83,7 @@ from __future__ import annotations
 
 import copy
 import math
+import mmap
 import multiprocessing
 import os
 import signal
@@ -684,9 +695,11 @@ class TrainResult:
     best_val_loss: float
 
 
-def _eval_split(model: Model, X, y, ws: Workspace) -> tuple[float, float]:
-    """Loss and MCC of `model` on (X, y); X is read as `predict` reads it."""
-    probs = model.predict(X, ws=ws)
+def _eval_split(model: Model, X, y, ws: Workspace,
+                worker: Optional["_ShardWorker"]) -> tuple[float, float]:
+    """Loss and MCC of `model` on (X, y); X is read as `predict` reads it,
+    and `worker`, if given, predicts its tail (see :func:`_predict`)."""
+    probs = _predict(model, X, ws, worker)
     loss = model.loss(probs, y)
     yhat = probs.argmax(axis=1)
     cm = statsmod.confusion(y, yhat)
@@ -700,11 +713,12 @@ def train(model: Model, train_xy, val_xy, schedule: TrainSchedule) -> TrainResul
     `patience` consecutive epochs, and leaves the best-validation params
     in `model`.  Each minibatch's gradient is computed as two shards
     (see the module docstring), the second on a forked worker when the
-    affinity mask holds two CPUs or more.  Each process keeps one
-    Workspace for the whole call; the parent's also serves the
-    validation predicts.  The windows of `train_xy` are read only as
-    len(X) and one shard X[idx] at a time, for an int array idx; those
-    of `val_xy` as `predict` reads them.
+    affinity mask holds two CPUs or more; the worker also predicts the
+    tail of each validation predict.  Each process keeps one Workspace
+    for the whole call; the parent's also serves the validation
+    predicts.  The windows of `train_xy` are read only as len(X) and one
+    shard X[idx] at a time, for an int array idx; those of `val_xy` as
+    `predict` reads them.
     """
     Xtr, ytr = train_xy
     Xva, yva = val_xy
@@ -719,9 +733,10 @@ def train(model: Model, train_xy, val_xy, schedule: TrainSchedule) -> TrainResul
     best_epoch = -1
     since_improve = 0
     # min(2, CPUs in the affinity mask) processes; a worker only when a
-    # minibatch can hold two shards
-    parallel = min(schedule.batch_size, len(ytr)) > 1 and len(os.sched_getaffinity(0)) > 1
-    with _ShardWorker(model, Xtr, ytr) if parallel else nullcontext() as worker:
+    # minibatch can hold two shards or a validation predict splits
+    parallel = (len(os.sched_getaffinity(0)) > 1
+                and (min(schedule.batch_size, len(ytr)) > 1 or len(yva) > PREDICT_CHUNK))
+    with _ShardWorker(model, train_xy, Xva) if parallel else nullcontext() as worker:
         for epoch in range(schedule.epochs):
             perm = rng.permutation(len(ytr))
             total = 0.0
@@ -733,7 +748,7 @@ def train(model: Model, train_xy, val_xy, schedule: TrainSchedule) -> TrainResul
                           beta2=schedule.beta2, eps=schedule.eps)
                 total += loss * len(idx)
                 nb += len(idx)
-            val_loss, val_mcc = _eval_split(model, Xva, yva, ws)
+            val_loss, val_mcc = _eval_split(model, Xva, yva, ws, worker)
             history.append({"epoch": epoch, "train_loss": total / nb,
                             "val_loss": val_loss, "val_mcc": val_mcc})
             if val_loss < best_loss:
@@ -776,7 +791,7 @@ def _minibatch_step(model: Model, X, y, idx: np.ndarray, rng,
     shards = _shards(len(idx))
     state = rng.bit_generator.state
     if worker is not None and len(shards) == 2:
-        worker.submit(model.params, idx, state)
+        worker.submit(idx, state)
         parts = [_shard_loss_grads(model, X, y, idx, shards[0], rng, ws), worker.result()]
     else:
         rngs = (rng, _pcg64(state))
@@ -799,18 +814,97 @@ def _shard_loss_grads(model: Model, X, y, idx: np.ndarray, rows: slice, rng,
     return model.loss_and_grads(Xs, y[idx[rows]], masks=masks, ws=ws)
 
 
+def _cut(n: int) -> int:
+    """Where a split predict of n > PREDICT_CHUNK windows splits: the
+    multiple of PREDICT_CHUNK nearest n/2 (the larger one on a tie),
+    which is at least PREDICT_CHUNK and below n."""
+    return max(1, (n + PREDICT_CHUNK) // (2 * PREDICT_CHUNK)) * PREDICT_CHUNK
+
+
+class _Rows:
+    """Rows [lo, hi) of the windows X, read as `Model.predict` reads X:
+    len() and slices, each gathered from X only when it is taken."""
+
+    __slots__ = ("X", "lo", "hi")
+
+    def __init__(self, X, lo: int, hi: int):
+        self.X, self.lo, self.hi = X, lo, hi
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+    def __getitem__(self, rows: slice):
+        i, j, _ = rows.indices(len(self))
+        return self.X[self.lo + i:self.lo + j]
+
+
+def _predict(model: Model, X, ws: Workspace, worker: Optional["_ShardWorker"]) -> np.ndarray:
+    """`model.predict(X)`, split across two processes when `worker` is
+    given and X holds more than PREDICT_CHUNK windows: this process
+    predicts the head X[:cut] on `ws` while the worker predicts the tail,
+    for cut = :func:`_cut` (len(X)).  The cut is a multiple of
+    PREDICT_CHUNK, so every chunk has the rows and shape it has in one
+    `predict`, and the probabilities keep their bytes."""
+    n = len(X)
+    if worker is None or n <= PREDICT_CHUNK:
+        return model.predict(X, ws=ws)
+    cut = _cut(n)
+    worker.submit_predict(cut)
+    out = np.empty((n, K))
+    out[:cut] = model.predict(_Rows(X, 0, cut), ws=ws)
+    out[cut:] = worker.predicted()
+    return out
+
+
+def split_predict(model: Model, X) -> np.ndarray:
+    """`model.predict(X)`'s probabilities, byte for byte.  When X holds
+    more than PREDICT_CHUNK windows and the affinity mask two CPUs or
+    more, a predict-only worker forked for this call predicts the tail
+    (see :func:`_predict`) and exits before the call returns."""
+    if len(X) <= PREDICT_CHUNK or len(os.sched_getaffinity(0)) < 2:
+        return model.predict(X)
+    with _ShardWorker(model, None, X) as worker:
+        return _predict(model, X, Workspace(), worker)
+
+
 class _ShardWorker:
     """A process forked from the caller that computes shard 1 of each
-    minibatch.  It inherits the model and the training windows at fork,
-    so the windows are never pickled; each request carries the params,
-    the minibatch's sample indices and the train rng's PCG64 state, from
-    which the worker draws shard 1's keep masks itself.  As a context
-    manager it ends the process on exit."""
+    minibatch of `train_xy` and the tail of each split predict of
+    `predict_X` (`train_xy` None: predicts only).  It inherits the model
+    and the windows at fork, so no window is ever pickled.
 
-    def __init__(self, model: Model, X, y):
+    Before the fork the constructor makes one anonymous shared mapping
+    (MAP_SHARED, so the worker inherits it) of float64s: the params,
+    shard 1's grads and loss, and the tail rows of a split predict of
+    `predict_X`.  When training, `model.params` are views of the
+    mapping in both processes while the worker lives, so the worker
+    reads the params that `adam_step` updates in place.  A shard request
+    carries the minibatch's sample indices and the train rng's PCG64
+    state, from which the worker draws shard 1's keep masks itself; a
+    predict request carries the cut.  The worker writes its grads, loss
+    or probabilities into the mapping and replies None, or the exception
+    its work raised.  As a context manager it ends the process on exit
+    and turns `model.params` back into private arrays; the mapping goes
+    with the last view of it."""
+
+    def __init__(self, model: Model, train_xy, predict_X):
+        shapes = [p.shape for p in model.params.values()] if train_xy is not None else []
+        n_tail = len(predict_X) - _cut(len(predict_X)) if len(predict_X) > PREDICT_CHUNK else 0
+        layout = [*shapes, *shapes, (1,), (n_tail, K)]
+        starts = np.cumsum([0] + [math.prod(s) for s in layout]).tolist()
+        buf = np.frombuffer(mmap.mmap(-1, 8 * starts[-1]), np.float64)
+        views = [buf[a:a + math.prod(s)].reshape(s) for a, s in zip(starts, layout)]
+        n = len(shapes)
+        self.params = dict(zip(model.params, views[:n]))
+        self.grads = dict(zip(model.params, views[n:2 * n]))
+        self.loss, self.pred = views[2 * n:]
+        if train_xy is not None:
+            for k, p in model.params.items():
+                self.params[k][...] = p
+            model.params = self.params
         ctx = multiprocessing.get_context("fork")
         self.conn, child = ctx.Pipe()
-        self.proc = ctx.Process(target=_serve_shards, args=(child, self.conn, model, X, y),
+        self.proc = ctx.Process(target=self._serve, args=(child, model, train_xy, predict_X),
                                 daemon=True)
         self.proc.start()
         child.close()
@@ -820,46 +914,76 @@ class _ShardWorker:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is not None:
-            self.proc.terminate()   # the shard it may be computing is not needed
+            self.proc.terminate()   # the work it may be doing is not needed
         self.conn.close()           # an idle worker reads EOF and returns
         self.proc.join()
+        # in place, so every holder of the dict (model.params among them)
+        # sees private arrays
+        for k, p in self.params.items():
+            self.params[k] = p.copy()
+        self.grads = self.loss = self.pred = None
 
-    def submit(self, params: dict, idx: np.ndarray, state: dict) -> None:
+    def submit(self, idx: np.ndarray, state: dict) -> None:
+        self._send(("shard", idx, state))
+
+    def result(self) -> tuple[float, dict]:
+        """The submitted shard's (loss, grads), the grads as views of the
+        mapping; an exception the shard raised is raised here again."""
+        self._reply("its shard")
+        return float(self.loss[0]), self.grads
+
+    def submit_predict(self, cut: int) -> None:
+        self._send(("predict", cut))
+
+    def predicted(self) -> np.ndarray:
+        """The probabilities of the submitted tail, a view of the mapping;
+        an exception the predict raised is raised here again."""
+        self._reply("its predictions")
+        return self.pred
+
+    def _send(self, request: tuple) -> None:
         try:
-            self.conn.send((params, idx, state))
+            self.conn.send(request)
         except OSError as e:
             raise NetError(f"the shard worker exited: {e}") from e
 
-    def result(self) -> tuple[float, dict]:
-        """The submitted shard's (loss, grads); an exception the shard
-        raised is raised here again."""
+    def _reply(self, what: str) -> None:
         try:
             out = self.conn.recv()
         except (EOFError, OSError) as e:
-            raise NetError("the shard worker exited before it returned its shard") from e
-        if isinstance(out, Exception):
+            raise NetError(f"the shard worker exited before it returned {what}") from e
+        if out is not None:
             raise out
-        return out
 
-
-def _serve_shards(conn, parent_end, model: Model, X, y) -> None:
-    """The worker's loop: run shard 1 of each requested minibatch on one
-    Workspace until the parent closes its end of the pipe (the worker's
-    inherited copy of that end is closed first, or it would never read
-    EOF)."""
-    parent_end.close()
-    signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent handles ^C and ends it
-    ws = Workspace()
-    try:
-        while True:
-            model.params, idx, state = conn.recv()
-            try:
-                out = _shard_loss_grads(model, X, y, idx, _shards(len(idx))[1], _pcg64(state), ws)
-            except Exception as e:   # raised again in the parent
-                out = e
-            conn.send(out)
-    except (EOFError, OSError):   # the parent closed its end
-        pass
+    def _serve(self, conn, model: Model, train_xy, predict_X) -> None:
+        """The worker's loop: serve requests on one Workspace until the
+        parent closes its end of the pipe (the worker's inherited copy of
+        that end is closed first, or it would never read EOF)."""
+        self.conn.close()
+        signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent handles ^C and ends it
+        ws = Workspace()
+        try:
+            while True:
+                kind, *args = conn.recv()
+                try:
+                    if kind == "shard":
+                        idx, state = args
+                        X, y = train_xy
+                        loss, grads = _shard_loss_grads(model, X, y, idx, _shards(len(idx))[1],
+                                                        _pcg64(state), ws)
+                        self.loss[0] = loss
+                        for k, g in grads.items():
+                            self.grads[k][...] = g
+                    else:
+                        cut, = args
+                        self.pred[...] = model.predict(_Rows(predict_X, cut, len(predict_X)),
+                                                       ws=ws)
+                    out = None
+                except Exception as e:   # raised again in the parent
+                    out = e
+                conn.send(out)
+        except (EOFError, OSError):   # the parent closed its end
+            pass
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,11 @@ def no_leaked_workers():
     """Every test ends with no child process left running."""
     yield
     assert multiprocessing.active_children() == []
+
+
+def _cpus(monkeypatch, n):
+    """Make the affinity mask show `n` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 @pytest.fixture(scope="session")

@@ -6,12 +6,14 @@ import math
 import multiprocessing
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import _cpus
 from lobflow import cli, container, features, feed, net, stats
 
 
@@ -307,6 +309,24 @@ class TestPipelineOutputs:
             assert len(rows) > 50
             assert meta["variant"] == "orderflow"
 
+    def test_evaluate_bytes_do_not_depend_on_the_cpu_count(self, pipeline, tmp_path,
+                                                          monkeypatch):
+        ds = pipeline["out"] / "AAA.orderflow.ds"
+        assert features.load_dataset(ds).subset("test").n > net.PREDICT_CHUNK
+        started = []
+        start = net._ShardWorker.__init__
+        monkeypatch.setattr(net._ShardWorker, "__init__",
+                            lambda self, *a: started.append(1) or start(self, *a))
+        written = []
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            out = tmp_path / str(cpus)
+            assert cli.main(["evaluate", "--checkpoint", str(pipeline["out"] / "AAA.orderflow.ckpt"),
+                             "--dataset", str(ds), "--split", "test", "--out", str(out)]) == 0
+            written.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert started == [1]   # the tail went to a worker only with two CPUs
+        assert len(written[0]) == 2 and written[0] == written[1]
+
     def test_report_files(self, pipeline):
         out = pipeline["out"]
         for name in ("table1_slopes.csv", "table2_drops.csv", "figure1_AAA.svg",
@@ -394,6 +414,26 @@ class TestExitCodes:
                        "--dataset", str(pipeline["out"] / "AAA.bench1.ds"),
                        "--split", "test", "--out", str(tmp_path)])
         assert rc == cli.EXIT_ERROR
+
+    # a NaN size made evaluate exit 0 with nan probabilities; a NaN kind
+    # warned "invalid value encountered in cast" before its error line
+    @pytest.mark.parametrize("col", [2, 3])
+    def test_non_finite_dataset_value_is_error(self, pipeline, tmp_path, capsys, col):
+        ds = features.load_dataset(pipeline["out"] / "AAA.orderflow.ds")
+        test = ds.subset("test")
+        ds.table[int(test.end[0]) - 1, col] = np.nan
+        bad = tmp_path / "bad.ds"
+        features.save_dataset(ds, bad)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["evaluate", "--checkpoint", str(pipeline["out"] / "AAA.orderflow.ckpt"),
+                           "--dataset", str(bad), "--split", "test", "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "not a finite number" in err[0]
+        assert caught == []
+        assert not (tmp_path / "o").exists()
 
     def test_snapshot_depth_mismatch_is_error(self, pipeline, tmp_path, capsys):
         # bench2 checkpoints at S=3 and S=5, each evaluated on the other's dataset
@@ -691,6 +731,22 @@ class TestExitCodes:
         assert rc == cli.EXIT_ERROR
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {pred}: prediction file has no '# train_pair=' line"]
+
+    def test_report_on_two_sets_of_one_key_is_error(self, pipeline, tmp_path, capsys):
+        # one file twice wrote two identical Table-1 rows; a validation and
+        # a test set of one model kept only the last set in Table 2
+        pred = pipeline["out"] / "pred_AAA__AAA.orderflow.test.csv"
+        val = tmp_path / "pred_AAA__AAA.orderflow.validation.csv"
+        val.write_text(pred.read_text().replace("# split=test", "# split=validation"))
+        for paths in ([pred, pred], [pred, val]):
+            capsys.readouterr()
+            rc = cli.main(["report", "--out", str(tmp_path / "out"),
+                           "--pred", *map(str, paths)])
+            assert rc == cli.EXIT_ERROR
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"error: {paths[0]} and {paths[1]} both hold orderflow predictions "
+                           "of the AAA model on AAA"]
+            assert list((tmp_path / "out").iterdir()) == []
 
     def test_truncated_checkpoint_is_error(self, pipeline, tmp_path, capsys):
         src = pipeline["out"] / "AAA.orderflow.ckpt"

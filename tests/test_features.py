@@ -801,6 +801,20 @@ class TestSerialization:
         with pytest.raises(features.FeatureError, match="labels"):
             features.load_dataset(p)
 
+    # orderflow columns: dt_ms and size are numeric, hour and kind categorical
+    @pytest.mark.parametrize("col,value", [(2, np.nan), (0, np.inf), (3, np.nan),
+                                           (1, -np.inf)])
+    def test_non_finite_table_value_rejected(self, planted_datasets, tmp_path, col, value):
+        ds = planted_datasets["orderflow"]
+        bad = dataclasses.replace(ds, table=ds.table.copy())
+        row = int(ds.end[0]) - 1
+        bad.table[row, col] = value
+        p = tmp_path / "bad.ds"
+        features.save_dataset(bad, p)
+        with pytest.raises(features.FeatureError,
+                           match=f"table row {row}, column {col} is .*not a finite number"):
+            features.load_dataset(p)
+
     def test_version_1_rejected(self, tmp_path):
         blob = b'{"variant": "orderflow", "T": 1, "S": 1, "n": 0, "feature_width": 6}'
         p = tmp_path / "v1.ds"

@@ -1,12 +1,16 @@
+import contextlib
 import dataclasses
 import multiprocessing
+import mmap
 import os
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
+from conftest import _cpus
 from lobflow import container, net
 from lobflow.features import MAX_S, MissingStats
 from lobflow.net import Model, ModelConfig, TrainSchedule
@@ -613,11 +617,6 @@ class TestTrain:
             net.train(m, (X[:0], y[:0]), (X, y), TrainSchedule(epochs=1))
 
 
-def _cpus(monkeypatch, n):
-    """Make the affinity mask show `n` CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
 def _benchmark_model(dropout=0.1):
     """TestPrecision's shape: a 64x64 orderflow model, B=64, T=100."""
     cfg = dataclasses.replace(small_cfg(layers=(64, 64), dropout=dropout),
@@ -631,8 +630,10 @@ class TestShards:
     forked worker when the affinity mask shows two CPUs."""
 
     def test_one_and_two_cpus_byte_identical(self, monkeypatch):
-        # 49 samples in batches of 16: shards of 8 and 8, then a lone sample
+        # 49 samples in batches of 16: shards of 8 and 8, then a lone sample;
+        # 130 validation windows, whose predicts split on two CPUs
         X, y = toy_xy(n=49)
+        val = toy_xy(n=130, seed=1)
         cfg = small_cfg(layers=(4, 3), dense_hidden=(5,), dropout=0.2)
         sched = TrainSchedule(epochs=3, batch_size=16, lr=1e-2, patience=5, seed=4)
         started = []
@@ -643,7 +644,7 @@ class TestShards:
         for cpus in (1, 2):
             _cpus(monkeypatch, cpus)
             m = Model(cfg, seed=2)
-            res = net.train(m, (X, y), (X, y), sched)
+            res = net.train(m, (X, y), val, sched)
             assert multiprocessing.active_children() == []
             runs.append((m.params, res.history))
         assert started == [1]   # a worker ran shard 1 only with two CPUs
@@ -768,10 +769,114 @@ class TestShards:
 
     def test_worker_exits_when_its_pipe_closes(self):
         X, y = toy_xy(n=8)
-        worker = net._ShardWorker(Model(small_cfg(), seed=0), X, y)
+        worker = net._ShardWorker(Model(small_cfg(), seed=0), (X, y), X)
         worker.conn.close()
         worker.proc.join(timeout=60)
         assert worker.proc.exitcode == 0
+        assert multiprocessing.active_children() == []
+
+
+def _record_mappings(monkeypatch) -> list:
+    """Record each shared mapping made from now on as (weak reference,
+    first address, end address)."""
+    maps, make = [], mmap.mmap
+
+    def recording(*args):
+        m = make(*args)
+        start = np.frombuffer(m, np.uint8).ctypes.data
+        maps.append((weakref.ref(m), start, start + len(m)))
+        return m
+
+    monkeypatch.setattr(mmap, "mmap", recording)
+    return maps
+
+
+def _inside(a: np.ndarray, lo: int, hi: int) -> bool:
+    return lo < a.ctypes.data + a.nbytes and a.ctypes.data < hi
+
+
+class TestSplitPredict:
+    """A predict of more than PREDICT_CHUNK windows on two CPUs, its tail
+    predicted by a worker into a shared mapping."""
+
+    def _model_and_windows(self, n):
+        m = Model(small_cfg(layers=(6, 4), dense_hidden=(5,), dropout=0.3), seed=0)
+        return m, raw_batch(B=n, T=9, seed=n)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 256])
+    def test_split_predict_is_predict_byte_for_byte(self, monkeypatch, n):
+        _cpus(monkeypatch, 2)
+        started = []
+        start = net._ShardWorker.__init__
+        monkeypatch.setattr(net._ShardWorker, "__init__",
+                            lambda self, *a: started.append(1) or start(self, *a))
+        m, X = self._model_and_windows(n)
+        assert net.split_predict(m, X).tobytes() == m.predict(X).tobytes()
+        assert started == ([1] if n > net.PREDICT_CHUNK else [])
+        assert multiprocessing.active_children() == []
+
+    def test_cut_is_a_chunk_boundary_near_the_middle(self):
+        C = net.PREDICT_CHUNK
+        for n in range(C + 1, 20 * C):
+            cut = net._cut(n)
+            assert cut % C == 0 and C <= cut < n
+            assert abs(2 * cut - n) <= C
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_tail_error_raised_again_with_its_type(self, monkeypatch, cpus):
+        _cpus(monkeypatch, cpus)
+        m, X = self._model_and_windows(129)
+        bad = X.copy()
+        bad[net._cut(129):, :, 3] = 9   # a kind code out of range, in the tail only
+        with pytest.raises(net.CategoryOutOfRange):
+            net.split_predict(m, bad)
+        # the same tail of a validation split
+        y = np.zeros(129, np.int64)
+        with pytest.raises(net.CategoryOutOfRange):
+            net.train(m, (X, y), (bad, y), TrainSchedule(epochs=1, batch_size=64))
+        assert multiprocessing.active_children() == []
+
+    def test_worker_dying_in_a_predict_is_a_net_error(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        parent, predict = os.getpid(), net.Model.predict
+
+        def dying(self, *args, **kw):
+            if os.getpid() != parent:
+                os._exit(3)
+            return predict(self, *args, **kw)
+
+        monkeypatch.setattr(net.Model, "predict", dying)
+        m, X = self._model_and_windows(129)
+        with pytest.raises(net.NetError, match="worker exited") as caught:
+            net.split_predict(m, X)
+        assert not isinstance(caught.value, EOFError)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_params_are_private_after_train(self, monkeypatch, raises):
+        _cpus(monkeypatch, 2)
+        maps = _record_mappings(monkeypatch)
+        during = []
+        adam_step = net.adam_step
+
+        def recording_adam_step(params, *args, **kw):
+            _, lo, hi = maps[0]
+            during.append(all(_inside(p, lo, hi) for p in params.values()))
+            adam_step(params, *args, **kw)
+
+        monkeypatch.setattr(net, "adam_step", recording_adam_step)
+        X, y = toy_xy(n=32)
+        bad = X.copy()
+        if raises:   # a kind code out of range in the first minibatch's shard 1
+            bad[np.random.default_rng(0).permutation(32)[16:], :, 3] = 9
+        m = Model(small_cfg(), seed=0)
+        sched = TrainSchedule(epochs=2, batch_size=32, seed=0)
+        with pytest.raises(net.CategoryOutOfRange) if raises else contextlib.nullcontext():
+            net.train(m, (bad, y), (X, y), sched)
+        ref, lo, hi = maps[0]
+        assert len(maps) == 1 and ref() is None   # the mapping went with train
+        assert during == ([] if raises else [True, True])
+        assert not any(_inside(p, lo, hi) for p in m.params.values())
         assert multiprocessing.active_children() == []
 
 
