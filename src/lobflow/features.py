@@ -404,7 +404,7 @@ def save_dataset(ds: Dataset, path) -> None:
 def load_dataset(path) -> Dataset:
     """Read a `.ds` that :func:`save_dataset` wrote; the container checks
     its bytes, this its fields, arrays and values (every table value
-    finite among them)."""
+    that a sample's window reads finite among them)."""
     fields, arrays = container.read(path, _MAGIC, FeatureError)
     if sorted(fields) != sorted(_FIELDS) \
             or [(k, a.dtype.str) for k, a in arrays.items()] != list(_STORED):
@@ -418,17 +418,23 @@ def load_dataset(path) -> Dataset:
             or ds.table.shape[1] != table_width(ds.variant, ds.S):
         raise FeatureError(f"{path}: table shape {ds.table.shape} does not fit variant "
                            f"{ds.variant!r}, S={ds.S}")
-    bad = np.argwhere(~np.isfinite(ds.table))
-    if len(bad):
-        row, col = bad[0]
-        raise FeatureError(f"{path}: table row {row}, column {col} is {ds.table[row, col]}, "
-                           "not a finite number")
     E = len(ds.table)
     if ds.table_ts.shape != (E,) or any(a.shape != (ds.y.size,) for a in (ds.end, ds.y)):
         raise FeatureError(f"{path}: table or per-sample arrays differ in length")
     # a sample's window is the rows [end - T, end), and its mover row end
     if ds.n and (ds.end.min() < ds.T or ds.end.max() >= E):
         raise FeatureError(f"{path}: window ends outside the {E}-event table")
+    # only the rows some window reads: build keeps rows whose mid is NaN
+    # and drops the samples whose windows hold them
+    bad_row = ~np.isfinite(ds.table).all(axis=1)
+    bad = _cumsum0(bad_row)
+    hit = np.flatnonzero(bad[ds.end] != bad[ds.end - ds.T])
+    if len(hit):
+        end = int(ds.end[hit[0]])
+        row = end - ds.T + int(np.argmax(bad_row[end - ds.T:end]))
+        col = int(np.argmax(~np.isfinite(ds.table[row])))
+        raise FeatureError(f"{path}: table row {row}, column {col} is {ds.table[row, col]}, "
+                           f"not a finite number, in the window of sample {hit[0]}")
     if np.any(ds.y > 1):
         raise FeatureError(f"{path}: labels must be 0 or 1")
     return ds

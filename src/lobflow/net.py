@@ -64,7 +64,8 @@ tail, split at the multiple of PREDICT_CHUNK nearest the middle, so
 each chunk keeps the rows and shape it has in one `Model.predict` and
 the probabilities keep their bytes.  `train`'s worker serves the
 validation predicts; :func:`split_predict` forks a predict-only worker
-for one call.
+for one call of more than 2 * PREDICT_CHUNK windows, below which the
+fork costs about what the worker's tail saves.
 
 The passes take their buffers from a :class:`Workspace`: the
 time-major input, the dropout scale masks and masked inputs, each
@@ -858,12 +859,15 @@ def _predict(model: Model, X, ws: Workspace, worker: Optional["_ShardWorker"]) -
 
 def split_predict(model: Model, X) -> np.ndarray:
     """`model.predict(X)`'s probabilities, byte for byte.  When X holds
-    more than PREDICT_CHUNK windows and the affinity mask two CPUs or
-    more, a predict-only worker forked for this call predicts the tail
-    (see :func:`_predict`) and exits before the call returns."""
-    if len(X) <= PREDICT_CHUNK or len(os.sched_getaffinity(0)) < 2:
-        return model.predict(X)
-    with _ShardWorker(model, None, X) as worker:
+    more than 2 * PREDICT_CHUNK windows and the affinity mask two CPUs
+    or more, a predict-only worker forked for this call predicts the
+    tail (see :func:`_predict`) and exits before the call returns.
+    Forking, the worker's first page faults and the join cost about one
+    chunk's predict (20-28 ms for a 64x64 LSTM at T=100 on two cores),
+    so at two chunks or fewer the split gains nothing and this process
+    predicts alone."""
+    fork = len(X) > 2 * PREDICT_CHUNK and len(os.sched_getaffinity(0)) > 1
+    with _ShardWorker(model, None, X) if fork else nullcontext() as worker:
         return _predict(model, X, Workspace(), worker)
 
 
@@ -898,15 +902,16 @@ class _ShardWorker:
         self.params = dict(zip(model.params, views[:n]))
         self.grads = dict(zip(model.params, views[n:2 * n]))
         self.loss, self.pred = views[2 * n:]
-        if train_xy is not None:
-            for k, p in model.params.items():
-                self.params[k][...] = p
-            model.params = self.params
+        for k, p in self.params.items():
+            p[...] = model.params[k]
         ctx = multiprocessing.get_context("fork")
         self.conn, child = ctx.Pipe()
         self.proc = ctx.Process(target=self._serve, args=(child, model, train_xy, predict_X),
                                 daemon=True)
         self.proc.start()
+        # only once the worker runs, so a failed fork leaves them private
+        if train_xy is not None:
+            model.params = self.params
         child.close()
 
     def __enter__(self) -> "_ShardWorker":
@@ -961,6 +966,8 @@ class _ShardWorker:
         that end is closed first, or it would never read EOF)."""
         self.conn.close()
         signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent handles ^C and ends it
+        if train_xy is not None:
+            model.params = self.params
         ws = Workspace()
         try:
             while True:

@@ -312,7 +312,7 @@ class TestPipelineOutputs:
     def test_evaluate_bytes_do_not_depend_on_the_cpu_count(self, pipeline, tmp_path,
                                                           monkeypatch):
         ds = pipeline["out"] / "AAA.orderflow.ds"
-        assert features.load_dataset(ds).subset("test").n > net.PREDICT_CHUNK
+        assert features.load_dataset(ds).subset("test").n > 2 * net.PREDICT_CHUNK
         started = []
         start = net._ShardWorker.__init__
         monkeypatch.setattr(net._ShardWorker, "__init__",

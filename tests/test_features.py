@@ -680,6 +680,20 @@ class TestSerialization:
             assert back.norm_stats == ds.norm_stats
             assert back.split_ranges == ds.split_ranges
 
+    def test_round_trip_keeps_undefined_mid_rows(self, tmp_path):
+        # build keeps the NaN-mid rows and drops only the samples whose
+        # windows hold them; train and evaluate must load what it wrote
+        dss = fitted(market_heavy_noise(), T=10, warm_count=0, train_fraction=0.6)
+        for name in ("bench1", "bench2"):
+            ds = dss[name]
+            assert ds.counters["skipped_undefined_mid"] > 0
+            assert np.isnan(ds.table).any()
+            p = tmp_path / f"{name}.ds"
+            features.save_dataset(ds, p)
+            back = features.load_dataset(p)
+            assert features.dataset_digest(back) == features.dataset_digest(ds)
+            assert np.isfinite(back.X).all()
+
     def test_interrupted_save_keeps_old_file(self, planted_datasets, tmp_path):
         ds = planted_datasets["orderflow"]
         p = tmp_path / "of.ds"

@@ -1,5 +1,7 @@
 import contextlib
 import dataclasses
+import errno
+import gc
 import multiprocessing
 import mmap
 import os
@@ -803,7 +805,7 @@ class TestSplitPredict:
         m = Model(small_cfg(layers=(6, 4), dense_hidden=(5,), dropout=0.3), seed=0)
         return m, raw_batch(B=n, T=9, seed=n)
 
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 256])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129, 256])
     def test_split_predict_is_predict_byte_for_byte(self, monkeypatch, n):
         _cpus(monkeypatch, 2)
         started = []
@@ -811,8 +813,13 @@ class TestSplitPredict:
         monkeypatch.setattr(net._ShardWorker, "__init__",
                             lambda self, *a: started.append(1) or start(self, *a))
         m, X = self._model_and_windows(n)
-        assert net.split_predict(m, X).tobytes() == m.predict(X).tobytes()
-        assert started == ([1] if n > net.PREDICT_CHUNK else [])
+        want = m.predict(X).tobytes()
+        assert net.split_predict(m, X).tobytes() == want
+        # below two chunks a fork costs more than the worker's tail saves
+        assert started == ([1] if n > 2 * net.PREDICT_CHUNK else [])
+        # a live worker, as train's, splits every predict above one chunk
+        with net._ShardWorker(m, None, X) as worker:
+            assert net._predict(m, X, net.Workspace(), worker).tobytes() == want
         assert multiprocessing.active_children() == []
 
     def test_cut_is_a_chunk_boundary_near_the_middle(self):
@@ -825,13 +832,13 @@ class TestSplitPredict:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_tail_error_raised_again_with_its_type(self, monkeypatch, cpus):
         _cpus(monkeypatch, cpus)
-        m, X = self._model_and_windows(129)
+        m, X = self._model_and_windows(257)
         bad = X.copy()
-        bad[net._cut(129):, :, 3] = 9   # a kind code out of range, in the tail only
+        bad[net._cut(257):, :, 3] = 9   # a kind code out of range, in the tail only
         with pytest.raises(net.CategoryOutOfRange):
             net.split_predict(m, bad)
         # the same tail of a validation split
-        y = np.zeros(129, np.int64)
+        y = np.zeros(257, np.int64)
         with pytest.raises(net.CategoryOutOfRange):
             net.train(m, (X, y), (bad, y), TrainSchedule(epochs=1, batch_size=64))
         assert multiprocessing.active_children() == []
@@ -846,16 +853,21 @@ class TestSplitPredict:
             return predict(self, *args, **kw)
 
         monkeypatch.setattr(net.Model, "predict", dying)
-        m, X = self._model_and_windows(129)
+        m, X = self._model_and_windows(257)
         with pytest.raises(net.NetError, match="worker exited") as caught:
             net.split_predict(m, X)
         assert not isinstance(caught.value, EOFError)
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("raises", [False, True])
-    def test_params_are_private_after_train(self, monkeypatch, raises):
+    @pytest.mark.parametrize("how", ["returns", "raises", "fork_fails"])
+    def test_params_are_private_after_train(self, monkeypatch, how):
         _cpus(monkeypatch, 2)
         maps = _record_mappings(monkeypatch)
+        if how == "fork_fails":
+            def failing_start(self):
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+            monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", failing_start)
         during = []
         adam_step = net.adam_step
 
@@ -867,15 +879,17 @@ class TestSplitPredict:
         monkeypatch.setattr(net, "adam_step", recording_adam_step)
         X, y = toy_xy(n=32)
         bad = X.copy()
-        if raises:   # a kind code out of range in the first minibatch's shard 1
+        if how == "raises":   # a kind code out of range in the first minibatch's shard 1
             bad[np.random.default_rng(0).permutation(32)[16:], :, 3] = 9
         m = Model(small_cfg(), seed=0)
         sched = TrainSchedule(epochs=2, batch_size=32, seed=0)
-        with pytest.raises(net.CategoryOutOfRange) if raises else contextlib.nullcontext():
+        error = {"returns": None, "raises": net.CategoryOutOfRange, "fork_fails": OSError}[how]
+        with pytest.raises(error) if error else contextlib.nullcontext():
             net.train(m, (bad, y), (X, y), sched)
+        gc.collect()
         ref, lo, hi = maps[0]
         assert len(maps) == 1 and ref() is None   # the mapping went with train
-        assert during == ([] if raises else [True, True])
+        assert during == ([True, True] if how == "returns" else [])
         assert not any(_inside(p, lo, hi) for p in m.params.values())
         assert multiprocessing.active_children() == []
 
