@@ -244,8 +244,9 @@ def cmd_build(cfg: dict, out_dir: Path, pair: str | None) -> int:
 
 
 def _check_search(search) -> None:
-    """`search` is null or {"space": {name: [candidates, ...]}, "budget": n >= 1};
-    hyper_search checks each candidate."""
+    """`search` is null or {"space": {name: [candidates, ...]}, "budget": n >= 1},
+    each name a key of the `model` or `schedule` block (the dataset sets
+    the others); hyper_search checks each candidate."""
     if search is None:
         return
     if not isinstance(search, dict) or search.keys() != {"space", "budget"}:
@@ -256,6 +257,8 @@ def _check_search(search) -> None:
             and all(isinstance(v, list) and v for v in space.values())):
         raise CliError(f"config 'search.space' must be an object of non-empty lists, "
                        f"got {space!r}")
+    _check_keys(space, {**CONFIG_DEFAULTS["model"], **CONFIG_DEFAULTS["schedule"]},
+                "search.space.")
     checks.integer(search["budget"], "config 'search.budget'", CliError, 1)
 
 

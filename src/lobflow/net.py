@@ -35,37 +35,32 @@ holds little more than one forward cache.  `predict` runs the same loop
 without a cache: c and tanh(c) live in two rotating slots.
 
 `train` computes each minibatch's gradient as two fixed shards, rows
-[0, ceil(B/2)) and [ceil(B/2), B) (one shard when B = 1), and combines
-them in shard order, weighted by shard size, before Adam: synchronous
-data-parallel SGD (Dean et al. 2012; Goyal et al. 2017, arXiv
-1706.02677) with the minibatch and learning rate unchanged, so only the
-order of the gradient sums differs from a whole-batch step.  The
-process count is min(2, len(os.sched_getaffinity(0))); `taskset -c 0`
-gives one.  With two, a worker forked once per `train` call computes
-shard 1 while the parent computes shard 0; with one, the parent runs
-both shards in turn through the same shard function, so the trained
-bytes do not depend on the core count.  The params, shard 1's grads and
-loss, and the worker's predictions pass through one anonymous shared
-mapping made before the fork (see :class:`_ShardWorker`), so each
-request to the worker carries only the minibatch's sample indices and
-the train rng's PCG64 state before the batch's dropout draw.  Each
-process draws only its own shard's rows of the whole batch's keep
-masks, advancing the PCG64 past the other shard's uniforms, so every
-row gets the uniforms a whole-batch draw gives it and the parent's rng
-ends where that draw leaves it; the worker starts without waiting for
-the parent's draw.  The dW GEMMs sum over half batches, so trained params,
-train logs and predictions changed once when the shards came in.  On
-one CPU the two half shards take 17-20% longer per step than one
-whole batch (single-process steps at B=64, not measured end to end).
+[0, cut) and [cut, B) for cut = ceil(B/2) (one shard when B = 1), and
+combines them in shard order, weighted by shard size, before Adam:
+synchronous data-parallel SGD (Dean et al. 2012; Goyal et al. 2017,
+arXiv 1706.02677) with the minibatch and learning rate unchanged, so
+only the order of the gradient sums differs from a whole-batch step.
+The process count is min(2, len(os.sched_getaffinity(0))); `taskset -c
+0` gives one.  With two, a worker forked once per `train` call
+(:class:`_ShardWorker`) computes shard 1 while the parent computes shard
+0; with one, the parent runs both shards in turn through the same shard
+function, so the trained bytes do not depend on the core count.  Each
+shard draws only its rows of the whole batch's keep masks, advancing the
+PCG64 past the other rows, so every row gets the uniforms a whole-batch
+draw gives it and the parent's rng ends where that draw leaves it.  The
+dW GEMMs sum over half batches, so trained params, train logs and
+predictions changed once when the shards came in.  On one CPU the two
+half shards take 17-20% longer per step than one whole batch
+(single-process steps at B=64, not measured end to end).
 
 A predict of more than PREDICT_CHUNK windows splits the same way when
-there is a worker: the parent predicts the head and the worker the
-tail, split at the multiple of PREDICT_CHUNK nearest the middle, so
-each chunk keeps the rows and shape it has in one `Model.predict` and
-the probabilities keep their bytes.  `train`'s worker serves the
-validation predicts; :func:`split_predict` forks a predict-only worker
-for one call of more than 2 * PREDICT_CHUNK windows, below which the
-fork costs about what the worker's tail saves.
+there is a worker, at the multiple of PREDICT_CHUNK nearest the middle,
+so each chunk keeps its rows and shape and the probabilities their
+bytes.  `train`'s worker serves the validation predicts;
+:func:`split_predict` forks a predict-only worker for one call of more
+than 2 * PREDICT_CHUNK windows.  Both split rules are :func:`_cut`.
+`train` and `split_predict` run at one BLAS thread, so two processes on
+two CPUs do not start two BLAS threads each.
 
 The passes take their buffers from a :class:`Workspace`: the
 time-major input, the dropout scale masks and masked inputs, each
@@ -83,12 +78,14 @@ the memory of a half-batch training step at B=64.
 from __future__ import annotations
 
 import copy
+import ctypes
+import functools
 import math
 import mmap
 import multiprocessing
 import os
 import signal
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
@@ -360,19 +357,22 @@ class Model:
         bits.state = after
         return masks
 
-    def predict(self, X, dtype=np.float32, ws: Optional[Workspace] = None) -> np.ndarray:
-        """Inference probabilities; keeps no per-step state.  The chunks
-        of PREDICT_CHUNK samples run one after another on `ws` (a fresh
+    def predict(self, X, dtype=np.float32, ws: Optional[Workspace] = None,
+                rows: slice = slice(None)) -> np.ndarray:
+        """Inference probabilities of the windows X[rows]; keeps no
+        per-step state.  The chunks of PREDICT_CHUNK samples, counted
+        from the start of `rows`, run one after another on `ws` (a fresh
         one by default); the layers of a chunk share one (T,
         PREDICT_CHUNK, 4H) gate buffer and one (T, PREDICT_CHUNK, H) h
         buffer, so with two equal LSTM layers a chunk fits in the buffers
-        of a half-batch training step at B=64.  `X` is read only as len(X) and the
-        chunks X[i:j]."""
+        of a half-batch training step at B=64.  `X` is read only as
+        len(X) and the chunks X[i:j]."""
         ws = Workspace() if ws is None else ws
-        out = np.empty((len(X), K))
-        for i in range(0, len(X), PREDICT_CHUNK):
-            out[i:i + PREDICT_CHUNK] = self._run(X[i:i + PREDICT_CHUNK], None, keep=False,
-                                                 dtype=dtype, ws=ws)[0]
+        lo, hi, _ = rows.indices(len(X))
+        out = np.empty((max(0, hi - lo), K))
+        for i in range(lo, hi, PREDICT_CHUNK):
+            j = min(i + PREDICT_CHUNK, hi)
+            out[i - lo:j - lo] = self._run(X[i:j], None, keep=False, dtype=dtype, ws=ws)[0]
         return out
 
     def _run(self, X: np.ndarray, masks: Optional[list], keep: bool,
@@ -715,7 +715,8 @@ def train(model: Model, train_xy, val_xy, schedule: TrainSchedule) -> TrainResul
     in `model`.  Each minibatch's gradient is computed as two shards
     (see the module docstring), the second on a forked worker when the
     affinity mask holds two CPUs or more; the worker also predicts the
-    tail of each validation predict.  Each process keeps one Workspace
+    tail of each validation predict.  The call runs at one BLAS thread
+    (see :func:`_one_blas_thread`).  Each process keeps one Workspace
     for the whole call; the parent's also serves the validation
     predicts.  The windows of `train_xy` are read only as len(X) and one
     shard X[idx] at a time, for an int array idx; those of `val_xy` as
@@ -737,7 +738,9 @@ def train(model: Model, train_xy, val_xy, schedule: TrainSchedule) -> TrainResul
     # minibatch can hold two shards or a validation predict splits
     parallel = (len(os.sched_getaffinity(0)) > 1
                 and (min(schedule.batch_size, len(ytr)) > 1 or len(yva) > PREDICT_CHUNK))
-    with _ShardWorker(model, train_xy, Xva) if parallel else nullcontext() as worker:
+    # the worker forks at one BLAS thread and keeps it
+    with (_one_blas_thread(),
+          _ShardWorker(model, train_xy, Xva) if parallel else nullcontext() as worker):
         for epoch in range(schedule.epochs):
             perm = rng.permutation(len(ytr))
             total = 0.0
@@ -765,42 +768,83 @@ def train(model: Model, train_xy, val_xy, schedule: TrainSchedule) -> TrainResul
     return TrainResult(history, best_epoch, float(best_loss))
 
 
-def _shards(B: int) -> list:
-    """The row ranges of a minibatch of B's shards: [0, ceil(B/2)) and
-    [ceil(B/2), B), or the one range [0, 1) when B = 1."""
-    half = (B + 1) // 2
-    return [slice(0, half), slice(half, B)] if B > 1 else [slice(0, B)]
+@functools.cache
+def _openblas() -> tuple:
+    """The (get, set) thread-count functions of each OpenBLAS loaded in
+    this process, found through the shared objects that /proc/self/maps
+    lists; empty where there is no such file or the BLAS exports neither
+    scipy-openblas's 64-bit-integer names nor OpenBLAS's plain ones."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split(None, 5)[-1].strip() for line in fh
+                            if "openblas" in line.rsplit("/", 1)[-1]})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get, put in (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                         ("openblas_get_num_threads", "openblas_set_num_threads")):
+            if hasattr(lib, get) and hasattr(lib, put):
+                get, put = getattr(lib, get), getattr(lib, put)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                found.append((get, put))
+                break
+    return tuple(found)
 
 
-def _pcg64(state: dict) -> np.random.Generator:
-    """A Generator whose PCG64 starts at `state`."""
-    bits = np.random.PCG64()
-    bits.state = state
-    return np.random.Generator(bits)
+@contextmanager
+def _one_blas_thread():
+    """Run the block with every loaded OpenBLAS at one thread and give
+    each its old thread count back on exit.  Two processes on two CPUs
+    would otherwise start a BLAS thread per CPU each, and the trained
+    bytes would depend on the thread count."""
+    libs = _openblas()
+    counts = [get() for get, _ in libs]
+    for _, put in libs:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), n in zip(libs, counts):
+            put(n)
+
+
+def _cut(n: int, unit: int) -> int:
+    """Where n rows split between two processes: the multiple of `unit`
+    nearest n/2 (the larger one on a tie), at least `unit` and at most
+    n.  A cut of n leaves the second part empty."""
+    return min(n, max(unit, (n + unit) // (2 * unit) * unit))
 
 
 def _minibatch_step(model: Model, X, y, idx: np.ndarray, rng,
                     worker: Optional["_ShardWorker"],
                     ws: Optional[Workspace] = None) -> tuple[float, dict]:
     """Mean loss and gradients of the minibatch `idx` of (X, y): the mean
-    over its shards weighted by shard size, summed shard 0 first.  Each
-    shard draws its rows of the whole batch's dropout keep masks (see
+    over its shards, rows [0, cut) and [cut, B) for cut = _cut(B, 1),
+    weighted by shard size and summed shard 0 first.  Each shard draws
+    its rows of the whole batch's dropout keep masks (see
     :meth:`Model.dropout_masks`): shard 0 from `rng`, which ends where a
-    whole-batch draw leaves it, shard 1 from a copy of `rng`'s state
-    before the draw.  `worker`, if given, computes shard 1 while this
-    process computes shard 0 on `ws`."""
-    shards = _shards(len(idx))
-    state = rng.bit_generator.state
-    if worker is not None and len(shards) == 2:
-        worker.submit(idx, state)
-        parts = [_shard_loss_grads(model, X, y, idx, shards[0], rng, ws), worker.result()]
+    whole-batch draw leaves it, shard 1 from a copy of `rng` taken before
+    the draw.  `worker`, if given, computes shard 1 while this process
+    computes shard 0 on `ws`."""
+    B = len(idx)
+    cut = _cut(B, 1)
+    shards = [slice(0, cut)] if cut == B else [slice(0, cut), slice(cut, B)]
+    if worker is not None and cut < B:
+        worker.submit("shard", idx, rng)
+        parts = [_shard_loss_grads(model, X, y, idx, shards[0], rng, ws),
+                 (worker.wait(), worker.grads)]
     else:
-        rngs = (rng, _pcg64(state))
+        rngs = (rng, copy.deepcopy(rng))
         parts = [_shard_loss_grads(model, X, y, idx, s, r, ws) for s, r in zip(shards, rngs)]
     sizes = [s.stop - s.start for s in shards]
-    loss = sum(n * part[0] for n, part in zip(sizes, parts)) / len(idx)
-    grads = {k: sum(n * part[1][k] for n, part in zip(sizes, parts)) / len(idx)
-             for k in parts[0][1]}
+    loss = sum(n * part[0] for n, part in zip(sizes, parts)) / B
+    grads = {k: sum(n * part[1][k] for n, part in zip(sizes, parts)) / B for k in parts[0][1]}
     return loss, grads
 
 
@@ -815,103 +859,70 @@ def _shard_loss_grads(model: Model, X, y, idx: np.ndarray, rows: slice, rng,
     return model.loss_and_grads(Xs, y[idx[rows]], masks=masks, ws=ws)
 
 
-def _cut(n: int) -> int:
-    """Where a split predict of n > PREDICT_CHUNK windows splits: the
-    multiple of PREDICT_CHUNK nearest n/2 (the larger one on a tie),
-    which is at least PREDICT_CHUNK and below n."""
-    return max(1, (n + PREDICT_CHUNK) // (2 * PREDICT_CHUNK)) * PREDICT_CHUNK
-
-
-class _Rows:
-    """Rows [lo, hi) of the windows X, read as `Model.predict` reads X:
-    len() and slices, each gathered from X only when it is taken."""
-
-    __slots__ = ("X", "lo", "hi")
-
-    def __init__(self, X, lo: int, hi: int):
-        self.X, self.lo, self.hi = X, lo, hi
-
-    def __len__(self) -> int:
-        return self.hi - self.lo
-
-    def __getitem__(self, rows: slice):
-        i, j, _ = rows.indices(len(self))
-        return self.X[self.lo + i:self.lo + j]
-
-
 def _predict(model: Model, X, ws: Workspace, worker: Optional["_ShardWorker"]) -> np.ndarray:
     """`model.predict(X)`, split across two processes when `worker` is
-    given and X holds more than PREDICT_CHUNK windows: this process
-    predicts the head X[:cut] on `ws` while the worker predicts the tail,
-    for cut = :func:`_cut` (len(X)).  The cut is a multiple of
-    PREDICT_CHUNK, so every chunk has the rows and shape it has in one
-    `predict`, and the probabilities keep their bytes."""
-    n = len(X)
-    if worker is None or n <= PREDICT_CHUNK:
+    given: this process predicts the head X[:cut] on `ws` while the
+    worker predicts the tail, for cut = _cut(len(X), PREDICT_CHUNK).  The
+    cut is a multiple of PREDICT_CHUNK, so every chunk has the rows and
+    shape it has in one `predict`, and the probabilities keep their
+    bytes."""
+    cut = len(X) if worker is None else _cut(len(X), PREDICT_CHUNK)
+    if cut == len(X):
         return model.predict(X, ws=ws)
-    cut = _cut(n)
-    worker.submit_predict(cut)
-    out = np.empty((n, K))
-    out[:cut] = model.predict(_Rows(X, 0, cut), ws=ws)
-    out[cut:] = worker.predicted()
-    return out
+    worker.submit("predict", cut)
+    head = model.predict(X, ws=ws, rows=slice(0, cut))
+    worker.wait()
+    return np.concatenate([head, worker.pred])
 
 
 def split_predict(model: Model, X) -> np.ndarray:
-    """`model.predict(X)`'s probabilities, byte for byte.  When X holds
-    more than 2 * PREDICT_CHUNK windows and the affinity mask two CPUs
-    or more, a predict-only worker forked for this call predicts the
-    tail (see :func:`_predict`) and exits before the call returns.
-    Forking, the worker's first page faults and the join cost about one
-    chunk's predict (20-28 ms for a 64x64 LSTM at T=100 on two cores),
-    so at two chunks or fewer the split gains nothing and this process
-    predicts alone."""
+    """`model.predict(X)`'s probabilities, byte for byte, computed at one
+    BLAS thread.  When X holds more than 2 * PREDICT_CHUNK windows and
+    the affinity mask two CPUs or more, a predict-only worker forked for
+    this call predicts the tail (see :func:`_predict`) and exits before
+    the call returns.  Forking, the worker's first page faults and the
+    join cost about one chunk's predict (20-28 ms for a 64x64 LSTM at
+    T=100 on two cores), so at two chunks or fewer this process predicts
+    alone."""
     fork = len(X) > 2 * PREDICT_CHUNK and len(os.sched_getaffinity(0)) > 1
-    with _ShardWorker(model, None, X) if fork else nullcontext() as worker:
+    with _one_blas_thread(), _ShardWorker(model, None, X) if fork else nullcontext() as worker:
         return _predict(model, X, Workspace(), worker)
 
 
 class _ShardWorker:
     """A process forked from the caller that computes shard 1 of each
     minibatch of `train_xy` and the tail of each split predict of
-    `predict_X` (`train_xy` None: predicts only).  It inherits the model
-    and the windows at fork, so no window is ever pickled.
+    `predict_X` (`train_xy` None: no shard request will come).  It
+    inherits the model and the windows at fork, so no window is pickled.
 
     Before the fork the constructor makes one anonymous shared mapping
     (MAP_SHARED, so the worker inherits it) of float64s: the params,
-    shard 1's grads and loss, and the tail rows of a split predict of
-    `predict_X`.  When training, `model.params` are views of the
-    mapping in both processes while the worker lives, so the worker
-    reads the params that `adam_step` updates in place.  A shard request
-    carries the minibatch's sample indices and the train rng's PCG64
-    state, from which the worker draws shard 1's keep masks itself; a
-    predict request carries the cut.  The worker writes its grads, loss
-    or probabilities into the mapping and replies None, or the exception
-    its work raised.  As a context manager it ends the process on exit
-    and turns `model.params` back into private arrays; the mapping goes
-    with the last view of it."""
+    shard 1's grads and the tail rows of a split predict of `predict_X`.
+    The worker's model reads its params from the mapping; `submit`
+    copies the caller's current params there and sends a request,
+    ("shard", idx, rng) with the minibatch's sample indices and the train
+    Generator before the batch's dropout draw, or ("predict", cut).  The
+    worker writes the shard's grads or the tail's probabilities into the
+    mapping, and `wait` returns its reply, the shard's loss or None, or
+    raises again the exception the request raised.  As a context manager
+    it ends the process on exit."""
 
     def __init__(self, model: Model, train_xy, predict_X):
-        shapes = [p.shape for p in model.params.values()] if train_xy is not None else []
-        n_tail = len(predict_X) - _cut(len(predict_X)) if len(predict_X) > PREDICT_CHUNK else 0
-        layout = [*shapes, *shapes, (1,), (n_tail, K)]
+        shapes = [p.shape for p in model.params.values()]
+        n = len(predict_X)
+        layout = [*shapes, *shapes, (n - _cut(n, PREDICT_CHUNK), K)]
         starts = np.cumsum([0] + [math.prod(s) for s in layout]).tolist()
         buf = np.frombuffer(mmap.mmap(-1, 8 * starts[-1]), np.float64)
         views = [buf[a:a + math.prod(s)].reshape(s) for a, s in zip(starts, layout)]
-        n = len(shapes)
-        self.params = dict(zip(model.params, views[:n]))
-        self.grads = dict(zip(model.params, views[n:2 * n]))
-        self.loss, self.pred = views[2 * n:]
-        for k, p in self.params.items():
-            p[...] = model.params[k]
+        self.model = model
+        self.params = dict(zip(model.params, views[:len(shapes)]))
+        self.grads = dict(zip(model.params, views[len(shapes):-1]))
+        self.pred = views[-1]
         ctx = multiprocessing.get_context("fork")
         self.conn, child = ctx.Pipe()
-        self.proc = ctx.Process(target=self._serve, args=(child, model, train_xy, predict_X),
+        self.proc = ctx.Process(target=self._serve, args=(child, train_xy, predict_X),
                                 daemon=True)
         self.proc.start()
-        # only once the worker runs, so a failed fork leaves them private
-        if train_xy is not None:
-            model.params = self.params
         child.close()
 
     def __enter__(self) -> "_ShardWorker":
@@ -922,70 +933,48 @@ class _ShardWorker:
             self.proc.terminate()   # the work it may be doing is not needed
         self.conn.close()           # an idle worker reads EOF and returns
         self.proc.join()
-        # in place, so every holder of the dict (model.params among them)
-        # sees private arrays
-        for k, p in self.params.items():
-            self.params[k] = p.copy()
-        self.grads = self.loss = self.pred = None
+        self.params = self.grads = self.pred = None   # the mapping goes with its views
 
-    def submit(self, idx: np.ndarray, state: dict) -> None:
-        self._send(("shard", idx, state))
-
-    def result(self) -> tuple[float, dict]:
-        """The submitted shard's (loss, grads), the grads as views of the
-        mapping; an exception the shard raised is raised here again."""
-        self._reply("its shard")
-        return float(self.loss[0]), self.grads
-
-    def submit_predict(self, cut: int) -> None:
-        self._send(("predict", cut))
-
-    def predicted(self) -> np.ndarray:
-        """The probabilities of the submitted tail, a view of the mapping;
-        an exception the predict raised is raised here again."""
-        self._reply("its predictions")
-        return self.pred
-
-    def _send(self, request: tuple) -> None:
+    def submit(self, *request) -> None:
+        for k, p in self.model.params.items():
+            self.params[k][...] = p
         try:
             self.conn.send(request)
         except OSError as e:
             raise NetError(f"the shard worker exited: {e}") from e
 
-    def _reply(self, what: str) -> None:
+    def wait(self):
         try:
             out = self.conn.recv()
         except (EOFError, OSError) as e:
-            raise NetError(f"the shard worker exited before it returned {what}") from e
-        if out is not None:
+            raise NetError("the shard worker exited before it replied") from e
+        if isinstance(out, Exception):
             raise out
+        return out
 
-    def _serve(self, conn, model: Model, train_xy, predict_X) -> None:
+    def _serve(self, conn, train_xy, predict_X) -> None:
         """The worker's loop: serve requests on one Workspace until the
         parent closes its end of the pipe (the worker's inherited copy of
         that end is closed first, or it would never read EOF)."""
         self.conn.close()
         signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent handles ^C and ends it
-        if train_xy is not None:
-            model.params = self.params
+        model = self.model
+        model.params = self.params
         ws = Workspace()
         try:
             while True:
                 kind, *args = conn.recv()
                 try:
                     if kind == "shard":
-                        idx, state = args
                         X, y = train_xy
-                        loss, grads = _shard_loss_grads(model, X, y, idx, _shards(len(idx))[1],
-                                                        _pcg64(state), ws)
-                        self.loss[0] = loss
+                        idx, rng = args
+                        rows = slice(_cut(len(idx), 1), len(idx))
+                        out, grads = _shard_loss_grads(model, X, y, idx, rows, rng, ws)
                         for k, g in grads.items():
                             self.grads[k][...] = g
                     else:
-                        cut, = args
-                        self.pred[...] = model.predict(_Rows(predict_X, cut, len(predict_X)),
-                                                       ws=ws)
-                    out = None
+                        self.pred[...] = model.predict(predict_X, ws=ws, rows=slice(args[0], None))
+                        out = None
                 except Exception as e:   # raised again in the parent
                     out = e
                 conn.send(out)

@@ -4,14 +4,17 @@ import os
 import numpy as np
 import pytest
 
-from lobflow import feed, features
+from lobflow import feed, features, net
 
 
 @pytest.fixture(autouse=True)
 def no_leaked_workers():
-    """Every test ends with no child process left running."""
+    """Every test ends with no child process left running and with the
+    BLAS thread count it started with."""
+    threads = [get() for get, _ in net._openblas()]
     yield
     assert multiprocessing.active_children() == []
+    assert [get() for get, _ in net._openblas()] == threads
 
 
 def _cpus(monkeypatch, n):

@@ -220,6 +220,11 @@ class TestConfig:
         (TRAIN, {"search": {"space": {"lr": []}, "budget": 1}}, "'search.space'"),
         (TRAIN, {"search": {"space": {"lr": [1e-3]}, "budget": "x"}}, "'search.budget'"),
         (TRAIN, {"search": {"space": {"lr": [1e-3]}, "budget": 0}}, "'search.budget'"),
+        # the dataset sets these, and the run its seed
+        *[(TRAIN, {"search": {"space": {key: [value]}, "budget": 1}},
+           f"unknown config key 'search.space.{key}'")
+          for key, value in (("norm_sd", [1, 1, 1]), ("norm_mean", [0, 0, 0]),
+                             ("variant", "bench1"), ("S", 2), ("seed", 3))],
         ("gradcheck --seed -1", {}, "--seed"),
         ("gradcheck --n -1", {}, "--n"),
         ("selftest --seed -1", {}, "--seed"),

@@ -1,10 +1,14 @@
 import contextlib
+import copy
 import dataclasses
 import errno
 import gc
 import multiprocessing
 import mmap
 import os
+import pickle
+import subprocess
+import sys
 import tracemalloc
 import warnings
 import weakref
@@ -687,21 +691,22 @@ class TestShards:
         T = 9
         rng = np.random.default_rng(3)
         rng.permutation(50)   # leaves a buffered 32-bit half, which the draw must keep
-        state = rng.bit_generator.state
-        assert state["has_uint32"] == 1
-        whole_rng = net._pcg64(state)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        whole_rng = copy.deepcopy(rng)
         whole = m.dropout_masks(B, T, whole_rng)
         # the plain whole-batch draw, in the forward's order and shapes
-        plain_rng = net._pcg64(state)
+        plain_rng = copy.deepcopy(rng)
         widths = [(T, m.cfg.input_width), (T, 6), (4,), (5,)]
         assert [k.tobytes() for k in whole] == [
             (plain_rng.random((B, *w)) >= 0.3).tobytes() for w in widths]
         # the parent draws shard 0 from the train rng, the worker shard 1
-        # from a copy of its state, as _minibatch_step and _serve_shards do
-        shards = net._shards(B)
+        # from the Generator the request pickles, as _minibatch_step does
+        cut = net._cut(B, 1)
+        shards = [slice(0, cut)] if cut == B else [slice(0, cut), slice(cut, B)]
+        sent = pickle.loads(pickle.dumps(rng))
         drawn = [m.dropout_masks(B, T, rng, shards[0])]
-        if len(shards) == 2:
-            drawn.append(m.dropout_masks(B, T, net._pcg64(state), shards[1]))
+        if cut < B:
+            drawn.append(m.dropout_masks(B, T, sent, shards[1]))
         for rows, masks in zip(shards, drawn):
             assert [k.tobytes() for k in masks] == [k[rows].tobytes() for k in whole]
         assert rng.bit_generator.state == whole_rng.bit_generator.state == \
@@ -778,6 +783,46 @@ class TestShards:
         assert multiprocessing.active_children() == []
 
 
+_BLAS_PROBE = """
+import os, sys
+import numpy as np
+from lobflow import net
+os.sched_getaffinity = lambda pid: {0, 1}
+parent, log = os.getpid(), sys.argv[1]
+(get, _), = net._openblas()
+shard = net._shard_loss_grads
+
+def probed(*args):
+    with open(log, "a") as fh:
+        fh.write(f"{'worker' if os.getpid() != parent else 'parent'} {get()}\\n")
+    return shard(*args)
+
+net._shard_loss_grads = probed
+X = net.random_raw_batch("orderflow", 8, 3, 2, np.random.default_rng(0))
+y = np.arange(8) % 2
+cfg = net.ModelConfig("orderflow", S=2, layers=(4,), norm_mean=[0.0] * 3, norm_sd=[1.0] * 3)
+before = get()
+net.train(net.Model(cfg), (X, y), (X, y), net.TrainSchedule(epochs=1, batch_size=8))
+print(before, get())
+"""
+
+
+class TestBlasThreads:
+    def test_train_runs_at_one_blas_thread_without_a_thread_variable(self, tmp_path):
+        if len(net._openblas()) != 1:
+            pytest.skip("numpy does not run on exactly one OpenBLAS here")
+        # a fresh interpreter with no *_NUM_THREADS variable, as a user runs it
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(net.__file__))
+        log = tmp_path / "threads"
+        proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE, str(log)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-4000:]
+        before, after = proc.stdout.split()
+        assert before == after   # the default count comes back after train
+        assert sorted(log.read_text().splitlines()) == ["parent 1", "worker 1"]
+
+
 def _record_mappings(monkeypatch) -> list:
     """Record each shared mapping made from now on as (weak reference,
     first address, end address)."""
@@ -824,17 +869,42 @@ class TestSplitPredict:
 
     def test_cut_is_a_chunk_boundary_near_the_middle(self):
         C = net.PREDICT_CHUNK
-        for n in range(C + 1, 20 * C):
-            cut = net._cut(n)
-            assert cut % C == 0 and C <= cut < n
-            assert abs(2 * cut - n) <= C
+        for n in range(1, 20 * C + 1):
+            assert net._cut(n, 1) == (n + 1) // 2   # shard 0 of a minibatch: ceil(B/2) rows
+            cut = net._cut(n, C)
+            if n <= C:
+                assert cut == n   # no tail
+            else:
+                assert cut % C == 0 and C <= cut < n
+                assert abs(2 * cut - n) <= C
+
+    @pytest.mark.parametrize("a", [0, 1, 2, 4])
+    def test_predict_of_rows_is_the_rows_of_predict(self, a):
+        # rows starting on a chunk boundary keep every chunk's rows and shape
+        m, X = self._model_and_windows(4 * net.PREDICT_CHUNK + 9)
+        a *= net.PREDICT_CHUNK
+        assert m.predict(X, rows=slice(a, len(X))).tobytes() == m.predict(X)[a:].tobytes()
+        assert m.predict(X, rows=slice(0, a)).tobytes() == m.predict(X[:a]).tobytes()
+
+    def test_predict_only_worker_predicts_with_the_current_params(self):
+        # train_xy None: the mapping still holds the params, which each
+        # request copies from the caller's model
+        m, X = self._model_and_windows(200)
+        with net._ShardWorker(m, None, X) as worker:
+            for _ in range(2):
+                want = m.predict(X).tobytes()
+                assert net._predict(m, X, net.Workspace(), worker).tobytes() == want
+                for p in m.params.values():
+                    p *= 1.5
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_tail_error_raised_again_with_its_type(self, monkeypatch, cpus):
         _cpus(monkeypatch, cpus)
         m, X = self._model_and_windows(257)
         bad = X.copy()
-        bad[net._cut(257):, :, 3] = 9   # a kind code out of range, in the tail only
+        # a kind code out of range, in the tail only
+        bad[net._cut(257, net.PREDICT_CHUNK):, :, 3] = 9
         with pytest.raises(net.CategoryOutOfRange):
             net.split_predict(m, bad)
         # the same tail of a validation split
@@ -873,7 +943,7 @@ class TestSplitPredict:
 
         def recording_adam_step(params, *args, **kw):
             _, lo, hi = maps[0]
-            during.append(all(_inside(p, lo, hi) for p in params.values()))
+            during.append(any(_inside(p, lo, hi) for p in params.values()))
             adam_step(params, *args, **kw)
 
         monkeypatch.setattr(net, "adam_step", recording_adam_step)
@@ -889,7 +959,7 @@ class TestSplitPredict:
         gc.collect()
         ref, lo, hi = maps[0]
         assert len(maps) == 1 and ref() is None   # the mapping went with train
-        assert during == ([True, True] if how == "returns" else [])
+        assert during == ([False, False] if how == "returns" else [])
         assert not any(_inside(p, lo, hi) for p in m.params.values())
         assert multiprocessing.active_children() == []
 
