@@ -45,13 +45,16 @@ The process count is min(2, len(os.sched_getaffinity(0))); `taskset -c
 (:class:`_ShardWorker`) computes shard 1 while the parent computes shard
 0; with one, the parent runs both shards in turn through the same shard
 function, so the trained bytes do not depend on the core count.  Each
-shard draws only its rows of the whole batch's keep masks, advancing the
-PCG64 past the other rows, so every row gets the uniforms a whole-batch
-draw gives it and the parent's rng ends where that draw leaves it.  The
-dW GEMMs sum over half batches, so trained params, train logs and
-predictions changed once when the shards came in.  On one CPU the two
-half shards take 17-20% longer per step than one whole batch
-(single-process steps at B=64, not measured end to end).
+shard draws its dropout keep masks from its own generator, keyed by the
+run's seed, the epoch, the minibatch's offset in the epoch and the
+shard's first row: a stream derived from a key, not a place in one
+shared stream (Salmon et al. 2011), so a shard's masks depend on no
+other shard's draws and `train`'s own rng only shuffles.  The dW GEMMs
+sum over half batches, so trained params, train logs and predictions
+changed once when the shards came in, and those of a run with dropout
+once more when the keyed masks came in.  On one CPU the two half shards
+take 17-20% longer per step than one whole batch (single-process steps
+at B=64, not measured end to end).
 
 A predict of more than PREDICT_CHUNK windows splits the same way when
 there is a worker, at the multiple of PREDICT_CHUNK nearest the middle,
@@ -59,8 +62,9 @@ so each chunk keeps its rows and shape and the probabilities their
 bytes.  `train`'s worker serves the validation predicts;
 :func:`split_predict` forks a predict-only worker for one call of more
 than 2 * PREDICT_CHUNK windows.  Both split rules are :func:`_cut`.
-`train` and `split_predict` run at one BLAS thread, so two processes on
-two CPUs do not start two BLAS threads each.
+`train` and `split_predict` run numpy's BLAS, the one their GEMMs use,
+at one thread, so two processes on two CPUs do not start two BLAS
+threads each.
 
 The passes take their buffers from a :class:`Workspace`: the
 time-major input, the dropout scale masks and masked inputs, each
@@ -315,46 +319,28 @@ class Model:
         """
         return self._run(X, masks, keep=True, dtype=dtype, ws=ws)
 
-    def dropout_masks(self, B: int, T: int, rng, rows: slice = slice(None),
-                      ws: Optional[Workspace] = None) -> Optional[list]:
+    def dropout_masks(self, B: int, T: int, rng, ws: Optional[Workspace] = None) -> Optional[list]:
         """The bool keep masks of a training forward over B windows of T
         steps, drawn from `rng` in the order and shapes the forward uses
         them: each LSTM layer's (B, T, input width), then each dense
         layer's (B, input width).  None when the model has no dropout.
-
-        With `rows`, only those rows of each mask are drawn, and each
-        gets the uniforms the whole-batch draw gives it: `rng`, a PCG64
-        Generator as np.random.default_rng makes, is advanced past the
-        other rows (Generator.random takes one uint64 per float64) and
-        ends where the whole-batch draw leaves it.  The
-        uniforms are drawn MASK_DRAW_BLOCK at a time into `ws`, which
+        The uniforms are drawn MASK_DRAW_BLOCK at a time into `ws`, which
         also holds the returned masks."""
         cfg = self.cfg
         if cfg.dropout == 0.0:
             return None
         ws = Workspace() if ws is None else ws
-        lo, hi, _ = rows.indices(B)
-        bits = rng.bit_generator
-        before = bits.state
         row_shapes = ([(T, w) for w in (cfg.input_width, *cfg.layers[:-1])]
                       + [(w,) for w in (cfg.layers[-1], *cfg.dense_hidden)])
         masks = []
         for k, shape in enumerate(row_shapes):
-            per_row = math.prod(shape)
-            keep = ws.take(f"keep{k}", (hi - lo, *shape), bool)
-            bits.advance(lo * per_row)
-            block = max(1, MASK_DRAW_BLOCK // per_row)
-            for r in range(0, hi - lo, block):
-                u = ws.take("u", (min(block, hi - lo - r), *shape), np.float64)
+            keep = ws.take(f"keep{k}", (B, *shape), bool)
+            block = max(1, MASK_DRAW_BLOCK // math.prod(shape))
+            for r in range(0, B, block):
+                u = ws.take("u", (min(block, B - r), *shape), np.float64)
                 rng.random(out=u)
                 np.greater_equal(u, cfg.dropout, out=keep[r:r + len(u)])
-            bits.advance((B - hi) * per_row)
             masks.append(keep)
-        # advance() drops the buffered 32-bit half that rng.permutation
-        # may leave, which a draw of float64s keeps
-        after = bits.state
-        after["has_uint32"], after["uinteger"] = before["has_uint32"], before["uinteger"]
-        bits.state = after
         return masks
 
     def predict(self, X, dtype=np.float32, ws: Optional[Workspace] = None,
@@ -637,12 +623,14 @@ class AdamState:
 
 def adam_step(params: dict, grads: dict, state: AdamState,
               lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
-    """In-place bias-corrected Adam update."""
-    state.t += 1
-    t = state.t
+    """In-place bias-corrected Adam update.  A non-finite gradient raises
+    NonFiniteGradient before any param, moment or step count changes."""
     for k, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradient(f"non-finite gradient in {k}")
+    state.t += 1
+    t = state.t
+    for k, g in grads.items():
         m = state.m[k]
         v = state.v[k]
         m *= beta1
@@ -715,7 +703,10 @@ def train(model: Model, train_xy, val_xy, schedule: TrainSchedule) -> TrainResul
     in `model`.  Each minibatch's gradient is computed as two shards
     (see the module docstring), the second on a forked worker when the
     affinity mask holds two CPUs or more; the worker also predicts the
-    tail of each validation predict.  The call runs at one BLAS thread
+    tail of each validation predict.  The rng seeded by `schedule.seed`
+    only shuffles; the minibatch at offset `start` of epoch `epoch` has
+    the dropout key (schedule.seed, epoch, start) (see
+    :func:`_minibatch_step`).  The call runs numpy's BLAS at one thread
     (see :func:`_one_blas_thread`).  Each process keeps one Workspace
     for the whole call; the parent's also serves the validation
     predicts.  The windows of `train_xy` are read only as len(X) and one
@@ -747,7 +738,8 @@ def train(model: Model, train_xy, val_xy, schedule: TrainSchedule) -> TrainResul
             nb = 0
             for start in range(0, len(perm), schedule.batch_size):
                 idx = perm[start:start + schedule.batch_size]
-                loss, grads = _minibatch_step(model, Xtr, ytr, idx, rng, worker, ws)
+                loss, grads = _minibatch_step(model, Xtr, ytr, idx, (schedule.seed, epoch, start),
+                                              worker, ws)
                 adam_step(model.params, grads, opt, lr=schedule.lr, beta1=schedule.beta1,
                           beta2=schedule.beta2, eps=schedule.eps)
                 total += loss * len(idx)
@@ -771,9 +763,12 @@ def train(model: Model, train_xy, val_xy, schedule: TrainSchedule) -> TrainResul
 @functools.cache
 def _openblas() -> tuple:
     """The (get, set) thread-count functions of each OpenBLAS loaded in
-    this process, found through the shared objects that /proc/self/maps
-    lists; empty where there is no such file or the BLAS exports neither
-    scipy-openblas's 64-bit-integer names nor OpenBLAS's plain ones."""
+    this process that exports scipy-openblas's 64-bit-integer names or
+    OpenBLAS's plain ones, found through the shared objects that
+    /proc/self/maps lists; empty where there is no such file.  That is
+    numpy's BLAS.  scipy's own libscipy_openblas, loaded by the
+    scipy.special import of `stats`, exports neither and is not found;
+    no `train` or `predict` call reaches it."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = sorted({line.split(None, 5)[-1].strip() for line in fh
@@ -799,10 +794,12 @@ def _openblas() -> tuple:
 
 @contextmanager
 def _one_blas_thread():
-    """Run the block with every loaded OpenBLAS at one thread and give
-    each its old thread count back on exit.  Two processes on two CPUs
-    would otherwise start a BLAS thread per CPU each, and the trained
-    bytes would depend on the thread count."""
+    """Run the block with each OpenBLAS that :func:`_openblas` finds,
+    numpy's, at one thread and give each its old thread count back on
+    exit.  Two processes on two CPUs would otherwise start a BLAS thread
+    per CPU each, and the trained bytes would depend on the thread
+    count.  The BLAS that scipy loads for itself keeps its count, which
+    is enough: `train` and `predict` run their GEMMs through numpy."""
     libs = _openblas()
     counts = [get() for get, _ in libs]
     for _, put in libs:
@@ -821,41 +818,40 @@ def _cut(n: int, unit: int) -> int:
     return min(n, max(unit, (n + unit) // (2 * unit) * unit))
 
 
-def _minibatch_step(model: Model, X, y, idx: np.ndarray, rng,
+def _minibatch_step(model: Model, X, y, idx: np.ndarray, key: tuple,
                     worker: Optional["_ShardWorker"],
                     ws: Optional[Workspace] = None) -> tuple[float, dict]:
     """Mean loss and gradients of the minibatch `idx` of (X, y): the mean
     over its shards, rows [0, cut) and [cut, B) for cut = _cut(B, 1),
-    weighted by shard size and summed shard 0 first.  Each shard draws
-    its rows of the whole batch's dropout keep masks (see
-    :meth:`Model.dropout_masks`): shard 0 from `rng`, which ends where a
-    whole-batch draw leaves it, shard 1 from a copy of `rng` taken before
-    the draw.  `worker`, if given, computes shard 1 while this process
-    computes shard 0 on `ws`."""
+    weighted by shard size and summed shard 0 first.  `key`, a tuple of
+    ints >= 0, keys both shards' dropout masks (see
+    :func:`_shard_loss_grads`).  `worker`, if given, computes shard 1
+    while this process computes shard 0 on `ws`."""
     B = len(idx)
     cut = _cut(B, 1)
     shards = [slice(0, cut)] if cut == B else [slice(0, cut), slice(cut, B)]
     if worker is not None and cut < B:
-        worker.submit("shard", idx, rng)
-        parts = [_shard_loss_grads(model, X, y, idx, shards[0], rng, ws),
+        worker.submit("shard", idx, key)
+        parts = [_shard_loss_grads(model, X, y, idx, shards[0], key, ws),
                  (worker.wait(), worker.grads)]
     else:
-        rngs = (rng, copy.deepcopy(rng))
-        parts = [_shard_loss_grads(model, X, y, idx, s, r, ws) for s, r in zip(shards, rngs)]
+        parts = [_shard_loss_grads(model, X, y, idx, s, key, ws) for s in shards]
     sizes = [s.stop - s.start for s in shards]
     loss = sum(n * part[0] for n, part in zip(sizes, parts)) / B
     grads = {k: sum(n * part[1][k] for n, part in zip(sizes, parts)) / B for k in parts[0][1]}
     return loss, grads
 
 
-def _shard_loss_grads(model: Model, X, y, idx: np.ndarray, rows: slice, rng,
+def _shard_loss_grads(model: Model, X, y, idx: np.ndarray, rows: slice, key: tuple,
                       ws: Optional[Workspace]):
     """Mean loss and gradients of the training windows idx[rows] of the
-    minibatch `idx`, with their rows of the batch's keep masks drawn from
-    `rng`, on `ws`.  Both processes run their shards through this one
-    function."""
+    minibatch `idx`, on `ws`, with dropout keep masks drawn from
+    np.random.default_rng([*key, rows.start]): each shard's own stream,
+    which no other shard's draw moves.  Both processes run their shards
+    through this one function."""
     Xs = X[idx[rows]]
-    masks = model.dropout_masks(len(idx), _batch_shape(Xs)[1], rng, rows, ws)
+    rng = np.random.default_rng([*key, rows.start])
+    masks = model.dropout_masks(len(Xs), _batch_shape(Xs)[1], rng, ws)
     return model.loss_and_grads(Xs, y[idx[rows]], masks=masks, ws=ws)
 
 
@@ -871,19 +867,18 @@ def _predict(model: Model, X, ws: Workspace, worker: Optional["_ShardWorker"]) -
         return model.predict(X, ws=ws)
     worker.submit("predict", cut)
     head = model.predict(X, ws=ws, rows=slice(0, cut))
-    worker.wait()
-    return np.concatenate([head, worker.pred])
+    return np.concatenate([head, worker.wait()])
 
 
 def split_predict(model: Model, X) -> np.ndarray:
-    """`model.predict(X)`'s probabilities, byte for byte, computed at one
-    BLAS thread.  When X holds more than 2 * PREDICT_CHUNK windows and
-    the affinity mask two CPUs or more, a predict-only worker forked for
-    this call predicts the tail (see :func:`_predict`) and exits before
-    the call returns.  Forking, the worker's first page faults and the
-    join cost about one chunk's predict (20-28 ms for a 64x64 LSTM at
-    T=100 on two cores), so at two chunks or fewer this process predicts
-    alone."""
+    """`model.predict(X)`'s probabilities, byte for byte, computed with
+    numpy's BLAS at one thread.  When X holds more than 2 * PREDICT_CHUNK
+    windows and the affinity mask two CPUs or more, a predict-only worker
+    forked for this call predicts the tail (see :func:`_predict`) and
+    exits before the call returns.  Forking, the worker's first page
+    faults and the join cost about one chunk's predict (20-28 ms for a
+    64x64 LSTM at T=100 on two cores), so at two chunks or fewer this
+    process predicts alone."""
     fork = len(X) > 2 * PREDICT_CHUNK and len(os.sched_getaffinity(0)) > 1
     with _one_blas_thread(), _ShardWorker(model, None, X) if fork else nullcontext() as worker:
         return _predict(model, X, Workspace(), worker)
@@ -896,28 +891,24 @@ class _ShardWorker:
     inherits the model and the windows at fork, so no window is pickled.
 
     Before the fork the constructor makes one anonymous shared mapping
-    (MAP_SHARED, so the worker inherits it) of float64s: the params,
-    shard 1's grads and the tail rows of a split predict of `predict_X`.
-    The worker's model reads its params from the mapping; `submit`
-    copies the caller's current params there and sends a request,
-    ("shard", idx, rng) with the minibatch's sample indices and the train
-    Generator before the batch's dropout draw, or ("predict", cut).  The
-    worker writes the shard's grads or the tail's probabilities into the
-    mapping, and `wait` returns its reply, the shard's loss or None, or
-    raises again the exception the request raised.  As a context manager
-    it ends the process on exit."""
+    (MAP_SHARED, so the worker inherits it) of float64s: the params and
+    shard 1's grads.  The worker's model reads its params from the
+    mapping; `submit` copies the caller's current params there and sends
+    a request of plain values: ("shard", idx, key) with the minibatch's
+    sample indices and dropout key, or ("predict", cut).  The worker
+    writes a shard's grads into the mapping and replies with its loss,
+    or replies with the (len(predict_X) - cut, K) probabilities of the
+    tail.  `wait` returns the reply, or raises again the exception the
+    request raised.  As a context manager it ends the process on exit."""
 
     def __init__(self, model: Model, train_xy, predict_X):
-        shapes = [p.shape for p in model.params.values()]
-        n = len(predict_X)
-        layout = [*shapes, *shapes, (n - _cut(n, PREDICT_CHUNK), K)]
-        starts = np.cumsum([0] + [math.prod(s) for s in layout]).tolist()
+        shapes = [p.shape for p in model.params.values()] * 2
+        starts = np.cumsum([0] + [math.prod(s) for s in shapes]).tolist()
         buf = np.frombuffer(mmap.mmap(-1, 8 * starts[-1]), np.float64)
-        views = [buf[a:a + math.prod(s)].reshape(s) for a, s in zip(starts, layout)]
+        views = [buf[a:a + math.prod(s)].reshape(s) for a, s in zip(starts, shapes)]
         self.model = model
-        self.params = dict(zip(model.params, views[:len(shapes)]))
-        self.grads = dict(zip(model.params, views[len(shapes):-1]))
-        self.pred = views[-1]
+        self.params = dict(zip(model.params, views))
+        self.grads = dict(zip(model.params, views[len(model.params):]))
         ctx = multiprocessing.get_context("fork")
         self.conn, child = ctx.Pipe()
         self.proc = ctx.Process(target=self._serve, args=(child, train_xy, predict_X),
@@ -933,7 +924,7 @@ class _ShardWorker:
             self.proc.terminate()   # the work it may be doing is not needed
         self.conn.close()           # an idle worker reads EOF and returns
         self.proc.join()
-        self.params = self.grads = self.pred = None   # the mapping goes with its views
+        self.params = self.grads = None   # the mapping goes with its views
 
     def submit(self, *request) -> None:
         for k, p in self.model.params.items():
@@ -967,14 +958,13 @@ class _ShardWorker:
                 try:
                     if kind == "shard":
                         X, y = train_xy
-                        idx, rng = args
+                        idx, key = args
                         rows = slice(_cut(len(idx), 1), len(idx))
-                        out, grads = _shard_loss_grads(model, X, y, idx, rows, rng, ws)
+                        out, grads = _shard_loss_grads(model, X, y, idx, rows, key, ws)
                         for k, g in grads.items():
                             self.grads[k][...] = g
                     else:
-                        self.pred[...] = model.predict(predict_X, ws=ws, rows=slice(args[0], None))
-                        out = None
+                        out = model.predict(predict_X, ws=ws, rows=slice(args[0], None))
                 except Exception as e:   # raised again in the parent
                     out = e
                 conn.send(out)

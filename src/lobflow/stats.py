@@ -179,7 +179,6 @@ def t_sf_two_sided(t: float, df: int) -> float:
 @dataclass
 class RegressionResult:
     slope: float
-    intercept: float
     slope_se: float
     t_stat: float
     p_value: float
@@ -221,11 +220,11 @@ def slope_regression(series: DailySeries) -> RegressionResult:
     if ss_res <= 1e-24 * scale:
         p = 1.0 if slope == 0.0 else 0.0
         t = 0.0 if slope == 0.0 else math.inf * np.sign(slope)
-        return RegressionResult(float(slope), float(intercept), 0.0, float(t), p, n,
+        return RegressionResult(float(slope), 0.0, float(t), p, n,
                                 zero_residual=True)
     se = math.sqrt(ss_res / (n - 2) / sxx)
     t = slope / se
-    return RegressionResult(float(slope), float(intercept), float(se), float(t),
+    return RegressionResult(float(slope), float(se), float(t),
                             t_sf_two_sided(t, n - 2), n)
 
 

@@ -6,7 +6,6 @@ import gc
 import multiprocessing
 import mmap
 import os
-import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -501,6 +500,19 @@ class TestAdam:
         with pytest.raises(net.NonFiniteGradient, match="non-finite gradient in w"):
             net.adam_step(params, {"w": np.array([np.nan])}, st)
 
+    def test_non_finite_gradient_changes_nothing(self):
+        # the bad gradient comes after a good one, which must not be applied
+        params = {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])}
+        st = net.AdamState.zeros_like(params)
+        net.adam_step(params, {"a": np.ones(2), "b": np.ones(2)}, st)
+        before = copy.deepcopy((params, st))
+        with pytest.raises(net.NonFiniteGradient, match="non-finite gradient in b"):
+            net.adam_step(params, {"a": np.ones(2), "b": np.array([np.nan, 1.0])}, st)
+        assert st.t == before[1].t == 1
+        for now, then in ((params, before[0]), (st.m, before[1].m), (st.v, before[1].v)):
+            for k in now:
+                assert now[k].tobytes() == then[k].tobytes(), k
+
 
 # ---------------------------------------------------------------------------
 # dropout
@@ -522,6 +534,19 @@ class TestDropout:
         assert all(k.dtype == bool for k in masks)
         kept = np.concatenate([k.ravel() for k in masks])
         assert abs(kept.mean() / 0.7 - 1.0) < 0.01   # keep / (1 - rate) has mean one
+
+    @pytest.mark.parametrize("block", [net.MASK_DRAW_BLOCK, 50])
+    @pytest.mark.parametrize("B", [1, 7])
+    def test_block_draws_are_one_plain_draw(self, monkeypatch, B, block):
+        # block 50 draws the LSTM masks a row at a time and the dense ones
+        # in blocks of several rows, the last one partial
+        monkeypatch.setattr(net, "MASK_DRAW_BLOCK", block)
+        m = Model(small_cfg(layers=(6, 4), dense_hidden=(5,), dropout=0.3), seed=0)
+        T = 9
+        rng, plain_rng = np.random.default_rng(3), np.random.default_rng(3)
+        widths = [(T, m.cfg.input_width), (T, 6), (4,), (5,)]
+        assert [k.tobytes() for k in m.dropout_masks(B, T, rng)] == [
+            (plain_rng.random((B, *w)) >= 0.3).tobytes() for w in widths]
 
     def test_masks_alone_make_a_training_pass(self):
         m = Model(small_cfg(layers=(4, 3), dense_hidden=(5,), dropout=0.4), seed=0)
@@ -660,57 +685,46 @@ class TestShards:
             assert p1[k].tobytes() == p2[k].tobytes(), k
 
     def test_two_shard_step_near_the_whole_batch(self):
-        # the same masks, drawn from the same seed; only the sums' order differs
+        # the whole batch's masks are the two shards' keyed draws, one
+        # above the other; only the sums' order differs
         m, X, y = _benchmark_model()
         idx = np.arange(64)
-        loss, grads = net._minibatch_step(m, X, y, idx, np.random.default_rng(7), None)
-        ref_loss, ref = m.loss_and_grads(X, y, masks=m.dropout_masks(64, 100,
-                                                                     np.random.default_rng(7)))
+        key = (7, 2, 128)
+        loss, grads = net._minibatch_step(m, X, y, idx, key, None)
+        shards = [m.dropout_masks(32, 100, np.random.default_rng([*key, a])) for a in (0, 32)]
+        masks = [np.concatenate(rows) for rows in zip(*shards)]
+        ref_loss, ref = m.loss_and_grads(X, y, masks=masks)
         assert abs(loss - ref_loss) <= 1e-5 * abs(ref_loss)
         for k in ref:
             assert _rel(grads[k], ref[k]) <= 1e-5, k
 
     def test_one_shard_step_with_parent_masks_is_loss_and_grads(self):
-        # a minibatch of one sample is one shard, with the masks the step draws
+        # a minibatch of one sample is one shard, with the masks keyed by
+        # the step's key and row 0
         m, X, y = _benchmark_model()
-        loss, grads = net._minibatch_step(m, X, y, np.array([5]), np.random.default_rng(8),
-                                          None)
-        ref_loss, ref = m.loss_and_grads(X[[5]], y[[5]],
-                                         masks=m.dropout_masks(1, 100, np.random.default_rng(8)))
+        key = (8, 0, 5)
+        loss, grads = net._minibatch_step(m, X, y, np.array([5]), key, None)
+        ref_loss, ref = m.loss_and_grads(
+            X[[5]], y[[5]], masks=m.dropout_masks(1, 100, np.random.default_rng([*key, 0])))
         assert loss == ref_loss
         for k in ref:
             assert grads[k].tobytes() == ref[k].tobytes(), k
 
-    @pytest.mark.parametrize("block", [net.MASK_DRAW_BLOCK, 50])
-    @pytest.mark.parametrize("B", [1, 2, 7, 64])
-    def test_shard_mask_rows_are_the_whole_batch_rows(self, monkeypatch, B, block):
-        # block 50 draws the LSTM masks a row at a time and the dense ones
-        # in blocks of several rows, the last one partial
-        monkeypatch.setattr(net, "MASK_DRAW_BLOCK", block)
-        m = Model(small_cfg(layers=(6, 4), dense_hidden=(5,), dropout=0.3), seed=0)
-        T = 9
-        rng = np.random.default_rng(3)
-        rng.permutation(50)   # leaves a buffered 32-bit half, which the draw must keep
-        assert rng.bit_generator.state["has_uint32"] == 1
-        whole_rng = copy.deepcopy(rng)
-        whole = m.dropout_masks(B, T, whole_rng)
-        # the plain whole-batch draw, in the forward's order and shapes
-        plain_rng = copy.deepcopy(rng)
-        widths = [(T, m.cfg.input_width), (T, 6), (4,), (5,)]
-        assert [k.tobytes() for k in whole] == [
-            (plain_rng.random((B, *w)) >= 0.3).tobytes() for w in widths]
-        # the parent draws shard 0 from the train rng, the worker shard 1
-        # from the Generator the request pickles, as _minibatch_step does
-        cut = net._cut(B, 1)
-        shards = [slice(0, cut)] if cut == B else [slice(0, cut), slice(cut, B)]
-        sent = pickle.loads(pickle.dumps(rng))
-        drawn = [m.dropout_masks(B, T, rng, shards[0])]
-        if cut < B:
-            drawn.append(m.dropout_masks(B, T, sent, shards[1]))
-        for rows, masks in zip(shards, drawn):
-            assert [k.tobytes() for k in masks] == [k[rows].tobytes() for k in whole]
-        assert rng.bit_generator.state == whole_rng.bit_generator.state == \
-            plain_rng.bit_generator.state
+    def test_train_rng_only_shuffles(self, monkeypatch):
+        # the minibatches of a seed do not depend on the dropout draws
+        _cpus(monkeypatch, 1)
+        step, seen = net._minibatch_step, {}
+
+        def recording(model, X, y, idx, *args):
+            seen.setdefault(model.cfg.dropout, []).append(idx.tobytes())
+            return step(model, X, y, idx, *args)
+
+        monkeypatch.setattr(net, "_minibatch_step", recording)
+        X, y = toy_xy(n=40)
+        sched = TrainSchedule(epochs=3, batch_size=16, patience=5, seed=4)
+        for rate in (0.0, 0.3):
+            net.train(Model(small_cfg(dropout=rate), seed=2), (X, y), (X, y), sched)
+        assert len(seen[0.0]) == 9 and seen[0.0] == seen[0.3]
 
     def test_reused_workspace_gives_the_fresh_bytes(self):
         # one workspace through minibatches of 64, 17 and 64 rows and a
@@ -720,9 +734,9 @@ class TestShards:
         draw = np.random.default_rng(3)
         for n in (64, 17, 64, 1):
             idx = draw.permutation(64)[:n]
-            seed = int(draw.integers(1000))
-            loss, grads = net._minibatch_step(m, X, y, idx, np.random.default_rng(seed), None, ws)
-            ref_loss, ref = net._minibatch_step(m, X, y, idx, np.random.default_rng(seed), None)
+            key = (int(draw.integers(1000)), 0, 0)
+            loss, grads = net._minibatch_step(m, X, y, idx, key, None, ws)
+            ref_loss, ref = net._minibatch_step(m, X, y, idx, key, None)
             assert loss == ref_loss
             for k in ref:
                 assert grads[k].tobytes() == ref[k].tobytes(), (n, k)
@@ -844,7 +858,7 @@ def _inside(a: np.ndarray, lo: int, hi: int) -> bool:
 
 class TestSplitPredict:
     """A predict of more than PREDICT_CHUNK windows on two CPUs, its tail
-    predicted by a worker into a shared mapping."""
+    predicted by a worker, which sends the probabilities back."""
 
     def _model_and_windows(self, n):
         m = Model(small_cfg(layers=(6, 4), dense_hidden=(5,), dropout=0.3), seed=0)
@@ -886,11 +900,15 @@ class TestSplitPredict:
         assert m.predict(X, rows=slice(a, len(X))).tobytes() == m.predict(X)[a:].tobytes()
         assert m.predict(X, rows=slice(0, a)).tobytes() == m.predict(X[:a]).tobytes()
 
-    def test_predict_only_worker_predicts_with_the_current_params(self):
+    def test_predict_only_worker_predicts_with_the_current_params(self, monkeypatch):
         # train_xy None: the mapping still holds the params, which each
-        # request copies from the caller's model
+        # request copies from the caller's model, and the grads, but no
+        # predictions, which come back through the pipe
+        maps = _record_mappings(monkeypatch)
         m, X = self._model_and_windows(200)
         with net._ShardWorker(m, None, X) as worker:
+            (_, lo, hi), = maps
+            assert hi - lo == 2 * 8 * sum(p.size for p in m.params.values())
             for _ in range(2):
                 want = m.predict(X).tobytes()
                 assert net._predict(m, X, net.Workspace(), worker).tobytes() == want
