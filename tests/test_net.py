@@ -536,7 +536,7 @@ class TestDropout:
         assert abs(kept.mean() / 0.7 - 1.0) < 0.01   # keep / (1 - rate) has mean one
 
     @pytest.mark.parametrize("block", [net.MASK_DRAW_BLOCK, 50])
-    @pytest.mark.parametrize("B", [1, 7])
+    @pytest.mark.parametrize("B", [1, 2, 7, 64])
     def test_block_draws_are_one_plain_draw(self, monkeypatch, B, block):
         # block 50 draws the LSTM masks a row at a time and the dense ones
         # in blocks of several rows, the last one partial
@@ -709,6 +709,27 @@ class TestShards:
         assert loss == ref_loss
         for k in ref:
             assert grads[k].tobytes() == ref[k].tobytes(), k
+
+    @pytest.mark.parametrize("B", [17, 32])
+    def test_worker_shard_is_the_keyed_shard(self, B):
+        # the worker draws shard 1's masks from the step's key and the
+        # shard's first row, so its loss and grads are the local shard's
+        X, y = toy_xy(n=40)
+        m = Model(small_cfg(layers=(4, 3), dense_hidden=(5,), dropout=0.3), seed=2)
+        idx = np.random.default_rng(1).permutation(40)[:B]
+        key = (4, 1, 16)
+        with net._one_blas_thread(), net._ShardWorker(m, (X, y), None) as worker:
+            loss, grads = net._minibatch_step(m, X, y, idx, key, worker)
+            worker.submit("shard", idx, key)
+            shard_loss, shard_grads = worker.wait(), {k: g.copy() for k, g in worker.grads.items()}
+            ref_loss, ref = net._minibatch_step(m, X, y, idx, key, None)
+            own_loss, own = net._shard_loss_grads(m, X, y, idx, slice(net._cut(B, 1), B), key,
+                                                  None)
+        assert multiprocessing.active_children() == []
+        assert loss == ref_loss and shard_loss == own_loss
+        for k in ref:
+            assert grads[k].tobytes() == ref[k].tobytes(), k
+            assert shard_grads[k].tobytes() == own[k].tobytes(), k
 
     def test_train_rng_only_shuffles(self, monkeypatch):
         # the minibatches of a seed do not depend on the dropout draws
