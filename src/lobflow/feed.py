@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, Optional
 
 from . import checks
@@ -320,6 +320,11 @@ def _first_undecodable_line(path) -> int:
 PLANTED_LAST_EVENT_SIDE = "last-event-side"
 # most events a generated stream may hold
 MAX_EVENTS = 100_000_000
+# largest mean gap: a gap is drawn from at most 2 * MAX_MEAN_GAP_MS + 1 = 2**32 - 1
+# values, which `_Draws` takes with 32-bit draws
+MAX_MEAN_GAP_MS = 2 ** 31 - 1
+# PCG64 words fetched from numpy at a time by `_Draws`
+_RAW_BLOCK = 1024
 
 
 @dataclass
@@ -330,9 +335,11 @@ class GeneratorConfig:
     Construction checks every value and raises :class:`InvalidConfig`:
     integer counts, prices and times (`n_events` in [0, MAX_EVENTS],
     `start_price` > `seed_levels` >= 2 so the opening ladder stays at
-    positive prices, `0 <= min_gap_ms <= 2 * mean_gap_ms`), finite
-    non-negative order-mix proportions summing to 1, and a known
-    `planted` rule.
+    positive prices, `mean_gap_ms` in [0, MAX_MEAN_GAP_MS] so that every
+    gap is one 32-bit draw, `0 <= min_gap_ms <= 2 * mean_gap_ms`, and
+    `start_ts + n_events * 2 * mean_gap_ms` below 2**63 so that every
+    `ts` fits the int64 the parser demands), finite non-negative
+    order-mix proportions summing to 1, and a known `planted` rule.
 
     Sizes are emitted as dyadic rationals (multiples of 2^-6) so that
     aggregate float arithmetic downstream is exact.
@@ -352,12 +359,16 @@ class GeneratorConfig:
 
     def __post_init__(self) -> None:
         checks.integer(self.n_events, "n_events", InvalidConfig, 0, MAX_EVENTS)
-        for name, lo in (("start_price", 1), ("mean_gap_ms", 0), ("min_gap_ms", 0),
-                         ("seed_levels", 2)):
+        checks.integer(self.mean_gap_ms, "mean_gap_ms", InvalidConfig, 0, MAX_MEAN_GAP_MS)
+        for name, lo in (("start_price", 1), ("min_gap_ms", 0), ("seed_levels", 2)):
             checks.integer(getattr(self, name), name, InvalidConfig, lo)
         checks.integer(self.start_ts, "start_ts", InvalidConfig)
         if self.min_gap_ms > 2 * self.mean_gap_ms:
             raise InvalidConfig("min_gap_ms must be in [0, 2*mean_gap_ms]")
+        # each gap is at most 2 * mean_gap_ms
+        if self.start_ts + self.n_events * 2 * self.mean_gap_ms > _INT64_MAX:
+            raise InvalidConfig("start_ts + n_events * 2 * mean_gap_ms must be below 2**63, "
+                                f"got start_ts {self.start_ts}")
         if self.start_price <= self.seed_levels:
             raise InvalidConfig("start_price must exceed seed_levels")
         props = (self.prop_limit, self.prop_market, self.prop_cancel)
@@ -369,9 +380,62 @@ class GeneratorConfig:
             raise InvalidConfig(f"unknown planted rule {self.planted!r}")
 
 
+class _Draws:
+    """The `random()` and `integers(lo, hi)` of ``np.random.default_rng(seed)``,
+    value for value and in the same order, decoded in Python from blocks of
+    the generator's PCG64 64-bit words.
+
+    `random()` takes one whole word ``w`` and returns ``(w >> 11) * 2**-53``.
+    `integers(lo, hi)` draws nothing for ``hi - lo == 1``; otherwise it runs
+    Lemire's bounded-integer method ("Fast random integer generation in an
+    interval", ACM TOMACS 29(1), 2019) on 32-bit draws.  A 32-bit draw is
+    the low half of a fresh word, or the high half of the last word so
+    split if that half is still unused; `random()` leaves that half alone.
+    Ranges wider than 2**32 take numpy's 64-bit path, which this does not
+    decode, and raise ValueError.
+    """
+
+    __slots__ = ("_word", "_high")
+
+    def __init__(self, seed: int):
+        import numpy as np
+
+        raw = np.random.default_rng(seed).bit_generator.random_raw
+        # the next word, from blocks of _RAW_BLOCK words made Python ints
+        blocks = map(np.ndarray.tolist, map(raw, repeat(_RAW_BLOCK)))
+        self._word = chain.from_iterable(blocks).__next__
+        self._high = None   # the unused high half of the last word split, if any
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0 ** -53
+
+    def _uint32(self) -> int:
+        high = self._high
+        if high is not None:
+            self._high = None
+            return high
+        w = self._word()
+        self._high = w >> 32
+        return w & 0xFFFFFFFF
+
+    def integers(self, lo: int, hi: int) -> int:
+        n = hi - lo
+        if n == 1:
+            return lo
+        if not 1 < n <= 1 << 32:
+            raise ValueError(f"cannot draw from [{lo}, {hi}): range must hold 1 to 2**32 values")
+        m = self._uint32() * n
+        if m & 0xFFFFFFFF < n:
+            # products whose low 32 bits fall below 2**32 % n would bias the result
+            threshold = (1 << 32) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * n
+        return lo + (m >> 32)
+
+
 def _dyadic_size(rng) -> float:
     # multiples of 1/64 in (0, 1]
-    return (1 + int(rng.integers(0, 64))) / 64.0
+    return (1 + rng.integers(0, 64)) / 64.0
 
 
 def generate_synthetic(config: GeneratorConfig, seed: int) -> Iterator[str]:
@@ -381,12 +445,19 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> Iterator[str]:
     equals the side of the immediately preceding (deep, passive) limit
     order, so downstream labels are predictable from the last window
     event.
-    """
-    import numpy as np
 
+    Every draw comes from :class:`_Draws`, which returns what
+    ``np.random.default_rng(seed)``'s `random()` and `integers(lo, hi)`
+    would: `random()` is a 64-bit PCG64 word's top 53 bits times 2**-53,
+    and `integers(lo, hi)` Lemire's bounded-integer method on the words'
+    32-bit halves, low half first.  A stream therefore rests only on
+    numpy's SeedSequence and PCG64 raw output, which numpy keeps stable
+    across versions, and not on `Generator.integers`' algorithm, which it
+    may change.
+    """
     from . import lob
 
-    rng = np.random.default_rng(seed)
+    rng = _Draws(seed)
     book = lob.OrderBook()
     integers, apply_event = rng.integers, book.apply_event
     gap_lo, gap_hi = config.min_gap_ms, 2 * config.mean_gap_ms + 1
@@ -396,7 +467,7 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> Iterator[str]:
              order_id: Optional[str] = None) -> str:
         nonlocal seq, ts
         seq += 1
-        ts += int(integers(gap_lo, gap_hi))
+        ts += integers(gap_lo, gap_hi)
         ev = OrderEvent(ts, seq, kind, side, price, size,
                         order_id if order_id is not None else f"o{seq}")
         apply_event(ev)
@@ -420,13 +491,13 @@ def _planted_stream(config, rng, book, emit):
         # all three are drawn before any is emitted: emitting draws the gap
         round_events = []
         # replenish both sides deep so the mover always finds liquidity behind best
-        round_events.append((EventKind.LIMIT, Side.SELL, ba + 3 + int(rng.integers(0, 6)), _dyadic_size(rng)))
-        round_events.append((EventKind.LIMIT, Side.BUY, max(1, bb - 3 - int(rng.integers(0, 6))), _dyadic_size(rng)))
+        round_events.append((EventKind.LIMIT, Side.SELL, ba + 3 + rng.integers(0, 6), _dyadic_size(rng)))
+        round_events.append((EventKind.LIMIT, Side.BUY, max(1, bb - 3 - rng.integers(0, 6)), _dyadic_size(rng)))
         # signal: deep passive order on the planted side; never moves the mid
         if up:
-            round_events.append((EventKind.LIMIT, Side.BUY, max(1, book.best_bid() - 2 - int(rng.integers(0, 5))), _dyadic_size(rng)))
+            round_events.append((EventKind.LIMIT, Side.BUY, max(1, book.best_bid() - 2 - rng.integers(0, 5)), _dyadic_size(rng)))
         else:
-            round_events.append((EventKind.LIMIT, Side.SELL, book.best_ask() + 2 + int(rng.integers(0, 5)), _dyadic_size(rng)))
+            round_events.append((EventKind.LIMIT, Side.SELL, book.best_ask() + 2 + rng.integers(0, 5), _dyadic_size(rng)))
         for kind, s, price, size in round_events:
             yield emit(kind, s, price, size)
         # mover: the one event per round that moves the mid, in direction `up`.
@@ -436,10 +507,10 @@ def _planted_stream(config, rng, book, emit):
         bb, ba = book.best_bid(), book.best_ask()
         if ba - bb >= 4:
             if up:
-                price = min(bb + 1 + int(rng.integers(0, 3)), ba - 1)
+                price = min(bb + 1 + rng.integers(0, 3), ba - 1)
                 yield emit(EventKind.LIMIT, Side.BUY, price, _dyadic_size(rng))
             else:
-                price = max(ba - 1 - int(rng.integers(0, 3)), bb + 1)
+                price = max(ba - 1 - rng.integers(0, 3), bb + 1)
                 yield emit(EventKind.LIMIT, Side.SELL, price, _dyadic_size(rng))
         else:
             opp_best = ba if up else bb
@@ -454,7 +525,7 @@ def _noise_stream(config, rng, book, emit):
         if u < config.prop_cancel and book.resting:
             # cancel a random live order, fully or by half; `resting` keeps
             # the orders in the order they came to rest
-            oid = next(islice(book.resting, int(rng.integers(0, len(book.resting))), None))
+            oid = next(islice(book.resting, rng.integers(0, len(book.resting)), None))
             order = book.resting[oid]
             full = rng.random() < 0.9 or order.remaining < 1e-9
             size = order.remaining if full else order.remaining / 2.0
@@ -467,10 +538,10 @@ def _noise_stream(config, rng, book, emit):
         else:
             if side is Side.BUY:
                 ref = book.best_bid() or (config.start_price - 2)
-                price = max(1, ref - int(rng.integers(-2, 8)))
+                price = max(1, ref - rng.integers(-2, 8))
             else:
                 ref = book.best_ask() or (config.start_price + 2)
-                price = max(1, ref + int(rng.integers(-2, 8)))
+                price = max(1, ref + rng.integers(-2, 8))
             yield emit(EventKind.LIMIT, side, price, _dyadic_size(rng))
 
 

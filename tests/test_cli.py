@@ -191,6 +191,11 @@ class TestConfig:
         ("build", {"generator": {"n_events": "x"}}, "'generator': n_events"),
         ("generate", {"generator": {"mean_gap_ms": 0, "min_gap_ms": 1}},
          "'generator': min_gap_ms"),
+        ("generate", {"generator": {"mean_gap_ms": 4611686018427387904}},
+         "'generator': mean_gap_ms must be at most 2147483647"),
+        # the generated ts would pass 2**63 - 1, which `build` refuses
+        ("generate", {"generator": {"start_ts": 9223372036854775000}},
+         "'generator': start_ts + n_events * 2 * mean_gap_ms"),
         ("generate", {"pairs": {"X": {"generator": {"n_events": 5}}}},
          "unknown config key 'pairs.X.generator'"),
         ("generate", {"pairs": {"X": {"input": 5}}}, "'pairs.X.input'"),

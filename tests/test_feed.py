@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import json
 import math
+import random
 from types import SimpleNamespace
 from unittest import mock
 
@@ -523,20 +524,27 @@ class TestGenerator:
         assert h.hexdigest() == digest
 
     # SHA-256 of the files `write_stream` writes for the set-up inputs of
-    # the benchmark's replay, build and learn workloads at seed 7, recorded
-    # before the generator wrote lines through a template
-    @pytest.mark.parametrize("n,gap,min_gap,planted,digest", [
-        (30_000, 10_000, 0, None,
+    # the benchmark's replay, build and learn workloads: at seed 7 recorded
+    # before the generator wrote lines through a template, at seed 4242
+    # before the draws were decoded from PCG64 raw words
+    @pytest.mark.parametrize("seed,n,gap,min_gap,planted,digest", [
+        (7, 30_000, 10_000, 0, None,
          "99020af58b40bff8a9da9c36423f896fd5d843aec618b2861f5afeed1bfa6455"),
-        (8_000, 60_000, 1, feed.PLANTED_LAST_EVENT_SIDE,
+        (7, 8_000, 60_000, 1, feed.PLANTED_LAST_EVENT_SIDE,
          "5f93081ea00fdc2f4fee8545f6b37b78595b7c3ed4b1514acecc712aa27cabda"),
-        (14_380, 180_000, 1, feed.PLANTED_LAST_EVENT_SIDE,
+        (7, 14_380, 180_000, 1, feed.PLANTED_LAST_EVENT_SIDE,
          "b9b4300aec19fe509a6a1aa43f569d9f4707d6b51cb61b2deebe25b98b91685b"),
+        (4242, 30_000, 10_000, 0, None,
+         "12200cee19538c7c2fe7d7bad99da5c80618eb48d03ffe6d97a5914177fccba7"),
+        (4242, 8_000, 60_000, 1, feed.PLANTED_LAST_EVENT_SIDE,
+         "fddedfd5284a8cc2a8b6b31f498bf68ac26befe1778b9817b6a59d086cd9046b"),
+        (4242, 14_380, 180_000, 1, feed.PLANTED_LAST_EVENT_SIDE,
+         "8943d2e55e1beadbf4f217077f969069ee6f5a44ea6570575324a4468bcbd289"),
     ])
-    def test_benchmark_streams_pinned(self, tmp_path, n, gap, min_gap, planted, digest):
+    def test_benchmark_streams_pinned(self, tmp_path, seed, n, gap, min_gap, planted, digest):
         cfg = feed.GeneratorConfig(n_events=n, mean_gap_ms=gap, min_gap_ms=min_gap,
                                    planted=planted)
-        assert feed.write_stream(tmp_path / "s.ofr", cfg, seed=7) == n
+        assert feed.write_stream(tmp_path / "s.ofr", cfg, seed) == n
         assert hashlib.sha256((tmp_path / "s.ofr").read_bytes()).hexdigest() == digest
 
     def test_output_is_valid_stream(self, noise_lines):
@@ -555,6 +563,9 @@ class TestGenerator:
         {"n_events": True},
         {"prop_cancel": float("nan")},
         {"n_events": feed.MAX_EVENTS + 1},
+        {"mean_gap_ms": feed.MAX_MEAN_GAP_MS + 1},
+        {"mean_gap_ms": 2 ** 62},
+        {"start_ts": 9_223_372_036_854_775_000},   # the default 20k events pass 2**63
     ])
     def test_invalid_config(self, bad):
         with pytest.raises(feed.InvalidConfig):
@@ -563,6 +574,23 @@ class TestGenerator:
     def test_largest_event_count_passes_the_check(self):
         # the config allocates and generates nothing
         assert feed.GeneratorConfig(n_events=feed.MAX_EVENTS).n_events == feed.MAX_EVENTS
+
+    def test_largest_mean_gap_passes_the_check(self):
+        cfg = feed.GeneratorConfig(n_events=30, mean_gap_ms=feed.MAX_MEAN_GAP_MS, start_ts=0)
+        events = list(feed.iter_events(feed.generate_synthetic(cfg, seed=5)))
+        assert len(events) == 30 and events[-1].timestamp_ms <= 30 * 2 * feed.MAX_MEAN_GAP_MS
+
+    def test_last_start_ts_passes_the_check(self):
+        # every gap is exactly 2 * mean_gap_ms, so the last ts reaches the bound
+        n, gap = 40, 3
+        last = 2 ** 63 - 1 - n * 2 * gap
+        cfg = feed.GeneratorConfig(n_events=n, mean_gap_ms=gap, min_gap_ms=2 * gap,
+                                   start_ts=last)
+        events = list(feed.iter_events(feed.generate_synthetic(cfg, seed=2)))
+        assert len(events) == n and events[-1].timestamp_ms == 2 ** 63 - 1
+        with pytest.raises(feed.InvalidConfig, match="start_ts"):
+            feed.GeneratorConfig(n_events=n, mean_gap_ms=gap, min_gap_ms=2 * gap,
+                                 start_ts=last + 1)
 
     def test_planted_rule_links_last_side_to_label(self, planted_events):
         # the event immediately before every mid move carries the move's side
@@ -578,3 +606,40 @@ class TestGenerator:
                 checked += 1
             prev_side = e.side
         assert checked > 100
+
+
+class TestDraws:
+    """`feed._Draws` against ``np.random.default_rng``, call for call."""
+
+    # no draw (1), small spans, about half of all draws rejected
+    # (2**31 + 1) and both 32-bit edges
+    SPANS = [1, 2, 3, 64, 2 ** 31 + 1, 2 ** 32 - 1, 2 ** 32]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 4242, 2 ** 70 + 3])
+    def test_matches_numpy_call_for_call(self, seed):
+        draws, rng, plan = feed._Draws(seed), np.random.default_rng(seed), random.Random(seed)
+        whole_words = 0
+        for _ in range(4 * feed._RAW_BLOCK):
+            if plan.random() < 0.4:
+                got, want = draws.random(), rng.random()
+                assert type(got) is float
+                whole_words += 1
+            else:
+                lo = plan.choice([0, -1, 5, plan.randrange(-2 ** 40, 2 ** 40)])
+                hi = lo + plan.choice(self.SPANS)
+                got, want = draws.integers(lo, hi), rng.integers(lo, hi)
+                assert type(got) is int and lo <= got < hi
+            assert got == want
+        assert whole_words > feed._RAW_BLOCK   # the draws crossed a block boundary
+
+    def test_single_value_range_draws_nothing(self):
+        draws, rng = feed._Draws(11), np.random.default_rng(11)
+        assert draws.integers(-3, 4) == rng.integers(-3, 4)   # leaves a high half
+        assert [draws.integers(9, 10) for _ in range(5)] == [9] * 5
+        assert draws.integers(0, 64) == rng.integers(0, 64)   # takes the high half
+        assert draws.random() == rng.random()
+
+    @pytest.mark.parametrize("lo,hi", [(0, 2 ** 32 + 1), (-2 ** 40, 2 ** 40), (5, 5), (5, 4)])
+    def test_rejects_ranges_outside_32_bits(self, lo, hi):
+        with pytest.raises(ValueError, match="range"):
+            feed._Draws(0).integers(lo, hi)
