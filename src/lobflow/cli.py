@@ -12,6 +12,7 @@ import argparse
 import copy
 import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -73,6 +74,8 @@ def _deep_merge(base: dict, override: dict) -> dict:
 # blocks whose keys must be a subset of their CONFIG_DEFAULTS block
 _CHECKED_BLOCKS = ("generator", "warm_up", "model", "schedule")
 _PAIR_KEYS = ("input",)
+# a pair name becomes a file stem, a CSV cell, a `# key=value` line and SVG text
+_PAIR_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
 
 def _check_keys(block, allowed, where: str) -> None:
@@ -95,6 +98,8 @@ def _check_config(raw) -> None:
     if not isinstance(pairs, dict):
         raise CliError("config pairs must be a JSON object")
     for name, pair in pairs.items():
+        if not _PAIR_NAME.fullmatch(name):
+            raise CliError(f"config pair name {name!r} must match {_PAIR_NAME.pattern}")
         _check_keys(pair, _PAIR_KEYS, f"pairs.{name}.")
 
 

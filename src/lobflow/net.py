@@ -766,9 +766,9 @@ def _openblas() -> tuple:
     this process that exports scipy-openblas's 64-bit-integer names or
     OpenBLAS's plain ones, found through the shared objects that
     /proc/self/maps lists; empty where there is no such file.  That is
-    numpy's BLAS.  scipy's own libscipy_openblas, loaded by the
-    scipy.special import of `stats`, exports neither and is not found;
-    no `train` or `predict` call reaches it."""
+    numpy's BLAS.  scipy's own libscipy_openblas, loaded only once a
+    p-value or the oracle's quadrature is computed, exports neither and
+    is not found; `train` and `predict` never load or reach it."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = sorted({line.split(None, 5)[-1].strip() for line in fh
@@ -798,8 +798,9 @@ def _one_blas_thread():
     numpy's, at one thread and give each its old thread count back on
     exit.  Two processes on two CPUs would otherwise start a BLAS thread
     per CPU each, and the trained bytes would depend on the thread
-    count.  The BLAS that scipy loads for itself keeps its count, which
-    is enough: `train` and `predict` run their GEMMs through numpy."""
+    count.  The BLAS that scipy loads for itself, in a process that
+    computes a p-value, keeps its count, which is enough: `train` and
+    `predict` run their GEMMs through numpy and load no scipy."""
     libs = _openblas()
     counts = [get() for get, _ in libs]
     for _, put in libs:

@@ -14,8 +14,6 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from scipy.integrate import quad
-
 from .feed import EventKind, OrderEvent, Side
 from .lob import CancelMismatch, OverCancel, UnknownOrderId
 
@@ -173,6 +171,7 @@ def t_cdf_quadrature(t: float, df: int) -> float:
     """CDF by adaptive quadrature of the density from 0 to |t|."""
     if t == 0.0:
         return 0.5
+    from scipy.integrate import quad
     body, _ = quad(t_pdf, 0.0, abs(t), args=(df,), epsabs=1e-12, limit=200)
     return 0.5 + body if t > 0 else 0.5 - body
 

@@ -5,7 +5,9 @@ slope regression of daily MCC with two-sided p-values, paired t-tests,
 cross-asset percentage MCC drops, and daily market aggregates (trade
 volume, 1-day lagged mid-price change).
 
-All operations are pure over immutable inputs.
+All operations are pure over immutable inputs.  scipy.special is
+imported inside the two t functions that call it, so a process that
+computes no p-value never loads scipy.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from datetime import datetime, timezone
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy.special import betainc, betaincc
 
 
 class StatsError(Exception):
@@ -154,6 +155,7 @@ def t_cdf(t: float, df: int) -> float:
         raise InvalidDf(f"df must be >= 1, got {df}")
     if t == 0.0:
         return 0.5
+    from scipy.special import betainc
     x = df / (df + t * t)
     tail = 0.5 * betainc(df / 2.0, 0.5, x)
     return 1.0 - tail if t > 0 else tail
@@ -165,6 +167,7 @@ def t_sf_two_sided(t: float, df: int) -> float:
     I_{1-x}(1/2, df/2), so that no p loses digits to 1 - (1 - p)."""
     if df < 1:
         raise InvalidDf(f"df must be >= 1, got {df}")
+    from scipy.special import betainc, betaincc
     t2 = t * t
     if t2 < df:
         return float(betaincc(0.5, df / 2.0, t2 / (df + t2)))

@@ -5,6 +5,9 @@ Output bytes depend only on the data, so re-runs are byte-identical.
 
 from __future__ import annotations
 
+# html's escape, not xml.sax.saxutils's, which would load urllib into every process
+from html import escape
+
 from .atomic import atomic_open
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -23,7 +26,7 @@ def line_chart(series: dict, path, title: str = "", ylabel: str = "",
 
     `series` maps legend name -> list of y values; all series share the
     x positions 0..n-1, optionally labelled with `x_labels` (strings,
-    thinned automatically).
+    thinned automatically).  Every label is written XML-escaped.
     """
     names = list(series)
     n = max((len(v) for v in series.values()), default=0)
@@ -47,7 +50,8 @@ def line_chart(series: dict, path, title: str = "", ylabel: str = "",
            f'viewBox="0 0 {_W} {_H}" font-family="monospace" font-size="11">']
     out.append(f'<rect width="{_W}" height="{_H}" fill="white"/>')
     if title:
-        out.append(f'<text x="{_W // 2}" y="20" text-anchor="middle" font-size="14">{title}</text>')
+        out.append(f'<text x="{_W // 2}" y="20" text-anchor="middle" font-size="14">'
+                   f'{escape(title, quote=False)}</text>')
     # axes
     out.append(f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_H - _MB}" stroke="black"/>')
     out.append(f'<line x1="{_ML}" y1="{_H - _MB}" x2="{_W - _MR}" y2="{_H - _MB}" stroke="black"/>')
@@ -59,7 +63,7 @@ def line_chart(series: dict, path, title: str = "", ylabel: str = "",
         out.append(f'<text x="{_ML - 8}" y="{_fmt(y + 4)}" text-anchor="end">{_fmt(v)}</text>')
     if ylabel:
         out.append(f'<text x="14" y="{_H // 2}" transform="rotate(-90 14 {_H // 2})" '
-                   f'text-anchor="middle">{ylabel}</text>')
+                   f'text-anchor="middle">{escape(ylabel, quote=False)}</text>')
     # x ticks
     if x_labels:
         step = max(1, len(x_labels) // 8)
@@ -68,7 +72,7 @@ def line_chart(series: dict, path, title: str = "", ylabel: str = "",
             out.append(f'<line x1="{_fmt(x)}" y1="{_H - _MB}" x2="{_fmt(x)}" '
                        f'y2="{_H - _MB + 4}" stroke="black"/>')
             out.append(f'<text x="{_fmt(x)}" y="{_H - _MB + 16}" text-anchor="middle">'
-                       f'{x_labels[i]}</text>')
+                       f'{escape(x_labels[i], quote=False)}</text>')
     # series
     for s, name in enumerate(names):
         vals = series[name]
@@ -78,7 +82,7 @@ def line_chart(series: dict, path, title: str = "", ylabel: str = "",
         lx = _ML + 10 + 150 * s
         out.append(f'<line x1="{lx}" y1="{_H - 14}" x2="{lx + 18}" y2="{_H - 14}" '
                    f'stroke="{color}" stroke-width="2"/>')
-        out.append(f'<text x="{lx + 24}" y="{_H - 10}">{name}</text>')
+        out.append(f'<text x="{lx + 24}" y="{_H - 10}">{escape(name, quote=False)}</text>')
     out.append("</svg>")
     with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(out) + "\n")

@@ -5,6 +5,8 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -145,6 +147,12 @@ class TestConfig:
         loaded = cli.load_config(write_config(tmp_path / "c.json", cfg))
         assert (loaded["T"], loaded["S"]) == (cli.MAX_T, cli.MAX_S)
 
+    @pytest.mark.parametrize("name", ["AAA", "X", "FIX", "DEMO", "BENCH", "BTC-USD",
+                                      "0x", "a.b_c-d"])
+    def test_pair_name_accepted(self, tmp_path, name):
+        cfg = {"pairs": {name: {"input": "x.ofr"}}}
+        assert list(cli.load_config(write_config(tmp_path / "c.json", cfg))["pairs"]) == [name]
+
     def test_unknown_generator_key_is_error_exit(self, tmp_path, capsys):
         cfg = {"pairs": {"X": {"input": str(tmp_path / "x.ofr")}}, "generator": {"bogus": 1}}
         p = write_config(tmp_path / "c.json", cfg)
@@ -199,6 +207,11 @@ class TestConfig:
         ("generate", {"pairs": {"X": {"generator": {"n_events": 5}}}},
          "unknown config key 'pairs.X.generator'"),
         ("generate", {"pairs": {"X": {"input": 5}}}, "'pairs.X.input'"),
+        # a pair name is a file stem, a CSV cell, a `# key=value` line and SVG text
+        *[(command, {"pairs": {name: {}}}, f"pair name {name!r}")
+          for command in ("generate", "build")
+          for name in ("A&B", "A\nB", "A\n", "A/B", "../x", "..", ".x", "-x", "_x",
+                       "A B", "A<B", "A,B", "", "\u00c5")],
         (TRAIN, {"model": {"layers": []}}, "'model': layers"),
         (TRAIN, {"model": {"layers": [0]}}, "'model': layers"),
         (TRAIN, {"model": {"layers": [8, net.MAX_WIDTH + 1]}},
@@ -952,6 +965,47 @@ class TestConfigFuzz:
         if rc == cli.EXIT_ERROR:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
+_IMPORT_PROBE = """
+import json, sys
+from lobflow import cli, feed, oracle, stats
+
+def loaded():
+    return sorted({"scipy.special", "scipy.integrate"} & set(sys.modules))
+
+for command in ("generate", "build"):
+    assert cli.main([command, "--config", sys.argv[1], "--out", "out"]) == cli.EXIT_OK
+stats.daily_market_aggregates(feed.read_events("X.ofr"))
+report = {"stages": loaded()}
+try:
+    report["invalid_df"] = stats.t_sf_two_sided(0.5, 0)
+except stats.InvalidDf:
+    report["invalid_df"] = loaded()
+report["p"] = stats.t_sf_two_sided(2.0, 5).hex()
+report["cdf"] = oracle.t_cdf_quadrature(1.0, 5).hex()
+report["values"] = loaded()
+print(json.dumps(report))
+"""
+
+
+class TestImportFootprint:
+    def test_scipy_loads_only_for_a_p_value_or_a_quadrature(self, tmp_path, tiny):
+        """`generate`, `build` and the market aggregates run in a fresh
+        interpreter without loading scipy.special or scipy.integrate."""
+        cfgfile = write_config(tmp_path / "c.json", tiny["cfg"])
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, cfgfile], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-4000:]
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["stages"] == []
+        assert report["invalid_df"] == []
+        assert report["values"] == ["scipy.integrate", "scipy.special"]
+        # the bits these two gave while scipy was imported with the module
+        assert report["p"] == "0x1.a18b4a7bedacbp-4"
+        assert report["cdf"] == "0x1.a3042e171c6fap-1"
+        assert (tmp_path / "out" / "X.orderflow.ds").exists()
 
 
 # ---------------------------------------------------------------------------
