@@ -1,17 +1,21 @@
 """The value checks of run settings, each written once.
 
 The config dataclasses (`feed.GeneratorConfig`, `net.ModelConfig`,
-`net.TrainSchedule`), the CLI and the `.ds` loader call these with
-their own error type.  A message starts with the setting's name.
-`bool` is never a number here, although Python counts it as one.
+`net.TrainSchedule`), the CLI and the readers of `.ds`, `.ckpt` and
+prediction files call these with their own error type.  A message
+starts with the setting's name.  `bool` is never a number here,
+although Python counts it as one.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import re
 
 _INT64_END = 2 ** 63
+# a pair name becomes a file stem, a CSV cell, a `# key=value` line and SVG text
+_PAIR_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
 
 def integer(value, name: str, error: type, lo: int = -_INT64_END,
@@ -38,3 +42,10 @@ def number(value, name: str, error: type, lo: float = -math.inf, hi: float = mat
         if hi < math.inf:
             bound += f"{' and' if bound else ''} < {hi}"
         raise error(f"{name} must be a finite number{bound}, got {value!r}")
+
+
+def pair_name(value, name: str, error: type) -> None:
+    """`value` must be a pair name: a str of ASCII letters, digits, `_`,
+    `.` and `-` that starts with a letter or digit."""
+    if type(value) is not str or not _PAIR_NAME.fullmatch(value):
+        raise error(f"{name} {value!r} must match {_PAIR_NAME.pattern}")

@@ -12,7 +12,6 @@ import argparse
 import copy
 import dataclasses
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -74,8 +73,6 @@ def _deep_merge(base: dict, override: dict) -> dict:
 # blocks whose keys must be a subset of their CONFIG_DEFAULTS block
 _CHECKED_BLOCKS = ("generator", "warm_up", "model", "schedule")
 _PAIR_KEYS = ("input",)
-# a pair name becomes a file stem, a CSV cell, a `# key=value` line and SVG text
-_PAIR_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
 
 def _check_keys(block, allowed, where: str) -> None:
@@ -98,8 +95,7 @@ def _check_config(raw) -> None:
     if not isinstance(pairs, dict):
         raise CliError("config pairs must be a JSON object")
     for name, pair in pairs.items():
-        if not _PAIR_NAME.fullmatch(name):
-            raise CliError(f"config pair name {name!r} must match {_PAIR_NAME.pattern}")
+        checks.pair_name(name, "config pair name", CliError)
         _check_keys(pair, _PAIR_KEYS, f"pairs.{name}.")
 
 
@@ -375,6 +371,10 @@ def _load_predictions(paths) -> list[dict]:
         for key in ("variant", "train_pair", "test_pair"):
             if key not in meta:
                 raise CliError(f"{p}: prediction file has no '# {key}=' line")
+        if meta["variant"] not in features.VARIANTS:
+            raise CliError(f"{p}: variant {meta['variant']!r} is not one of {features.VARIANTS}")
+        for key in ("train_pair", "test_pair"):
+            checks.pair_name(meta[key], f"{p}: {key}", CliError)
         preds = []
         for r in rows:
             try:

@@ -413,9 +413,11 @@ def load_dataset(path) -> Dataset:
     # the bounds load_config applies to a run's T and S
     checks.integer(ds.T, f"{path}: T", FeatureError, 1, MAX_T)
     checks.integer(ds.S, f"{path}: S", FeatureError, 1, MAX_S)
+    if ds.variant not in VARIANTS:
+        raise FeatureError(f"{path}: variant {ds.variant!r} is not one of {VARIANTS}")
+    checks.pair_name(ds.pair, f"{path}: pair", FeatureError)
     _check_fields(path, ds)
-    if ds.variant not in VARIANTS or ds.table.ndim != 2 \
-            or ds.table.shape[1] != table_width(ds.variant, ds.S):
+    if ds.table.ndim != 2 or ds.table.shape[1] != table_width(ds.variant, ds.S):
         raise FeatureError(f"{path}: table shape {ds.table.shape} does not fit variant "
                            f"{ds.variant!r}, S={ds.S}")
     E = len(ds.table)

@@ -86,16 +86,13 @@ import ctypes
 import functools
 import math
 import mmap
-import multiprocessing
-import os
-import signal
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
 
-from . import checks, container, stats as statsmod
+from . import checks, container, forked, stats as statsmod
 from .features import MAX_S, VARIANTS, MissingStats, table_width, transform_numeric
 
 
@@ -727,7 +724,7 @@ def train(model: Model, train_xy, val_xy, schedule: TrainSchedule) -> TrainResul
     since_improve = 0
     # min(2, CPUs in the affinity mask) processes; a worker only when a
     # minibatch can hold two shards or a validation predict splits
-    parallel = (len(os.sched_getaffinity(0)) > 1
+    parallel = (forked.spare_cpu()
                 and (min(schedule.batch_size, len(ytr)) > 1 or len(yva) > PREDICT_CHUNK))
     # the worker forks at one BLAS thread and keeps it
     with (_one_blas_thread(),
@@ -880,12 +877,12 @@ def split_predict(model: Model, X) -> np.ndarray:
     faults and the join cost about one chunk's predict (20-28 ms for a
     64x64 LSTM at T=100 on two cores), so at two chunks or fewer this
     process predicts alone."""
-    fork = len(X) > 2 * PREDICT_CHUNK and len(os.sched_getaffinity(0)) > 1
+    fork = len(X) > 2 * PREDICT_CHUNK and forked.spare_cpu()
     with _one_blas_thread(), _ShardWorker(model, None, X) if fork else nullcontext() as worker:
         return _predict(model, X, Workspace(), worker)
 
 
-class _ShardWorker:
+class _ShardWorker(forked.Worker):
     """A process forked from the caller that computes shard 1 of each
     minibatch of `train_xy` and the tail of each split predict of
     `predict_X` (`train_xy` None: no shard request will come).  It
@@ -900,7 +897,7 @@ class _ShardWorker:
     writes a shard's grads into the mapping and replies with its loss,
     or replies with the (len(predict_X) - cut, K) probabilities of the
     tail.  `wait` returns the reply, or raises again the exception the
-    request raised.  As a context manager it ends the process on exit."""
+    request raised.  Its lifecycle is :class:`lobflow.forked.Worker`'s."""
 
     def __init__(self, model: Model, train_xy, predict_X):
         shapes = [p.shape for p in model.params.values()] * 2
@@ -910,21 +907,10 @@ class _ShardWorker:
         self.model = model
         self.params = dict(zip(model.params, views))
         self.grads = dict(zip(model.params, views[len(model.params):]))
-        ctx = multiprocessing.get_context("fork")
-        self.conn, child = ctx.Pipe()
-        self.proc = ctx.Process(target=self._serve, args=(child, train_xy, predict_X),
-                                daemon=True)
-        self.proc.start()
-        child.close()
+        super().__init__(self._serve, train_xy, predict_X)
 
-    def __enter__(self) -> "_ShardWorker":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None:
-            self.proc.terminate()   # the work it may be doing is not needed
-        self.conn.close()           # an idle worker reads EOF and returns
-        self.proc.join()
+    def close(self, abort: bool = False) -> None:
+        super().close(abort)
         self.params = self.grads = None   # the mapping goes with its views
 
     def submit(self, *request) -> None:
@@ -946,31 +932,25 @@ class _ShardWorker:
 
     def _serve(self, conn, train_xy, predict_X) -> None:
         """The worker's loop: serve requests on one Workspace until the
-        parent closes its end of the pipe (the worker's inherited copy of
-        that end is closed first, or it would never read EOF)."""
-        self.conn.close()
-        signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent handles ^C and ends it
+        parent closes its end of the pipe."""
         model = self.model
         model.params = self.params
         ws = Workspace()
-        try:
-            while True:
-                kind, *args = conn.recv()
-                try:
-                    if kind == "shard":
-                        X, y = train_xy
-                        idx, key = args
-                        rows = slice(_cut(len(idx), 1), len(idx))
-                        out, grads = _shard_loss_grads(model, X, y, idx, rows, key, ws)
-                        for k, g in grads.items():
-                            self.grads[k][...] = g
-                    else:
-                        out = model.predict(predict_X, ws=ws, rows=slice(args[0], None))
-                except Exception as e:   # raised again in the parent
-                    out = e
-                conn.send(out)
-        except (EOFError, OSError):   # the parent closed its end
-            pass
+        while True:
+            kind, *args = conn.recv()
+            try:
+                if kind == "shard":
+                    X, y = train_xy
+                    idx, key = args
+                    rows = slice(_cut(len(idx), 1), len(idx))
+                    out, grads = _shard_loss_grads(model, X, y, idx, rows, key, ws)
+                    for k, g in grads.items():
+                        self.grads[k][...] = g
+                else:
+                    out = model.predict(predict_X, ws=ws, rows=slice(args[0], None))
+            except Exception as e:   # raised again in the parent
+                out = e
+            conn.send(out)
 
 
 # ---------------------------------------------------------------------------
@@ -1131,6 +1111,8 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         fitted = {name: p.shape for name, p in Model(cfg).params.items()}
     except (InvalidConfig, ValueError, KeyError, TypeError) as e:
         raise NetError(f"checkpoint {path} has a corrupt header: {e}") from e
+    if "train_pair" in extras:
+        checks.pair_name(extras["train_pair"], f"checkpoint {path}: train_pair", NetError)
     if {n: p.shape for n, p in params.items()} != fitted \
             or any(p.dtype != np.float64 for p in params.values()):
         raise NetError(f"checkpoint {path}: tensors do not fit its model config")

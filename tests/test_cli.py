@@ -783,6 +783,45 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "header declares" in err[0]
 
+    @pytest.mark.parametrize("value", [5, None, ["a"], {"k": 1}, "", "A\nB", "../x"], ids=repr)
+    @pytest.mark.parametrize("target", ["ds.pair", "ds.variant", "ckpt.train_pair",
+                                        "ckpt.variant"])
+    def test_evaluate_on_bad_pair_or_variant_name_is_error(self, pipeline, tmp_path, capsys,
+                                                           target, value):
+        # each would become a file stem, a `# key=value` line or a CSV cell
+        ds, ckpt = pipeline["out"] / "AAA.orderflow.ds", pipeline["out"] / "AAA.orderflow.ckpt"
+        kind, key = target.split(".")
+        if kind == "ds":
+            ds = self._rewritten(ds, tmp_path / "bad.ds", b"OFDS", lambda f: f.update({key: value}))
+        else:
+            block = "config" if key == "variant" else "extras"
+            ckpt = self._rewritten(ckpt, tmp_path / "bad.ckpt", b"OFCK",
+                                   lambda f: f[block].update({key: value}))
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--checkpoint", str(ckpt), "--dataset", str(ds),
+                       "--split", "test", "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert key in err[0].replace(str(tmp_path), "") and repr(value) in err[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["", "../x", "A B", '["a"]', '{"k": 1}'])
+    @pytest.mark.parametrize("key", ["variant", "train_pair", "test_pair"])
+    def test_report_on_bad_pair_or_variant_name_is_error(self, pipeline, tmp_path, capsys,
+                                                         key, value):
+        src = pipeline["out"] / "pred_AAA__AAA.orderflow.test.csv"
+        pred = tmp_path / src.name
+        lines = src.read_text().splitlines(keepends=True)
+        pred.write_text("".join(f"# {key}={value}\n" if line.startswith(f"# {key}=") else line
+                                for line in lines))
+        capsys.readouterr()
+        rc = cli.main(["report", "--out", str(tmp_path / "out"), "--pred", str(pred)])
+        assert rc == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {pred}: {key}")
+        assert list((tmp_path / "out").iterdir()) == []
+
 
 # ---------------------------------------------------------------------------
 # determinism

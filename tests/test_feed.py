@@ -1,8 +1,17 @@
 import contextlib
 import hashlib
+import itertools
 import json
 import math
+import multiprocessing
+import os
 import random
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -10,7 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lobflow import feed
+from conftest import _cpus
+from lobflow import feed, forked
 from lobflow.feed import EventKind, Side
 
 # canonical lines, as `serialize_event` writes them
@@ -427,6 +437,32 @@ def _good(seq):
             f'"id":"o{seq}"}}').encode()
 
 
+def _counting_forks(mp) -> list:
+    """A list that gains an item for each `forked.Worker` started from now on."""
+    started, start = [], forked.Worker.__init__
+    mp.setattr(forked.Worker, "__init__",
+               lambda self, *a, **k: started.append(1) or start(self, *a, **k))
+    return started
+
+
+def _read(path, fork: bool):
+    """What `read_events` makes of `path` with the forked reader forced on
+    or off: each event's full repr (`size_str` included), then the
+    error's type and message, or None."""
+    with pytest.MonkeyPatch.context() as mp:
+        _cpus(mp, 2 if fork else 1)
+        mp.setattr(feed, "READ_FORK_BYTES", 0)
+        started = _counting_forks(mp)
+        events, error = [], None
+        try:
+            for ev in feed.read_events(path):
+                events.append(repr(ev))
+        except feed.FeedError as e:
+            error = type(e), str(e)
+    assert started == ([1] if fork else [])
+    return events, error
+
+
 class TestReadEvents:
     @pytest.mark.parametrize("lines,bad_line", [
         ([_good(1), b"\xff\xfe"], 2),
@@ -442,11 +478,213 @@ class TestReadEvents:
         path.write_bytes(b"\n".join(lines))
         with pytest.raises(feed.MalformedRecord, match=f"^line {bad_line}: not UTF-8 text"):
             list(feed.read_events(path))
+        # the forked reader yields the same events first, then the same error
+        events, error = _read(path, False)
+        assert error[0] is feed.MalformedRecord and len(events) < bad_line
+        assert _read(path, True) == (events, error)
 
     def test_utf8_stream_reads(self, tmp_path, noise_lines):
         path = tmp_path / "ok.ofr"
         path.write_text("\n".join(noise_lines) + "\n", encoding="utf-8")
         assert [feed.serialize_event(e) for e in feed.read_events(path)] == noise_lines
+        assert _read(path, True) == _read(path, False)
+
+    def test_missing_file_raises_before_any_fork(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(feed, "READ_FORK_BYTES", 0)
+        _cpus(monkeypatch, 2)
+        with pytest.raises(FileNotFoundError):
+            next(feed.read_events(tmp_path / "nope.ofr"))
+
+    def test_only_large_files_on_two_cpus_fork(self, tmp_path, monkeypatch, noise_lines):
+        path = tmp_path / "ok.ofr"
+        path.write_text("\n".join(noise_lines) + "\n", encoding="utf-8")
+        started = _counting_forks(monkeypatch)
+        size = path.stat().st_size
+        for cpus, threshold, fork in ((2, size, True), (2, size + 1, False), (1, 0, False)):
+            _cpus(monkeypatch, cpus)
+            monkeypatch.setattr(feed, "READ_FORK_BYTES", threshold)
+            started.clear()
+            assert len(list(feed.read_events(path))) == len(noise_lines)
+            assert started == ([1] if fork else [])
+        # a stream of lines is always parsed in this process
+        assert len(list(feed.iter_events(noise_lines))) == len(noise_lines)
+        assert started == []
+
+
+def _spelled(obj: dict, spelling: str) -> str:
+    if spelling == "spaced":
+        return json.dumps(obj, separators=(", ", ": "))
+    if spelling == "reordered":
+        return json.dumps(dict(reversed(obj.items())), separators=(",", ":"))
+    return feed.serialize_event(feed.parse_event(json.dumps(obj, separators=(",", ":"))))
+
+
+# one stream record: an event spelled canonically or not, whose seq and ts
+# may step back; a blank, malformed or whitespace line; or bytes that are
+# not UTF-8.  Each comes with its line ending.
+_RECORDS = st.tuples(
+    st.one_of(
+        st.tuples(st.just("event"), st.integers(-1, 3), st.integers(-1, 3),
+                  st.sampled_from(["limit", "market", "cancel"]), st.sampled_from(["buy", "sell"]),
+                  st.integers(1, 10 ** 6), st.sampled_from([0.5, 1.0, 2.25, "0.50", "1e1"]),
+                  st.sampled_from(["canonical", "canonical", "spaced", "reordered"])),
+        st.tuples(st.just("text"), st.sampled_from(["", "", " ", "garbage", "{", "[]", "null",
+                                                    '{"ts":1}', "\t{}"])),
+        st.tuples(st.just("bytes"), st.sampled_from([b"\xff", b'{"id":"\xc3', b"x\x80"]))),
+    st.sampled_from([b"\n", b"\r\n", b"\r"]))
+
+
+def _stream_bytes(pad: int, records) -> bytes:
+    """`pad` canonical events, then `records` (see _RECORDS)."""
+    ts, seq, out = 1_510_000_000_000, 0, []
+    for i in range(pad):
+        seq, ts = seq + 1, ts + 7
+        out.append(_good(seq).replace(b'"ts":1,', b'"ts":%d,' % ts) + b"\n")
+    for record, ending in records:
+        if record[0] == "event":
+            _, dts, dseq, kind, side, price, size, spelling = record
+            seq, ts = seq + dseq, ts + dts
+            obj = {"ts": ts, "seq": seq, "kind": kind, "side": side,
+                   **({} if kind == "market" else {"price": price}), "size": size,
+                   "id": f"o{seq}"}
+            line = _spelled(obj, spelling).encode()
+        elif record[0] == "text":
+            line = record[1].encode()
+        else:
+            line = record[1]
+        out.append(line + ending)
+    return b"".join(out)
+
+
+class TestForkedReader:
+    """The forked reader yields what the serial one yields, raises what it
+    raises at the same point, and leaves no process behind."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(pad=st.sampled_from([0, 0, 150]), records=st.lists(_RECORDS, max_size=12))
+    def test_forked_and_serial_paths_agree(self, pad, records):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "s.ofr"
+            path.write_bytes(_stream_bytes(pad, records))
+            assert _read(path, True) == _read(path, False)
+
+    def test_abandoned_stream_joins_its_worker(self, big_stream, monkeypatch):
+        _cpus(monkeypatch, 2)
+        for end in ("close", "drop"):
+            stream = feed.read_events(big_stream)
+            next(stream)
+            (worker,) = multiprocessing.active_children()
+            if end == "close":
+                stream.close()
+            else:
+                del stream
+            assert not worker.is_alive()
+            assert multiprocessing.active_children() == []
+
+    def test_raising_consumer_joins_the_worker(self, big_stream, monkeypatch):
+        _cpus(monkeypatch, 2)
+        seen = []
+
+        def consume():
+            for ev in feed.read_events(big_stream):
+                seen.extend(multiprocessing.active_children())
+                raise RuntimeError("consumer failed")
+
+        with pytest.raises(RuntimeError, match="consumer failed"):
+            consume()
+        assert len(seen) == 1 and not seen[0].is_alive()
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_is_a_feed_error_naming_the_last_line(self, big_stream, monkeypatch):
+        _cpus(monkeypatch, 2)
+        stream = feed.read_events(big_stream)
+        events = [next(stream)]
+        (worker,) = multiprocessing.active_children()
+        os.kill(worker.pid, signal.SIGKILL)
+        with pytest.raises(feed.ReaderExited, match=r"the reader process exited after line"):
+            events.extend(stream)
+        assert multiprocessing.active_children() == []
+        n = len(events)
+        assert 0 < n < _BIG_LINES
+        # every line before the error came through, in order
+        assert [e.seq for e in events] == list(range(1, n + 1))
+
+    def test_killed_worker_is_one_cli_error_line(self, big_stream, tmp_path, monkeypatch,
+                                                 capsys):
+        from lobflow import cli, stats
+        _cpus(monkeypatch, 2)
+        pred = tmp_path / "pred_X__X.orderflow.test.csv"
+        pred.write_text("# split=test\n# test_pair=X\n# train_pair=X\n# variant=orderflow\n"
+                        "timestamp_ms,y,yhat,p1\n1510000000000,1,1,0.9\n")
+        aggregate = stats.daily_market_aggregates
+
+        def killing(events):
+            first = next(events)
+            for worker in multiprocessing.active_children():
+                os.kill(worker.pid, signal.SIGKILL)
+            return aggregate(itertools.chain([first], events))
+
+        monkeypatch.setattr(stats, "daily_market_aggregates", killing)
+        capsys.readouterr()
+        rc = cli.main(["report", "--out", str(tmp_path / "out"), "--pred", str(pred),
+                       "--stream", str(big_stream)])
+        assert rc == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {big_stream}: the reader process "
+                                                   "exited after line ")
+        assert multiprocessing.active_children() == []
+
+    def test_killed_parent_leaves_no_worker(self, big_stream):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(feed.__file__)))
+        with subprocess.Popen([sys.executable, "-c", _ORPHAN, str(big_stream)], env=env,
+                              stdout=subprocess.PIPE, text=True) as proc:
+            pid = int(proc.stdout.readline())
+            assert _running(pid)
+            proc.kill()
+        deadline = time.monotonic() + 10
+        while _running(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(pid)
+
+
+# a parent that reads one event of a stream on a forked reader, names the
+# reader's pid and waits to be killed
+_ORPHAN = """
+import multiprocessing, os, sys, time
+from lobflow import feed
+os.sched_getaffinity = lambda pid: {0, 1}
+feed.READ_FORK_BYTES = 0
+stream = feed.read_events(sys.argv[1])
+next(stream)
+(worker,) = multiprocessing.active_children()
+print(worker.pid, flush=True)
+time.sleep(600)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether process `pid` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state not in ("Z", "X")
+
+
+# more lines than the reader's pipe holds, so that it is still reading
+# when the tests above kill it
+_BIG_LINES = 100_000
+
+
+@pytest.fixture(scope="module")
+def big_stream(tmp_path_factory):
+    """_BIG_LINES resting buy orders, one line each, in order."""
+    path = tmp_path_factory.mktemp("big") / "big.ofr"
+    path.write_text("".join(
+        f'{{"ts":{1_510_000_000_000 + 1000 * i},"seq":{i + 1},"kind":"limit","side":"buy",'
+        f'"price":{10 + i % 50},"size":1.0,"id":"o{i + 1}"}}\n' for i in range(_BIG_LINES)))
+    return path
 
 
 class TestWriteStream:
