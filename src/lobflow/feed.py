@@ -24,11 +24,13 @@ non-decreasing `ts`.  Every consumer reads events through it.
 
 :func:`read_events` on a file of READ_FORK_BYTES (1.6 MB, about 16k
 events) or more, when the affinity mask holds two CPUs or more, parses
-ahead on a reader process forked for the stream
-(:class:`lobflow.forked.Worker`) while the caller replays what it has
-read.  The reader iterates the file in the same
-text mode and runs the fast path on each line; it sends the plain values
-of each canonical line, or the line itself, through a pipe in blocks.
+ahead on a reader process forked for the stream while the caller
+replays what it has read.  The reader iterates the file in the same
+text mode and runs the fast path on each line; it sends the plain
+values of each canonical line, or the line itself, in marshalled blocks
+over the channel of :class:`lobflow.forked.Worker`.  That channel
+carries what reading raised back to the caller after the lines read
+before it, and turns a reader that dies into :class:`ReaderExited`.
 The caller builds each event, parses the other lines with
 :func:`parse_event`, numbers the lines and checks their order in the one
 loop that :func:`iter_events` runs too.  So the events, every error's
@@ -41,12 +43,10 @@ one, as `net.train`'s second process is.
 
 from __future__ import annotations
 
-import fcntl
 import json
 import marshal
 import math
 import os
-import pickle
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -63,11 +63,10 @@ from .atomic import atomic_open
 # of 10 alternating pairs under both `stats.daily_market_aggregates` (97%)
 # and `features.build_datasets` (90%); at 8k, 95% and 87%
 READ_FORK_BYTES = 1_600_000
-# lines per block the reader sends, the first block's, and the pipe size
-# it asks for, so that it can run ahead of the caller
+# lines per block the reader sends, and in its first block, so that the
+# caller starts soon
 _BLOCK = 512
 _FIRST_BLOCK = 128
-_PIPE_BYTES = 1 << 20
 
 
 class FeedError(Exception):
@@ -373,8 +372,17 @@ def read_events(path) -> Iterator[OrderEvent]:
             if os.fstat(fh.fileno()).st_size < READ_FORK_BYTES or not forked.spare_cpu():
                 yield from _checked(map(_item, fh))
             else:
-                with forked.Worker(_read_ahead, fh, duplex=False) as reader:
-                    yield from _checked(chain.from_iterable(_blocks(reader.conn, path)))
+                n = 0   # the lines received
+
+                def received() -> Iterator:
+                    nonlocal n
+                    for block in map(marshal.loads, iter(reader.recv, None)):
+                        n += len(block)
+                        yield from block
+
+                with forked.Worker(_read_ahead, fh, exited=lambda _: ReaderExited(
+                        f"{path}: the reader process exited after line {n}")) as reader:
+                    yield from _checked(received())
     except UnicodeDecodeError as e:
         raise MalformedRecord(f"line {_first_undecodable_line(path)}: not UTF-8 text "
                               f"({e.reason})") from e
@@ -382,21 +390,19 @@ def read_events(path) -> Iterator[OrderEvent]:
 
 def _read_ahead(conn, fh) -> None:
     """The forked reader's body: send the :func:`_item` of each line of
-    `fh`, read as :func:`read_events` reads it, in blocks (marshalled
-    lists; a short first block so the caller starts soon), then None, or
-    the pickled exception that reading raised.  The lines read before
-    that exception are sent first, as text-mode iteration yields them."""
-    try:
-        fcntl.fcntl(conn.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-    except OSError:   # above the system's pipe-max-size
-        pass
+    `fh`, read as :func:`read_events` reads it, in marshalled blocks (a
+    short first block so the caller starts soon), then None; or raise
+    what reading raised, after sending the lines read before it as
+    text-mode iteration yields them."""
     failed = []
     lines = _until_raise(fh, failed)
     size = _FIRST_BLOCK
     while block := list(map(_item, islice(lines, size))):
-        conn.send_bytes(marshal.dumps(block))
+        conn.send(marshal.dumps(block))
         size = _BLOCK
-    conn.send_bytes(marshal.dumps(pickle.dumps(failed[0]) if failed else None))
+    if failed:
+        raise failed[0]
+    conn.send(None)
 
 
 def _until_raise(lines, failed: list) -> Iterator[str]:
@@ -405,24 +411,6 @@ def _until_raise(lines, failed: list) -> Iterator[str]:
         yield from lines
     except Exception as e:   # the caller raises it where the serial path would
         failed.append(e)
-
-
-def _blocks(conn, path) -> Iterator[list]:
-    """The forked reader's blocks of items, in order; then what its
-    reading raised, raised here."""
-    n = 0
-    while True:
-        try:
-            msg = marshal.loads(conn.recv_bytes())
-        except EOFError:
-            raise ReaderExited(f"{path}: the reader process exited after line {n}") from None
-        if type(msg) is list:
-            n += len(msg)
-            yield msg
-        elif msg is None:
-            return
-        else:
-            raise pickle.loads(msg)
 
 
 def _first_undecodable_line(path) -> int:

@@ -1,12 +1,20 @@
-"""A worker process forked beside the caller, with one pipe between them.
+"""A worker process forked beside the caller, and the one channel between them.
 
 `net` computes training shards and predict tails on one, and `feed`
-parses a stream on one.  The lifecycle lives here once:
+parses a stream on one.  The lifecycle and the protocol live here once:
 
 - The worker is forked, so it inherits the caller's memory and nothing
   it needs is pickled.
-- It closes its inherited copy of the caller's end of the pipe.  A
-  worker that waits on the pipe then reads EOF once the caller closes
+- The caller talks to it with :meth:`Worker.send` and :meth:`Worker.recv`
+  over one duplex pipe; the worker's body gets its own end.
+- An exception that escapes the worker's body is sent to the caller,
+  and the worker exits; the caller's next `recv` raises it again, with
+  its own type.
+- A worker that is gone without a reply (its end closed, so the caller
+  reads EOF or its write fails with EPIPE) raises the caller's own error,
+  made by the `exited` the caller gives.
+- The worker closes its inherited copy of the caller's end of the pipe.
+  A worker that waits on the pipe then reads EOF once the caller closes
   its end, or dies; a worker that writes gets EPIPE.  Either way it
   returns, so a SIGKILLed caller leaves no worker behind.
 - It ignores SIGINT: the caller handles ^C and ends it.
@@ -30,14 +38,15 @@ def spare_cpu() -> bool:
 
 class Worker:
     """`target(conn, *args)` run in a process forked from the caller,
-    where `conn` is the worker's end of a new pipe and `self.conn` the
-    caller's.  With `duplex` False the pipe is one-way: the worker
-    sends and the caller receives."""
+    where `conn` is the worker's end of a new pipe.  `exited(e)` makes the
+    exception that :meth:`send` and :meth:`recv` raise when the worker is
+    gone: `e` is the OSError that `send` met, or None where `recv` found
+    no reply."""
 
-    def __init__(self, target, *args, duplex: bool = True):
+    def __init__(self, target, *args, exited):
         ctx = multiprocessing.get_context("fork")
-        # a one-way Pipe is (receive end, send end)
-        self.conn, child = ctx.Pipe(duplex)
+        self.exited = exited
+        self.conn, child = ctx.Pipe()
         self.proc = ctx.Process(target=_run, args=(self.conn, target, child, args), daemon=True)
         self.proc.start()
         child.close()
@@ -47,6 +56,24 @@ class Worker:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close(abort=exc_type is not None)
+
+    def send(self, msg) -> None:
+        """Send `msg`, pickled, to the worker."""
+        try:
+            self.conn.send(msg)
+        except OSError as e:
+            raise self.exited(e) from e
+
+    def recv(self):
+        """The worker's next message, or the exception its body raised,
+        raised again here."""
+        try:
+            msg = self.conn.recv()
+        except (EOFError, OSError) as e:
+            raise self.exited(None) from e
+        if isinstance(msg, Exception):
+            raise msg
+        return msg
 
     def close(self, abort: bool = False) -> None:
         """End the worker and join it.  With `abort` it is terminated
@@ -58,10 +85,15 @@ class Worker:
 
 
 def _run(parent_end, target, conn, args) -> None:
-    """The worker's body: `target` until it returns or its pipe closes."""
+    """The worker's body: `target` until it returns, raises or its pipe
+    closes.  What it raises is sent to the caller; once the caller has
+    closed its end that send fails too, and the worker just returns."""
     parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         target(conn, *args)
-    except (EOFError, OSError):   # the caller closed its end
-        pass
+    except Exception as e:
+        try:
+            conn.send(e)
+        except OSError:   # the caller closed its end
+            pass

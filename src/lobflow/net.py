@@ -49,10 +49,9 @@ shard draws its dropout keep masks from its own generator, keyed by the
 run's seed, the epoch, the minibatch's offset in the epoch and the
 shard's first row: a stream derived from a key, not a place in one
 shared stream (Salmon et al. 2011), so a shard's masks depend on no
-other shard's draws and `train`'s own rng only shuffles.  The dW GEMMs
-sum over half batches, so trained params, train logs and predictions
-changed once when the shards came in, and those of a run with dropout
-once more when the keyed masks came in.  On one CPU the two half shards
+other shard's draws and `train`'s own rng only shuffles.  The worker's
+requests, replies and errors, and a worker that dies, go over the one
+channel of :class:`lobflow.forked.Worker`.  On one CPU the two half shards
 take 17-20% longer per step than one whole batch (single-process steps
 at B=64, not measured end to end).
 
@@ -831,7 +830,7 @@ def _minibatch_step(model: Model, X, y, idx: np.ndarray, key: tuple,
     if worker is not None and cut < B:
         worker.submit("shard", idx, key)
         parts = [_shard_loss_grads(model, X, y, idx, shards[0], key, ws),
-                 (worker.wait(), worker.grads)]
+                 (worker.recv(), worker.grads)]
     else:
         parts = [_shard_loss_grads(model, X, y, idx, s, key, ws) for s in shards]
     sizes = [s.stop - s.start for s in shards]
@@ -865,7 +864,7 @@ def _predict(model: Model, X, ws: Workspace, worker: Optional["_ShardWorker"]) -
         return model.predict(X, ws=ws)
     worker.submit("predict", cut)
     head = model.predict(X, ws=ws, rows=slice(0, cut))
-    return np.concatenate([head, worker.wait()])
+    return np.concatenate([head, worker.recv()])
 
 
 def split_predict(model: Model, X) -> np.ndarray:
@@ -896,8 +895,9 @@ class _ShardWorker(forked.Worker):
     sample indices and dropout key, or ("predict", cut).  The worker
     writes a shard's grads into the mapping and replies with its loss,
     or replies with the (len(predict_X) - cut, K) probabilities of the
-    tail.  `wait` returns the reply, or raises again the exception the
-    request raised.  Its lifecycle is :class:`lobflow.forked.Worker`'s."""
+    tail.  `recv` returns the reply, or raises again what the request
+    raised.  Its channel and lifecycle are :class:`lobflow.forked.Worker`'s;
+    a worker that is gone raises NetError."""
 
     def __init__(self, model: Model, train_xy, predict_X):
         shapes = [p.shape for p in model.params.values()] * 2
@@ -907,7 +907,7 @@ class _ShardWorker(forked.Worker):
         self.model = model
         self.params = dict(zip(model.params, views))
         self.grads = dict(zip(model.params, views[len(model.params):]))
-        super().__init__(self._serve, train_xy, predict_X)
+        super().__init__(self._serve, train_xy, predict_X, exited=_exited)
 
     def close(self, abort: bool = False) -> None:
         super().close(abort)
@@ -916,41 +916,33 @@ class _ShardWorker(forked.Worker):
     def submit(self, *request) -> None:
         for k, p in self.model.params.items():
             self.params[k][...] = p
-        try:
-            self.conn.send(request)
-        except OSError as e:
-            raise NetError(f"the shard worker exited: {e}") from e
-
-    def wait(self):
-        try:
-            out = self.conn.recv()
-        except (EOFError, OSError) as e:
-            raise NetError("the shard worker exited before it replied") from e
-        if isinstance(out, Exception):
-            raise out
-        return out
+        self.send(request)
 
     def _serve(self, conn, train_xy, predict_X) -> None:
         """The worker's loop: serve requests on one Workspace until the
-        parent closes its end of the pipe."""
+        parent closes its end of the pipe or a request raises."""
         model = self.model
         model.params = self.params
         ws = Workspace()
         while True:
             kind, *args = conn.recv()
-            try:
-                if kind == "shard":
-                    X, y = train_xy
-                    idx, key = args
-                    rows = slice(_cut(len(idx), 1), len(idx))
-                    out, grads = _shard_loss_grads(model, X, y, idx, rows, key, ws)
-                    for k, g in grads.items():
-                        self.grads[k][...] = g
-                else:
-                    out = model.predict(predict_X, ws=ws, rows=slice(args[0], None))
-            except Exception as e:   # raised again in the parent
-                out = e
+            if kind == "shard":
+                X, y = train_xy
+                idx, key = args
+                rows = slice(_cut(len(idx), 1), len(idx))
+                out, grads = _shard_loss_grads(model, X, y, idx, rows, key, ws)
+                for k, g in grads.items():
+                    self.grads[k][...] = g
+            else:
+                out = model.predict(predict_X, ws=ws, rows=slice(args[0], None))
             conn.send(out)
+
+
+def _exited(e: Optional[OSError]) -> NetError:
+    """The error of a shard worker that is gone (see :class:`lobflow.forked.Worker`)."""
+    if e is None:
+        return NetError("the shard worker exited before it replied")
+    return NetError(f"the shard worker exited: {e}")
 
 
 # ---------------------------------------------------------------------------
@@ -973,8 +965,7 @@ def hyper_search(space: dict, budget: int, seed: int, base_cfg: ModelConfig,
     trial's trained Model and TrainResult, and the trials in evaluation
     order.
     """
-    if budget < 1:
-        raise EmptySpace("budget must be >= 1")
+    checks.integer(budget, "budget", EmptySpace, 1)
     if not space or any(len(v) == 0 for v in space.values()):
         raise EmptySpace("search space must be non-empty")
     cfg_fields = {f.name for f in fields(ModelConfig)}

@@ -6,8 +6,8 @@ cross-asset percentage MCC drops, and daily market aggregates (trade
 volume, 1-day lagged mid-price change).
 
 All operations are pure over immutable inputs.  scipy.special is
-imported inside the two t functions that call it, so a process that
-computes no p-value never loads scipy.
+imported inside :func:`t_sf_two_sided`, the one function that calls it,
+so a process that computes no p-value never loads scipy.
 """
 
 from __future__ import annotations
@@ -147,18 +147,6 @@ def daily_mcc(predictions: Iterable[tuple]) -> DailySeries:
 # ---------------------------------------------------------------------------
 # Student t distribution
 # ---------------------------------------------------------------------------
-
-
-def t_cdf(t: float, df: int) -> float:
-    """Student-t CDF via the regularized incomplete beta function."""
-    if df < 1:
-        raise InvalidDf(f"df must be >= 1, got {df}")
-    if t == 0.0:
-        return 0.5
-    from scipy.special import betainc
-    x = df / (df + t * t)
-    tail = 0.5 * betainc(df / 2.0, 0.5, x)
-    return 1.0 - tail if t > 0 else tail
 
 
 def t_sf_two_sided(t: float, df: int) -> float:

@@ -180,7 +180,7 @@ def test_planted_signal_learnability(verdict, planted_corpus):
 
 def test_metric_oracles(verdict):
     """MCC vs direct formula (1e-12, 1000 matrices); paired t and OLS vs
-    quadrature oracles (1e-10 / 1e-6); t_cdf(1, df=1) = 0.75 +- 1e-10."""
+    quadrature oracles (1e-10 / 1e-6); P(|T| >= 1) = 0.5 +- 1e-10 at df=1."""
     rng = np.random.default_rng(5)
     mcc_err = 0.0
     done = 0
@@ -206,11 +206,11 @@ def test_metric_oracles(verdict):
     slope_ref, se_ref, t_ref2, p_ref2 = oracle.ols_direct(list(range(40)), y)
     ols_err = max(abs(reg.slope - slope_ref), abs(reg.p_value - p_ref2))
 
-    cauchy_err = abs(stats.t_cdf(1.0, 1) - 0.75)
+    cauchy_err = abs(stats.t_sf_two_sided(1.0, 1) - 0.5)
     ok = mcc_err < 1e-12 and paired_err < 1e-10 and ols_err < 1e-6 and cauchy_err < 1e-10
     verdict(ok, "metric-oracles",
             f"mcc err {mcc_err:.1e}, paired-t err {paired_err:.1e}, "
-            f"ols err {ols_err:.1e}, t_cdf(1,1)-0.75 = {cauchy_err:.1e}")
+            f"ols err {ols_err:.1e}, t_sf_two_sided(1,1)-0.5 = {cauchy_err:.1e}")
 
 
 def test_stationarity_recovery(verdict):

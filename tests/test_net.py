@@ -721,7 +721,7 @@ class TestShards:
         with net._one_blas_thread(), net._ShardWorker(m, (X, y), None) as worker:
             loss, grads = net._minibatch_step(m, X, y, idx, key, worker)
             worker.submit("shard", idx, key)
-            shard_loss, shard_grads = worker.wait(), {k: g.copy() for k, g in worker.grads.items()}
+            shard_loss, shard_grads = worker.recv(), {k: g.copy() for k, g in worker.grads.items()}
             ref_loss, ref = net._minibatch_step(m, X, y, idx, key, None)
             own_loss, own = net._shard_loss_grads(m, X, y, idx, slice(net._cut(B, 1), B), key,
                                                   None)
@@ -1042,6 +1042,14 @@ class TestHyperSearch:
             net.hyper_search({}, 2, 0, small_cfg(), (X, y), (X, y), TrainSchedule())
         with pytest.raises(net.EmptySpace):
             net.hyper_search({"lr": [1e-3]}, 0, 0, small_cfg(), (X, y), (X, y),
+                             TrainSchedule())
+
+    @pytest.mark.parametrize("budget", [2.5, 2.0, True, "2", None, 0, -1])
+    def test_budget_must_be_a_positive_integer(self, budget):
+        # unchecked, a float budget dies in range() with a bare TypeError
+        X, y = self._xy()
+        with pytest.raises(net.EmptySpace, match=r"^budget must be an integer >= 1, got "):
+            net.hyper_search({"dropout": [0.0]}, budget, 0, small_cfg(), (X, y), (X, y),
                              TrainSchedule())
 
     @pytest.mark.parametrize("space,match", [

@@ -124,44 +124,43 @@ class TestUtcDate:
 
 
 # ---------------------------------------------------------------------------
-# Student t CDF
+# Student t two-sided p-value
 # ---------------------------------------------------------------------------
 
 
-class TestTCdf:
-    def test_zero_is_half(self):
+class TestTwoSidedP:
+    def test_zero_is_one(self):
         for df in (1, 2, 10, 100):
-            assert stats.t_cdf(0.0, df) == 0.5
+            assert stats.t_sf_two_sided(0.0, df) == 1.0
 
     def test_cauchy_closed_form(self):
-        # df=1 is Cauchy: F(t) = 1/2 + arctan(t)/pi; F(1) = 0.75
-        assert abs(stats.t_cdf(1.0, 1) - 0.75) < 1e-12
+        # df=1 is Cauchy: P(|T| >= t) = 1 - 2 arctan(|t|)/pi; at t=1 it is 1/2
+        assert abs(stats.t_sf_two_sided(1.0, 1) - 0.5) < 1e-12
         for t in (-3.0, -0.5, 0.7, 2.5):
-            want = 0.5 + math.atan(t) / math.pi
-            assert abs(stats.t_cdf(t, 1) - want) < 1e-12
+            want = 1.0 - 2.0 * math.atan(abs(t)) / math.pi
+            assert abs(stats.t_sf_two_sided(t, 1) - want) < 1e-12
 
     def test_normal_limit(self):
-        want = 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2)))
-        assert abs(stats.t_cdf(1.0, 10_000) - want) < 1e-4
+        want = math.erfc(1.0 / math.sqrt(2))
+        assert abs(stats.t_sf_two_sided(1.0, 10_000) - want) < 1e-4
 
     def test_symmetry(self):
         for df in (1, 4, 29):
             for t in (0.3, 1.7, 4.0):
-                assert abs(stats.t_cdf(t, df) + stats.t_cdf(-t, df) - 1.0) < 1e-12
+                assert stats.t_sf_two_sided(t, df) == stats.t_sf_two_sided(-t, df)
 
     def test_monotone(self):
-        ts = np.linspace(-6, 6, 121)
-        vals = [stats.t_cdf(float(t), 7) for t in ts]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
+        ts = np.linspace(0, 6, 61)
+        vals = [stats.t_sf_two_sided(float(t), 7) for t in ts]
+        assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_matches_quadrature(self):
         for df in (1, 2, 5, 30, 68):
             for t in (-2.4, -0.9, 0.4, 1.1, 3.3):
-                assert abs(stats.t_cdf(t, df) - oracle.t_cdf_quadrature(t, df)) < 1e-10
+                want = 2.0 * (1.0 - oracle.t_cdf_quadrature(abs(t), df))
+                assert abs(stats.t_sf_two_sided(t, df) - want) < 1e-10
 
     def test_invalid_df(self):
-        with pytest.raises(stats.InvalidDf):
-            stats.t_cdf(1.0, 0)
         with pytest.raises(stats.InvalidDf):
             stats.t_sf_two_sided(1.0, 0)
 
