@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checks, feed, features, lob, net, oracle, stats, svg
+from . import checks, feed, features, lob, net, oracle, shards, stats, svg
 from .atomic import atomic_open
 from .features import MAX_S, MAX_T
 
@@ -333,17 +333,17 @@ def cmd_evaluate(out_dir: Path, checkpoint: str, dataset: str, split: str) -> in
     sub = ds.subset(split)
     if sub.n == 0:
         raise CliError(f"{split} split of {dataset} is empty")
-    probs = net.split_predict(model, sub.windows)
+    probs = shards.split_predict(model, sub.windows)
     yhat = probs.argmax(axis=1)
     train_pair = extras.get("train_pair", "unknown")
     stem = f"pred_{train_pair}__{ds.pair}.{ds.variant}.{split}"
     meta = {"variant": ds.variant, "train_pair": train_pair, "test_pair": ds.pair,
             "split": split}
+    series = stats.daily_mcc(list(zip(sub.event_time.tolist(), sub.y.tolist(), yhat.tolist())))
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / f"{stem}.csv", ["timestamp_ms", "y", "yhat", "p1"],
                [(int(t), int(a), int(b), float(p)) for t, a, b, p
                 in zip(sub.event_time, sub.y, yhat, probs[:, 1])], meta=meta)
-    series = stats.daily_mcc(list(zip(sub.event_time.tolist(), sub.y.tolist(), yhat.tolist())))
     _write_csv(out_dir / f"{stem}.daily_mcc.csv", ["date", "mcc", "degenerate"],
                [(d, v, int(d in series.flags)) for d, v in zip(series.dates, series.values)],
                meta=meta)
@@ -401,7 +401,7 @@ def cmd_report(out_dir: Path, pred_paths, stream: str | None = None) -> int:
         pred_paths = sorted(p for p in out_dir.glob("pred_*.csv")
                             if not p.name.endswith(".daily_mcc.csv"))
     sets = _load_predictions(pred_paths)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # everything that can fail is computed before `out_dir` is made, first
     # the daily MCC series of each same-pair set, for Table 1 and Figure 1
     same_pair = [s for s in sets if s["meta"]["train_pair"] == s["meta"]["test_pair"]]
     for s in same_pair:
@@ -416,9 +416,6 @@ def cmd_report(out_dir: Path, pred_paths, stream: str | None = None) -> int:
         r = stats.slope_regression(series)
         t1_rows.append((s["meta"]["test_pair"], s["meta"]["variant"], r.n, r.slope,
                         r.slope_se, r.t_stat, r.p_value, int(r.zero_residual)))
-    _write_csv(out_dir / "table1_slopes.csv",
-               ["pair", "model", "n_days", "slope", "slope_se", "t_stat", "p_value",
-                "zero_residual"], t1_rows)
 
     # Table-2 style: percentage MCC drop of cross-pair vs same-pair tests
     overall = {}
@@ -437,6 +434,12 @@ def cmd_report(out_dir: Path, pred_paths, stream: str | None = None) -> int:
             continue
         t2_rows.append((variant, train_pair, test_pair, same, cross,
                         stats.universality_drop(same, cross)))
+    market = stats.daily_market_aggregates(feed.read_events(stream)) if stream else None
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_csv(out_dir / "table1_slopes.csv",
+               ["pair", "model", "n_days", "slope", "slope_se", "t_stat", "p_value",
+                "zero_residual"], t1_rows)
     _write_csv(out_dir / "table2_drops.csv",
                ["model", "train_pair", "test_pair", "mcc_same", "mcc_cross", "pct_drop"],
                t2_rows)
@@ -457,8 +460,8 @@ def cmd_report(out_dir: Path, pred_paths, stream: str | None = None) -> int:
                    [(d, *[lines[v][i] for v in sorted(lines)]) for i, d in enumerate(dates)])
 
     # Figure-2 style: daily trade volume and 1-day lagged mid change
-    if stream:
-        vol, chg = stats.daily_market_aggregates(feed.read_events(stream))
+    if market is not None:
+        vol, chg = market
         svg.line_chart({"trade volume": vol.values}, out_dir / "figure2_volume.svg",
                        title="Daily trade volume", ylabel="volume", x_labels=vol.dates)
         svg.line_chart({"mid change": chg.values}, out_dir / "figure2_price_change.svg",

@@ -7,8 +7,11 @@ with keys in this exact order and compact separators:
 
 `ts` is integer milliseconds since epoch, `seq` a strictly increasing
 stream sequence number, `price` integer ticks (forbidden for market
-orders, required otherwise), `size` a positive JSON number or a decimal
-string.  Unknown keys are rejected.  Files carry the `.ofr` extension.
+orders, required otherwise), `size` a positive JSON number or a string
+that spells one in JSON's number grammar, ASCII digits only: no
+whitespace, underscores, `+` sign, or bare leading or trailing `.`, so
+`"+1"`, `".5"`, `"5."` and `" 2 "` are rejected.  Unknown keys are
+rejected.  Files carry the `.ofr` extension.
 
 Lines written by :func:`serialize_event` are canonical; for canonical
 lines ``serialize_event(parse_event(line)) == line`` byte for byte.
@@ -162,10 +165,12 @@ def _bad_value(name: str, value) -> SchemaViolation:
 # and `price` takes no sign or leading zero and so is always positive.
 _INT = r"-?(?:0|[1-9][0-9]{0,17})"
 _STR = r'([^"\\\x00-\x1f]*)'
+# JSON's number grammar: the one rule for a size, a number or a string
+_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
 _CANONICAL = re.compile(
     rf'\{{"ts":({_INT}),"seq":({_INT}),"kind":"(limit|market|cancel)","side":"(buy|sell)",'
     r'(?:"price":([1-9][0-9]{0,17}),)?'
-    rf'"size":(?:(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)|"{_STR}"),'
+    rf'"size":(?:({_NUMBER.pattern})|"({_NUMBER.pattern})"),'
     rf'"id":"{_STR}"\}}')
 
 
@@ -183,10 +188,7 @@ def _parse_canonical(line: str) -> Optional[tuple]:
         return None
     # float() of a JSON number rounds as float(int(...)) does, and overflows
     # to inf instead of raising, which the size check below then refuses
-    try:
-        size = float(number if size_str is None else size_str)
-    except ValueError:
-        return None
+    size = float(number if size_str is None else size_str)
     if not 0.0 < size < math.inf:
         return None
     return (int(ts), int(seq), kind, _SIDE_CODE[side], None if price is None else int(price),
@@ -253,10 +255,9 @@ def parse_event(line: str) -> OrderEvent:
     if type(raw_size) is float:
         size = raw_size
     elif type(raw_size) is str:
-        try:
-            size = float(raw_size)
-        except ValueError as e:
-            raise SchemaViolation(f"bad size string {raw_size!r}") from e
+        if _NUMBER.fullmatch(raw_size) is None:
+            raise SchemaViolation(f"bad size string {raw_size!r}")
+        size = float(raw_size)
         size_str = raw_size
     elif type(raw_size) is int:
         try:

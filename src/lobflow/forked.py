@@ -1,6 +1,6 @@
 """A worker process forked beside the caller, and the one channel between them.
 
-`net` computes training shards and predict tails on one, and `feed`
+`shards` computes training shards and predict tails on one, and `feed`
 parses a stream on one.  The lifecycle and the protocol live here once:
 
 - The worker is forked, so it inherits the caller's memory and nothing

@@ -175,7 +175,7 @@ class OrderBook:
     def _apply_cancel(self, ev: OrderEvent, delta: BookDelta) -> None:
         order = self.resting.get(ev.order_id)
         if order is None:
-            raise UnknownOrderId(ev.order_id)
+            raise UnknownOrderId(f"unknown order id {ev.order_id!r}")
         if ev.side is not order.side or ev.price_ticks != order.price_ticks:
             raise CancelMismatch(f"cancel of {ev.order_id} as {ev.side.wire} at {ev.price_ticks}; "
                                  f"it rests as {order.side.wire} at {order.price_ticks}")

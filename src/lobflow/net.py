@@ -34,43 +34,16 @@ drops the layer's record before the layer below runs, so a train step
 holds little more than one forward cache.  `predict` runs the same loop
 without a cache: c and tanh(c) live in two rotating slots.
 
-`train` computes each minibatch's gradient as two fixed shards, rows
-[0, cut) and [cut, B) for cut = ceil(B/2) (one shard when B = 1), and
-combines them in shard order, weighted by shard size, before Adam:
-synchronous data-parallel SGD (Dean et al. 2012; Goyal et al. 2017,
-arXiv 1706.02677) with the minibatch and learning rate unchanged, so
-only the order of the gradient sums differs from a whole-batch step.
-The process count is min(2, len(os.sched_getaffinity(0))); `taskset -c
-0` gives one.  With two, a worker forked once per `train` call
-(:class:`_ShardWorker`) computes shard 1 while the parent computes shard
-0; with one, the parent runs both shards in turn through the same shard
-function, so the trained bytes do not depend on the core count.  Each
-shard draws its dropout keep masks from its own generator, keyed by the
-run's seed, the epoch, the minibatch's offset in the epoch and the
-shard's first row: a stream derived from a key, not a place in one
-shared stream (Salmon et al. 2011), so a shard's masks depend on no
-other shard's draws and `train`'s own rng only shuffles.  The worker's
-requests, replies and errors, and a worker that dies, go over the one
-channel of :class:`lobflow.forked.Worker`.  On one CPU the two half shards
-take 17-20% longer per step than one whole batch (single-process steps
-at B=64, not measured end to end).
-
-A predict of more than PREDICT_CHUNK windows splits the same way when
-there is a worker, at the multiple of PREDICT_CHUNK nearest the middle,
-so each chunk keeps its rows and shape and the probabilities their
-bytes.  `train`'s worker serves the validation predicts;
-:func:`split_predict` forks a predict-only worker for one call of more
-than 2 * PREDICT_CHUNK windows.  Both split rules are :func:`_cut`.
-`train` and `split_predict` run numpy's BLAS, the one their GEMMs use,
-at one thread, so two processes on two CPUs do not start two BLAS
-threads each.
+`train` computes each minibatch's gradient as two fixed shards and
+splits its validation predicts, on a second process when there is a
+spare CPU; :mod:`lobflow.shards` holds that process and its rules.
 
 The passes take their buffers from a :class:`Workspace`: the
 time-major input, the dropout scale masks and masked inputs, each
 layer's gate, c, tanh(c) and h buffers, backward's dh and the uniforms
 the masks are drawn from.  Called without one, a pass takes a fresh
 workspace, so it allocates fresh buffers and a cache that `forward`
-returns is the caller's alone.  `train` gives each of its processes one
+returns is the caller's alone.  Each process of `train` keeps one
 workspace for the whole call, so the steps and the validation predicts
 reuse the same pages instead of faulting in new ones every minibatch.
 The inference layers share one gate buffer and one h buffer, so with
@@ -81,17 +54,13 @@ the memory of a half-batch training step at B=64.
 from __future__ import annotations
 
 import copy
-import ctypes
-import functools
 import math
-import mmap
-from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
 
-from . import checks, container, forked, stats as statsmod
+from . import checks, container, stats as statsmod
 from .features import MAX_S, VARIANTS, MissingStats, table_width, transform_numeric
 
 
@@ -680,67 +649,54 @@ class TrainResult:
     best_val_loss: float
 
 
-def _eval_split(model: Model, X, y, ws: Workspace,
-                worker: Optional["_ShardWorker"]) -> tuple[float, float]:
-    """Loss and MCC of `model` on (X, y); X is read as `predict` reads it,
-    and `worker`, if given, predicts its tail (see :func:`_predict`)."""
-    probs = _predict(model, X, ws, worker)
-    loss = model.loss(probs, y)
-    yhat = probs.argmax(axis=1)
-    cm = statsmod.confusion(y, yhat)
-    return loss, statsmod.mcc(cm)
-
-
 def train(model: Model, train_xy, val_xy, schedule: TrainSchedule) -> TrainResult:
     """Mini-batch Adam with per-epoch validation and early stopping.
 
     Stops once the validation loss has failed to improve for more than
     `patience` consecutive epochs, and leaves the best-validation params
-    in `model`.  Each minibatch's gradient is computed as two shards
-    (see the module docstring), the second on a forked worker when the
-    affinity mask holds two CPUs or more; the worker also predicts the
-    tail of each validation predict.  The rng seeded by `schedule.seed`
-    only shuffles; the minibatch at offset `start` of epoch `epoch` has
-    the dropout key (schedule.seed, epoch, start) (see
-    :func:`_minibatch_step`).  The call runs numpy's BLAS at one thread
-    (see :func:`_one_blas_thread`).  Each process keeps one Workspace
-    for the whole call; the parent's also serves the validation
-    predicts.  The windows of `train_xy` are read only as len(X) and one
-    shard X[idx] at a time, for an int array idx; those of `val_xy` as
-    `predict` reads them.
+    in `model`.  Each minibatch's gradient is computed as two shards,
+    the second on a forked worker when the affinity mask holds two CPUs
+    or more; the worker also predicts the tail of each validation
+    predict (see :class:`lobflow.shards.Shards`, which runs numpy's BLAS
+    at one thread for the call).  The rng seeded by `schedule.seed` only
+    shuffles; the minibatch at offset `start` of epoch `epoch` has the
+    dropout key (schedule.seed, epoch, start).  Each process keeps one
+    Workspace for the whole call; the parent's also serves the
+    validation predicts.  The windows of `train_xy` are read only as
+    len(X) and one shard X[idx] at a time, for an int array idx; those
+    of `val_xy` as `predict` reads them.
     """
-    Xtr, ytr = train_xy
+    from .shards import Shards
+
+    _, ytr = train_xy
     Xva, yva = val_xy
     if len(ytr) == 0 or len(yva) == 0:
         raise EmptyBatch("train and validation splits must be non-empty")
     rng = np.random.default_rng(schedule.seed)
-    ws = Workspace()
     opt = AdamState.zeros_like(model.params)
     history = []
     best_loss = np.inf
     best_params = copy.deepcopy(model.params)
     best_epoch = -1
     since_improve = 0
-    # min(2, CPUs in the affinity mask) processes; a worker only when a
-    # minibatch can hold two shards or a validation predict splits
-    parallel = (forked.spare_cpu()
-                and (min(schedule.batch_size, len(ytr)) > 1 or len(yva) > PREDICT_CHUNK))
-    # the worker forks at one BLAS thread and keeps it
-    with (_one_blas_thread(),
-          _ShardWorker(model, train_xy, Xva) if parallel else nullcontext() as worker):
+    # a worker only when a minibatch can hold two shards or a validation
+    # predict splits
+    split = min(schedule.batch_size, len(ytr)) > 1 or len(yva) > PREDICT_CHUNK
+    with Shards(model, train_xy, Xva, split) as shards:
         for epoch in range(schedule.epochs):
             perm = rng.permutation(len(ytr))
             total = 0.0
             nb = 0
             for start in range(0, len(perm), schedule.batch_size):
                 idx = perm[start:start + schedule.batch_size]
-                loss, grads = _minibatch_step(model, Xtr, ytr, idx, (schedule.seed, epoch, start),
-                                              worker, ws)
+                loss, grads = shards.step(idx, (schedule.seed, epoch, start))
                 adam_step(model.params, grads, opt, lr=schedule.lr, beta1=schedule.beta1,
                           beta2=schedule.beta2, eps=schedule.eps)
                 total += loss * len(idx)
                 nb += len(idx)
-            val_loss, val_mcc = _eval_split(model, Xva, yva, ws, worker)
+            probs = shards.predict()
+            val_loss = model.loss(probs, yva)
+            val_mcc = statsmod.mcc(statsmod.confusion(yva, probs.argmax(axis=1)))
             history.append({"epoch": epoch, "train_loss": total / nb,
                             "val_loss": val_loss, "val_mcc": val_mcc})
             if val_loss < best_loss:
@@ -754,195 +710,6 @@ def train(model: Model, train_xy, val_xy, schedule: TrainSchedule) -> TrainResul
                     break
     model.params = best_params
     return TrainResult(history, best_epoch, float(best_loss))
-
-
-@functools.cache
-def _openblas() -> tuple:
-    """The (get, set) thread-count functions of each OpenBLAS loaded in
-    this process that exports scipy-openblas's 64-bit-integer names or
-    OpenBLAS's plain ones, found through the shared objects that
-    /proc/self/maps lists; empty where there is no such file.  That is
-    numpy's BLAS.  scipy's own libscipy_openblas, loaded only once a
-    p-value or the oracle's quadrature is computed, exports neither and
-    is not found; `train` and `predict` never load or reach it."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split(None, 5)[-1].strip() for line in fh
-                            if "openblas" in line.rsplit("/", 1)[-1]})
-    except OSError:
-        return ()
-    found = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get, put in (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-                         ("openblas_get_num_threads", "openblas_set_num_threads")):
-            if hasattr(lib, get) and hasattr(lib, put):
-                get, put = getattr(lib, get), getattr(lib, put)
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                found.append((get, put))
-                break
-    return tuple(found)
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the block with each OpenBLAS that :func:`_openblas` finds,
-    numpy's, at one thread and give each its old thread count back on
-    exit.  Two processes on two CPUs would otherwise start a BLAS thread
-    per CPU each, and the trained bytes would depend on the thread
-    count.  The BLAS that scipy loads for itself, in a process that
-    computes a p-value, keeps its count, which is enough: `train` and
-    `predict` run their GEMMs through numpy and load no scipy."""
-    libs = _openblas()
-    counts = [get() for get, _ in libs]
-    for _, put in libs:
-        put(1)
-    try:
-        yield
-    finally:
-        for (_, put), n in zip(libs, counts):
-            put(n)
-
-
-def _cut(n: int, unit: int) -> int:
-    """Where n rows split between two processes: the multiple of `unit`
-    nearest n/2 (the larger one on a tie), at least `unit` and at most
-    n.  A cut of n leaves the second part empty."""
-    return min(n, max(unit, (n + unit) // (2 * unit) * unit))
-
-
-def _minibatch_step(model: Model, X, y, idx: np.ndarray, key: tuple,
-                    worker: Optional["_ShardWorker"],
-                    ws: Optional[Workspace] = None) -> tuple[float, dict]:
-    """Mean loss and gradients of the minibatch `idx` of (X, y): the mean
-    over its shards, rows [0, cut) and [cut, B) for cut = _cut(B, 1),
-    weighted by shard size and summed shard 0 first.  `key`, a tuple of
-    ints >= 0, keys both shards' dropout masks (see
-    :func:`_shard_loss_grads`).  `worker`, if given, computes shard 1
-    while this process computes shard 0 on `ws`."""
-    B = len(idx)
-    cut = _cut(B, 1)
-    shards = [slice(0, cut)] if cut == B else [slice(0, cut), slice(cut, B)]
-    if worker is not None and cut < B:
-        worker.submit("shard", idx, key)
-        parts = [_shard_loss_grads(model, X, y, idx, shards[0], key, ws),
-                 (worker.recv(), worker.grads)]
-    else:
-        parts = [_shard_loss_grads(model, X, y, idx, s, key, ws) for s in shards]
-    sizes = [s.stop - s.start for s in shards]
-    loss = sum(n * part[0] for n, part in zip(sizes, parts)) / B
-    grads = {k: sum(n * part[1][k] for n, part in zip(sizes, parts)) / B for k in parts[0][1]}
-    return loss, grads
-
-
-def _shard_loss_grads(model: Model, X, y, idx: np.ndarray, rows: slice, key: tuple,
-                      ws: Optional[Workspace]):
-    """Mean loss and gradients of the training windows idx[rows] of the
-    minibatch `idx`, on `ws`, with dropout keep masks drawn from
-    np.random.default_rng([*key, rows.start]): each shard's own stream,
-    which no other shard's draw moves.  Both processes run their shards
-    through this one function."""
-    Xs = X[idx[rows]]
-    rng = np.random.default_rng([*key, rows.start])
-    masks = model.dropout_masks(len(Xs), _batch_shape(Xs)[1], rng, ws)
-    return model.loss_and_grads(Xs, y[idx[rows]], masks=masks, ws=ws)
-
-
-def _predict(model: Model, X, ws: Workspace, worker: Optional["_ShardWorker"]) -> np.ndarray:
-    """`model.predict(X)`, split across two processes when `worker` is
-    given: this process predicts the head X[:cut] on `ws` while the
-    worker predicts the tail, for cut = _cut(len(X), PREDICT_CHUNK).  The
-    cut is a multiple of PREDICT_CHUNK, so every chunk has the rows and
-    shape it has in one `predict`, and the probabilities keep their
-    bytes."""
-    cut = len(X) if worker is None else _cut(len(X), PREDICT_CHUNK)
-    if cut == len(X):
-        return model.predict(X, ws=ws)
-    worker.submit("predict", cut)
-    head = model.predict(X, ws=ws, rows=slice(0, cut))
-    return np.concatenate([head, worker.recv()])
-
-
-def split_predict(model: Model, X) -> np.ndarray:
-    """`model.predict(X)`'s probabilities, byte for byte, computed with
-    numpy's BLAS at one thread.  When X holds more than 2 * PREDICT_CHUNK
-    windows and the affinity mask two CPUs or more, a predict-only worker
-    forked for this call predicts the tail (see :func:`_predict`) and
-    exits before the call returns.  Forking, the worker's first page
-    faults and the join cost about one chunk's predict (20-28 ms for a
-    64x64 LSTM at T=100 on two cores), so at two chunks or fewer this
-    process predicts alone."""
-    fork = len(X) > 2 * PREDICT_CHUNK and forked.spare_cpu()
-    with _one_blas_thread(), _ShardWorker(model, None, X) if fork else nullcontext() as worker:
-        return _predict(model, X, Workspace(), worker)
-
-
-class _ShardWorker(forked.Worker):
-    """A process forked from the caller that computes shard 1 of each
-    minibatch of `train_xy` and the tail of each split predict of
-    `predict_X` (`train_xy` None: no shard request will come).  It
-    inherits the model and the windows at fork, so no window is pickled.
-
-    Before the fork the constructor makes one anonymous shared mapping
-    (MAP_SHARED, so the worker inherits it) of float64s: the params and
-    shard 1's grads.  The worker's model reads its params from the
-    mapping; `submit` copies the caller's current params there and sends
-    a request of plain values: ("shard", idx, key) with the minibatch's
-    sample indices and dropout key, or ("predict", cut).  The worker
-    writes a shard's grads into the mapping and replies with its loss,
-    or replies with the (len(predict_X) - cut, K) probabilities of the
-    tail.  `recv` returns the reply, or raises again what the request
-    raised.  Its channel and lifecycle are :class:`lobflow.forked.Worker`'s;
-    a worker that is gone raises NetError."""
-
-    def __init__(self, model: Model, train_xy, predict_X):
-        shapes = [p.shape for p in model.params.values()] * 2
-        starts = np.cumsum([0] + [math.prod(s) for s in shapes]).tolist()
-        buf = np.frombuffer(mmap.mmap(-1, 8 * starts[-1]), np.float64)
-        views = [buf[a:a + math.prod(s)].reshape(s) for a, s in zip(starts, shapes)]
-        self.model = model
-        self.params = dict(zip(model.params, views))
-        self.grads = dict(zip(model.params, views[len(model.params):]))
-        super().__init__(self._serve, train_xy, predict_X, exited=_exited)
-
-    def close(self, abort: bool = False) -> None:
-        super().close(abort)
-        self.params = self.grads = None   # the mapping goes with its views
-
-    def submit(self, *request) -> None:
-        for k, p in self.model.params.items():
-            self.params[k][...] = p
-        self.send(request)
-
-    def _serve(self, conn, train_xy, predict_X) -> None:
-        """The worker's loop: serve requests on one Workspace until the
-        parent closes its end of the pipe or a request raises."""
-        model = self.model
-        model.params = self.params
-        ws = Workspace()
-        while True:
-            kind, *args = conn.recv()
-            if kind == "shard":
-                X, y = train_xy
-                idx, key = args
-                rows = slice(_cut(len(idx), 1), len(idx))
-                out, grads = _shard_loss_grads(model, X, y, idx, rows, key, ws)
-                for k, g in grads.items():
-                    self.grads[k][...] = g
-            else:
-                out = model.predict(predict_X, ws=ws, rows=slice(args[0], None))
-            conn.send(out)
-
-
-def _exited(e: Optional[OSError]) -> NetError:
-    """The error of a shard worker that is gone (see :class:`lobflow.forked.Worker`)."""
-    if e is None:
-        return NetError("the shard worker exited before it replied")
-    return NetError(f"the shard worker exited: {e}")
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,7 @@ class ReferenceBook:
                 self.dropped_market_events += 1
         else:
             if ev.order_id not in self.buys and ev.order_id not in self.sells:
-                raise UnknownOrderId(ev.order_id)
+                raise UnknownOrderId(f"unknown order id {ev.order_id!r}")
             orders = self._side(ev.side)
             o = orders.get(ev.order_id)
             if o is None or o[0] != ev.price_ticks:

@@ -4,22 +4,30 @@ import os
 import numpy as np
 import pytest
 
-from lobflow import feed, features, net
+from lobflow import feed, features, forked, shards
 
 
 @pytest.fixture(autouse=True)
 def no_leaked_workers():
     """Every test ends with no child process left running and with the
     BLAS thread count it started with."""
-    threads = [get() for get, _ in net._openblas()]
+    threads = [get() for get, _ in shards._openblas()]
     yield
     assert multiprocessing.active_children() == []
-    assert [get() for get, _ in net._openblas()] == threads
+    assert [get() for get, _ in shards._openblas()] == threads
 
 
 def _cpus(monkeypatch, n):
     """Make the affinity mask show `n` CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _counting_forks(monkeypatch) -> list:
+    """A list that gains an item for each `forked.Worker` started from now on."""
+    started, start = [], forked.Worker.__init__
+    monkeypatch.setattr(forked.Worker, "__init__",
+                        lambda self, *a, **k: started.append(1) or start(self, *a, **k))
+    return started
 
 
 @pytest.fixture(scope="session")

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import _cpus
-from lobflow import cli, container, features, feed, net, stats
+from conftest import _counting_forks, _cpus
+from lobflow import cli, container, features, feed, net, shards, stats
 
 
 def base_config(root: Path, split_ranges=None, n_events=16000):
@@ -336,10 +336,7 @@ class TestPipelineOutputs:
                                                           monkeypatch):
         ds = pipeline["out"] / "AAA.orderflow.ds"
         assert features.load_dataset(ds).subset("test").n > 2 * net.PREDICT_CHUNK
-        started = []
-        start = net._ShardWorker.__init__
-        monkeypatch.setattr(net._ShardWorker, "__init__",
-                            lambda self, *a: started.append(1) or start(self, *a))
+        started = _counting_forks(monkeypatch)
         written = []
         for cpus in (1, 2):
             _cpus(monkeypatch, cpus)
@@ -562,14 +559,14 @@ class TestExitCodes:
     def test_failed_worker_shard_is_error_exit(self, pipeline, tmp_path, capfd, monkeypatch):
         # two CPUs, so a worker computes shard 1; its shard fails there only
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        parent, shard = os.getpid(), net._shard_loss_grads
+        parent, shard = os.getpid(), shards.Shards._shard
 
         def failing(*args):
             if os.getpid() != parent:
                 raise net.CategoryOutOfRange("kind value out of range")
             return shard(*args)
 
-        monkeypatch.setattr(net, "_shard_loss_grads", failing)
+        monkeypatch.setattr(shards.Shards, "_shard", failing)
         capfd.readouterr()
         rc = cli.main(["train", "--config", pipeline["cfgfile"], "--out", str(tmp_path / "out"),
                        "--pair", "AAA", "--variant", "orderflow",
@@ -726,6 +723,59 @@ class TestExitCodes:
         assert rc == cli.EXIT_ERROR
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: timestamp {2**62} ms")
+        assert not (tmp_path / "out").exists()   # the tables are not written either
+
+    def test_report_on_prediction_past_year_9999_makes_no_out(self, pipeline, tmp_path, capsys):
+        src = pipeline["out"] / "pred_AAA__AAA.orderflow.test.csv"
+        lines = src.read_text().splitlines(keepends=True)
+        at = lines.index("timestamp_ms,y,yhat,p1\n") + 1
+        lines[at] = "99999999999999999999" + lines[at][lines[at].index(","):]
+        pred = tmp_path / src.name
+        pred.write_text("".join(lines))
+        capsys.readouterr()
+        rc = cli.main(["report", "--out", str(tmp_path / "out"), "--pred", str(pred)])
+        assert rc == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: timestamp 99999999999999999999 ms has no UTC date")
+        assert not (tmp_path / "out").exists()
+
+    def test_evaluate_past_year_9999_makes_no_out(self, tiny, tmp_path, capsys, monkeypatch):
+        # a stream that starts in year 10209 builds and trains; its daily
+        # MCC has no date, and evaluate fails before it writes a prediction
+        monkeypatch.chdir(tmp_path)
+        cfg = copy.deepcopy(tiny["cfg"])
+        cfg["generator"]["start_ts"] = 260_000_000_000_000
+        cfg["search"] = None
+        cfgfile = write_config(tmp_path / "c.json", cfg)
+        assert cli.main(["generate", "--config", cfgfile, "--out", "out"]) == cli.EXIT_OK
+        lo, hi = stream_span("X.ofr")
+        a, b = lo + (hi - lo) * 6 // 10, lo + (hi - lo) * 8 // 10
+        cfg["split_ranges"] = {"train": [lo, a], "validation": [a, b], "test": [b, hi + 1]}
+        cfgfile = write_config(tmp_path / "c.json", cfg)
+        assert cli.main(["build", "--config", cfgfile, "--out", "out"]) == cli.EXIT_OK
+        assert cli.main(["train", "--config", cfgfile, "--out", "out", "--pair", "X",
+                         "--variant", "orderflow"]) == cli.EXIT_OK
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--checkpoint", "out/X.orderflow.ckpt", "--dataset",
+                       "out/X.orderflow.ds", "--split", "test", "--out", "eval"])
+        assert rc == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "has no UTC date in years 1-9999" in err[0]
+        assert not (tmp_path / "eval").exists()
+
+    def test_report_on_stream_with_unknown_cancel_makes_no_out(self, pipeline, tmp_path,
+                                                              capsys):
+        stream = tmp_path / "s.ofr"
+        stream.write_text('{"ts":1510000000000,"seq":1,"kind":"cancel","side":"buy",'
+                          '"price":10,"size":1.0,"id":"zz"}\n')
+        pred = pipeline["out"] / "pred_AAA__AAA.orderflow.test.csv"
+        capsys.readouterr()
+        rc = cli.main(["report", "--out", str(tmp_path / "out"), "--pred", str(pred),
+                       "--stream", str(stream)])
+        assert rc == cli.EXIT_ERROR
+        assert capsys.readouterr().err.splitlines() == ["error: unknown order id 'zz'"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("lines,match", [
         (["1510000000000,1,0,0.5", "1510000000001,1,x,0.5"], "'1510000000001,1,x,0.5'"),
@@ -1062,6 +1112,37 @@ class TestHeaderFuzz:
         if rc == cli.EXIT_ERROR:
             assert len(err) == 1 and err[0].startswith("error:"), err
             assert not made_out
+
+
+class TestPredictionFuzz:
+    """`report` on a prediction file with one `# key=value` value or one
+    row's timestamp replaced by any text or integer exits 0, or 1 with one
+    `error:` line and no --out; never a traceback."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_one_replaced_value_is_a_clean_exit(self, tiny_ckpt, data):
+        src = tiny_ckpt.parent / "eval" / "pred_X__X.orderflow.test.csv"
+        lines = src.read_text().splitlines(keepends=True)
+        at = data.draw(st.sampled_from([i for i, line in enumerate(lines)
+                                        if not line.startswith("timestamp_ms,")]), label="line")
+        value = data.draw(st.text() | st.integers().map(str), label="value")
+        line = lines[at]
+        if line.startswith("# "):   # a `# key=value` line: its value
+            lines[at] = line[:line.index("=") + 1] + value + "\n"
+        else:                      # a row: its timestamp
+            lines[at] = value + line[line.index(","):]
+        with tempfile.TemporaryDirectory() as work:
+            pred = Path(work) / src.name
+            pred.write_text("".join(lines), encoding="utf-8")
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = cli.main(["report", "--out", str(Path(work) / "out"), "--pred", str(pred)])
+            err = err.getvalue().splitlines()
+            assert rc in (cli.EXIT_OK, cli.EXIT_ERROR)
+            if rc == cli.EXIT_ERROR:
+                assert len(err) == 1 and err[0].startswith("error:"), err
+                assert not (Path(work) / "out").exists()
 
 
 _IMPORT_PROBE = """

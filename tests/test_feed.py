@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import _cpus
-from lobflow import feed, forked
+from conftest import _counting_forks, _cpus
+from lobflow import feed
 from lobflow.feed import EventKind, Side
 
 # canonical lines, as `serialize_event` writes them
@@ -126,6 +126,17 @@ class TestParse:
             feed.parse_event(json.dumps(obj))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("text", ["1_000", " 2 ", "2\n", "\u0661\u0662", "+1", ".5", "5.",
+                                      "1e", "0x1", "01", "nan", "inf", ""])
+    def test_size_string_must_be_a_json_number(self, text):
+        # float() would take each of these; the wire's size string is a
+        # JSON number, on the canonical line and on any other spelling
+        lines = {_line(size=json.dumps(text)), _line(size=json.dumps(text, ensure_ascii=False))}
+        for line in lines | {line.replace(",", ", ") for line in lines}:
+            with pytest.raises(feed.SchemaViolation) as info:
+                feed.parse_event(line)
+            assert str(info.value) == f"bad size string {text!r}"
+
     def test_not_json(self):
         with pytest.raises(feed.MalformedRecord):
             feed.parse_event("{nope")
@@ -195,8 +206,8 @@ class TestFastPath:
         (_line(size='"0.5"'), True),
         (_line(size='"nan"'), False),
         (_line(size='"inf"'), False),
-        (_line(size='"1_0"'), True),
-        (_line(size='" 2.5 "'), True),
+        (_line(size='"1_0"'), False),
+        (_line(size='" 2.5 "'), False),
         (_line(size='"1/2"'), False),
         (_line(size='"1e400"'), False),
         (_line(size="1" * 400), False),
@@ -435,14 +446,6 @@ class TestIterEvents:
 def _good(seq):
     return (f'{{"ts":1,"seq":{seq},"kind":"limit","side":"buy","price":10,"size":1,'
             f'"id":"o{seq}"}}').encode()
-
-
-def _counting_forks(mp) -> list:
-    """A list that gains an item for each `forked.Worker` started from now on."""
-    started, start = [], forked.Worker.__init__
-    mp.setattr(forked.Worker, "__init__",
-               lambda self, *a, **k: started.append(1) or start(self, *a, **k))
-    return started
 
 
 def _read(path, fork: bool):

@@ -86,21 +86,41 @@ class TestChannel:
 
 
 def _imports(path: Path) -> set:
-    """The top-level names of the modules that `path` imports."""
+    """The dotted names of the modules that `path` imports anywhere in it,
+    a relative import resolved in `lobflow`; `from m import a` gives both
+    `m` and `m.a`."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
-            names.update(a.name.split(".")[0] for a in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names.add(node.module.split(".")[0])
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["lobflow" if node.level else None, node.module]))
+            names.add(base)
+            names.update(f"{base}.{a.name}" for a in node.names)
     return names
+
+
+def _importers() -> dict:
+    """Each lobflow module's file name -> the top-level names it imports."""
+    modules = sorted(Path(forked.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    return {p.name: {n.split(".")[0] for n in _imports(p)} for p in modules}
 
 
 def test_only_forked_imports_multiprocessing_and_none_pickle():
     # process plumbing lives in one module; every pipe message goes
     # through its channel
-    modules = sorted(Path(forked.__file__).parent.glob("*.py"))
-    assert len(modules) > 5
-    imports = {p.name: _imports(p) for p in modules}
+    imports = _importers()
     assert [n for n, i in imports.items() if "multiprocessing" in i] == ["forked.py"]
     assert [n for n, i in imports.items() if "pickle" in i] == []
+
+
+def test_only_shards_maps_memory_and_net_forks_nothing():
+    # the second process of train and predict, its shared mapping and its
+    # BLAS pin live in shards; net keeps the model and the train loop
+    imports = _importers()
+    for name in ("mmap", "ctypes"):
+        assert [n for n, i in imports.items() if name in i] == ["shards.py"], name
+    net = _imports(Path(forked.__file__).with_name("net.py"))
+    assert not net & {"mmap", "ctypes", "multiprocessing", "lobflow.forked"}
+    assert "lobflow.shards" in net   # train opens its Shards inside the function

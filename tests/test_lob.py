@@ -84,7 +84,7 @@ class TestBasics:
 class TestErrors:
     def test_unknown_cancel(self, ev):
         book = lob.OrderBook()
-        with pytest.raises(lob.UnknownOrderId):
+        with pytest.raises(lob.UnknownOrderId, match=r"^unknown order id 'ghost'$"):
             book.apply_event(ev(kind=EventKind.CANCEL, size=1.0, oid="ghost"))
 
     def test_over_cancel(self, ev):
@@ -124,7 +124,7 @@ class TestErrors:
         assert oracle.compare_books(book, ref) is None and "o1" in ref.buys
 
     def test_oracle_unknown_cancel(self, ev):
-        with pytest.raises(lob.UnknownOrderId):
+        with pytest.raises(lob.UnknownOrderId, match=r"^unknown order id 'ghost'$"):
             oracle.ReferenceBook().apply(ev(kind=EventKind.CANCEL, size=1.0, oid="ghost"))
 
     def test_mid_on_one_sided_book(self, ev):

@@ -15,8 +15,8 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import _cpus
-from lobflow import container, net
+from conftest import _counting_forks, _cpus
+from lobflow import container, net, shards
 from lobflow.features import MAX_S, MissingStats
 from lobflow.net import Model, ModelConfig, TrainSchedule
 
@@ -656,6 +656,12 @@ def _benchmark_model(dropout=0.1):
     return Model(cfg, seed=3), X, np.random.default_rng(6).integers(0, 2, 64)
 
 
+def _local_step(m, X, y, idx, key):
+    """One minibatch step of `m` with no worker, both shards in this process."""
+    with shards.Shards(m, (X, y), None, split=False) as sh:
+        return sh.step(idx, key)
+
+
 class TestShards:
     """A minibatch's gradient as two half-batch shards, shard 1 on a
     forked worker when the affinity mask shows two CPUs."""
@@ -667,10 +673,7 @@ class TestShards:
         val = toy_xy(n=130, seed=1)
         cfg = small_cfg(layers=(4, 3), dense_hidden=(5,), dropout=0.2)
         sched = TrainSchedule(epochs=3, batch_size=16, lr=1e-2, patience=5, seed=4)
-        started = []
-        start = net._ShardWorker.__init__
-        monkeypatch.setattr(net._ShardWorker, "__init__",
-                            lambda self, *a: started.append(1) or start(self, *a))
+        started = _counting_forks(monkeypatch)
         runs = []
         for cpus in (1, 2):
             _cpus(monkeypatch, cpus)
@@ -690,9 +693,9 @@ class TestShards:
         m, X, y = _benchmark_model()
         idx = np.arange(64)
         key = (7, 2, 128)
-        loss, grads = net._minibatch_step(m, X, y, idx, key, None)
-        shards = [m.dropout_masks(32, 100, np.random.default_rng([*key, a])) for a in (0, 32)]
-        masks = [np.concatenate(rows) for rows in zip(*shards)]
+        loss, grads = _local_step(m, X, y, idx, key)
+        halves = [m.dropout_masks(32, 100, np.random.default_rng([*key, a])) for a in (0, 32)]
+        masks = [np.concatenate(rows) for rows in zip(*halves)]
         ref_loss, ref = m.loss_and_grads(X, y, masks=masks)
         assert abs(loss - ref_loss) <= 1e-5 * abs(ref_loss)
         for k in ref:
@@ -703,7 +706,7 @@ class TestShards:
         # the step's key and row 0
         m, X, y = _benchmark_model()
         key = (8, 0, 5)
-        loss, grads = net._minibatch_step(m, X, y, np.array([5]), key, None)
+        loss, grads = _local_step(m, X, y, np.array([5]), key)
         ref_loss, ref = m.loss_and_grads(
             X[[5]], y[[5]], masks=m.dropout_masks(1, 100, np.random.default_rng([*key, 0])))
         assert loss == ref_loss
@@ -711,20 +714,22 @@ class TestShards:
             assert grads[k].tobytes() == ref[k].tobytes(), k
 
     @pytest.mark.parametrize("B", [17, 32])
-    def test_worker_shard_is_the_keyed_shard(self, B):
+    def test_worker_shard_is_the_keyed_shard(self, monkeypatch, B):
         # the worker draws shard 1's masks from the step's key and the
         # shard's first row, so its loss and grads are the local shard's
+        _cpus(monkeypatch, 2)
         X, y = toy_xy(n=40)
         m = Model(small_cfg(layers=(4, 3), dense_hidden=(5,), dropout=0.3), seed=2)
         idx = np.random.default_rng(1).permutation(40)[:B]
         key = (4, 1, 16)
-        with net._one_blas_thread(), net._ShardWorker(m, (X, y), None) as worker:
-            loss, grads = net._minibatch_step(m, X, y, idx, key, worker)
-            worker.submit("shard", idx, key)
-            shard_loss, shard_grads = worker.recv(), {k: g.copy() for k, g in worker.grads.items()}
-            ref_loss, ref = net._minibatch_step(m, X, y, idx, key, None)
-            own_loss, own = net._shard_loss_grads(m, X, y, idx, slice(net._cut(B, 1), B), key,
-                                                  None)
+        with shards.Shards(m, (X, y), None, split=True) as sh:
+            assert sh.worker is not None
+            loss, grads = sh.step(idx, key)
+            sh._submit("shard", idx, key)
+            shard_loss, shard_grads = sh.worker.recv(), {k: g.copy() for k, g in sh.grads.items()}
+        ref_loss, ref = _local_step(m, X, y, idx, key)
+        with shards.Shards(m, (X, y), None, split=False) as sh:
+            own_loss, own = sh._shard(idx, slice(shards._cut(B, 1), B), key)
         assert multiprocessing.active_children() == []
         assert loss == ref_loss and shard_loss == own_loss
         for k in ref:
@@ -734,13 +739,13 @@ class TestShards:
     def test_train_rng_only_shuffles(self, monkeypatch):
         # the minibatches of a seed do not depend on the dropout draws
         _cpus(monkeypatch, 1)
-        step, seen = net._minibatch_step, {}
+        step, seen = shards.Shards.step, {}
 
-        def recording(model, X, y, idx, *args):
-            seen.setdefault(model.cfg.dropout, []).append(idx.tobytes())
-            return step(model, X, y, idx, *args)
+        def recording(self, idx, key):
+            seen.setdefault(self.model.cfg.dropout, []).append(idx.tobytes())
+            return step(self, idx, key)
 
-        monkeypatch.setattr(net, "_minibatch_step", recording)
+        monkeypatch.setattr(shards.Shards, "step", recording)
         X, y = toy_xy(n=40)
         sched = TrainSchedule(epochs=3, batch_size=16, patience=5, seed=4)
         for rate in (0.0, 0.3):
@@ -751,17 +756,18 @@ class TestShards:
         # one workspace through minibatches of 64, 17 and 64 rows and a
         # one-sample shard, with a validation predict between steps
         m, X, y = _benchmark_model()
-        ws = net.Workspace()
         draw = np.random.default_rng(3)
-        for n in (64, 17, 64, 1):
-            idx = draw.permutation(64)[:n]
-            key = (int(draw.integers(1000)), 0, 0)
-            loss, grads = net._minibatch_step(m, X, y, idx, key, None, ws)
-            ref_loss, ref = net._minibatch_step(m, X, y, idx, key, None)
-            assert loss == ref_loss
-            for k in ref:
-                assert grads[k].tobytes() == ref[k].tobytes(), (n, k)
-            assert m.predict(X[:n + 40], ws=ws).tobytes() == m.predict(X[:n + 40]).tobytes()
+        with shards.Shards(m, (X, y), None, split=False) as sh:
+            for n in (64, 17, 64, 1):
+                idx = draw.permutation(64)[:n]
+                key = (int(draw.integers(1000)), 0, 0)
+                loss, grads = sh.step(idx, key)
+                ref_loss, ref = _local_step(m, X, y, idx, key)
+                assert loss == ref_loss
+                for k in ref:
+                    assert grads[k].tobytes() == ref[k].tobytes(), (n, k)
+                want = m.predict(X[:n + 40]).tobytes()
+                assert m.predict(X[:n + 40], ws=sh.ws).tobytes() == want
 
     def test_returned_cache_is_not_overwritten(self):
         m = Model(small_cfg(layers=(6, 4), dense_hidden=(5,), dropout=0.3), seed=0)
@@ -794,14 +800,14 @@ class TestShards:
 
     def test_dead_worker_is_a_net_error(self, monkeypatch):
         _cpus(monkeypatch, 2)
-        parent, shard = os.getpid(), net._shard_loss_grads
+        parent, shard = os.getpid(), shards.Shards._shard
 
         def dying(*args):
             if os.getpid() != parent:
                 os._exit(3)
             return shard(*args)
 
-        monkeypatch.setattr(net, "_shard_loss_grads", dying)
+        monkeypatch.setattr(shards.Shards, "_shard", dying)
         X, y = toy_xy(n=32)
         with pytest.raises(net.NetError, match="worker exited") as caught:
             net.train(Model(small_cfg(), seed=0), (X, y), (X, y),
@@ -809,30 +815,32 @@ class TestShards:
         assert not isinstance(caught.value, EOFError)
         assert multiprocessing.active_children() == []
 
-    def test_worker_exits_when_its_pipe_closes(self):
+    def test_worker_exits_when_its_pipe_closes(self, monkeypatch):
+        _cpus(monkeypatch, 2)
         X, y = toy_xy(n=8)
-        worker = net._ShardWorker(Model(small_cfg(), seed=0), (X, y), X)
-        worker.conn.close()
-        worker.proc.join(timeout=60)
-        assert worker.proc.exitcode == 0
+        with shards.Shards(Model(small_cfg(), seed=0), (X, y), X, split=True) as sh:
+            worker = sh.worker
+            worker.conn.close()
+            worker.proc.join(timeout=60)
+            assert worker.proc.exitcode == 0
         assert multiprocessing.active_children() == []
 
 
 _BLAS_PROBE = """
 import os, sys
 import numpy as np
-from lobflow import net
+from lobflow import net, shards
 os.sched_getaffinity = lambda pid: {0, 1}
 parent, log = os.getpid(), sys.argv[1]
-(get, _), = net._openblas()
-shard = net._shard_loss_grads
+(get, _), = shards._openblas()
+shard = shards.Shards._shard
 
 def probed(*args):
     with open(log, "a") as fh:
         fh.write(f"{'worker' if os.getpid() != parent else 'parent'} {get()}\\n")
     return shard(*args)
 
-net._shard_loss_grads = probed
+shards.Shards._shard = probed
 X = net.random_raw_batch("orderflow", 8, 3, 2, np.random.default_rng(0))
 y = np.arange(8) % 2
 cfg = net.ModelConfig("orderflow", S=2, layers=(4,), norm_mean=[0.0] * 3, norm_sd=[1.0] * 3)
@@ -844,7 +852,7 @@ print(before, get())
 
 class TestBlasThreads:
     def test_train_runs_at_one_blas_thread_without_a_thread_variable(self, tmp_path):
-        if len(net._openblas()) != 1:
+        if len(shards._openblas()) != 1:
             pytest.skip("numpy does not run on exactly one OpenBLAS here")
         # a fresh interpreter with no *_NUM_THREADS variable, as a user runs it
         env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
@@ -888,25 +896,23 @@ class TestSplitPredict:
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129, 256])
     def test_split_predict_is_predict_byte_for_byte(self, monkeypatch, n):
         _cpus(monkeypatch, 2)
-        started = []
-        start = net._ShardWorker.__init__
-        monkeypatch.setattr(net._ShardWorker, "__init__",
-                            lambda self, *a: started.append(1) or start(self, *a))
+        started = _counting_forks(monkeypatch)
         m, X = self._model_and_windows(n)
         want = m.predict(X).tobytes()
-        assert net.split_predict(m, X).tobytes() == want
+        assert shards.split_predict(m, X).tobytes() == want
         # below two chunks a fork costs more than the worker's tail saves
         assert started == ([1] if n > 2 * net.PREDICT_CHUNK else [])
         # a live worker, as train's, splits every predict above one chunk
-        with net._ShardWorker(m, None, X) as worker:
-            assert net._predict(m, X, net.Workspace(), worker).tobytes() == want
+        with shards.Shards(m, None, X, split=True) as sh:
+            assert sh.worker is not None
+            assert sh.predict().tobytes() == want
         assert multiprocessing.active_children() == []
 
     def test_cut_is_a_chunk_boundary_near_the_middle(self):
         C = net.PREDICT_CHUNK
         for n in range(1, 20 * C + 1):
-            assert net._cut(n, 1) == (n + 1) // 2   # shard 0 of a minibatch: ceil(B/2) rows
-            cut = net._cut(n, C)
+            assert shards._cut(n, 1) == (n + 1) // 2   # shard 0 of a minibatch: ceil(B/2) rows
+            cut = shards._cut(n, C)
             if n <= C:
                 assert cut == n   # no tail
             else:
@@ -925,14 +931,15 @@ class TestSplitPredict:
         # train_xy None: the mapping still holds the params, which each
         # request copies from the caller's model, and the grads, but no
         # predictions, which come back through the pipe
+        _cpus(monkeypatch, 2)
         maps = _record_mappings(monkeypatch)
         m, X = self._model_and_windows(200)
-        with net._ShardWorker(m, None, X) as worker:
+        with shards.Shards(m, None, X, split=True) as sh:
             (_, lo, hi), = maps
             assert hi - lo == 2 * 8 * sum(p.size for p in m.params.values())
             for _ in range(2):
                 want = m.predict(X).tobytes()
-                assert net._predict(m, X, net.Workspace(), worker).tobytes() == want
+                assert sh.predict().tobytes() == want
                 for p in m.params.values():
                     p *= 1.5
         assert multiprocessing.active_children() == []
@@ -943,9 +950,9 @@ class TestSplitPredict:
         m, X = self._model_and_windows(257)
         bad = X.copy()
         # a kind code out of range, in the tail only
-        bad[net._cut(257, net.PREDICT_CHUNK):, :, 3] = 9
+        bad[shards._cut(257, net.PREDICT_CHUNK):, :, 3] = 9
         with pytest.raises(net.CategoryOutOfRange):
-            net.split_predict(m, bad)
+            shards.split_predict(m, bad)
         # the same tail of a validation split
         y = np.zeros(257, np.int64)
         with pytest.raises(net.CategoryOutOfRange):
@@ -964,7 +971,7 @@ class TestSplitPredict:
         monkeypatch.setattr(net.Model, "predict", dying)
         m, X = self._model_and_windows(257)
         with pytest.raises(net.NetError, match="worker exited") as caught:
-            net.split_predict(m, X)
+            shards.split_predict(m, X)
         assert not isinstance(caught.value, EOFError)
         assert multiprocessing.active_children() == []
 
