@@ -6,7 +6,6 @@ cross-check against the naive reference implementation.
 """
 
 from lobflow import feed, lob, oracle
-from lobflow.feed import Side
 
 cfg = feed.GeneratorConfig(n_events=5000)
 book = lob.OrderBook()
@@ -23,12 +22,12 @@ print("mid-price (ticks, from the exact half-tick mid2):", book.mid2() / 2)
 print("total executed size:", round(executed, 6))
 print("market orders dropped for lack of liquidity:", book.dropped_market_events)
 
-# relative price: plus-one tick distance from the same-side best
+# relative price, the orderflow feature: 1 + the tick distance of an
+# order's price from the same-side best before it (a buy's: the best bid)
 bb = book.best_bid()
-print(f"\nrelative price of a buy at best ({bb}):",
-      book.relative_price(Side.BUY, bb))
-print(f"relative price of a buy 3 ticks below:",
-      book.relative_price(Side.BUY, bb - 3))
+print()
+for price in (bb, bb - 3):
+    print(f"relative price of a buy at {price}, best bid {bb}:", 1 + abs(bb - price))
 
 # fixed-depth snapshot as one row: bid prices, bid volumes, ask prices,
 # ask volumes; shallow sides padded with zero volume

@@ -14,6 +14,8 @@ import numbers
 import re
 
 _INT64_END = 2 ** 63
+# the ms timestamps that have a UTC date in years 1-9999, the years of `datetime`
+UTC_MS_MIN, UTC_MS_MAX = -62_135_596_800_000, 253_402_300_799_999
 # a pair name becomes a file stem, a CSV cell, a `# key=value` line and SVG text
 _PAIR_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 

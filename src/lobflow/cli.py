@@ -12,6 +12,7 @@ import argparse
 import copy
 import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -357,6 +358,11 @@ def cmd_evaluate(out_dir: Path, checkpoint: str, dataset: str, split: str) -> in
 # ---------------------------------------------------------------------------
 
 
+# a prediction row's timestamp, as `evaluate` writes it: ASCII digits only,
+# no spaces, underscores or other Unicode digits, which int() would take
+_TIMESTAMP = re.compile(r"-?[0-9]+")
+
+
 def _load_predictions(paths) -> list[dict]:
     """The prediction sets of `paths`, at most one per (variant, train
     pair, test pair): the tables and figures key each set by those."""
@@ -377,14 +383,11 @@ def _load_predictions(paths) -> list[dict]:
             checks.pair_name(meta[key], f"{p}: {key}", CliError)
         preds = []
         for r in rows:
-            try:
-                pred = (int(r[0]), int(r[1]), int(r[2]))
-            except (ValueError, IndexError):
-                pred = None
-            if pred is None or not {pred[1], pred[2]} <= {0, 1}:
+            if not (len(r) >= 3 and _TIMESTAMP.fullmatch(r[0])
+                    and r[1] in ("0", "1") and r[2] in ("0", "1")):
                 raise CliError(f"{p}: line {','.join(r)!r} does not start with an integer "
                                "timestamp_ms and a y and yhat of 0 or 1")
-            preds.append(pred)
+            preds.append((int(r[0]), int(r[1]), int(r[2])))
         key = (meta["variant"], meta["train_pair"], meta["test_pair"])
         if key in seen:
             raise CliError(f"{seen[key]} and {p} both hold {key[0]} predictions of the "

@@ -10,8 +10,15 @@ gathers the (N, T, C) windows as plain table rows, the event time is the
 mover's `table_ts[end]`, and the split is the one of the dataset's
 `split_ranges` that holds that time.  The stream's first `warm_count`
 events only build the book; one loop then replays every later event
-into the same book and makes it a table row.  Three variants are built
-in that pass on shared labels and window ends:
+into the same book and records for it only what needs the live book:
+the event's raw fields (ts, size, kind and side codes, int64 price), the
+best bid and ask after it and, for the snapshot variants, its snapshot
+row and best-level order counts.  numpy then derives every other column
+from those: the relative price from the previous row's same-side best,
+the half-tick mids before and after each event and from them the mid
+moves, labels and mid column, and the market-order flags.  Prices and
+mids stay exact integers until one cast to float at the end.  Three
+variants are built in that pass on shared labels and window ends:
 
   orderflow  per event: [dt_ms, hour, size, kind, side, rel_price]
   bench1     per event: [bid px*S, bid vol*S, ask px*S, ask vol*S, mid,
@@ -192,73 +199,83 @@ def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SY
     """Single replay pass producing every requested variant on shared labels.
 
     The stream's first `warm_count` events only build the book; every
-    later event becomes a table row.  Movers with fewer than T events
-    since the warm-up are skipped.  When a snapshot variant is requested,
-    samples whose window holds an event with no defined mid are dropped
-    from all variants so the variants stay index-aligned.
+    later event becomes a table row.  The replay records per row only
+    what needs the live book (see `_replay`); the other columns, the mid
+    moves and the labels are then derived in numpy, from exact int64
+    prices and uint64 half-tick mids that become floats once, at the end.
+    Movers with fewer than T events since the warm-up are skipped.  When
+    a snapshot variant is requested, samples whose window holds an event
+    with no defined mid are dropped from all variants so the variants
+    stay index-aligned.  A table timestamp without a UTC date in years
+    1-9999 raises FeatureError.
     """
-    book = lob.OrderBook()
-    events = iter(events)
-    n_warm, warm_last_ts = 0, None
-    for ev in islice(events, warm_count):
-        book.apply_event(ev)
-        n_warm += 1
-        warm_last_ts = ev.timestamp_ms
-    counters: dict = {"warmup_events": n_warm}
     need_snap = any(v != "orderflow" for v in variants)
     need_counts = "bench1" in variants
+    warm, warm_last_ts, dropped, cols = _replay(events, warm_count, S, need_snap, need_counts)
+    counters: dict = {"warmup_events": warm}
+    ts, kind, side = cols["ts"], cols["kind"], cols["side"]
+    E = len(ts)
+    for t in (ts.min(), ts.max()) if E else ():
+        if not checks.UTC_MS_MIN <= t <= checks.UTC_MS_MAX:
+            raise FeatureError(f"table timestamp {t} ms has no UTC date in years 1-9999")
+    market, buy = kind == EventKind.MARKET.value, side == Side.BUY.value
+    # row j's bests are bid[j] and ask[j] before its event, bid[j + 1] and ask[j + 1] after
+    bid, ask = cols["bid"], cols["ask"]
 
-    # flat typed buffers that the tables and per-sample arrays view without
-    # a copy; fromlist converts a row in about half the time extend takes
-    ts, flow, snaps = array("q"), array("d"), array("d")
-    ends, labels = array("q"), array("B")
-    for ev in events:
-        try:
-            rel = book.relative_price(ev.side, ev.price_ticks)
-        except lob.EmptySide:
-            # no same-side best yet (stream head); at-best by convention
-            rel = 1
-            counters["rel_price_fallbacks"] = counters.get("rel_price_fallbacks", 0) + 1
-        delta = book.apply_event(ev)
-        j = len(ts)
-        ts.append(ev.timestamp_ms)
-        # dt and hour are filled in from ts after the loop, in place
-        flow.fromlist([0.0, 0.0, ev.size, ev.kind.value, ev.side.value, rel])
-        if need_snap:
-            row = book.snapshot(S)
-            row.append(delta.mid2_after / 2 if delta.mid2_after is not None else np.nan)
-            if need_counts:
-                market = ev.kind is EventKind.MARKET
-                row += (book.level_count(Side.BUY, book.best_bid()),
-                        book.level_count(Side.SELL, book.best_ask()),
-                        market and ev.side is Side.BUY, market and ev.side is Side.SELL)
-            snaps.fromlist(row)
-        if delta.mid_changed:
-            if j >= T:
-                ends.append(j)
-                labels.append(1 if delta.mid2_after > delta.mid2_before else 0)
-            else:
-                counters["skipped_insufficient_history"] = \
-                    counters.get("skipped_insufficient_history", 0) + 1
-        elif delta.mid2_before is None and delta.mid2_after is not None:
-            counters["mid_became_defined"] = counters.get("mid_became_defined", 0) + 1
-    if book.dropped_market_events:
-        counters["dropped_market_events"] = book.dropped_market_events
-
-    ts = np.frombuffer(ts, dtype=np.int64)
-    end = np.frombuffer(ends, dtype=np.int64)
-    y = np.frombuffer(labels, dtype=np.uint8)
-    flow = np.frombuffer(flow).reshape(len(ts), 6)
+    flow = np.empty((E, 6))
     flow[:1, 0] = ts[:1] - (ts[:1] if warm_last_ts is None else warm_last_ts)
     np.subtract(ts[1:], ts[:-1], out=flow[1:, 0])
     # the UTC hour, through the column itself: no (E,) temporaries
     np.floor_divide(ts, 3_600_000, out=flow[:, 1])
     np.remainder(flow[:, 1], 24, out=flow[:, 1])
+    flow[:, 2] = cols["size"]
+    flow[:, 3] = kind
+    flow[:, 4] = side
+    # relative price: 1 + the tick distance from the same-side best before
+    # the event, made in the price buffer; 1 for a market order and,
+    # counted, for an empty side (no best yet at the stream head)
+    one = np.where(buy, bid[:-1] == 0, ask[:-1] == 0)
+    if one.any():
+        counters["rel_price_fallbacks"] = int(np.count_nonzero(one))
+    one |= market
+    rel = cols["price"]
+    np.subtract(bid[:-1], rel, out=rel, where=buy)
+    np.subtract(ask[:-1], rel, out=rel, where=~buy)
+    np.abs(rel, out=rel)
+    rel += 1
+    rel[one] = 1
+    flow[:, 5] = rel
+
+    # half-tick mids, before (mid2[j]) and after (mid2[j + 1]) row j's event,
+    # made in the bid buffer: bid + ask of two positive int64 prices is
+    # exact in uint64
+    defined = (bid != 0) & (ask != 0)
+    mid2 = bid.view(np.uint64)
+    mid2 += ask.view(np.uint64)
+    moved = defined[:-1] & defined[1:]
+    moved &= mid2[:-1] != mid2[1:]
+    movers = np.flatnonzero(moved)
+    end = movers[movers >= T]
+    if len(end) < len(movers):
+        counters["skipped_insufficient_history"] = len(movers) - len(end)
+    y = (mid2[end + 1] > mid2[end]).astype(np.uint8)
+    became = int(np.count_nonzero(defined[1:] & ~defined[:-1]))
+    if became:
+        counters["mid_became_defined"] = became
+    if dropped:
+        counters["dropped_market_events"] = dropped
+
     tables = {"orderflow": flow}
     if need_snap:
         w = 4 * S + 1
-        snap = np.frombuffer(snaps).reshape(len(ts), w + 4 * need_counts)
-        undefined = _cumsum0(np.isnan(snap[:, w - 1]))
+        snap = cols["snap"].reshape(E, w + 4 * need_counts)
+        # the mid in ticks: halving commutes with rounding to a float
+        np.multiply(mid2[1:], 0.5, out=snap[:, w - 1])
+        snap[~defined[1:], w - 1] = np.nan
+        if need_counts:
+            snap[:, w + 2] = market & buy
+            snap[:, w + 3] = market & ~buy
+        undefined = _cumsum0(~defined[1:])
         keep = undefined[end] == undefined[end - T]
         if not keep.all():
             counters["skipped_undefined_mid"] = int(np.sum(~keep))
@@ -268,6 +285,58 @@ def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SY
     return {v: Dataset(v, T, S, pair, tables[v], ts, end.copy(), y.copy(),
                        counters=dict(counters))
             for v in variants}
+
+
+# the replay's per-row columns and the typecodes of their buffers, which
+# numpy reads as the same types: int64, float64 and int8
+_COLUMNS = (("ts", "q"), ("size", "d"), ("kind", "b"), ("side", "b"), ("price", "q"),
+            ("bid", "q"), ("ask", "q"), ("snap", "d"))
+
+
+def _replay(events: Iterable[OrderEvent], warm_count: int, S: int, need_snap: bool,
+            need_counts: bool) -> tuple[int, Optional[int], int, dict]:
+    """Replay the stream into a fresh book, which is dropped on return,
+    and return the warm-up's event count and last ts, the book's dropped
+    market orders, and the `_COLUMNS`: numpy views of the flat typed
+    buffers the loop fills.  The first `warm_count` events only build
+    the book.  Per later event, a table row: its ts, size, kind and side
+    codes and int64 price (0 for a market order), and with a snapshot
+    variant its bench1 or bench2 row, whose mid and market-order flag
+    columns are placeholders.  `bid` and `ask` hold the bests before the
+    first row, then after each row's event.  Prices are positive (the
+    feed rejects others), so 0 marks a missing price or best."""
+    book = lob.OrderBook()
+    events = iter(events)
+    warm, warm_last_ts = 0, None
+    for ev in islice(events, warm_count):
+        book.apply_event(ev)
+        warm += 1
+        warm_last_ts = ev.timestamp_ms
+    cols = {name: array(code) for name, code in _COLUMNS}
+    cols["bid"].append(book.best_bid() or 0)
+    cols["ask"].append(book.best_ask() or 0)
+    ts, size, kind, side, price, bid, ask, snap = cols.values()
+    apply, best_bid, best_ask = book.apply_event, book.best_bid, book.best_ask
+    snapshot, best_counts = book.snapshot, book.best_counts
+    for ev in events:
+        apply(ev)
+        ts.append(ev.timestamp_ms)
+        size.append(ev.size)
+        # the enum's `_value_`, without the `value` property's descriptor call
+        kind.append(ev.kind._value_)
+        side.append(ev.side._value_)
+        price.append(ev.price_ticks or 0)
+        bid.append(best_bid() or 0)
+        ask.append(best_ask() or 0)
+        if need_snap:
+            row = snapshot(S)
+            if need_counts:
+                row += (0.0, *best_counts(), 0.0, 0.0)
+            else:
+                row.append(0.0)
+            snap.fromlist(row)
+    return (warm, warm_last_ts, book.dropped_market_events,
+            {name: np.frombuffer(a, dtype=a.typecode) for name, a in cols.items()})
 
 
 def check_split_ranges(ranges, where: str = "") -> dict:

@@ -451,8 +451,9 @@ class GeneratorConfig:
     `start_price` > `seed_levels` >= 2 so the opening ladder stays at
     positive prices, `mean_gap_ms` in [0, MAX_MEAN_GAP_MS] so that every
     gap is one 32-bit draw, `0 <= min_gap_ms <= 2 * mean_gap_ms`, and
-    `start_ts + n_events * 2 * mean_gap_ms` below 2**63 so that every
-    `ts` fits the int64 the parser demands), finite non-negative
+    `start_ts` and `start_ts + n_events * 2 * mean_gap_ms` in
+    [checks.UTC_MS_MIN, checks.UTC_MS_MAX] so that every `ts` has a UTC
+    date in years 1-9999, which `build` demands), finite non-negative
     order-mix proportions summing to 1, and a known `planted` rule.
 
     Sizes are emitted as dyadic rationals (multiples of 2^-6) so that
@@ -476,12 +477,13 @@ class GeneratorConfig:
         checks.integer(self.mean_gap_ms, "mean_gap_ms", InvalidConfig, 0, MAX_MEAN_GAP_MS)
         for name, lo in (("start_price", 1), ("min_gap_ms", 0), ("seed_levels", 2)):
             checks.integer(getattr(self, name), name, InvalidConfig, lo)
-        checks.integer(self.start_ts, "start_ts", InvalidConfig)
+        checks.integer(self.start_ts, "start_ts", InvalidConfig, checks.UTC_MS_MIN)
         if self.min_gap_ms > 2 * self.mean_gap_ms:
             raise InvalidConfig("min_gap_ms must be in [0, 2*mean_gap_ms]")
         # each gap is at most 2 * mean_gap_ms
-        if self.start_ts + self.n_events * 2 * self.mean_gap_ms > _INT64_MAX:
-            raise InvalidConfig("start_ts + n_events * 2 * mean_gap_ms must be below 2**63, "
+        if self.start_ts + self.n_events * 2 * self.mean_gap_ms > checks.UTC_MS_MAX:
+            raise InvalidConfig("start_ts + n_events * 2 * mean_gap_ms must be at most "
+                                f"{checks.UTC_MS_MAX} (the last ms of year 9999 UTC), "
                                 f"got start_ts {self.start_ts}")
         if self.start_price <= self.seed_levels:
             raise InvalidConfig("start_price must exceed seed_levels")

@@ -37,10 +37,6 @@ class CancelMismatch(BookError):
     """A cancel whose side or price is not that of the resting order."""
 
 
-class EmptySide(BookError):
-    pass
-
-
 @dataclass
 class RestingOrder:
     side: Side
@@ -117,21 +113,12 @@ class OrderBook:
         lvl = (self._bids if side is Side.BUY else self._asks).get(price)
         return lvl.size if lvl else 0.0
 
-    def level_count(self, side: Side, price: int) -> int:
-        lvl = (self._bids if side is Side.BUY else self._asks).get(price)
-        return lvl.count if lvl else 0
-
-    def relative_price(self, side: Side, price_ticks: Optional[int]) -> int:
-        """Tick distance from the same-side best, plus-one encoded.
-
-        Market orders (price None) map to 1 by convention.
-        """
-        best = self.best_bid() if side is Side.BUY else self.best_ask()
-        if best is None:
-            raise EmptySide(f"no resting {side.wire} orders")
-        if price_ticks is None:
-            return 1
-        return 1 + abs(best - price_ticks)
+    def best_counts(self) -> tuple[int, int]:
+        """The order counts of the best bid and best ask levels; 0 for an
+        empty side."""
+        bids, asks = self._bid_prices, self._ask_prices
+        return (len(self._bids[bids[-1]].queue) if bids else 0,
+                len(self._asks[asks[0]].queue) if asks else 0)
 
     # -- mutation -----------------------------------------------------------
 
@@ -243,17 +230,19 @@ class OrderBook:
         """
         if depth < 1:
             raise ValueError("snapshot depth must be >= 1")
-        bids = list(reversed(self._bid_prices[-depth:]))
+        bids = self._bid_prices[:-depth - 1:-1]
         asks = self._ask_prices[:depth]
-        bvol = [self._bids[p].size for p in bids]
-        avol = [self._asks[p].size for p in asks]
-        n_b, n_a = len(bids), len(asks)
-        last_b = bids[-1] if bids else 0
-        last_a = asks[-1] if asks else 0
-        for k in range(depth - n_b):
-            bids.append(last_b - (k + 1))
-            bvol.append(0.0)
-        for k in range(depth - n_a):
-            asks.append(last_a + (k + 1))
-            avol.append(0.0)
+        bid_levels, ask_levels = self._bids, self._asks
+        bvol = [bid_levels[p].size for p in bids]
+        avol = [ask_levels[p].size for p in asks]
+        pad = depth - len(bids)
+        if pad:
+            last = bids[-1] if bids else 0
+            bids += range(last - 1, last - 1 - pad, -1)
+            bvol += [0.0] * pad
+        pad = depth - len(asks)
+        if pad:
+            last = asks[-1] if asks else 0
+            asks += range(last + 1, last + 1 + pad)
+            avol += [0.0] * pad
         return bids + bvol + asks + avol

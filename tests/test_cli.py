@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -740,29 +741,34 @@ class TestExitCodes:
         assert err[0].startswith("error: timestamp 99999999999999999999 ms has no UTC date")
         assert not (tmp_path / "out").exists()
 
-    def test_evaluate_past_year_9999_makes_no_out(self, tiny, tmp_path, capsys, monkeypatch):
-        # a stream that starts in year 10209 builds and trains; its daily
-        # MCC has no date, and evaluate fails before it writes a prediction
+    def test_stream_past_year_9999_stops_at_generate_and_build(self, tiny, tmp_path, capsys,
+                                                              monkeypatch):
+        # a stream that starts in year 10209 has no UTC date: generate
+        # refuses the config, and build a stream so stamped from elsewhere
         monkeypatch.chdir(tmp_path)
         cfg = copy.deepcopy(tiny["cfg"])
         cfg["generator"]["start_ts"] = 260_000_000_000_000
-        cfg["search"] = None
         cfgfile = write_config(tmp_path / "c.json", cfg)
-        assert cli.main(["generate", "--config", cfgfile, "--out", "out"]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert cli.main(["generate", "--config", cfgfile, "--out", "out"]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "start_ts + n_events * 2 * mean_gap_ms" in err[0]
+        assert not Path("X.ofr").exists()
+
+        shift = 260_000_000_000_000 - cli.CONFIG_DEFAULTS["generator"]["start_ts"]
+        events = [dataclasses.replace(e, timestamp_ms=e.timestamp_ms + shift)
+                  for e in feed.read_events(tiny["stream"])]
+        Path("X.ofr").write_text("".join(feed.serialize_event(e) + "\n" for e in events))
         lo, hi = stream_span("X.ofr")
         a, b = lo + (hi - lo) * 6 // 10, lo + (hi - lo) * 8 // 10
         cfg["split_ranges"] = {"train": [lo, a], "validation": [a, b], "test": [b, hi + 1]}
+        cfg["generator"] = tiny["cfg"]["generator"]
         cfgfile = write_config(tmp_path / "c.json", cfg)
-        assert cli.main(["build", "--config", cfgfile, "--out", "out"]) == cli.EXIT_OK
-        assert cli.main(["train", "--config", cfgfile, "--out", "out", "--pair", "X",
-                         "--variant", "orderflow"]) == cli.EXIT_OK
-        capsys.readouterr()
-        rc = cli.main(["evaluate", "--checkpoint", "out/X.orderflow.ckpt", "--dataset",
-                       "out/X.orderflow.ds", "--split", "test", "--out", "eval"])
-        assert rc == cli.EXIT_ERROR
+        assert cli.main(["build", "--config", cfgfile, "--out", "out"]) == cli.EXIT_ERROR
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "has no UTC date in years 1-9999" in err[0]
-        assert not (tmp_path / "eval").exists()
+        assert len(err) == 1 and err[0].startswith("error: table timestamp ")
+        assert "has no UTC date in years 1-9999" in err[0]
+        assert not Path("out", "X.orderflow.ds").exists()
 
     def test_report_on_stream_with_unknown_cancel_makes_no_out(self, pipeline, tmp_path,
                                                               capsys):
@@ -784,6 +790,10 @@ class TestExitCodes:
         (["1510000000000,5,0,0.5"], "'1510000000000,5,0,0.5'"),
         (["1510000000000,1,-1,0.5"], "'1510000000000,1,-1,0.5'"),
         (["1510000000000,1,\udcff,0.5"], "not UTF-8 text"),
+        # int() takes other Unicode digits, underscores and spaces
+        (["\u0661_510_000_000_000,1,1,0.9"], "'\u0661_510_000_000_000,1,1,0.9'"),
+        ([" 1510000000001 ,0,0,0.1"], "' 1510000000001 ,0,0,0.1'"),
+        (["1510000000000, 1,0,0.5"], "'1510000000000, 1,0,0.5'"),
     ])
     def test_report_on_malformed_prediction_row_is_error(self, tmp_path, capsys, lines, match):
         pred = tmp_path / "pred_X__X.orderflow.test.csv"
@@ -795,6 +805,7 @@ class TestExitCodes:
         assert rc == cli.EXIT_ERROR
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {pred}: ") and match in err[0]
+        assert not (tmp_path / "out").exists()
 
     def test_report_on_prediction_file_without_pairs_is_error(self, tmp_path, capsys):
         pred = tmp_path / "pred.csv"

@@ -6,8 +6,9 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lobflow import container, feed, features, lob, oracle
+from lobflow import checks, container, feed, features, lob, oracle
 from lobflow.feed import EventKind, Side
 
 
@@ -56,6 +57,18 @@ class TestWarmUp:
             assert list(zip(px.tolist(), vol.tolist()))[:len(want)] == want
             assert not vol[len(want):].any()
 
+    def test_table_timestamp_needs_a_utc_date(self, ev):
+        # the last and first ms with a UTC date in years 1-9999 build
+        specs = [(1, dict(price=100)), (1, dict(side=Side.SELL, price=102)), (1, dict(price=101))]
+        for t0 in (checks.UTC_MS_MAX - 3, checks.UTC_MS_MIN - 1):
+            assert orderflow(stream(ev, *specs, t0=t0), T=2).n == 1
+        for t0, bad in ((checks.UTC_MS_MAX - 2, checks.UTC_MS_MAX + 1),
+                        (checks.UTC_MS_MIN - 2, checks.UTC_MS_MIN - 1)):
+            with pytest.raises(features.FeatureError, match=f"^table timestamp {bad} ms "):
+                orderflow(stream(ev, *specs, t0=t0), T=2)
+        # the warm-up is no table row
+        assert orderflow(stream(ev, *specs, t0=checks.UTC_MS_MIN - 2), T=1, warm_count=1).n == 1
+
     def test_no_keyword_is_count_zero(self, planted_events):
         events = planted_events[:300]
         got = [features.build_datasets(events, T=10, S=3, **kw)
@@ -70,9 +83,12 @@ class TestWarmUp:
 # ---------------------------------------------------------------------------
 
 
-def reference_build(events, T, S, warm_count):
+def reference_build(events, T, S, warm_count, snapshots=True):
     """Annotate each event, keep the T most recent annotations and copy
-    them out per mover, window by window, for all three variants."""
+    them out per mover, window by window, for all three variants.  With
+    `snapshots` false (no snapshot variant built) windows that hold an
+    undefined mid are kept, and only the orderflow windows are made."""
+    warm_count = min(warm_count, len(events))
     book = lob.OrderBook()
     for ev in events[:warm_count]:
         book.apply_event(ev)
@@ -88,57 +104,92 @@ def reference_build(events, T, S, warm_count):
     rates = []
     y, times, last_ts = [], [], []
     bb, ba = book.best_bid(), book.best_ask()
-    mid = (bb + ba) / 2 if bb is not None and ba is not None else None
+    # the exact half-tick mid bid + ask decides moves and labels
+    mid2 = bb + ba if bb is not None and ba is not None else None
     for ev in rest:
-        try:
-            rel = book.relative_price(ev.side, ev.price_ticks)
-        except lob.EmptySide:
+        # relative price: plus-one tick distance from the same-side best
+        # before the event; 1 for a market order or an empty side
+        best = bb if ev.side is Side.BUY else ba
+        if best is None:
             rel = 1
             bump("rel_price_fallbacks")
+        else:
+            rel = 1 if ev.price_ticks is None else 1 + abs(best - ev.price_ticks)
         book.apply_event(ev)
         bb, ba = book.best_bid(), book.best_ask()
-        mid_before, mid = mid, (bb + ba) / 2 if bb is not None and ba is not None else None
+        before, mid2 = mid2, bb + ba if bb is not None and ba is not None else None
+        count_b, count_a = book.best_counts()
         ann = {
             "ts": ev.timestamp_ms,
             "flow": [ev.timestamp_ms - prev_ts if prev_ts is not None else 0,
                      ev.timestamp_ms // 3_600_000 % 24, ev.size, ev.kind.value,
                      ev.side.value, rel],
-            "mid": mid,
+            "mid": None if mid2 is None else mid2 / 2,
             "snap": book.snapshot(S),
-            "bb": book.level_count(Side.BUY, bb) if bb is not None else 0,
-            "ba": book.level_count(Side.SELL, ba) if ba is not None else 0,
+            "bb": count_b,
+            "ba": count_a,
             "mo": (ev.kind is EventKind.MARKET and ev.side is Side.BUY,
                    ev.kind is EventKind.MARKET and ev.side is Side.SELL),
         }
         prev_ts = ev.timestamp_ms
-        if mid_before is not None and mid is not None and mid != mid_before:
+        if before is not None and mid2 is not None and mid2 != before:
             if len(window) < T:
                 bump("skipped_insufficient_history")
-            elif any(a["mid"] is None for a in window):
+            elif snapshots and any(a["mid"] is None for a in window):
                 bump("skipped_undefined_mid")
             else:
-                n_buy = sum(a["mo"][0] for a in window)
-                n_sell = sum(a["mo"][1] for a in window)
                 X["orderflow"].append(np.array([a["flow"] for a in window], dtype=float))
-                X["bench2"].append(np.array([a["snap"] + [a["mid"]] for a in window]))
-                X["bench1"].append(np.array(
-                    [a["snap"] + [a["mid"], a["bb"], a["ba"], *a["mo"]] for a in window]))
-                rates.append(np.array([[n_buy / a["bb"] if a["bb"] else 0.0,
-                                        n_sell / a["ba"] if a["ba"] else 0.0] for a in window]))
-                degenerate = sum(1 for a in window if not (a["bb"] and a["ba"]))
-                if degenerate:
-                    bump("degenerate_rates", degenerate)
-                y.append(1 if mid > mid_before else 0)
+                if snapshots:
+                    n_buy = sum(a["mo"][0] for a in window)
+                    n_sell = sum(a["mo"][1] for a in window)
+                    X["bench2"].append(np.array([a["snap"] + [a["mid"]] for a in window]))
+                    X["bench1"].append(np.array(
+                        [a["snap"] + [a["mid"], a["bb"], a["ba"], *a["mo"]] for a in window]))
+                    rates.append(np.array([[n_buy / a["bb"] if a["bb"] else 0.0,
+                                            n_sell / a["ba"] if a["ba"] else 0.0]
+                                           for a in window]))
+                    degenerate = sum(1 for a in window if not (a["bb"] and a["ba"]))
+                    if degenerate:
+                        bump("degenerate_rates", degenerate)
+                y.append(1 if mid2 > before else 0)
                 times.append(ev.timestamp_ms)
                 last_ts.append(window[-1]["ts"])
-        elif mid_before is None and mid is not None:
+        elif before is None and mid2 is not None:
             bump("mid_became_defined")
         window.append(ann)
     if book.dropped_market_events:
         counters["dropped_market_events"] = book.dropped_market_events
     counters["samples"] = len(y)
-    return (X, np.stack(rates), np.array(y, dtype=np.uint8), np.array(times),
-            np.array(last_ts), counters)
+    X = {v: np.array(x).reshape(-1, T, features.table_width(v, S)) for v, x in X.items()}
+    return (X, np.array(rates).reshape(-1, T, 2), np.array(y, dtype=np.uint8),
+            np.array(times, dtype=np.int64), np.array(last_ts, dtype=np.int64), counters)
+
+
+def assert_equals_reference(events, T, S, warm_count, variants=features.VARIANTS):
+    """build_datasets gives the reference's windows, labels, times and
+    counters byte for byte, for each variant of `variants`."""
+    snapshots = variants != ("orderflow",)
+    X, rates, y, times, last_ts, counters = reference_build(events, T, S, warm_count,
+                                                            snapshots)
+    got = features.build_datasets(events, T=T, S=S, warm_count=warm_count, variants=variants)
+    assert tuple(got) == variants
+    for v, ds in got.items():
+        assert ds.X.dtype == X[v].dtype and ds.X.shape == X[v].shape, v
+        assert ds.X.tobytes() == X[v].tobytes(), v
+        assert ds.y.tobytes() == y.tobytes()
+        assert ds.event_time.tobytes() == times.tobytes()
+        assert ds.window_last_ts.tobytes() == last_ts.tobytes()
+        assert ds.counters == counters
+    if "bench1" in got:
+        got_rates = features.transform_numeric(got["bench1"].X, "bench1", S)[..., -2:]
+        assert got_rates.shape == rates.shape
+        assert got_rates.tobytes() == rates.tobytes()
+    return counters
+
+
+# every non-empty set of variants, in build order
+VARIANT_SUBSETS = [tuple(v for k, v in enumerate(features.VARIANTS) if mask >> k & 1)
+                   for mask in range(1, 2 ** len(features.VARIANTS))]
 
 
 def market_heavy_noise():
@@ -151,22 +202,42 @@ class TestReferenceWindows:
     @pytest.mark.parametrize("stream", ["planted", "noise"])
     def test_byte_equal_to_per_window_build(self, stream, planted_events):
         events, warm = (planted_events, 40) if stream == "planted" else (market_heavy_noise(), 0)
-        X, rates, y, times, last_ts, counters = reference_build(events, T=10, S=3,
-                                                                warm_count=warm)
+        counters = assert_equals_reference(events, T=10, S=3, warm_count=warm)
         if stream == "noise":
             assert counters["skipped_undefined_mid"] > 0
-        got = features.build_datasets(events, T=10, S=3, warm_count=warm)
-        for v, ds in got.items():
-            want = np.stack(X[v])
-            assert ds.X.dtype == want.dtype and ds.X.shape == want.shape
-            assert ds.X.tobytes() == want.tobytes(), v
-            assert ds.y.tobytes() == y.tobytes()
-            assert ds.event_time.tobytes() == times.astype(np.int64).tobytes()
-            assert ds.window_last_ts.tobytes() == last_ts.astype(np.int64).tobytes()
-            assert ds.counters == counters
-        got_rates = features.transform_numeric(got["bench1"].X, "bench1", 3)[..., -2:]
-        assert got_rates.shape == rates.shape
-        assert got_rates.tobytes() == rates.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), T=st.integers(1, 12), S=st.integers(1, 4),
+           warm=st.one_of(st.just(0), st.integers(1, 320)),
+           variants=st.sampled_from(VARIANT_SUBSETS),
+           market=st.sampled_from([0.2, 0.35]))
+    def test_byte_equal_on_generated_streams(self, seed, T, S, warm, variants, market):
+        # a market-heavy mix empties a side now and then; with no warm-up
+        # the stream head has empty sides before the mid becomes defined
+        cfg = feed.GeneratorConfig(n_events=300, prop_limit=0.8 - market, prop_market=market,
+                                   prop_cancel=0.2)
+        events = list(feed.iter_events(feed.generate_synthetic(cfg, seed=seed)))
+        assert_equals_reference(events, T, S, warm, variants)
+
+    @pytest.mark.parametrize("base", [2 ** 53 + 1, 2 ** 62 + 2 ** 61 + 1])
+    def test_byte_equal_above_2_53_ticks(self, ev, base):
+        # odd prices past float's 53 bits: mids and relative prices must
+        # round once, from the exact integers, as the reference does; past
+        # 2**62 the bid + ask of a mid passes int64
+        B, A = Side.BUY, Side.SELL
+        specs = [(1, dict(price=base)), (1, dict(side=A, price=base + 7)),
+                 (1, dict(price=base + 2)), (1, dict(side=A, price=base + 5)),
+                 (1, dict(price=base - 3)), (1, dict(side=A, price=base + 4)),
+                 (1, dict(kind=EventKind.MARKET, side=B, size=1.0)),
+                 (1, dict(price=base + 3)), (1, dict(side=A, price=base + 9)),
+                 (1, dict(kind=EventKind.MARKET, side=A, size=1.0)),
+                 (1, dict(kind=EventKind.CANCEL, side=A, price=base + 9, size=1.0, oid="o9")),
+                 (1, dict(price=base + 1)), (1, dict(side=A, price=base + 6))]
+        events = stream(ev, *specs)
+        for variants in VARIANT_SUBSETS:
+            counters = assert_equals_reference(events, T=2, S=2, warm_count=0,
+                                               variants=variants)
+            assert counters["samples"] > 2
 
     @pytest.mark.parametrize("warm", [0, 500])
     def test_dropped_market_events_match_oracle(self, warm, planted_events):
@@ -198,8 +269,8 @@ class TestBuildMemory:
         assert peak <= 2 * stored, peak / stored
 
     def test_orderflow_table_is_its_buffer(self, planted_events):
-        # dt and hour go into the row buffer with the other columns, so the
-        # table is a view of it and no step copies the rows.  The replay's
+        # the replay records narrow columns and the table is filled from
+        # them column by column, with no (E, C) temporary.  The replay's
         # book is the same in any layout, so its own traced peak (about 0.7x
         # the table on this stream) is taken off before the bound
         tracemalloc.start()
@@ -359,6 +430,20 @@ class TestExtractOrderflow:
         assert X[0, 0, 2] == 0.5 and X[0, 1, 2] == 2.0     # size
         assert X[0, 0, 3] == EventKind.LIMIT.value
         assert X[0, 0, 4] == Side.BUY.value and X[0, 1, 4] == Side.SELL.value
+
+    @pytest.mark.parametrize("side,kind,price,want", [
+        (Side.BUY, EventKind.LIMIT, 100, 1),        # at the same-side best
+        (Side.BUY, EventKind.LIMIT, 97, 4),         # three ticks below it
+        (Side.SELL, EventKind.LIMIT, 108, 4),       # three ticks above the best ask
+        (Side.SELL, EventKind.LIMIT, 103, 3),       # inside the spread
+        (Side.BUY, EventKind.MARKET, None, 1),      # a market order
+    ])
+    def test_rel_price_rule(self, ev, side, kind, price, want):
+        events = stream(ev, (1, dict(price=100)), (1, dict(side=Side.SELL, price=105)),
+                        (1, dict(side=side, kind=kind, price=price, size=0.5)))
+        ds = orderflow(events, T=1)
+        assert ds.table[2, 5] == want
+        assert ds.counters["rel_price_fallbacks"] == 2   # the first bid and ask only
 
     def test_rel_price_matches_oracle_replay(self, planted_datasets, planted_events):
         # oracle: replay a reference book and recompute rel prices per event

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import _counting_forks, _cpus
-from lobflow import feed
+from lobflow import checks, feed, stats
 from lobflow.feed import EventKind, Side
 
 # canonical lines, as `serialize_event` writes them
@@ -807,6 +807,8 @@ class TestGenerator:
         {"mean_gap_ms": feed.MAX_MEAN_GAP_MS + 1},
         {"mean_gap_ms": 2 ** 62},
         {"start_ts": 9_223_372_036_854_775_000},   # the default 20k events pass 2**63
+        {"start_ts": 260_000_000_000_000},         # year 10209: no UTC date
+        {"start_ts": -62_135_596_800_001},         # before year 1
     ])
     def test_invalid_config(self, bad):
         with pytest.raises(feed.InvalidConfig):
@@ -822,13 +824,15 @@ class TestGenerator:
         assert len(events) == 30 and events[-1].timestamp_ms <= 30 * 2 * feed.MAX_MEAN_GAP_MS
 
     def test_last_start_ts_passes_the_check(self):
-        # every gap is exactly 2 * mean_gap_ms, so the last ts reaches the bound
+        # every gap is exactly 2 * mean_gap_ms, so the last ts reaches the
+        # last ms of year 9999, which still has a UTC date
         n, gap = 40, 3
-        last = 2 ** 63 - 1 - n * 2 * gap
+        last = checks.UTC_MS_MAX - n * 2 * gap
         cfg = feed.GeneratorConfig(n_events=n, mean_gap_ms=gap, min_gap_ms=2 * gap,
                                    start_ts=last)
         events = list(feed.iter_events(feed.generate_synthetic(cfg, seed=2)))
-        assert len(events) == n and events[-1].timestamp_ms == 2 ** 63 - 1
+        assert len(events) == n and events[-1].timestamp_ms == checks.UTC_MS_MAX
+        assert stats.utc_date(events[-1].timestamp_ms) == "9999-12-31"
         with pytest.raises(feed.InvalidConfig, match="start_ts"):
             feed.GeneratorConfig(n_events=n, mean_gap_ms=gap, min_gap_ms=2 * gap,
                                  start_ts=last + 1)

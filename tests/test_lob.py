@@ -53,7 +53,17 @@ class TestBasics:
         book.apply_event(ev(seq=1, price=100, size=2.0, oid="a"))
         book.apply_event(ev(seq=2, kind=EventKind.CANCEL, price=100, size=0.5, oid="a"))
         assert book.level_size(Side.BUY, 100) == 1.5
-        assert book.level_count(Side.BUY, 100) == 1
+        assert book.best_counts() == (1, 0)
+
+    def test_best_counts(self, ev):
+        book = lob.OrderBook()
+        assert book.best_counts() == (0, 0)
+        for seq, (side, price) in enumerate([(Side.BUY, 100), (Side.BUY, 100), (Side.BUY, 99),
+                                             (Side.SELL, 103), (Side.SELL, 102)], start=1):
+            book.apply_event(ev(seq=seq, side=side, price=price))
+        assert book.best_counts() == (2, 1)
+        book.apply_event(ev(seq=6, kind=EventKind.MARKET, side=Side.BUY, size=1.0))
+        assert book.best_counts() == (2, 1)   # the ask at 103 is the best now
 
     def test_marketable_limit_executes_then_rests(self, ev):
         book = lob.OrderBook()
@@ -132,11 +142,6 @@ class TestErrors:
         book.apply_event(ev(price=100))
         assert book.mid2() is None
 
-    def test_relative_price_empty_side(self):
-        book = lob.OrderBook()
-        with pytest.raises(lob.EmptySide):
-            book.relative_price(Side.BUY, 100)
-
 
 class TestMidPrice:
     def test_whole_tick(self, ev):
@@ -162,23 +167,6 @@ class TestMidPrice:
                 assert delta.mid2_after == book.best_bid() + book.best_ask()
             if before[2] is not None and after[2] is not None:
                 assert delta.mid_changed == (before[:2] != after[:2])
-
-
-class TestRelativePrice:
-    def test_at_best(self, ev):
-        book = lob.OrderBook()
-        book.apply_event(ev(price=100))
-        assert book.relative_price(Side.BUY, 100) == 1
-
-    def test_three_ticks_below(self, ev):
-        book = lob.OrderBook()
-        book.apply_event(ev(price=100))
-        assert book.relative_price(Side.BUY, 97) == 4
-
-    def test_market_maps_to_one(self, ev):
-        book = lob.OrderBook()
-        book.apply_event(ev(side=Side.SELL, price=105))
-        assert book.relative_price(Side.SELL, None) == 1
 
 
 class TestSnapshot:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lobflow import feed, lob, oracle, stats
+from lobflow import checks, feed, lob, oracle, stats
 from lobflow.stats import ConfusionMatrix, DailySeries
 
 DAY_MS = 86_400_000
@@ -115,6 +115,13 @@ class TestUtcDate:
     def test_out_of_range_is_typed(self, ts):
         with pytest.raises(stats.DateOutOfRange, match=str(ts)):
             stats.utc_date(ts)
+
+    def test_checks_bounds_are_its_range(self):
+        assert checks.UTC_MS_MAX == self.LAST_MS
+        stats.utc_date(checks.UTC_MS_MIN)
+        for ts in (checks.UTC_MS_MIN - 1, checks.UTC_MS_MAX + 1):
+            with pytest.raises(stats.DateOutOfRange):
+                stats.utc_date(ts)
 
     def test_callers_raise_it(self, ev):
         with pytest.raises(stats.DateOutOfRange):
