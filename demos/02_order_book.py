@@ -13,9 +13,8 @@ ref = oracle.ReferenceBook()
 
 executed = 0.0
 for ev in feed.iter_events(feed.generate_synthetic(cfg, seed=7)):
-    delta = book.apply_event(ev)
+    executed += book.apply_event(ev)
     ref.apply(ev)
-    executed += delta.executed
 
 print("best bid / best ask:", book.best_bid(), "/", book.best_ask())
 print("mid-price (ticks, from the exact half-tick mid2):", book.mid2() / 2)

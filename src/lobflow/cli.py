@@ -222,13 +222,13 @@ def cmd_build(cfg: dict, out_dir: Path, pair: str | None) -> int:
             features.split_by_date(ds, *ranges)
             features.compute_norm_stats(ds)
             path = out_dir / f"{name}.{variant}.ds"
-            features.save_dataset(ds, path)
+            digest = features.save_dataset(ds, path)
             counts = ds.split_counts()
             if any(v == 0 for v in counts.values()):
                 warn = True
             pair_report[variant] = {
                 "path": path.name, "n": ds.n, "split_counts": counts,
-                "counters": ds.counters, "digest": features.dataset_digest(ds),
+                "counters": ds.counters, "digest": digest,
             }
             print(f"built {name}.{variant}: n={ds.n} splits={counts}")
         report["pairs"][name] = pair_report
@@ -507,9 +507,10 @@ def cmd_selftest(n_events: int, seed: int) -> int:
     mismatch = None
     for i, line in enumerate(feed.generate_synthetic(gcfg, seed=seed), start=1):
         ev = feed.parse_event(line)
-        book.apply_event(ev)
-        ref.apply(ev)
+        executed, ref_executed = book.apply_event(ev), ref.apply(ev)
         mismatch = oracle.compare_books(book, ref)
+        if mismatch is None and executed != ref_executed:
+            mismatch = f"executed {executed} != {ref_executed}"
         if mismatch:
             mismatch = f"event {i}: {mismatch}"
             break

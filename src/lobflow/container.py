@@ -30,19 +30,34 @@ _HEX = 64                          # hex characters of the digest ending the hea
 _DTYPES = ("<f8", "<i8", "|u1")    # the dtypes the two formats store
 
 
-def write(path, magic: bytes, fields: dict, arrays: dict) -> None:
-    """Write `fields` and the C-contiguous `arrays` (name -> array, in
-    file order).  The file appears at `path` only once it is complete."""
+def _head(magic: bytes, fields: dict, arrays: dict) -> tuple[bytes, str]:
+    """The prefix and header of the file of `fields` and `arrays`, and
+    the hex digest that ends the header."""
     specs = [[name, a.dtype.str, list(a.shape)] for name, a in arrays.items()]
     blob = json.dumps({"fields": fields, "arrays": specs}, sort_keys=True).encode("utf-8")
     head = _PREFIX.pack(magic, VERSION, len(blob) + _HEX) + blob
     digest = hashlib.sha256(head)
     for a in arrays.values():
         digest.update(a)
+    return head, digest.hexdigest()
+
+
+def digest(magic: bytes, fields: dict, arrays: dict) -> str:
+    """The hex digest :func:`write` would put in the header of this
+    file, without writing it."""
+    return _head(magic, fields, arrays)[1]
+
+
+def write(path, magic: bytes, fields: dict, arrays: dict) -> str:
+    """Write `fields` and the C-contiguous `arrays` (name -> array, in
+    file order) and return the hex digest that ends the header.  The
+    file appears at `path` only once it is complete."""
+    head, hexdigest = _head(magic, fields, arrays)
     with atomic_open(path, "wb") as fh:
-        fh.write(head + digest.hexdigest().encode("ascii"))
+        fh.write(head + hexdigest.encode("ascii"))
         for a in arrays.values():
             fh.write(a)
+    return hexdigest
 
 
 def read(path, magic: bytes, error: type) -> tuple[dict, dict]:

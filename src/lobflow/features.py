@@ -50,8 +50,6 @@ benchmark.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from array import array
 from dataclasses import dataclass, field, replace
 from itertools import islice
@@ -459,15 +457,20 @@ _FIELDS = ("variant", "T", "S", "pair", "norm_stats", "split_ranges", "counters"
 _STORED = (("table", "<f8"), ("table_ts", "<i8"), ("end", "<i8"), ("y", "|u1"))
 
 
+def _header(ds: Dataset) -> dict:
+    return {k: getattr(ds, k) for k in _FIELDS}
+
+
 def _stored(ds: Dataset) -> dict:
     return {name: np.ascontiguousarray(getattr(ds, name), dtype=dtype) for name, dtype in _STORED}
 
 
-def save_dataset(ds: Dataset, path) -> None:
+def save_dataset(ds: Dataset, path) -> str:
     """Write `ds` as a :mod:`lobflow.container` file: the header fields,
     then table (E, C) float64, table_ts (E,) int64 and the per-sample
-    end int64 and y uint8."""
-    container.write(path, _MAGIC, {k: getattr(ds, k) for k in _FIELDS}, _stored(ds))
+    end int64 and y uint8.  Returns the file's digest, the
+    :func:`dataset_digest` of `ds`."""
+    return container.write(path, _MAGIC, _header(ds), _stored(ds))
 
 
 def load_dataset(path) -> Dataset:
@@ -531,12 +534,7 @@ def _check_fields(path, ds: Dataset) -> None:
 
 
 def dataset_digest(ds: Dataset) -> str:
-    """Stable content hash used by determinism checks: the header fields
-    and the stored arrays, of which the windows, event times and splits
-    are functions."""
-    h = hashlib.sha256()
-    h.update(json.dumps([ds.variant, ds.T, ds.S, ds.pair, ds.n, len(ds.table_ts),
-                         ds.norm_stats, ds.split_ranges], sort_keys=True).encode())
-    for a in _stored(ds).values():
-        h.update(a)
-    return h.hexdigest()
+    """The SHA-256 that :func:`save_dataset` puts in the `.ds` header,
+    without writing the file: it covers the header fields and the stored
+    arrays, of which the windows, event times and splits are functions."""
+    return container.digest(_MAGIC, _header(ds), _stored(ds))

@@ -3,9 +3,11 @@
 Prices are integer tick counts throughout.  The mid-price is carried as
 the integer `best bid + best ask`, in half ticks (`mid2()`), so
 half-tick mids carry no rounding.
-Marketable limit orders execute on arrival in price priority; market
-orders larger than the opposing liquidity execute what is available and
-drop the remainder, counted on the book in `dropped_market_events` and
+`OrderBook.apply_event` returns the size an event executed: limit and
+market orders match in one loop, in price priority and FIFO within a
+level.  A marketable limit order rests what it did not execute; a market
+order larger than the opposing liquidity executes what is available and
+drops the remainder, counted on the book in `dropped_market_events` and
 `dropped_market_size`.  `OrderBook.snapshot(depth)` gives the top levels
 of each side as one flat row: bid prices (best first), bid volumes, ask
 prices, ask volumes.
@@ -45,31 +47,13 @@ class RestingOrder:
 
 
 class _Level:
-    """One price level: aggregate size/count plus FIFO order queue."""
+    """One price level: aggregate size plus FIFO order queue."""
 
     __slots__ = ("size", "queue")
 
     def __init__(self):
         self.size = 0.0
         self.queue: deque[str] = deque()
-
-    @property
-    def count(self) -> int:
-        return len(self.queue)
-
-
-@dataclass(slots=True)
-class BookDelta:
-    """Effect of one applied event.  Mids are in half ticks (bid + ask)."""
-
-    mid2_before: Optional[int]
-    mid2_after: Optional[int]
-    executed: float = 0.0
-
-    @property
-    def mid_changed(self) -> bool:
-        return (self.mid2_before is not None and self.mid2_after is not None
-                and self.mid2_before != self.mid2_after)
 
 
 class OrderBook:
@@ -122,44 +106,41 @@ class OrderBook:
 
     # -- mutation -----------------------------------------------------------
 
-    def apply_event(self, ev: OrderEvent) -> BookDelta:
-        delta = BookDelta(self.mid2(), None)
-        if ev.kind is EventKind.LIMIT:
-            self._apply_limit(ev, delta)
-        elif ev.kind is EventKind.MARKET:
-            self._apply_market(ev, delta)
-        else:
-            self._apply_cancel(ev, delta)
-        delta.mid2_after = self.mid2()
-        return delta
+    def apply_event(self, ev: OrderEvent) -> float:
+        """Apply one event and return the size it executed, 0.0 for a cancel.
 
-    def _apply_limit(self, ev: OrderEvent, delta: BookDelta) -> None:
-        remaining = ev.size
+        A limit or market order takes the opposite side's best level, FIFO
+        within the level, then the next best, until it is filled.  A limit
+        order stops at the first level worse than its price and rests what
+        is left; a market order never stops on price and drops what is
+        left, counted in `dropped_market_events` and `dropped_market_size`.
+        """
+        if ev.kind is EventKind.CANCEL:
+            self._apply_cancel(ev)
+            return 0.0
+        if ev.side is Side.BUY:
+            levels, prices, best, sign = self._asks, self._ask_prices, 0, 1
+        else:
+            levels, prices, best, sign = self._bids, self._bid_prices, -1, -1
+        limited = ev.kind is EventKind.LIMIT
         price = ev.price_ticks
-        if ev.side is Side.BUY:
-            levels, prices = self._asks, self._ask_prices
-            while remaining > 0 and prices and price >= prices[0]:
-                remaining -= self._consume_level(levels, prices, prices[0], remaining, delta)
-        else:
-            levels, prices = self._bids, self._bid_prices
-            while remaining > 0 and prices and price <= prices[-1]:
-                remaining -= self._consume_level(levels, prices, prices[-1], remaining, delta)
-        if remaining > 0:
-            self._rest(ev.order_id, ev.side, price, remaining)
-
-    def _apply_market(self, ev: OrderEvent, delta: BookDelta) -> None:
-        remaining = ev.size
-        if ev.side is Side.BUY:
-            levels, prices, best = self._asks, self._ask_prices, 0
-        else:
-            levels, prices, best = self._bids, self._bid_prices, -1
+        remaining, executed = ev.size, 0.0
         while remaining > 0 and prices:
-            remaining -= self._consume_level(levels, prices, prices[best], remaining, delta)
+            level = prices[best]
+            if limited and sign * level > sign * price:   # worse than the limit
+                break
+            taken = self._consume_level(levels, prices, level, remaining)
+            remaining -= taken
+            executed += taken
         if remaining > 0:
-            self.dropped_market_events += 1
-            self.dropped_market_size += remaining
+            if limited:
+                self._rest(ev.order_id, ev.side, price, remaining)
+            else:
+                self.dropped_market_events += 1
+                self.dropped_market_size += remaining
+        return executed
 
-    def _apply_cancel(self, ev: OrderEvent, delta: BookDelta) -> None:
+    def _apply_cancel(self, ev: OrderEvent) -> None:
         order = self.resting.get(ev.order_id)
         if order is None:
             raise UnknownOrderId(f"unknown order id {ev.order_id!r}")
@@ -198,7 +179,7 @@ class OrderBook:
         prices.pop(bisect_left(prices, price))
 
     def _consume_level(self, levels: dict[int, _Level], prices: list[int], price: int,
-                       want: float, delta: BookDelta) -> float:
+                       want: float) -> float:
         """Execute up to `want` against the FIFO queue at one level."""
         lvl = levels[price]
         taken = 0.0
@@ -212,7 +193,6 @@ class OrderBook:
             if order.remaining <= 0:
                 lvl.queue.popleft()
                 del self.resting[oid]
-        delta.executed += taken
         if not lvl.queue:
             self._remove_level(levels, prices, price)
         return taken

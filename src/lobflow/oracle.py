@@ -144,7 +144,7 @@ def compare_books(book, ref: ReferenceBook) -> Optional[str]:
         return f"mid2 {book.mid2()} != {ref_mid2}"
     for side, fast, ref_levels in ((Side.BUY, book._bids, ref_bids),
                                    (Side.SELL, book._asks, ref_asks)):
-        fast_levels = {p: [lvl.size, lvl.count] for p, lvl in fast.items()}
+        fast_levels = {p: [lvl.size, len(lvl.queue)] for p, lvl in fast.items()}
         if fast_levels != ref_levels:
             return f"{side.wire} levels differ: {fast_levels} != {ref_levels}"
     return None

@@ -278,13 +278,14 @@ def daily_market_aggregates(events) -> tuple[DailySeries, DailySeries]:
     last_mid: dict[str, float] = {}
     day = d = None
     for ev in events:
-        delta = book.apply_event(ev)
+        executed = book.apply_event(ev)
         if ev.timestamp_ms // _DAY_MS != day:   # the date changes only with the day
             day, d = ev.timestamp_ms // _DAY_MS, utc_date(ev.timestamp_ms)
             volume.setdefault(d, 0.0)
-        volume[d] += delta.executed
-        if delta.mid2_after is not None:
-            last_mid[d] = delta.mid2_after / 2
+        volume[d] += executed
+        mid2 = book.mid2()
+        if mid2 is not None:
+            last_mid[d] = mid2 / 2
     dates = sorted(volume)
     vol_series = DailySeries(dates, [volume[d] for d in dates])
     mid_dates = sorted(last_mid)

@@ -76,10 +76,11 @@ def test_lob_oracle_equivalence(verdict):
     n = 0
     for line in feed.generate_synthetic(gcfg, seed=17):
         ev = feed.parse_event(line)
-        book.apply_event(ev)
-        ref.apply(ev)
+        executed, ref_executed = book.apply_event(ev), ref.apply(ev)
         n += 1
         mismatch = oracle.compare_books(book, ref)
+        if mismatch is None and executed != ref_executed:
+            mismatch = f"executed {executed} != {ref_executed}"
         if mismatch:
             mismatch = f"event {n}: {mismatch}"
             break

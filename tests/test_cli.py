@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import _counting_forks, _cpus
-from lobflow import cli, container, features, feed, net, shards, stats
+from lobflow import cli, container, features, feed, lob, net, shards, stats
 
 
 def base_config(root: Path, split_ranges=None, n_events=16000):
@@ -298,6 +298,11 @@ class TestPipelineOutputs:
             for variant, info in variants.items():
                 ds = features.load_dataset(pipeline["out"] / info["path"])
                 assert features.dataset_digest(ds) == info["digest"]
+                # the `<4sII` prefix ends with the header length; the
+                # header ends with the file's hex digest
+                data = (pipeline["out"] / info["path"]).read_bytes()
+                end = 12 + int.from_bytes(data[8:12], "little")
+                assert data[end - 64:end].decode("ascii") == info["digest"]
 
     def test_checkpoint_and_log(self, pipeline):
         model, extras = net.load_checkpoint(pipeline["out"] / "AAA.orderflow.ckpt")
@@ -979,6 +984,16 @@ class TestVerificationCommands:
         out = capsys.readouterr().out
         # the p-value of table1_slopes.csv is checked
         assert "PASS t_sf_two_sided vs quadrature" in out
+
+    def test_selftest_fails_on_a_wrong_executed_size(self, capsys, monkeypatch):
+        # the book's state stays right; only the size a fill returns is off
+        apply_event = lob.OrderBook.apply_event
+        monkeypatch.setattr(lob.OrderBook, "apply_event",
+                            lambda book, ev: apply_event(book, ev) * 1.5)
+        assert cli.main(["selftest", "--events", "1500", "--seed", "2"]) == 1
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith("FAIL (event ") and "executed" in line
+        assert line.endswith("lob oracle equivalence over 1500 events")
 
 
 # ---------------------------------------------------------------------------

@@ -844,9 +844,11 @@ class TestGenerator:
         prev_side = None
         checked = 0
         for e in planted_events:
-            delta = book.apply_event(e)
-            if delta.mid_changed:
-                up = delta.mid2_after > delta.mid2_before
+            before = book.mid2()
+            book.apply_event(e)
+            after = book.mid2()
+            if before is not None and after is not None and before != after:
+                up = after > before
                 assert prev_side is (Side.BUY if up else Side.SELL)
                 checked += 1
             prev_side = e.side

@@ -16,18 +16,18 @@ from conftest import make_event
 class TestBasics:
     def test_resting_insertion(self, ev):
         book = lob.OrderBook()
-        delta = book.apply_event(ev(price=100, size=1.0))
+        executed = book.apply_event(ev(price=100, size=1.0))
         assert book.best_bid() == 100
         assert book.best_ask() is None
-        assert delta.executed == 0.0
+        assert executed == 0.0
 
     def test_market_consumes_best_ask(self, ev):
         book = lob.OrderBook()
         book.apply_event(ev(seq=1, side=Side.BUY, price=100, size=1.0))
         book.apply_event(ev(seq=2, side=Side.SELL, price=102, size=1.0))
-        delta = book.apply_event(ev(seq=3, kind=EventKind.MARKET, side=Side.BUY, size=1.0))
+        executed = book.apply_event(ev(seq=3, kind=EventKind.MARKET, side=Side.BUY, size=1.0))
         assert book.best_ask() is None
-        assert delta.executed == 1.0
+        assert executed == 1.0
         assert book.dropped_market_size == 0.0
 
     def test_best_prices(self, ev):
@@ -68,8 +68,8 @@ class TestBasics:
     def test_marketable_limit_executes_then_rests(self, ev):
         book = lob.OrderBook()
         book.apply_event(ev(seq=1, side=Side.SELL, price=101, size=1.0))
-        delta = book.apply_event(ev(seq=2, side=Side.BUY, price=103, size=2.5))
-        assert delta.executed == 1.0
+        executed = book.apply_event(ev(seq=2, side=Side.BUY, price=103, size=2.5))
+        assert executed == 1.0
         assert book.best_bid() == 103
         assert book.level_size(Side.BUY, 103) == 1.5
         assert book.best_ask() is None
@@ -77,8 +77,8 @@ class TestBasics:
     def test_market_remainder_dropped_and_counted(self, ev):
         book = lob.OrderBook()
         book.apply_event(ev(seq=1, side=Side.SELL, price=101, size=1.0))
-        delta = book.apply_event(ev(seq=2, kind=EventKind.MARKET, side=Side.BUY, size=3.0))
-        assert delta.executed == 1.0
+        executed = book.apply_event(ev(seq=2, kind=EventKind.MARKET, side=Side.BUY, size=3.0))
+        assert executed == 1.0
         assert book.dropped_market_events == 1
         assert book.dropped_market_size == 2.0
 
@@ -160,13 +160,14 @@ class TestMidPrice:
         book = lob.OrderBook()
         for line in noise_lines[:2000]:
             before = (book.best_bid(), book.best_ask(), book.mid2())
-            delta = book.apply_event(feed.parse_event(line))
+            book.apply_event(feed.parse_event(line))
             after = (book.best_bid(), book.best_ask(), book.mid2())
-            assert (delta.mid2_before, delta.mid2_after) == (before[2], after[2])
             if after[2] is not None:
-                assert delta.mid2_after == book.best_bid() + book.best_ask()
+                assert after[2] == book.best_bid() + book.best_ask()
+            else:
+                assert book.best_bid() is None or book.best_ask() is None
             if before[2] is not None and after[2] is not None:
-                assert delta.mid_changed == (before[:2] != after[:2])
+                assert (before[2] != after[2]) == (before[:2] != after[:2])
 
 
 class TestSnapshot:
@@ -236,7 +237,6 @@ def check_invariants(book):
             assert lvl.queue, f"empty level {side} {price}"
             total = sum(book.resting[oid].remaining for oid in lvl.queue)
             assert lvl.size == total
-            assert lvl.count == len(lvl.queue)
 
 
 class TestOracleEquivalence:
@@ -245,8 +245,7 @@ class TestOracleEquivalence:
         ref = oracle.ReferenceBook()
         for i, line in enumerate(noise_lines):
             e = feed.parse_event(line)
-            book.apply_event(e)
-            ref.apply(e)
+            assert book.apply_event(e) == ref.apply(e), f"event {i}"
             if i % 7 == 0:
                 msg = oracle.compare_books(book, ref)
                 assert msg is None, f"event {i}: {msg}"
@@ -257,8 +256,7 @@ class TestOracleEquivalence:
         book = lob.OrderBook()
         ref = oracle.ReferenceBook()
         for i, e in enumerate(planted_events[:4000]):
-            book.apply_event(e)
-            ref.apply(e)
+            assert book.apply_event(e) == ref.apply(e), f"event {i}"
             if i % 11 == 0:
                 assert oracle.compare_books(book, ref) is None
 

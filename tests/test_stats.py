@@ -361,7 +361,7 @@ def reference_daily_aggregates(events):
     book = lob.OrderBook()
     volume, last_mid = {}, {}
     for e in events:
-        executed = book.apply_event(e).executed
+        executed = book.apply_event(e)
         d = stats.utc_date(e.timestamp_ms)
         volume[d] = volume.get(d, 0.0) + executed
         bb, ba = book.best_bid(), book.best_ask()
