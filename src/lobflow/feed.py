@@ -25,7 +25,7 @@ type and message comes from one place.
 in order and enforces its invariants: strictly increasing `seq` and
 non-decreasing `ts`.  Every consumer reads events through it.
 
-:func:`read_events` on a file of READ_FORK_BYTES (1.6 MB, about 16k
+:func:`read_events` on a file of READ_FORK_BYTES (0.75 MB, about 7.5k
 events) or more, when the affinity mask holds two CPUs or more, parses
 ahead on a reader process forked for the stream while the caller
 replays what it has read.  The reader iterates the file in the same
@@ -38,10 +38,13 @@ The caller builds each event, parses the other lines with
 :func:`parse_event`, numbers the lines and checks their order in the one
 loop that :func:`iter_events` runs too.  So the events, every error's
 type and message and the point at which it is raised are those of the
-serial path.  A small file, a stream of lines and `taskset -c 0` keep
-the serial path.  The gain needs a free second CPU: while another
-process keeps that CPU busy, the forked path is slower than the serial
-one, as `net.train`'s second process is.
+serial path.  A small file, a stream of lines, `taskset -c 0` and a
+fork that fails keep the serial path.  The reader runs off the caller's
+CPU (see :mod:`lobflow.forked`), and the gain needs that CPU free: on
+a 30k-event stream the forked path took 84-94 ms against 128-133 ms
+serial, but 136-147 ms while a busy loop held either CPU, where the
+serial path kept its time on the other.  So, as for `net.train`'s
+second process, a busy second CPU makes the forked path the slower one.
 """
 
 from __future__ import annotations
@@ -61,11 +64,14 @@ from . import checks, forked
 from .atomic import atomic_open
 
 # the smallest file that `read_events` parses on a forked reader, about
-# 16k events: of 1k, 2k, 4k, 8k and 16k events, the smallest size at which,
-# with a free second CPU, the forked reader beat the serial one in about 9
-# of 10 alternating pairs under both `stats.daily_market_aggregates` (97%)
-# and `features.build_datasets` (90%); at 8k, 95% and 87%
-READ_FORK_BYTES = 1_600_000
+# 7.5k events, below every generated 8k-event stream (0.80 MB): of 1k, 2k,
+# 4k, 8k and 16k events, the smallest size at which the reader, placed off
+# its caller's CPU, beat the serial one in most alternating pairs under
+# both `features.build_datasets` (85 of 100) and
+# `stats.daily_market_aggregates` (61 of 100); at 4k, 15 and 17 of 100;
+# at 16k, 94 and 82.  No size reached 9 of 10 under both (2-vCPU KVM
+# guest, Python 3.11).
+READ_FORK_BYTES = 750_000
 # lines per block the reader sends, and in its first block, so that the
 # caller starts soon
 _BLOCK = 512
@@ -361,28 +367,37 @@ def read_events(path) -> Iterator[OrderEvent]:
     UTF-8 raise :class:`MalformedRecord` naming the first such line.
 
     The file is opened at the first event asked for.  A file of
-    READ_FORK_BYTES (1.6 MB) or more, when the affinity mask holds two
-    CPUs or more, is parsed ahead on a forked reader (see the module
-    docstring), with the same events and errors raised at the same
-    line.  The reader is joined when the stream ends, raises or is
-    closed, and a reader that dies raises :class:`ReaderExited`.  It
-    pays only with a free second CPU; with that CPU busy it is slower
-    than the serial path."""
+    READ_FORK_BYTES (0.75 MB, about 7.5k events) or more, when the
+    affinity mask holds two CPUs or more, is parsed ahead on a forked
+    reader (see the module docstring), with the same events and errors
+    raised at the same line; where the fork fails (EAGAIN, ENOMEM) this
+    process parses it.  The reader is joined when the stream ends,
+    raises or is closed, and a reader that dies raises
+    :class:`ReaderExited`.  It pays only with a free second CPU: at 8k
+    events it won 85 and 61 of 100 alternating pairs under
+    `features.build_datasets` and `stats.daily_market_aggregates`, and
+    with that CPU busy it is slower than the serial path."""
+    n = 0   # the lines received from a reader
+
+    def received() -> Iterator:
+        nonlocal n
+        for block in map(marshal.loads, iter(reader.recv, None)):
+            n += len(block)
+            yield from block
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            if os.fstat(fh.fileno()).st_size < READ_FORK_BYTES or not forked.spare_cpu():
+            reader = None
+            if os.fstat(fh.fileno()).st_size >= READ_FORK_BYTES and forked.spare_cpu():
+                try:
+                    reader = forked.Worker(_read_ahead, fh, exited=lambda _: ReaderExited(
+                        f"{path}: the reader process exited after line {n}"))
+                except OSError:   # no process to fork (EAGAIN, ENOMEM): parse here
+                    pass
+            if reader is None:
                 yield from _checked(map(_item, fh))
             else:
-                n = 0   # the lines received
-
-                def received() -> Iterator:
-                    nonlocal n
-                    for block in map(marshal.loads, iter(reader.recv, None)):
-                        n += len(block)
-                        yield from block
-
-                with forked.Worker(_read_ahead, fh, exited=lambda _: ReaderExited(
-                        f"{path}: the reader process exited after line {n}")) as reader:
+                with reader:
                     yield from _checked(received())
     except UnicodeDecodeError as e:
         raise MalformedRecord(f"line {_first_undecodable_line(path)}: not UTF-8 text "

@@ -17,6 +17,13 @@ parses a stream on one.  The lifecycle and the protocol live here once:
   A worker that waits on the pipe then reads EOF once the caller closes
   its end, or dies; a worker that writes gets EPIPE.  Either way it
   returns, so a SIGKILLed caller leaves no worker behind.
+- It runs off its caller's CPU: just before the fork the caller reads
+  the CPU it is on, and the worker's first act is to take the caller's
+  affinity mask less that CPU as its own, for its whole life.  An
+  unpinned worker is woken onto its caller's CPU when the pipe wakes it,
+  and the two then share one CPU while the other idles.  Where that
+  leaves no CPU, `/proc` cannot be read or the kernel refuses the mask,
+  the worker runs unpinned; the caller's own mask is never changed.
 - It ignores SIGINT: the caller handles ^C and ends it.
 - The caller ends it with :meth:`Worker.close`, or as a context manager
   on exit: the worker is terminated first if the block raised, then the
@@ -47,9 +54,17 @@ class Worker:
         ctx = multiprocessing.get_context("fork")
         self.exited = exited
         self.conn, child = ctx.Pipe()
-        self.proc = ctx.Process(target=_run, args=(self.conn, target, child, args), daemon=True)
-        self.proc.start()
-        child.close()
+        try:
+            mask = os.sched_getaffinity(0)
+            cpus = mask - {_cpu()} if len(mask) > 1 else set()
+            self.proc = ctx.Process(target=_run, args=(self.conn, target, child, args, cpus),
+                                    daemon=True)
+            self.proc.start()
+        except BaseException:   # no worker (EAGAIN under a pids limit, ENOMEM): no pipe either
+            self.conn.close()
+            raise
+        finally:
+            child.close()
 
     def __enter__(self) -> "Worker":
         return self
@@ -84,10 +99,28 @@ class Worker:
         self.proc.join()
 
 
-def _run(parent_end, target, conn, args) -> None:
-    """The worker's body: `target` until it returns, raises or its pipe
-    closes.  What it raises is sent to the caller; once the caller has
-    closed its end that send fails too, and the worker just returns."""
+def _cpu() -> int | None:
+    """The CPU this process runs on, field 39 of /proc/self/stat (Python's
+    `os` has no sched_getcpu), or None where that file cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            stat = fh.read()
+    except OSError:
+        return None
+    # field 2, the command name, is parenthesised and may hold spaces
+    return int(stat[stat.rindex(b")") + 1:].split()[36])
+
+
+def _run(parent_end, target, conn, args, cpus) -> None:
+    """The worker's body: on `cpus` when there are any, `target` until it
+    returns, raises or its pipe closes.  What it raises is sent to the
+    caller; once the caller has closed its end that send fails too, and
+    the worker just returns."""
+    if cpus:
+        try:
+            os.sched_setaffinity(0, cpus)
+        except OSError:   # a mask of CPUs this machine lacks: run unpinned
+            pass
     parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:

@@ -56,7 +56,8 @@ class Shards:
     Opened as a context manager, it runs numpy's BLAS at one thread (see
     :func:`_one_blas_thread`) and, when `split` holds and the affinity
     mask has a spare CPU, forks a worker that computes shard 1 of each
-    step and the tail of each split predict.  The worker inherits the
+    step and the tail of each split predict; where that fork fails
+    (EAGAIN, ENOMEM) there is no worker.  The worker inherits the
     model and the windows at fork, so no window is pickled.  Without a
     worker, this process computes both shards and the whole predict
     through the same methods.  Each process keeps one Workspace for the
@@ -89,9 +90,12 @@ class Shards:
                 views = [buf[a:a + math.prod(s)].reshape(s) for a, s in zip(starts, shapes)]
                 self.params = dict(zip(self.model.params, views))
                 self.grads = dict(zip(self.model.params, views[len(self.params):]))
-                self.worker = stack.enter_context(forked.Worker(self._serve, exited=lambda e: (
-                    NetError("the shard worker exited before it replied") if e is None
-                    else NetError(f"the shard worker exited: {e}"))))
+                try:
+                    self.worker = stack.enter_context(forked.Worker(self._serve, exited=lambda e: (
+                        NetError("the shard worker exited before it replied") if e is None
+                        else NetError(f"the shard worker exited: {e}"))))
+                except OSError:   # no process to fork (EAGAIN, ENOMEM): compute here
+                    self.params = self.grads = None
             self._close = stack.pop_all()
         return self
 
@@ -174,9 +178,12 @@ def split_predict(model: Model, X) -> np.ndarray:
     windows and the affinity mask two CPUs or more, a predict-only worker
     forked for this call predicts the tail (see :meth:`Shards.predict`)
     and exits before the call returns.  Forking, the worker's first page
-    faults and the join cost about one chunk's predict (20-28 ms for a
-    64x64 LSTM at T=100 on two cores), so at two chunks or fewer this
-    process predicts alone."""
+    faults and the join cost most of one chunk's predict (12-13 ms with
+    the worker placed off this process's CPU, against 15-20 ms for a
+    64-window chunk of a 64x64 LSTM at T=100 on two cores), so at two
+    chunks or fewer this process predicts alone: the split lost every
+    alternating pair at 65 and 96 windows, won about half at 128 and
+    129 and every one at 256."""
     with Shards(model, None, X, split=len(X) > 2 * PREDICT_CHUNK) as shards:
         return shards.predict()
 

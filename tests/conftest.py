@@ -30,6 +30,14 @@ def _counting_forks(monkeypatch) -> list:
     return started
 
 
+def _failing_forks(monkeypatch, code):
+    """Make every fork fail as it does under a pids limit (EAGAIN) or
+    without memory (ENOMEM), without starting a process."""
+    def fork():
+        raise OSError(code, os.strerror(code))
+    monkeypatch.setattr(os, "fork", fork)
+
+
 @pytest.fixture(scope="session")
 def noise_lines():
     cfg = feed.GeneratorConfig(n_events=5000)

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import itertools
 import json
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import _counting_forks, _cpus
+from conftest import _counting_forks, _cpus, _failing_forks
 from lobflow import checks, feed, stats
 from lobflow.feed import EventKind, Side
 
@@ -512,6 +513,41 @@ class TestReadEvents:
         # a stream of lines is always parsed in this process
         assert len(list(feed.iter_events(noise_lines))) == len(noise_lines)
         assert started == []
+
+    @pytest.mark.parametrize("code", [errno.EAGAIN, errno.ENOMEM])
+    def test_failed_fork_reads_here(self, tmp_path, monkeypatch, code):
+        # a bad line late in the stream: the same events, then the same error
+        lines = [_good(i) for i in range(1, 2000)] + [b'{"ts":1}']
+        path = tmp_path / "ok.ofr"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        want = _read(path, False)
+        assert len(want[0]) == 1999 and want[1][0] is feed.SchemaViolation
+        _failing_forks(monkeypatch, code)
+        with pytest.MonkeyPatch.context() as mp:
+            _cpus(mp, 2)
+            mp.setattr(feed, "READ_FORK_BYTES", 0)
+            started = _counting_forks(mp)
+            events = []
+            with pytest.raises(feed.SchemaViolation) as caught:
+                for ev in feed.read_events(path):
+                    events.append(repr(ev))
+        assert started == [1]   # a fork was tried
+        assert (events, (type(caught.value), str(caught.value))) == want
+
+    def test_build_size_streams_read_on_the_forked_reader(self, tmp_path):
+        # READ_FORK_BYTES's grid: the forked reader won at 8k planted
+        # events and lost at 2k, so a line format or threshold that sends
+        # an 8k stream back to the serial reader fails here
+        sizes = {}
+        for n in (2000, 8000):
+            cfg = feed.GeneratorConfig(n_events=n, planted=feed.PLANTED_LAST_EVENT_SIDE,
+                                       min_gap_ms=1)
+            for seed in (7, 4242):
+                path = tmp_path / f"{n}-{seed}.ofr"
+                feed.write_stream(path, cfg, seed)
+                sizes[n, seed] = path.stat().st_size
+        assert max(sizes[2000, s] for s in (7, 4242)) < feed.READ_FORK_BYTES
+        assert min(sizes[8000, s] for s in (7, 4242)) >= feed.READ_FORK_BYTES
 
 
 def _spelled(obj: dict, spelling: str) -> str:

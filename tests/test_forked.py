@@ -4,13 +4,19 @@ exceptions, a worker that is gone, and the join."""
 from __future__ import annotations
 
 import ast
+import errno
 import multiprocessing
 import os
+from multiprocessing.connection import Connection
 from pathlib import Path
 
 import pytest
 
+from conftest import _failing_forks
 from lobflow import forked
+
+# the real affinity call, for worker bodies run while a test patches it
+_affinity = os.sched_getaffinity
 
 
 class Gone(Exception):
@@ -83,6 +89,60 @@ class TestChannel:
                 raise RuntimeError("caller failed")
         assert not worker.proc.is_alive()
         assert multiprocessing.active_children() == []
+
+
+def _reply_mask(conn):
+    conn.send(_affinity(0))
+
+
+class TestPlacement:
+    """The worker runs on its caller's affinity mask less the CPU the
+    caller was on at the fork, or unpinned where that cannot be done."""
+
+    def _worker_mask(self) -> set:
+        with forked.Worker(_reply_mask, exited=_exited) as worker:
+            return worker.recv()
+
+    def test_worker_runs_off_its_callers_cpu(self):
+        mask = _affinity(0)
+        if len(mask) < 2:
+            pytest.skip("needs an affinity mask of two CPUs or more")
+        got = self._worker_mask()
+        assert got < mask and len(mask - got) == 1
+        assert _affinity(0) == mask   # the caller's own mask is not changed
+
+    def test_mask_of_cpus_the_machine_lacks_leaves_the_worker_unpinned(self, monkeypatch):
+        mask = _affinity(0)
+        far = max(mask) + 4096
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {far, far + 1})
+        assert self._worker_mask() == mask
+
+    def test_one_cpu_mask_pins_nothing(self, monkeypatch):
+        mask = _affinity(0)
+        for cpu in sorted(mask)[:2]:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {cpu})
+            assert self._worker_mask() == mask
+
+    def test_unreadable_proc_pins_nothing(self, monkeypatch):
+        def unreadable(*args, **kwargs):
+            raise PermissionError(errno.EACCES, "no /proc")
+
+        assert forked._cpu() in _affinity(0)
+        monkeypatch.setattr(forked, "open", unreadable, raising=False)
+        assert forked._cpu() is None
+        assert self._worker_mask() == _affinity(0)
+
+
+@pytest.mark.parametrize("code", [errno.EAGAIN, errno.ENOMEM])
+def test_failed_fork_raises_and_leaves_no_pipe(monkeypatch, code):
+    closed, close = [], Connection.close
+    monkeypatch.setattr(Connection, "close", lambda self: closed.append(1) or close(self))
+    _failing_forks(monkeypatch, code)
+    with pytest.raises(OSError) as caught:
+        forked.Worker(_echo, 2, exited=_exited)
+    assert caught.value.errno == code
+    assert closed == [1, 1]   # both ends of the pipe
+    assert multiprocessing.active_children() == []
 
 
 def _imports(path: Path) -> set:
