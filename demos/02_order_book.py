@@ -28,13 +28,14 @@ print()
 for price in (bb, bb - 3):
     print(f"relative price of a buy at {price}, best bid {bb}:", 1 + abs(bb - price))
 
-# fixed-depth snapshot as one row: bid prices, bid volumes, ask prices,
-# ask volumes; shallow sides padded with zero volume
-snap = book.snapshot(5)
+# fixed-depth snapshot as two halves, each the side's prices (best
+# first), then their volumes; shallow sides padded with zero volume.  The
+# book hands back a half's same tuple until an event reaches its levels
+bids, asks = book.snapshot(5)
 print("\ntop-5 snapshot:")
-for p, v in zip(snap[0:5], snap[5:10]):
+for p, v in zip(bids[:5], bids[5:]):
     print(f"  bid {p}  {v:.6g}")
-for p, v in zip(snap[10:15], snap[15:20]):
+for p, v in zip(asks[:5], asks[5:]):
     print(f"  ask {p}  {v:.6g}")
 
 # the whole book state matches a naive full-scan reference exactly

@@ -12,11 +12,15 @@ mover's `table_ts[end]`, and the split is the one of the dataset's
 events only build the book; one loop then replays every later event
 into the same book and records for it only what needs the live book:
 the event's raw fields (ts, size, kind and side codes, int64 price), the
-best bid and ask after it and, for the snapshot variants, its snapshot
-row and best-level order counts.  numpy then derives every other column
-from those: the relative price from the previous row's same-side best,
-the half-tick mids before and after each event and from them the mid
-moves, labels and mid column, and the market-order flags.  Prices and
+best bid and ask after it and, for the snapshot variants, which stored
+snapshot half of each side it shows.  The book hands back a side's same
+half until an event reaches its levels (see :mod:`lobflow.lob`), so a
+half, with that side's best-level order count, is stored only when its
+object changes, and the snapshot table is filled column by column from
+the stored halves.  numpy then derives every other column from those:
+the relative price from the previous row's same-side best, the
+half-tick mids before and after each event and from them the mid moves,
+labels and mid column, and the market-order flags.  Prices and
 mids stay exact integers until one cast to float at the end.  Three
 variants are built in that pass on shared labels and window ends:
 
@@ -210,6 +214,8 @@ def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SY
     need_snap = any(v != "orderflow" for v in variants)
     need_counts = "bench1" in variants
     warm, warm_last_ts, dropped, cols = _replay(events, warm_count, S, need_snap, need_counts)
+    # before the flow table, so that the stored halves are freed first
+    snap = _snapshot_table(cols, S, need_counts) if need_snap else None
     counters: dict = {"warmup_events": warm}
     ts, kind, side = cols["ts"], cols["kind"], cols["side"]
     E = len(ts)
@@ -266,7 +272,6 @@ def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SY
     tables = {"orderflow": flow}
     if need_snap:
         w = 4 * S + 1
-        snap = cols["snap"].reshape(E, w + 4 * need_counts)
         # the mid in ticks: halving commutes with rounding to a float
         np.multiply(mid2[1:], 0.5, out=snap[:, w - 1])
         snap[~defined[1:], w - 1] = np.nan
@@ -288,7 +293,7 @@ def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SY
 # the replay's per-row columns and the typecodes of their buffers, which
 # numpy reads as the same types: int64, float64 and int8
 _COLUMNS = (("ts", "q"), ("size", "d"), ("kind", "b"), ("side", "b"), ("price", "q"),
-            ("bid", "q"), ("ask", "q"), ("snap", "d"))
+            ("bid", "q"), ("ask", "q"), ("bid_half", "q"), ("ask_half", "q"))
 
 
 def _replay(events: Iterable[OrderEvent], warm_count: int, S: int, need_snap: bool,
@@ -298,11 +303,18 @@ def _replay(events: Iterable[OrderEvent], warm_count: int, S: int, need_snap: bo
     market orders, and the `_COLUMNS`: numpy views of the flat typed
     buffers the loop fills.  The first `warm_count` events only build
     the book.  Per later event, a table row: its ts, size, kind and side
-    codes and int64 price (0 for a market order), and with a snapshot
-    variant its bench1 or bench2 row, whose mid and market-order flag
-    columns are placeholders.  `bid` and `ask` hold the bests before the
-    first row, then after each row's event.  Prices are positive (the
-    feed rejects others), so 0 marks a missing price or best."""
+    codes and int64 price (0 for a market order).  `bid` and `ask` hold
+    the bests before the first row, then after each row's event.  Prices
+    are positive (the feed rejects others), so 0 marks a missing price
+    or best.
+
+    With a snapshot variant, `bid_halves` and `ask_halves` hold each
+    snapshot half of S levels once, as a row of prices then volumes, and
+    with `need_counts` then its best-level order count; row j's halves
+    are the rows `bid_half[j]` and `ask_half[j]` of those.  The book
+    hands back a half's same tuple while it is unchanged (see
+    :mod:`lobflow.lob`), so a half is stored only when its object
+    changes, and a half's best-level count cannot change without it."""
     book = lob.OrderBook()
     events = iter(events)
     warm, warm_last_ts = 0, None
@@ -313,9 +325,12 @@ def _replay(events: Iterable[OrderEvent], warm_count: int, S: int, need_snap: bo
     cols = {name: array(code) for name, code in _COLUMNS}
     cols["bid"].append(book.best_bid() or 0)
     cols["ask"].append(book.best_ask() or 0)
-    ts, size, kind, side, price, bid, ask, snap = cols.values()
+    ts, size, kind, side, price, bid, ask, bid_half, ask_half = cols.values()
     apply, best_bid, best_ask = book.apply_event, book.best_bid, book.best_ask
     snapshot, best_counts = book.snapshot, book.best_counts
+    bid_store, ask_store = array("d"), array("d")
+    bids = asks = None   # the halves stored last
+    nb = na = -1         # and their rows
     for ev in events:
         apply(ev)
         ts.append(ev.timestamp_ms)
@@ -327,14 +342,42 @@ def _replay(events: Iterable[OrderEvent], warm_count: int, S: int, need_snap: bo
         bid.append(best_bid() or 0)
         ask.append(best_ask() or 0)
         if need_snap:
-            row = snapshot(S)
-            if need_counts:
-                row += (0.0, *best_counts(), 0.0, 0.0)
-            else:
-                row.append(0.0)
-            snap.fromlist(row)
-    return (warm, warm_last_ts, book.dropped_market_events,
-            {name: np.frombuffer(a, dtype=a.typecode) for name, a in cols.items()})
+            row_bids, row_asks = snapshot(S)
+            if row_bids is not bids:
+                bids = row_bids
+                nb += 1
+                bid_store.extend(bids)
+                if need_counts:
+                    bid_store.append(best_counts()[0])
+            if row_asks is not asks:
+                asks = row_asks
+                na += 1
+                ask_store.extend(asks)
+                if need_counts:
+                    ask_store.append(best_counts()[1])
+            bid_half.append(nb)
+            ask_half.append(na)
+    cols = {name: np.frombuffer(a, dtype=a.typecode) for name, a in cols.items()}
+    width = 2 * S + need_counts
+    cols["bid_halves"] = np.frombuffer(bid_store).reshape(-1, width)
+    cols["ask_halves"] = np.frombuffer(ask_store).reshape(-1, width)
+    return warm, warm_last_ts, book.dropped_market_events, cols
+
+
+def _snapshot_table(cols: dict, S: int, need_counts: bool) -> np.ndarray:
+    """The bench1 table (bench2's with `need_counts` false) of the
+    replay's snapshot halves, which it takes out of `cols`: filled
+    column by column from the stored halves, with no (E, 2S) temporary.
+    Its mid and market-order flag columns are left for the caller."""
+    w = 4 * S + 1
+    table = np.empty((len(cols["bid_half"]), w + 4 * need_counts))
+    for side, first, count in (("bid", 0, w), ("ask", 2 * S, w + 1)):
+        halves, rows = cols.pop(f"{side}_halves"), cols.pop(f"{side}_half")
+        for k in range(2 * S):
+            np.take(halves[:, k], rows, out=table[:, first + k])
+        if need_counts:
+            np.take(halves[:, 2 * S], rows, out=table[:, count])
+    return table
 
 
 def check_split_ranges(ranges, where: str = "") -> dict:

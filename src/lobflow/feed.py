@@ -67,8 +67,9 @@ from .atomic import atomic_open
 # 7.5k events, below every generated 8k-event stream (0.80 MB): of 1k, 2k,
 # 4k, 8k and 16k events, the smallest size at which the reader, placed off
 # its caller's CPU, beat the serial one in most alternating pairs under
-# both `features.build_datasets` (85 of 100) and
-# `stats.daily_market_aggregates` (61 of 100); at 4k, 15 and 17 of 100;
+# both `features.build_datasets` (88 of 100) and
+# `stats.daily_market_aggregates` (71 of 100, re-measured at 8k once the
+# book replay got faster; 85 and 61 before); at 4k, 15 and 17 of 100;
 # at 16k, 94 and 82.  No size reached 9 of 10 under both (2-vCPU KVM
 # guest, Python 3.11).
 READ_FORK_BYTES = 750_000
@@ -125,6 +126,12 @@ class Side(Enum):
         return self.name.lower()
 
 
+# the members as module constants, for the per-event paths here and in
+# `lob`: on Python 3.11 reading a member through its class costs about
+# ten times a global's load
+LIMIT, MARKET, CANCEL = EventKind
+BUY, SELL = Side
+
 _KIND_FROM_WIRE = {k.wire: k for k in EventKind}
 _SIDE_FROM_WIRE = {s.wire: s for s in Side}
 # the codes the fast path gives a kind and a side: their enum values
@@ -132,7 +139,7 @@ _KIND_CODE = {k.wire: k.value for k in EventKind}
 _SIDE_CODE = {s.wire: s.value for s in Side}
 _KIND_OF_CODE = {k.value: k for k in EventKind}
 _SIDE_OF_CODE = {s.value: s for s in Side}
-_MARKET_CODE = EventKind.MARKET.value
+_MARKET_CODE = MARKET.value
 
 _REQUIRED_KEYS = {"ts", "seq", "kind", "side", "size", "id"}
 _ALL_KEYS = _REQUIRED_KEYS | {"price"}
@@ -243,7 +250,7 @@ def parse_event(line: str) -> OrderEvent:
     except (KeyError, TypeError):
         raise _bad_value("side", obj["side"]) from None
 
-    if kind is EventKind.MARKET:
+    if kind is MARKET:
         if "price" in obj:
             raise InvariantViolation("market order must not carry a price")
         price = None
@@ -307,14 +314,14 @@ def serialize_event(ev: OrderEvent) -> str:
     elif type(size) is not float or not -math.inf < size < math.inf:
         size = None  # `json` spells NaN and infinities differently from repr
     if size is not None and type(ts) is int and type(seq) is int and type(oid) is str:
-        if ev.kind is EventKind.MARKET:
+        if ev.kind is MARKET:
             return (f'{{"ts":{ts},"seq":{seq},"kind":"market","side":"{ev.side.wire}",'
                     f'"size":{size},"id":{_json_str(oid)}}}')
         if type(price) is int:
             return (f'{{"ts":{ts},"seq":{seq},"kind":"{ev.kind.wire}","side":"{ev.side.wire}",'
                     f'"price":{price},"size":{size},"id":{_json_str(oid)}}}')
     obj: dict = {"ts": ts, "seq": seq, "kind": ev.kind.wire, "side": ev.side.wire}
-    if ev.kind is not EventKind.MARKET:
+    if ev.kind is not MARKET:
         obj["price"] = price
     obj["size"] = ev.size_str if ev.size_str is not None else ev.size
     obj["id"] = oid
@@ -374,7 +381,7 @@ def read_events(path) -> Iterator[OrderEvent]:
     process parses it.  The reader is joined when the stream ends,
     raises or is closed, and a reader that dies raises
     :class:`ReaderExited`.  It pays only with a free second CPU: at 8k
-    events it won 85 and 61 of 100 alternating pairs under
+    events it won 88 and 71 of 100 alternating pairs under
     `features.build_datasets` and `stats.daily_market_aggregates`, and
     with that CPU busy it is slower than the serial path."""
     n = 0   # the lines received from a reader
@@ -607,8 +614,8 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> Iterator[str]:
     def seed_ladder():
         p = config.start_price
         for off in range(1, config.seed_levels + 1):
-            yield emit(EventKind.LIMIT, Side.SELL, p + off, _dyadic_size(rng))
-            yield emit(EventKind.LIMIT, Side.BUY, p - off, _dyadic_size(rng))
+            yield emit(LIMIT, SELL, p + off, _dyadic_size(rng))
+            yield emit(LIMIT, BUY, p - off, _dyadic_size(rng))
 
     stream = _planted_stream if config.planted == PLANTED_LAST_EVENT_SIDE else _noise_stream
     yield from islice(chain(seed_ladder(), stream(config, rng, book, emit)), config.n_events)
@@ -617,18 +624,18 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> Iterator[str]:
 def _planted_stream(config, rng, book, emit):
     while True:
         up = bool(rng.integers(0, 2))
-        side = Side.BUY if up else Side.SELL
+        side = BUY if up else SELL
         bb, ba = book.best_bid(), book.best_ask()
         # all three are drawn before any is emitted: emitting draws the gap
         round_events = []
         # replenish both sides deep so the mover always finds liquidity behind best
-        round_events.append((EventKind.LIMIT, Side.SELL, ba + 3 + rng.integers(0, 6), _dyadic_size(rng)))
-        round_events.append((EventKind.LIMIT, Side.BUY, max(1, bb - 3 - rng.integers(0, 6)), _dyadic_size(rng)))
+        round_events.append((LIMIT, SELL, ba + 3 + rng.integers(0, 6), _dyadic_size(rng)))
+        round_events.append((LIMIT, BUY, max(1, bb - 3 - rng.integers(0, 6)), _dyadic_size(rng)))
         # signal: deep passive order on the planted side; never moves the mid
         if up:
-            round_events.append((EventKind.LIMIT, Side.BUY, max(1, book.best_bid() - 2 - rng.integers(0, 5)), _dyadic_size(rng)))
+            round_events.append((LIMIT, BUY, max(1, book.best_bid() - 2 - rng.integers(0, 5)), _dyadic_size(rng)))
         else:
-            round_events.append((EventKind.LIMIT, Side.SELL, book.best_ask() + 2 + rng.integers(0, 5), _dyadic_size(rng)))
+            round_events.append((LIMIT, SELL, book.best_ask() + 2 + rng.integers(0, 5), _dyadic_size(rng)))
         for kind, s, price, size in round_events:
             yield emit(kind, s, price, size)
         # mover: the one event per round that moves the mid, in direction `up`.
@@ -639,20 +646,20 @@ def _planted_stream(config, rng, book, emit):
         if ba - bb >= 4:
             if up:
                 price = min(bb + 1 + rng.integers(0, 3), ba - 1)
-                yield emit(EventKind.LIMIT, Side.BUY, price, _dyadic_size(rng))
+                yield emit(LIMIT, BUY, price, _dyadic_size(rng))
             else:
                 price = max(ba - 1 - rng.integers(0, 3), bb + 1)
-                yield emit(EventKind.LIMIT, Side.SELL, price, _dyadic_size(rng))
+                yield emit(LIMIT, SELL, price, _dyadic_size(rng))
         else:
             opp_best = ba if up else bb
-            level_size = book.level_size(Side.SELL if up else Side.BUY, opp_best)
-            yield emit(EventKind.MARKET, side, None, level_size)
+            level_size = book.level_size(SELL if up else BUY, opp_best)
+            yield emit(MARKET, side, None, level_size)
 
 
 def _noise_stream(config, rng, book, emit):
     while True:
         u = rng.random()
-        side = Side.BUY if rng.integers(0, 2) == 0 else Side.SELL
+        side = BUY if rng.integers(0, 2) == 0 else SELL
         if u < config.prop_cancel and book.resting:
             # cancel a random live order, fully or by half; `resting` keeps
             # the orders in the order they came to rest
@@ -660,20 +667,20 @@ def _noise_stream(config, rng, book, emit):
             order = book.resting[oid]
             full = rng.random() < 0.9 or order.remaining < 1e-9
             size = order.remaining if full else order.remaining / 2.0
-            yield emit(EventKind.CANCEL, order.side, order.price_ticks, size, order_id=oid)
+            yield emit(CANCEL, order.side, order.price_ticks, size, order_id=oid)
         elif u < config.prop_cancel + config.prop_market:
-            opp = book.best_ask() if side is Side.BUY else book.best_bid()
+            opp = book.best_ask() if side is BUY else book.best_bid()
             if opp is None:
                 continue
-            yield emit(EventKind.MARKET, side, None, _dyadic_size(rng))
+            yield emit(MARKET, side, None, _dyadic_size(rng))
         else:
-            if side is Side.BUY:
+            if side is BUY:
                 ref = book.best_bid() or (config.start_price - 2)
                 price = max(1, ref - rng.integers(-2, 8))
             else:
                 ref = book.best_ask() or (config.start_price + 2)
                 price = max(1, ref + rng.integers(-2, 8))
-            yield emit(EventKind.LIMIT, side, price, _dyadic_size(rng))
+            yield emit(LIMIT, side, price, _dyadic_size(rng))
 
 
 def write_stream(path, config: GeneratorConfig, seed: int) -> int:

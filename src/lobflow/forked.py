@@ -77,7 +77,11 @@ class Worker:
         try:
             self.conn.send(msg)
         except OSError as e:
-            raise self.exited(e) from e
+            # the cause goes without its traceback: its frames hold the
+            # buffer that `Connection.send` pickled into beside a view
+            # still exported from it, and the cycle collector may free
+            # the buffer first, a BufferError that `python -X dev` reports
+            raise self.exited(e) from e.with_traceback(None)
 
     def recv(self):
         """The worker's next message, or the exception its body raised,

@@ -8,19 +8,27 @@ market orders match in one loop, in price priority and FIFO within a
 level.  A marketable limit order rests what it did not execute; a market
 order larger than the opposing liquidity executes what is available and
 drops the remainder, counted on the book in `dropped_market_events` and
-`dropped_market_size`.  `OrderBook.snapshot(depth)` gives the top levels
-of each side as one flat row: bid prices (best first), bid volumes, ask
-prices, ask volumes.
+`dropped_market_size`.
+
+`OrderBook.snapshot(depth)` gives the top levels of each side as two
+immutable tuples, `(bids, asks)`: a side's prices (best first), then its
+volumes.  The book keeps each side's tuple, with the price of the
+`depth`-th best level it held, and hands back that same object until a
+rest, cancel or fill touches a price at or better than that level, or
+any price when the side held fewer than `depth` levels; a call at
+another depth rebuilds both.  So a caller that sees the same object
+knows that half unchanged.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .feed import EventKind, OrderEvent, Side
+from .feed import BUY, CANCEL, LIMIT, OrderEvent, Side
 
 
 class BookError(Exception):
@@ -72,10 +80,23 @@ class OrderBook:
         self.resting: dict[str, RestingOrder] = {}
         self.dropped_market_events = 0
         self.dropped_market_size = 0.0
+        # the snapshot halves of `_snap_depth` levels, None once stale; a
+        # change at or better than a side's edge makes its half stale
+        self._snap_depth: Optional[int] = None
+        self._bid_half: Optional[tuple] = None
+        self._ask_half: Optional[tuple] = None
+        self._bid_edge: float = -math.inf
+        self._ask_edge: float = math.inf
 
-    def _side(self, side: Side) -> tuple[dict[int, _Level], list[int]]:
-        if side is Side.BUY:
+    def _touch(self, side: Side, price: int) -> tuple[dict[int, _Level], list[int]]:
+        """The levels and sorted prices of the side a change at `price`
+        is made on, dropping its snapshot half if the change reaches it."""
+        if side is BUY:
+            if price >= self._bid_edge:
+                self._bid_half = None
             return self._bids, self._bid_prices
+        if price <= self._ask_edge:
+            self._ask_half = None
         return self._asks, self._ask_prices
 
     # -- queries ------------------------------------------------------------
@@ -94,7 +115,7 @@ class OrderBook:
         return bids[-1] + asks[0] if bids and asks else None
 
     def level_size(self, side: Side, price: int) -> float:
-        lvl = (self._bids if side is Side.BUY else self._asks).get(price)
+        lvl = (self._bids if side is BUY else self._asks).get(price)
         return lvl.size if lvl else 0.0
 
     def best_counts(self) -> tuple[int, int]:
@@ -115,14 +136,16 @@ class OrderBook:
         is left; a market order never stops on price and drops what is
         left, counted in `dropped_market_events` and `dropped_market_size`.
         """
-        if ev.kind is EventKind.CANCEL:
+        kind = ev.kind
+        if kind is CANCEL:
             self._apply_cancel(ev)
             return 0.0
-        if ev.side is Side.BUY:
+        buy = ev.side is BUY
+        if buy:
             levels, prices, best, sign = self._asks, self._ask_prices, 0, 1
         else:
             levels, prices, best, sign = self._bids, self._bid_prices, -1, -1
-        limited = ev.kind is EventKind.LIMIT
+        limited = kind is LIMIT
         price = ev.price_ticks
         remaining, executed = ev.size, 0.0
         while remaining > 0 and prices:
@@ -132,6 +155,11 @@ class OrderBook:
             taken = self._consume_level(levels, prices, level, remaining)
             remaining -= taken
             executed += taken
+        if executed:   # a fill takes the best level, which the half holds
+            if buy:
+                self._ask_half = None
+            else:
+                self._bid_half = None
         if remaining > 0:
             if limited:
                 self._rest(ev.order_id, ev.side, price, remaining)
@@ -149,7 +177,7 @@ class OrderBook:
                                  f"it rests as {order.side.wire} at {order.price_ticks}")
         if ev.size > order.remaining + 1e-12:
             raise OverCancel(f"cancel {ev.size} exceeds remaining {order.remaining} for {ev.order_id}")
-        levels, prices = self._side(order.side)
+        levels, prices = self._touch(order.side, order.price_ticks)
         lvl = levels[order.price_ticks]
         if ev.size >= order.remaining - 1e-12:
             lvl.size -= order.remaining
@@ -164,7 +192,7 @@ class OrderBook:
     # -- internals ----------------------------------------------------------
 
     def _rest(self, oid: str, side: Side, price: int, size: float) -> None:
-        levels, prices = self._side(side)
+        levels, prices = self._touch(side, price)
         lvl = levels.get(price)
         if lvl is None:
             lvl = levels[price] = _Level()
@@ -199,30 +227,44 @@ class OrderBook:
 
     # -- snapshots ----------------------------------------------------------
 
-    def snapshot(self, depth: int) -> list:
-        """The top `depth` levels per side as one row: bid prices (best
-        first), bid volumes, ask prices, ask volumes.
+    def snapshot(self, depth: int) -> tuple[tuple, tuple]:
+        """The top `depth` levels per side, `(bids, asks)`: each a tuple of
+        the side's prices (best first), then their volumes.
 
         Shallow sides are padded with zero volume at prices that continue
         the side's monotone direction one tick per step past the last real
         level (from 0 when the side is empty), keeping bid prices strictly
-        decreasing and ask prices strictly increasing.
+        decreasing and ask prices strictly increasing.  A side's tuple is
+        the same object as at the last call until a change reaches it
+        (see the module docstring).
         """
-        if depth < 1:
-            raise ValueError("snapshot depth must be >= 1")
-        bids = self._bid_prices[:-depth - 1:-1]
-        asks = self._ask_prices[:depth]
-        bid_levels, ask_levels = self._bids, self._asks
-        bvol = [bid_levels[p].size for p in bids]
-        avol = [ask_levels[p].size for p in asks]
-        pad = depth - len(bids)
-        if pad:
-            last = bids[-1] if bids else 0
-            bids += range(last - 1, last - 1 - pad, -1)
-            bvol += [0.0] * pad
-        pad = depth - len(asks)
-        if pad:
-            last = asks[-1] if asks else 0
-            asks += range(last + 1, last + 1 + pad)
-            avol += [0.0] * pad
-        return bids + bvol + asks + avol
+        if depth != self._snap_depth:
+            if depth < 1:
+                raise ValueError("snapshot depth must be >= 1")
+            self._snap_depth = depth
+            self._bid_half = self._ask_half = None
+        bids = self._bid_half
+        if bids is None:
+            bids, self._bid_edge = _half(self._bids, self._bid_prices[:-depth - 1:-1], depth, -1)
+            self._bid_half = bids
+        asks = self._ask_half
+        if asks is None:
+            asks, self._ask_edge = _half(self._asks, self._ask_prices[:depth], depth, 1)
+            self._ask_half = asks
+        return bids, asks
+
+
+def _half(levels: dict[int, _Level], prices: list[int], depth: int,
+          step: int) -> tuple[tuple, float]:
+    """One side's snapshot tuple of its top `prices`, best first, padded
+    to `depth` levels one `step` past the last, and its edge: the
+    `depth`-th best price, or -inf (bids) or inf (asks) for a side of
+    fewer levels, on which any change reaches the padding."""
+    vols = [levels[p].size for p in prices]
+    pad = depth - len(prices)
+    if not pad:
+        return tuple(prices + vols), prices[-1]
+    last = prices[-1] if prices else 0
+    prices += range(last + step, last + step * (pad + 1), step)
+    vols += [0.0] * pad
+    return tuple(prices + vols), step * math.inf

@@ -119,13 +119,14 @@ def reference_build(events, T, S, warm_count, snapshots=True):
         bb, ba = book.best_bid(), book.best_ask()
         before, mid2 = mid2, bb + ba if bb is not None and ba is not None else None
         count_b, count_a = book.best_counts()
+        bids, asks = book.snapshot(S)
         ann = {
             "ts": ev.timestamp_ms,
             "flow": [ev.timestamp_ms - prev_ts if prev_ts is not None else 0,
                      ev.timestamp_ms // 3_600_000 % 24, ev.size, ev.kind.value,
                      ev.side.value, rel],
             "mid": None if mid2 is None else mid2 / 2,
-            "snap": book.snapshot(S),
+            "snap": [*bids, *asks],
             "bb": count_b,
             "ba": count_a,
             "mo": (ev.kind is EventKind.MARKET and ev.side is Side.BUY,
@@ -289,6 +290,15 @@ class TestBuildMemory:
             tracemalloc.stop()
         stored = of.table.nbytes + of.table_ts.nbytes
         assert peak - book_peak <= 1.5 * stored, (peak - book_peak) / stored
+
+    def test_unchanged_halves_stored_once(self, planted_events):
+        # most events leave a snapshot half as it was, and the replay
+        # stores a half only when the book hands back a new one: at S=3
+        # about 0.19 of the 2E halves on this stream
+        *_, cols = features._replay(planted_events, 40, 3, True, True)
+        E = len(cols["ts"])
+        assert len(cols["bid_half"]) == len(cols["ask_half"]) == E
+        assert len(cols["bid_halves"]) + len(cols["ask_halves"]) < 0.6 * 2 * E
 
 
 class TestWindowView:

@@ -1,6 +1,7 @@
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lobflow import feed, lob, oracle
 from lobflow.feed import EventKind, Side
@@ -176,34 +177,35 @@ class TestSnapshot:
         book.apply_event(ev(seq=1, price=100))
         book.apply_event(ev(seq=2, price=99))
         book.apply_event(ev(seq=3, side=Side.SELL, price=102))
-        snap = book.snapshot(5)
-        assert len(snap) == 20
-        assert snap[:5] == [100, 99, 98, 97, 96]
-        assert snap[5:7] == [1.0, 1.0]
-        assert snap[7:10] == [0.0, 0.0, 0.0]
-        assert snap[10:15] == [102, 103, 104, 105, 106]
-        assert snap[15:] == [1.0, 0.0, 0.0, 0.0, 0.0]
+        bids, asks = book.snapshot(5)
+        assert type(bids) is type(asks) is tuple
+        assert len(bids) == len(asks) == 10
+        assert bids[:5] == (100, 99, 98, 97, 96)
+        assert bids[5:7] == (1.0, 1.0)
+        assert bids[7:] == (0.0, 0.0, 0.0)
+        assert asks[:5] == (102, 103, 104, 105, 106)
+        assert asks[5:] == (1.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_depth_one_is_bests(self, ev):
         book = lob.OrderBook()
         book.apply_event(ev(seq=1, price=100, size=2.0))
         book.apply_event(ev(seq=2, side=Side.SELL, price=103, size=0.5))
-        assert book.snapshot(1) == [100, 2.0, 103, 0.5]
+        assert book.snapshot(1) == ((100, 2.0), (103, 0.5))
 
     def test_monotone_prices(self, noise_lines):
         book = lob.OrderBook()
         for line in noise_lines[:500]:
             book.apply_event(feed.parse_event(line))
-        snap = book.snapshot(8)
-        bid_prices, ask_prices = snap[:8], snap[16:24]
+        bids, asks = book.snapshot(8)
+        bid_prices, ask_prices = bids[:8], asks[:8]
         assert all(a > b for a, b in zip(bid_prices, bid_prices[1:]))
         assert all(a < b for a, b in zip(ask_prices, ask_prices[1:]))
 
     def test_empty_book_snapshot(self):
-        snap = lob.OrderBook().snapshot(3)
-        assert snap[:3] == [-1, -2, -3]
-        assert snap[6:9] == [1, 2, 3]
-        assert snap[3:6] == snap[9:] == [0.0, 0.0, 0.0]
+        bids, asks = lob.OrderBook().snapshot(3)
+        assert bids[:3] == (-1, -2, -3)
+        assert asks[:3] == (1, 2, 3)
+        assert bids[3:] == asks[3:] == (0.0, 0.0, 0.0)
 
     def test_matches_oracle_top_levels(self, noise_lines):
         book = lob.OrderBook()
@@ -212,15 +214,101 @@ class TestSnapshot:
             e = feed.parse_event(line)
             book.apply_event(e)
             ref.apply(e)
-        snap = book.snapshot(4)
+        bids, asks = book.snapshot(4)
         ref_bids = ref.top_levels(Side.BUY, 4)
         ref_asks = ref.top_levels(Side.SELL, 4)
-        assert list(zip(snap[:4], snap[4:8]))[:len(ref_bids)] == ref_bids
-        assert list(zip(snap[8:12], snap[12:]))[:len(ref_asks)] == ref_asks
+        assert list(zip(bids[:4], bids[4:]))[:len(ref_bids)] == ref_bids
+        assert list(zip(asks[:4], asks[4:]))[:len(ref_asks)] == ref_asks
 
-    def test_depth_zero_rejected(self):
+    def test_depth_zero_rejected(self, ev):
+        book = lob.OrderBook()
         with pytest.raises(ValueError):
-            lob.OrderBook().snapshot(0)
+            book.snapshot(0)
+        book.apply_event(ev(price=100))
+        book.snapshot(2)
+        with pytest.raises(ValueError):
+            book.snapshot(0)
+
+    def test_deep_limit_keeps_both_halves(self, ev):
+        book = lob.OrderBook()
+        for seq, (side, price) in enumerate([(Side.BUY, 100), (Side.BUY, 99), (Side.BUY, 98),
+                                             (Side.SELL, 102), (Side.SELL, 103)], start=1):
+            book.apply_event(ev(seq=seq, side=side, price=price))
+        before = book.snapshot(2)
+        # below the second bid and above the second ask: neither half moves
+        book.apply_event(ev(seq=6, price=97))
+        book.apply_event(ev(seq=7, price=98))
+        book.apply_event(ev(seq=8, side=Side.SELL, price=110))
+        after = book.snapshot(2)
+        assert after[0] is before[0] and after[1] is before[1]
+        # at the second bid the bid half is rebuilt, the ask half kept
+        book.apply_event(ev(seq=9, price=99))
+        bids, asks = book.snapshot(2)
+        assert bids == (100, 99, 1.0, 2.0) and asks is before[1]
+        # another depth rebuilds both
+        bids3, asks3 = book.snapshot(3)
+        assert bids3 == (100, 99, 98, 1.0, 2.0, 2.0) and asks3 == (102, 103, 110, 1.0, 1.0, 1.0)
+
+
+def _reference_half(book, ref, side, depth):
+    """A side's snapshot tuple from the reference book's top prices, the
+    book's level volumes and the padding rule."""
+    prices = [p for p, _ in ref.top_levels(side, depth)]
+    vols = [book.level_size(side, p) for p in prices]
+    step = -1 if side is Side.BUY else 1
+    last = prices[-1] if prices else 0
+    while len(prices) < depth:
+        last += step
+        prices.append(last)
+        vols.append(0.0)
+    return tuple(prices + vols)
+
+
+class TestCachedHalves:
+    """The book hands back a cached half only while it is what a rebuild
+    would give, on streams whose levels crowd around the snapshot depth."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_halves_match_a_rebuild(self, data):
+        book, ref = lob.OrderBook(), oracle.ReferenceBook()
+        # 0.1 + 0.2 against 0.3 leaves residue orders on the book
+        sizes = st.sampled_from([0.1, 0.2, 0.3, 0.5, 1.0, 2.5])
+        depth = data.draw(st.integers(1, 8))
+        halves = book.snapshot(depth)
+        for seq in range(1, data.draw(st.integers(1, 60)) + 1):
+            action = data.draw(st.sampled_from(["limit", "limit", "market", "cancel"]))
+            side = data.draw(st.sampled_from([Side.BUY, Side.SELL]))
+            deep = False
+            if action == "cancel" and book.resting:
+                oid = data.draw(st.sampled_from(sorted(book.resting)))
+                order = book.resting[oid]
+                size = order.remaining * data.draw(st.sampled_from([0.5, 1.0]))
+                e = make_event(seq=seq, kind=EventKind.CANCEL, side=order.side,
+                               price=order.price_ticks, size=size, oid=oid)
+            elif action == "market":
+                e = make_event(seq=seq, kind=EventKind.MARKET, side=side,
+                               size=data.draw(sizes | st.just(50.0)))
+            else:
+                # a narrow band, so limits rest around the depth-th level and cross
+                price = data.draw(st.integers(95, 105))
+                e = make_event(seq=seq, side=side, price=price, size=data.draw(sizes))
+                own = book._bid_prices[::-1] if side is Side.BUY else book._ask_prices
+                opp = book.best_ask() if side is Side.BUY else book.best_bid()
+                sign = 1 if side is Side.BUY else -1
+                deep = (len(own) >= depth and sign * price < sign * own[depth - 1]
+                        and (opp is None or sign * price < sign * opp))
+            assert book.apply_event(e) == ref.apply(e)
+            same_depth = data.draw(st.booleans())
+            if not same_depth:
+                depth = data.draw(st.integers(1, 8))
+            got = book.snapshot(depth)
+            if deep and same_depth:
+                assert got[0] is halves[0] and got[1] is halves[1]
+            halves = got
+            for side, half in zip((Side.BUY, Side.SELL), got):
+                assert type(half) is tuple
+                assert half == _reference_half(book, ref, side, depth), (seq, side, depth)
 
 
 # ---------------------------------------------------------------------------
