@@ -23,28 +23,41 @@ type and message comes from one place.
 
 :func:`iter_events` (and :func:`read_events` on a file) parses a stream
 in order and enforces its invariants: strictly increasing `seq` and
-non-decreasing `ts`.  Every consumer reads events through it.
+non-decreasing `ts`.  Every consumer reads events through it.  It reads
+the lines a block at a time, 128 lines and then 512.  A block whose
+every line is canonical and passes the value checks (a price present
+iff the kind is not market, 0 < size < inf) becomes columns: one
+`findall` of the canonical pattern, anchored per line, over the block's
+lines joined by newlines gives every line's fields, which are converted
+a column at a time, with kinds and sides as their enum values.  The
+block's order is checked a column at a time too, against the event
+before the block as well, and its events are built with one `map`.  A
+block that holds any other line (another valid spelling, a fault, a
+blank line, a line with a newline inside) or whose order fails goes
+through the per-line path: each line is parsed by :func:`parse_event`
+and checked in turn, which names the fault and its line.  So the
+events, every error's type and message and the point at which it is
+raised are those of reading the lines one at a time.
 
 :func:`read_events` on a file of READ_FORK_BYTES (0.75 MB, about 7.5k
 events) or more, when the affinity mask holds two CPUs or more, parses
 ahead on a reader process forked for the stream while the caller
 replays what it has read.  The reader iterates the file in the same
-text mode and runs the fast path on each line; it sends the plain
-values of each canonical line, or the line itself, in marshalled blocks
-over the channel of :class:`lobflow.forked.Worker`.  That channel
-carries what reading raised back to the caller after the lines read
-before it, and turns a reader that dies into :class:`ReaderExited`.
-The caller builds each event, parses the other lines with
-:func:`parse_event`, numbers the lines and checks their order in the one
-loop that :func:`iter_events` runs too.  So the events, every error's
-type and message and the point at which it is raised are those of the
-serial path.  A small file, a stream of lines, `taskset -c 0` and a
-fork that fails keep the serial path.  The reader runs off the caller's
-CPU (see :mod:`lobflow.forked`), and the gain needs that CPU free: on
-a 30k-event stream the forked path took 84-94 ms against 128-133 ms
-serial, but 136-147 ms while a busy loop held either CPU, where the
-serial path kept its time on the other.  So, as for `net.train`'s
-second process, a busy second CPU makes the forked path the slower one.
+text mode, makes the same blocks and sends each, as its columns or as
+its lines, marshalled over the channel of :class:`lobflow.forked.Worker`.
+That channel carries what reading raised back to the caller after the
+blocks read before it, and turns a reader that dies into
+:class:`ReaderExited`.  The caller numbers the lines, checks their
+order, builds the events and runs the per-line path in the one function
+that :func:`iter_events` runs too, so the events and errors are those
+of the serial path.  A small file, a stream of lines, `taskset -c 0`
+and a fork that fails keep the serial path.  The reader runs off the
+caller's CPU (see :mod:`lobflow.forked`), and the gain needs that CPU
+free: on a 30k-event stream the forked path took 58-76 ms against
+97-99 ms serial (fastest of 20 passes), but 114-115 ms while a busy
+loop held either CPU, where the serial path kept its time on the
+other.  So, as for `net.train`'s second process, a busy second CPU
+makes the forked path the slower one.
 """
 
 from __future__ import annotations
@@ -58,23 +71,26 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain, islice, repeat
+from operator import add, le, lt
 from typing import Iterable, Iterator, Optional
 
 from . import checks, forked
 from .atomic import atomic_open
 
 # the smallest file that `read_events` parses on a forked reader, about
-# 7.5k events, below every generated 8k-event stream (0.80 MB): of 1k, 2k,
-# 4k, 8k and 16k events, the smallest size at which the reader, placed off
-# its caller's CPU, beat the serial one in most alternating pairs under
-# both `features.build_datasets` (88 of 100) and
-# `stats.daily_market_aggregates` (71 of 100, re-measured at 8k once the
-# book replay got faster; 85 and 61 before); at 4k, 15 and 17 of 100;
-# at 16k, 94 and 82.  No size reached 9 of 10 under both (2-vCPU KVM
-# guest, Python 3.11).
+# 7.5k events, below every generated 8k-event stream (0.80 MB).  Of 1k,
+# 2k, 4k, 8k and 16k events, 8k is the smallest at which the reader,
+# placed off its caller's CPU, beat the serial one in most alternating
+# pairs of every run under both `features.build_datasets` and
+# `stats.daily_market_aggregates`.  With block parsing: at 8k, 180 of
+# 200 and 166 of 200; at 4k, 258 of 300 under the aggregates but 178 of
+# 300 under the build, 80, 55 and 43 in three runs of 100, whose medians
+# differed by under 4 ms either way.  At 16k, before block parsing, 94
+# and 82 of 100.  No size reached 9 of 10 under both (2-vCPU KVM guest,
+# Python 3.11).
 READ_FORK_BYTES = 750_000
-# lines per block the reader sends, and in its first block, so that the
-# caller starts soon
+# lines per block that `_blocks` makes, and in its first block, so that
+# a forked reader's caller starts soon
 _BLOCK = 512
 _FIRST_BLOCK = 128
 
@@ -139,7 +155,6 @@ _KIND_CODE = {k.wire: k.value for k in EventKind}
 _SIDE_CODE = {s.wire: s.value for s in Side}
 _KIND_OF_CODE = {k.value: k for k in EventKind}
 _SIDE_OF_CODE = {s.value: s for s in Side}
-_MARKET_CODE = MARKET.value
 
 _REQUIRED_KEYS = {"ts", "seq", "kind", "side", "size", "id"}
 _ALL_KEYS = _REQUIRED_KEYS | {"price"}
@@ -175,51 +190,71 @@ def _bad_value(name: str, value) -> SchemaViolation:
 # JSON's integer and number grammar, and strings without escapes or control
 # characters, so each captured text is what `json.loads` would decode.
 # `ts`, `seq` and `price` take at most 18 digits and so always fit int64,
-# and `price` takes no sign or leading zero and so is always positive.
+# and `price` takes no sign or leading zero and so is always positive.  A
+# price follows every kind but `market` (group 4 captures its "m").  The
+# pattern is anchored per line (`re.M`), so that one `findall` reads a
+# block of lines joined by newlines: no group can match a newline.
 _INT = r"-?(?:0|[1-9][0-9]{0,17})"
 _STR = r'([^"\\\x00-\x1f]*)'
 # JSON's number grammar: the one rule for a size, a number or a string
 _NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
 _CANONICAL = re.compile(
-    rf'\{{"ts":({_INT}),"seq":({_INT}),"kind":"(limit|market|cancel)","side":"(buy|sell)",'
-    r'(?:"price":([1-9][0-9]{0,17}),)?'
+    rf'^\{{"ts":({_INT}),"seq":({_INT}),"kind":"((m)arket|limit|cancel)","side":"(buy|sell)",'
+    r'(?(4)|"price":([1-9][0-9]{0,17}),)'
     rf'"size":(?:({_NUMBER.pattern})|"({_NUMBER.pattern})"),'
-    rf'"id":"{_STR}"\}}')
+    rf'"id":"{_STR}"\}}$', re.M)
 
 
-def _parse_canonical(line: str) -> Optional[tuple]:
-    """The plain values of a canonical line whose values pass every
-    check, else None: the general path then parses the line and names
-    its fault.  The values are the event's fields in order, with its
-    kind and side as their enum values (see :func:`_event`)."""
+def _columns(text: str, n: int) -> Optional[tuple]:
+    """The columns of `n` lines joined by newlines in `text`, when every
+    line is canonical and its values pass every check, else None: the
+    per-line path then parses the lines and names the fault.  The columns
+    are lists of the events' fields in order (see :func:`_events`), with
+    kinds and sides as their enum values."""
+    if text.count("\n") != n - 1:   # a line holds a newline
+        return None
+    rows = _CANONICAL.findall(text)
+    if len(rows) != n:
+        return None
+    ts, seq, kinds, _, sides, prices, numbers, size_strs, oids = zip(*rows)
+    # one of a size's two groups is empty.  float() of a JSON number rounds
+    # as float(int(...)) does, and overflows to inf instead of raising
+    sizes = list(map(float, map(add, numbers, size_strs)))
+    if not (min(sizes) > 0.0 and max(sizes) < math.inf):
+        return None
+    return (list(map(int, ts)), list(map(int, seq)), list(map(_KIND_CODE.__getitem__, kinds)),
+            list(map(_SIDE_CODE.__getitem__, sides)), [int(p) if p else None for p in prices],
+            sizes, list(oids), [s or None for s in size_strs])
+
+
+def _events(columns: tuple) -> Iterator[OrderEvent]:
+    """The events of a block's columns, in order."""
+    ts, seq, kinds, sides, prices, sizes, oids, size_strs = columns
+    return map(OrderEvent, ts, seq, map(_KIND_OF_CODE.__getitem__, kinds),
+               map(_SIDE_OF_CODE.__getitem__, sides), prices, sizes, oids, size_strs)
+
+
+def _parse_canonical(line: str) -> Optional[OrderEvent]:
+    """The event of a canonical line whose values pass every check, else
+    None: the general path then parses the line and names its fault.
+    :func:`_columns` of one line, at less than half its cost a line,
+    for the lines of blocks that go line by line."""
     m = _CANONICAL.fullmatch(line)
     if m is None:
         return None
-    ts, seq, kind, side, price, number, size_str, oid = m.groups()
-    kind = _KIND_CODE[kind]
-    if (price is None) is not (kind == _MARKET_CODE):
-        return None
-    # float() of a JSON number rounds as float(int(...)) does, and overflows
-    # to inf instead of raising, which the size check below then refuses
-    size = float(number if size_str is None else size_str)
+    ts, seq, kind, _, side, price, number, size_str, oid = m.groups()
+    size = float(number or size_str)
     if not 0.0 < size < math.inf:
         return None
-    return (int(ts), int(seq), kind, _SIDE_CODE[side], None if price is None else int(price),
-            size, oid, size_str)
-
-
-def _event(values: tuple) -> OrderEvent:
-    """The event of a canonical line's plain values."""
-    ts, seq, kind, side, price, size, oid, size_str = values
-    return OrderEvent(ts, seq, _KIND_OF_CODE[kind], _SIDE_OF_CODE[side], price, size, oid,
-                      size_str)
+    return OrderEvent(int(ts), int(seq), _KIND_FROM_WIRE[kind], _SIDE_FROM_WIRE[side],
+                      None if price is None else int(price), size, oid, size_str)
 
 
 def parse_event(line: str) -> OrderEvent:
     """Parse and validate one wire-format line into an OrderEvent."""
-    values = _parse_canonical(line)
-    if values is not None:
-        return _event(values)
+    ev = _parse_canonical(line)
+    if ev is not None:
+        return ev
     try:
         obj = json.loads(line)
     except ValueError as e:
@@ -328,35 +363,64 @@ def serialize_event(ev: OrderEvent) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _item(line: str):
-    """A line, its newline stripped, as the fast path's plain values, or
-    as the line itself where the fast path does not take it."""
-    line = line.rstrip("\n")
-    return _parse_canonical(line) or line
+def _blocks(lines: Iterable) -> Iterator:
+    """`lines` in blocks, a short first one so that a reader's caller
+    starts soon: the :func:`_columns` of each block, or the block's lines
+    where the per-line path must take them.  What iterating `lines`
+    raised is raised after the blocks of the lines read before it."""
+    failed = []
+    lines = _until_raise(lines, failed)
+    size = _FIRST_BLOCK
+    while block := list(islice(lines, size)):
+        try:
+            stripped = list(map(str.rstrip, block, repeat("\n")))
+        except TypeError:   # a line that is not text: the per-line path raises at it
+            stripped = None
+        # a blank line sends the block line by line before any match is made
+        columns = (None if stripped is None or "" in stripped
+                   else _columns("\n".join(stripped), len(block)))
+        yield block if columns is None else columns
+        size = _BLOCK
+    if failed:
+        raise failed[0]
 
 
-def _checked(items: Iterable) -> Iterator[OrderEvent]:
-    """The events of a stream's lines given as :func:`_item` makes them,
-    in order: it numbers the lines, parses those the fast path did not
-    take, skips blank ones and enforces the stream invariants."""
-    prev_seq = None
-    prev_ts = None
-    for line_no, item in enumerate(items, start=1):
-        if type(item) is tuple:
-            ev = _event(item)
-        elif not item:
-            continue
-        else:
-            try:
-                ev = parse_event(item)
-            except FeedError as e:
-                raise type(e)(f"line {line_no}: {e}") from e
-        if prev_seq is not None and ev.seq <= prev_seq:
-            raise OutOfOrder(f"line {line_no}: seq {ev.seq} after {prev_seq}")
-        if prev_ts is not None and ev.timestamp_ms < prev_ts:
-            raise OutOfOrder(f"line {line_no}: timestamp {ev.timestamp_ms} before {prev_ts}")
-        prev_seq, prev_ts = ev.seq, ev.timestamp_ms
-        yield ev
+def _checked(blocks: Iterable) -> Iterator[OrderEvent]:
+    """The events of a stream given as :func:`_blocks` makes it, in order:
+    it numbers the lines and enforces the stream invariants.  A block of
+    columns in order, after the last event before it, is yielded whole;
+    any other block goes line by line, where blank lines are skipped,
+    lines are parsed by :func:`parse_event` and each fault is named with
+    its line."""
+    line_no = 0
+    prev_seq = prev_ts = None
+    for block in blocks:
+        parse = type(block) is not tuple   # a block of lines, else of columns
+        if not parse:
+            ts, seq = block[0], block[1]
+            if ((prev_seq is None or prev_seq < seq[0] and prev_ts <= ts[0])
+                    and all(map(lt, seq, seq[1:])) and all(map(le, ts, ts[1:]))):
+                yield from _events(block)
+                line_no += len(seq)
+                prev_seq, prev_ts = seq[-1], ts[-1]
+                continue
+            block = _events(block)
+        for ev in block:
+            line_no += 1
+            if parse:
+                line = ev.rstrip("\n")
+                if not line:
+                    continue
+                try:
+                    ev = parse_event(line)
+                except FeedError as e:
+                    raise type(e)(f"line {line_no}: {e}") from e
+            if prev_seq is not None and ev.seq <= prev_seq:
+                raise OutOfOrder(f"line {line_no}: seq {ev.seq} after {prev_seq}")
+            if prev_ts is not None and ev.timestamp_ms < prev_ts:
+                raise OutOfOrder(f"line {line_no}: timestamp {ev.timestamp_ms} before {prev_ts}")
+            prev_seq, prev_ts = ev.seq, ev.timestamp_ms
+            yield ev
 
 
 def iter_events(lines: Iterable[str]) -> Iterator[OrderEvent]:
@@ -364,9 +428,10 @@ def iter_events(lines: Iterable[str]) -> Iterator[OrderEvent]:
 
     Enforces the stream invariants (strictly increasing seq, non-decreasing
     timestamp).  Parse errors propagate annotated with the 1-based line
-    number.
+    number.  Lines are read a block (up to 512) ahead of the events
+    yielded.
     """
-    return _checked(map(_item, lines))
+    return _checked(_blocks(lines))
 
 
 def read_events(path) -> Iterator[OrderEvent]:
@@ -381,7 +446,7 @@ def read_events(path) -> Iterator[OrderEvent]:
     process parses it.  The reader is joined when the stream ends,
     raises or is closed, and a reader that dies raises
     :class:`ReaderExited`.  It pays only with a free second CPU: at 8k
-    events it won 88 and 71 of 100 alternating pairs under
+    events it won 180 and 166 of 200 alternating pairs under
     `features.build_datasets` and `stats.daily_market_aggregates`, and
     with that CPU busy it is slower than the serial path."""
     n = 0   # the lines received from a reader
@@ -389,8 +454,8 @@ def read_events(path) -> Iterator[OrderEvent]:
     def received() -> Iterator:
         nonlocal n
         for block in map(marshal.loads, iter(reader.recv, None)):
-            n += len(block)
-            yield from block
+            n += len(block[0] if type(block) is tuple else block)
+            yield block
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -402,7 +467,7 @@ def read_events(path) -> Iterator[OrderEvent]:
                 except OSError:   # no process to fork (EAGAIN, ENOMEM): parse here
                     pass
             if reader is None:
-                yield from _checked(map(_item, fh))
+                yield from _checked(_blocks(fh))
             else:
                 with reader:
                     yield from _checked(received())
@@ -412,19 +477,11 @@ def read_events(path) -> Iterator[OrderEvent]:
 
 
 def _read_ahead(conn, fh) -> None:
-    """The forked reader's body: send the :func:`_item` of each line of
-    `fh`, read as :func:`read_events` reads it, in marshalled blocks (a
-    short first block so the caller starts soon), then None; or raise
-    what reading raised, after sending the lines read before it as
-    text-mode iteration yields them."""
-    failed = []
-    lines = _until_raise(fh, failed)
-    size = _FIRST_BLOCK
-    while block := list(map(_item, islice(lines, size))):
+    """The forked reader's body: send the :func:`_blocks` of `fh`, read as
+    :func:`read_events` reads it, marshalled, then None; or raise what
+    reading raised, after the blocks of the lines read before it."""
+    for block in _blocks(fh):
         conn.send(marshal.dumps(block))
-        size = _BLOCK
-    if failed:
-        raise failed[0]
     conn.send(None)
 
 

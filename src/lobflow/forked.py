@@ -3,8 +3,12 @@
 `shards` computes training shards and predict tails on one, and `feed`
 parses a stream on one.  The lifecycle and the protocol live here once:
 
-- The worker is forked, so it inherits the caller's memory and nothing
-  it needs is pickled.
+- The worker is forked with `os.fork`, so it inherits the caller's
+  memory and nothing it needs is pickled.  The caller flushes stdout and
+  stderr first, the worker ends with `os._exit`, running none of the
+  caller's exit handlers, and the caller joins it with `os.waitpid`.
+  The one descriptor pair a start opens is the pipe, and a start that
+  fails (EAGAIN, ENOMEM) closes both ends.
 - The caller talks to it with :meth:`Worker.send` and :meth:`Worker.recv`
   over one duplex pipe; the worker's body gets its own end.
 - An exception that escapes the worker's body is sent to the caller,
@@ -26,8 +30,8 @@ parses a stream on one.  The lifecycle and the protocol live here once:
   the worker runs unpinned; the caller's own mask is never changed.
 - It ignores SIGINT: the caller handles ^C and ends it.
 - The caller ends it with :meth:`Worker.close`, or as a context manager
-  on exit: the worker is terminated first if the block raised, then the
-  caller's end is closed and the worker joined.
+  on exit: the worker is sent SIGTERM first if the block raised, then
+  the caller's end is closed and the worker joined.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import sys
 
 
 def spare_cpu() -> bool:
@@ -48,23 +53,28 @@ class Worker:
     where `conn` is the worker's end of a new pipe.  `exited(e)` makes the
     exception that :meth:`send` and :meth:`recv` raise when the worker is
     gone: `e` is the OSError that `send` met, or None where `recv` found
-    no reply."""
+    no reply.  `pid` is the worker's process id, and `exitcode` its exit
+    code once joined (minus the number of the signal that ended it), else
+    None."""
 
     def __init__(self, target, *args, exited):
-        ctx = multiprocessing.get_context("fork")
         self.exited = exited
-        self.conn, child = ctx.Pipe()
+        self.exitcode = None
+        self.conn, child = multiprocessing.Pipe()
         try:
             mask = os.sched_getaffinity(0)
             cpus = mask - {_cpu()} if len(mask) > 1 else set()
-            self.proc = ctx.Process(target=_run, args=(self.conn, target, child, args, cpus),
-                                    daemon=True)
-            self.proc.start()
+            # what the caller buffered is written once, not once per process
+            sys.stdout.flush()
+            sys.stderr.flush()
+            self.pid = os.fork()
         except BaseException:   # no worker (EAGAIN under a pids limit, ENOMEM): no pipe either
             self.conn.close()
-            raise
-        finally:
             child.close()
+            raise
+        if self.pid == 0:
+            _exit_after(_run, self.conn, target, child, args, cpus)
+        child.close()
 
     def __enter__(self) -> "Worker":
         return self
@@ -95,12 +105,33 @@ class Worker:
         return msg
 
     def close(self, abort: bool = False) -> None:
-        """End the worker and join it.  With `abort` it is terminated
+        """End the worker and join it.  With `abort` it is sent SIGTERM
         first: the work it may be doing is not needed."""
-        if abort:
-            self.proc.terminate()
+        if abort and self.exitcode is None:
+            os.kill(self.pid, signal.SIGTERM)
         self.conn.close()
-        self.proc.join()
+        self.join()
+
+    def join(self) -> None:
+        """Wait for the worker to exit, once, and set `exitcode`."""
+        if self.exitcode is None:
+            self.exitcode = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+
+
+def _exit_after(body, *args) -> None:
+    """In the forked worker: `body(*args)`, then end the process without
+    running the caller's exit handlers, with code 0 if `body` returned and
+    1 if anything escaped it."""
+    code = 1
+    try:
+        body(*args)
+        code = 0
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
 
 
 def _cpu() -> int | None:

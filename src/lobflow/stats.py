@@ -274,18 +274,25 @@ def daily_market_aggregates(events) -> tuple[DailySeries, DailySeries]:
     from . import lob
 
     book = lob.OrderBook()
+    apply_event, mid2_of = book.apply_event, book.mid2
     volume: dict[str, float] = {}
-    last_mid: dict[str, float] = {}
+    last_mid2: dict[str, Optional[int]] = {}
     day = d = None
+    # date d's running volume and last defined doubled mid, kept in locals
+    # and stored when the date changes
+    vol, mid2 = 0.0, None
     for ev in events:
-        executed = book.apply_event(ev)
+        executed = apply_event(ev)
         if ev.timestamp_ms // _DAY_MS != day:   # the date changes only with the day
+            if d is not None:
+                volume[d], last_mid2[d] = vol, mid2
             day, d = ev.timestamp_ms // _DAY_MS, utc_date(ev.timestamp_ms)
-            volume.setdefault(d, 0.0)
-        volume[d] += executed
-        mid2 = book.mid2()
-        if mid2 is not None:
-            last_mid[d] = mid2 / 2
+            vol, mid2 = volume.get(d, 0.0), last_mid2.get(d)
+        vol += executed
+        mid2 = mid2_of() or mid2   # a mid is positive: `or` keeps the last defined one
+    if d is not None:
+        volume[d], last_mid2[d] = vol, mid2
+    last_mid = {d: m / 2 for d, m in last_mid2.items() if m is not None}
     dates = sorted(volume)
     vol_series = DailySeries(dates, [volume[d] for d in dates])
     mid_dates = sorted(last_mid)

@@ -1,5 +1,5 @@
-import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -7,14 +7,50 @@ import pytest
 from lobflow import feed, features, forked, shards
 
 
+def _has_children() -> bool:
+    """Whether this process has a child process, running or not yet
+    joined; the child is left as it is."""
+    try:
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+    except ChildProcessError:
+        return False
+    return True
+
+
+def _join_within(worker, seconds: float = 60) -> None:
+    """Join `worker` once it has exited on its own; the test fails if it
+    has not within `seconds`."""
+    deadline = time.monotonic() + seconds
+    while os.waitid(os.P_PID, worker.pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
+        assert time.monotonic() < deadline, f"worker {worker.pid} did not exit"
+        time.sleep(0.01)
+    worker.join()
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
 @pytest.fixture(autouse=True)
 def no_leaked_workers():
-    """Every test ends with no child process left running and with the
-    BLAS thread count it started with."""
+    """Every test ends with no child process left and with the BLAS
+    thread count it started with."""
     threads = [get() for get, _ in shards._openblas()]
     yield
-    assert multiprocessing.active_children() == []
+    assert not _has_children()
     assert [get() for get, _ in shards._openblas()] == threads
+
+
+@pytest.fixture
+def no_leaked_fds():
+    """The test ends with no more open file descriptors than it found;
+    skipped where /proc/self/fd cannot be read."""
+    try:
+        before = _open_fds()
+    except OSError:
+        pytest.skip("/proc/self/fd cannot be read")
+    yield
+    assert _open_fds() <= before
 
 
 def _cpus(monkeypatch, n):
@@ -27,6 +63,18 @@ def _counting_forks(monkeypatch) -> list:
     started, start = [], forked.Worker.__init__
     monkeypatch.setattr(forked.Worker, "__init__",
                         lambda self, *a, **k: started.append(1) or start(self, *a, **k))
+    return started
+
+
+def _started_workers(monkeypatch) -> list:
+    """A list that gains each `forked.Worker` once it has started."""
+    started, start = [], forked.Worker.__init__
+
+    def starting(self, *args, **kwargs):
+        start(self, *args, **kwargs)
+        started.append(self)
+
+    monkeypatch.setattr(forked.Worker, "__init__", starting)
     return started
 
 

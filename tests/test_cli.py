@@ -4,7 +4,6 @@ import dataclasses
 import io
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -16,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import _counting_forks, _cpus
+from conftest import _counting_forks, _cpus, _has_children
 from lobflow import cli, container, features, feed, lob, net, shards, stats
 
 
@@ -580,7 +579,7 @@ class TestExitCodes:
         assert rc == cli.EXIT_ERROR
         err = capfd.readouterr().err.splitlines()
         assert err == ["error: kind value out of range"]
-        assert multiprocessing.active_children() == []
+        assert not _has_children()
         assert not (tmp_path / "out").exists()
 
     def _rewritten(self, src, dst, magic, change):

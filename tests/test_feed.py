@@ -4,7 +4,6 @@ import hashlib
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import random
 import signal
@@ -20,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import _counting_forks, _cpus, _failing_forks
+from conftest import _counting_forks, _cpus, _failing_forks, _has_children, _started_workers
 from lobflow import checks, feed, stats
 from lobflow.feed import EventKind, Side
 
@@ -277,6 +276,8 @@ class TestFastPath:
     def test_edge_cases_match_the_general_path(self, line, fast):
         assert (feed._parse_canonical(line) is not None) == fast
         assert _outcome(line) == _outcome(line, fast=False)
+        # a block of the one line reads as the line does on its own
+        assert _yielded(feed.iter_events([line])) == _per_line([line])
 
     @settings(max_examples=1000, deadline=None, derandomize=True)
     @given(line=_EVENT_LINES | _NEAR_LINES, data=st.data())
@@ -287,6 +288,7 @@ class TestFastPath:
             ch = "" if edit == "delete" else data.draw(_CHARS, label="char")
             line = line[:i] + ch + line[i + (edit != "insert"):]
         assert _outcome(line) == _outcome(line, fast=False)
+        assert _yielded(feed.iter_events([line])) == _per_line([line])
 
 
 class TestOrderEvent:
@@ -457,16 +459,24 @@ def _read(path, fork: bool):
         _cpus(mp, 2 if fork else 1)
         mp.setattr(feed, "READ_FORK_BYTES", 0)
         started = _counting_forks(mp)
-        events, error = [], None
-        try:
-            for ev in feed.read_events(path):
-                events.append(repr(ev))
-        except feed.FeedError as e:
-            error = type(e), str(e)
+        got = _yielded(feed.read_events(path))
     assert started == ([1] if fork else [])
-    return events, error
+    return got
 
 
+def _yielded(events):
+    """Each event's full repr (`size_str` included) that `events` yields,
+    then the error's type and message, or None."""
+    got, error = [], None
+    try:
+        for ev in events:
+            got.append(repr(ev))
+    except feed.FeedError as e:
+        error = type(e), str(e)
+    return got, error
+
+
+@pytest.mark.usefixtures("no_leaked_fds")
 class TestReadEvents:
     @pytest.mark.parametrize("lines,bad_line", [
         ([_good(1), b"\xff\xfe"], 2),
@@ -595,6 +605,7 @@ def _stream_bytes(pad: int, records) -> bytes:
     return b"".join(out)
 
 
+@pytest.mark.usefixtures("no_leaked_fds")
 class TestForkedReader:
     """The forked reader yields what the serial one yields, raises what it
     raises at the same point, and leaves no process behind."""
@@ -609,40 +620,43 @@ class TestForkedReader:
 
     def test_abandoned_stream_joins_its_worker(self, big_stream, monkeypatch):
         _cpus(monkeypatch, 2)
+        started = _started_workers(monkeypatch)
         for end in ("close", "drop"):
             stream = feed.read_events(big_stream)
             next(stream)
-            (worker,) = multiprocessing.active_children()
+            (worker,) = started
             if end == "close":
                 stream.close()
             else:
                 del stream
-            assert not worker.is_alive()
-            assert multiprocessing.active_children() == []
+            assert worker.exitcode is not None
+            started.clear()
+            assert not _has_children()
 
     def test_raising_consumer_joins_the_worker(self, big_stream, monkeypatch):
         _cpus(monkeypatch, 2)
-        seen = []
+        started = _started_workers(monkeypatch)
 
         def consume():
             for ev in feed.read_events(big_stream):
-                seen.extend(multiprocessing.active_children())
+                assert started[0].exitcode is None
                 raise RuntimeError("consumer failed")
 
         with pytest.raises(RuntimeError, match="consumer failed"):
             consume()
-        assert len(seen) == 1 and not seen[0].is_alive()
-        assert multiprocessing.active_children() == []
+        assert len(started) == 1 and started[0].exitcode is not None
+        assert not _has_children()
 
     def test_killed_worker_is_a_feed_error_naming_the_last_line(self, big_stream, monkeypatch):
         _cpus(monkeypatch, 2)
+        started = _started_workers(monkeypatch)
         stream = feed.read_events(big_stream)
         events = [next(stream)]
-        (worker,) = multiprocessing.active_children()
+        (worker,) = started
         os.kill(worker.pid, signal.SIGKILL)
         with pytest.raises(feed.ReaderExited, match=r"the reader process exited after line"):
             events.extend(stream)
-        assert multiprocessing.active_children() == []
+        assert not _has_children()
         n = len(events)
         assert 0 < n < _BIG_LINES
         # every line before the error came through, in order
@@ -652,6 +666,7 @@ class TestForkedReader:
                                                  capsys):
         from lobflow import cli, stats
         _cpus(monkeypatch, 2)
+        started = _started_workers(monkeypatch)
         pred = tmp_path / "pred_X__X.orderflow.test.csv"
         pred.write_text("# split=test\n# test_pair=X\n# train_pair=X\n# variant=orderflow\n"
                         "timestamp_ms,y,yhat,p1\n1510000000000,1,1,0.9\n")
@@ -659,7 +674,7 @@ class TestForkedReader:
 
         def killing(events):
             first = next(events)
-            for worker in multiprocessing.active_children():
+            for worker in started:
                 os.kill(worker.pid, signal.SIGKILL)
             return aggregate(itertools.chain([first], events))
 
@@ -671,7 +686,7 @@ class TestForkedReader:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {big_stream}: the reader process "
                                                    "exited after line ")
-        assert multiprocessing.active_children() == []
+        assert not _has_children()
 
     def test_killed_parent_leaves_no_worker(self, big_stream):
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(feed.__file__)))
@@ -686,16 +701,192 @@ class TestForkedReader:
         assert not _running(pid)
 
 
+def _per_line(lines):
+    """What reading `lines` one at a time makes of them, as `_yielded`
+    gives it: blank lines skipped, each other line parsed by `parse_event`
+    and the stream's order checked, each fault named with its line."""
+    got, prev = [], None
+    for line_no, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        try:
+            ev = feed.parse_event(line)
+        except feed.FeedError as e:
+            return got, (type(e), f"line {line_no}: {e}")
+        if prev is not None and ev.seq <= prev.seq:
+            return got, (feed.OutOfOrder, f"line {line_no}: seq {ev.seq} after {prev.seq}")
+        if prev is not None and ev.timestamp_ms < prev.timestamp_ms:
+            return got, (feed.OutOfOrder,
+                         f"line {line_no}: timestamp {ev.timestamp_ms} before {prev.timestamp_ms}")
+        got.append(repr(ev))
+        prev = ev
+    return got, None
+
+
+def _compact(obj: dict) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def _event_obj(seq: int, ts: int) -> dict:
+    """A valid record; its kind turns with `seq`."""
+    kind = ("limit", "market", "cancel")[seq % 3]
+    return {"ts": ts, "seq": seq, "kind": kind, "side": ("buy", "sell")[seq % 2],
+            **({} if kind == "market" else {"price": 10 + seq % 7}), "size": 0.5 + seq % 4,
+            "id": f"o{seq}"}
+
+
+def _with(**changes):
+    return lambda obj: _compact({**obj, **changes})
+
+
+def _without(key):
+    return lambda obj: _compact({k: v for k, v in obj.items() if k != key})
+
+
+# valid records spelled other than canonically, or canonically with a
+# string size, and a blank line; each a function of a valid record
+_VALID_SPELLINGS = {
+    "reordered": lambda obj: _compact(dict(reversed(obj.items()))),
+    "spaced": json.dumps,
+    "escaped": lambda obj: _compact(obj).replace('"id":"o', '"id":"\\u006f'),
+    "string size": lambda obj: _compact({**obj, "size": f"{obj['size']}0"}),
+    "exponent size": lambda obj: _compact({**obj, "size": f"{obj['size'] * 10}e-1"}),
+    "carriage return": lambda obj: _compact(obj) + "\r",
+    "newline whitespace": lambda obj: _compact(obj).replace(",", ",\n", 1),
+    "blank": lambda obj: "",
+}
+# every fault `parse_event` names, as a function of the valid record it
+# replaces; then a record out of order, and two records on one line
+_FAULTS = {
+    "bad JSON": lambda obj: _compact(obj)[:-1],
+    "nested too deeply": lambda obj: "[" * 100_000,
+    "whitespace": lambda obj: " ",
+    "not an object": lambda obj: "[]",
+    "unknown field": _with(extra=1),
+    "missing field": _without("id"),
+    "ts not an integer": _with(ts="1"),
+    "seq not an integer": _with(seq=1.5),
+    "bad kind": _with(kind="stop"),
+    "bad side": _with(side=["buy"]),
+    "market with a price": lambda obj: _compact({**obj, "kind": "market", "price": 10}),
+    "limit without a price": lambda obj: _compact(
+        {k: v for k, v in obj.items() if k != "price"} | {"kind": "limit"}),
+    "price not an integer": lambda obj: _compact({**obj, "kind": "limit", "price": 10.5}),
+    "non-positive price": lambda obj: _compact({**obj, "kind": "limit", "price": 0}),
+    "bad size string": _with(size="1_0"),
+    "size a bool": _with(size=True),
+    "zero size": _with(size=0),
+    "infinite size": lambda obj: _compact({**obj, "size": 7}).replace('"size":7', '"size":1e400'),
+    "size too large for a float": _with(size=10 ** 400),
+    "id not a string": _with(id=7),
+    "ts beyond int64": _with(ts=2 ** 63),
+    "seq not increasing": lambda obj: _compact({**obj, "seq": obj["seq"] - 1}),
+    "ts decreasing": lambda obj: _compact({**obj, "ts": obj["ts"] - 5}),
+    "two records": lambda obj: _compact(obj) + "\n" + _compact(obj),
+}
+
+
+@st.composite
+def _block_streams(draw):
+    """Stream items: canonical records, with a few valid other spellings
+    and blank lines among them, and a fault at a block edge or none."""
+    at = draw(st.sampled_from([None, 1, 127, 128, 129, 511, 512, 513]))
+    n = (at if at else draw(st.sampled_from([1, 128, 513, 700]))) + draw(st.integers(0, 3))
+    odd = draw(st.dictionaries(st.integers(1, n), st.sampled_from(sorted(_VALID_SPELLINGS)),
+                               max_size=4))
+    fault = draw(st.sampled_from(sorted(_FAULTS)))
+    items, seq, ts = [], 0, 1_510_000_000_000
+    for i in range(1, n + 1):
+        obj = _event_obj(seq + 1, ts + seq % 3)
+        if i == at:
+            items.append(_FAULTS[fault](obj))
+            continue
+        items.append(_VALID_SPELLINGS[odd[i]](obj) if i in odd else _compact(obj))
+        if items[-1]:
+            seq, ts = obj["seq"], obj["ts"]
+    return items
+
+
+@pytest.mark.usefixtures("no_leaked_fds")
+class TestBlocks:
+    """Lines are parsed a block at a time, and read as they are read one
+    at a time: the same events, then the same error at the same line."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(items=_block_streams())
+    def test_blocks_read_as_lines_on_every_path(self, items):
+        assert _yielded(feed.iter_events(items)) == _per_line(items)
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "s.ofr"
+            path.write_text("".join(item + "\n" for item in items), encoding="utf-8")
+            with open(path, encoding="utf-8") as fh:
+                want = _per_line(list(fh))
+            assert _read(path, False) == want
+            assert _read(path, True) == want
+
+    @pytest.mark.parametrize("fault", sorted(_FAULTS))
+    def test_every_fault_at_every_block_edge(self, tmp_path, fault):
+        # the first line of the stream, and the last, first and second
+        # lines of the first two blocks after it (128 and 512 lines)
+        path = tmp_path / "s.ofr"
+        for at in (1, 127, 128, 129, 511, 512, 513):
+            if at == 1 and fault in ("seq not increasing", "ts decreasing"):
+                continue   # the first record has none before it to be out of order with
+            items = [_compact(_event_obj(seq, 1_510_000_000_000 + 2 * seq))
+                     for seq in range(1, at + 3)]
+            items[at - 1] = _FAULTS[fault](_event_obj(at, 1_510_000_000_000 + 2 * at))
+            want = _per_line(items)
+            assert len(want[0]) == at - 1 and want[1][1].startswith(f"line {at}: ")
+            assert _yielded(feed.iter_events(items)) == want
+            # in a file, two records on one line are two lines
+            path.write_text("".join(item + "\n" for item in items), encoding="utf-8")
+            with open(path, encoding="utf-8") as fh:
+                want = _per_line(list(fh))
+            assert want[1] is not None
+            assert _read(path, False) == want
+            assert _read(path, True) == want
+
+    def test_a_line_of_two_records_beside_a_refused_line_is_a_fault(self):
+        # the block's matches are as many as its lines, but not one per line
+        one, two, three = (_event_obj(seq, 1_510_000_000_000 + seq) for seq in (1, 2, 3))
+        items = [_compact(one) + "\n" + _compact(two), json.dumps(three)]
+        want = _per_line(items)
+        assert want == ([], (feed.MalformedRecord, want[1][1]))
+        assert want[1][1].startswith("line 1: bad JSON")
+        assert _yielded(feed.iter_events(items)) == want
+
+    def test_lines_that_are_not_text_raise_where_they_do_one_at_a_time(self):
+        items = [_compact(_event_obj(1, 1)), None]
+        with pytest.raises(AttributeError):
+            for ev in feed.iter_events(items):
+                assert ev.seq == 1
+
+    def test_generated_streams_take_no_line_one_at_a_time(self, tmp_path, monkeypatch,
+                                                         noise_lines):
+        # every block of a generated stream is read whole
+        def per_line(line):
+            raise AssertionError(f"per-line path taken by {line!r}")
+        path = tmp_path / "s.ofr"
+        path.write_text("".join(line + "\n" for line in noise_lines), encoding="utf-8")
+        want = [repr(ev) for ev in feed.iter_events(noise_lines)]
+        monkeypatch.setattr(feed, "parse_event", per_line)
+        assert [repr(ev) for ev in feed.iter_events(noise_lines)] == want
+        assert _read(path, False) == _read(path, True) == (want, None)
+
+
 # a parent that reads one event of a stream on a forked reader, names the
 # reader's pid and waits to be killed
 _ORPHAN = """
-import multiprocessing, os, sys, time
-from lobflow import feed
+import os, sys, time
+from lobflow import feed, forked
 os.sched_getaffinity = lambda pid: {0, 1}
 feed.READ_FORK_BYTES = 0
+workers, start = [], forked.Worker.__init__
+forked.Worker.__init__ = lambda self, *a, **k: start(self, *a, **k) or workers.append(self)
 stream = feed.read_events(sys.argv[1])
 next(stream)
-(worker,) = multiprocessing.active_children()
+(worker,) = workers
 print(worker.pid, flush=True)
 time.sleep(600)
 """

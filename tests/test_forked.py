@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import ast
 import errno
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from multiprocessing.connection import Connection
@@ -14,8 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import _failing_forks
+from conftest import _failing_forks, _has_children, _join_within, _open_fds
 from lobflow import forked
+
+# every test here forks, or tries to
+pytestmark = pytest.mark.usefixtures("no_leaked_fds")
 
 # the real affinity call, for worker bodies run while a test patches it
 _affinity = os.sched_getaffinity
@@ -42,8 +45,8 @@ class TestChannel:
                 worker.send(x)
                 assert worker.recv() == x * 3
             worker.send(None)
-        assert worker.proc.exitcode == 0
-        assert multiprocessing.active_children() == []
+        assert worker.exitcode == 0
+        assert not _has_children()
 
     @pytest.mark.parametrize("error", [KeyError("k"), ZeroDivisionError("zero"), OSError(5, "io"),
                                        EOFError("eof")])
@@ -57,7 +60,7 @@ class TestChannel:
             with pytest.raises(type(error)) as caught:
                 worker.recv()
         assert type(caught.value) is type(error) and caught.value.args == error.args
-        assert multiprocessing.active_children() == []
+        assert not _has_children()
 
     def test_dead_worker_is_the_callers_error(self):
         with forked.Worker(lambda conn: os._exit(3), exited=_exited) as worker:
@@ -65,22 +68,22 @@ class TestChannel:
                 worker.recv()
         assert not isinstance(caught.value, EOFError)
         assert isinstance(caught.value.__cause__, (EOFError, OSError))
-        assert multiprocessing.active_children() == []
+        assert not _has_children()
 
     def test_send_to_a_dead_worker_is_the_callers_error(self):
         with forked.Worker(lambda conn: os._exit(3), exited=_exited) as worker:
-            worker.proc.join()
+            _join_within(worker)
             with pytest.raises(Gone, match="^the worker exited: ") as caught:
                 worker.send("late")
         assert isinstance(caught.value.__cause__, OSError)
-        assert multiprocessing.active_children() == []
+        assert not _has_children()
 
     def test_worker_exits_when_its_caller_closes_its_end(self):
         worker = forked.Worker(_echo, 2, exited=_exited)
         worker.conn.close()
-        worker.proc.join(timeout=60)
-        assert worker.proc.exitcode == 0
-        assert multiprocessing.active_children() == []
+        _join_within(worker)
+        assert worker.exitcode == 0
+        assert not _has_children()
 
     def test_raising_block_terminates_the_worker(self):
         def waiting(conn):
@@ -89,8 +92,8 @@ class TestChannel:
         with pytest.raises(RuntimeError, match="caller failed"):
             with forked.Worker(waiting, exited=_exited) as worker:
                 raise RuntimeError("caller failed")
-        assert not worker.proc.is_alive()
-        assert multiprocessing.active_children() == []
+        assert worker.exitcode == -signal.SIGTERM
+        assert not _has_children()
 
 
 def _reply_mask(conn):
@@ -144,7 +147,17 @@ def test_failed_fork_raises_and_leaves_no_pipe(monkeypatch, code):
         forked.Worker(_echo, 2, exited=_exited)
     assert caught.value.errno == code
     assert closed == [1, 1]   # both ends of the pipe
-    assert multiprocessing.active_children() == []
+    assert not _has_children()
+
+
+def test_failed_starts_leave_no_open_descriptor(monkeypatch):
+    # the pipe is the one thing a start opens, and a failed start closes it
+    _failing_forks(monkeypatch, errno.EAGAIN)
+    before = _open_fds()
+    for _ in range(3):
+        with pytest.raises(OSError):
+            forked.Worker(_echo, 2, exited=_exited)
+    assert _open_fds() == before
 
 
 def test_file_passes_under_dev_mode():

@@ -3,7 +3,6 @@ import copy
 import dataclasses
 import errno
 import gc
-import multiprocessing
 import mmap
 import os
 import subprocess
@@ -15,7 +14,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import _counting_forks, _cpus, _failing_forks
+from conftest import _counting_forks, _cpus, _failing_forks, _has_children, _join_within
 from lobflow import container, net, shards
 from lobflow.features import MAX_S, MissingStats
 from lobflow.net import Model, ModelConfig, TrainSchedule
@@ -662,6 +661,7 @@ def _local_step(m, X, y, idx, key):
         return sh.step(idx, key)
 
 
+@pytest.mark.usefixtures("no_leaked_fds")
 class TestShards:
     """A minibatch's gradient as two half-batch shards, shard 1 on a
     forked worker when the affinity mask shows two CPUs."""
@@ -679,7 +679,7 @@ class TestShards:
             _cpus(monkeypatch, cpus)
             m = Model(cfg, seed=2)
             res = net.train(m, (X, y), val, sched)
-            assert multiprocessing.active_children() == []
+            assert not _has_children()
             runs.append((m.params, res.history))
         assert started == [1]   # a worker ran shard 1 only with two CPUs
         (p1, h1), (p2, h2) = runs
@@ -753,7 +753,7 @@ class TestShards:
         ref_loss, ref = _local_step(m, X, y, idx, key)
         with shards.Shards(m, (X, y), None, split=False) as sh:
             own_loss, own = sh._shard(idx, slice(shards._cut(B, 1), B), key)
-        assert multiprocessing.active_children() == []
+        assert not _has_children()
         assert loss == ref_loss and shard_loss == own_loss
         for k in ref:
             assert grads[k].tobytes() == ref[k].tobytes(), k
@@ -819,7 +819,7 @@ class TestShards:
         bad[np.random.default_rng(sched.seed).permutation(32)[16:], :, 3] = 9
         with pytest.raises(net.CategoryOutOfRange):
             net.train(Model(small_cfg(), seed=0), (bad, y), (X, y), sched)
-        assert multiprocessing.active_children() == []
+        assert not _has_children()
 
     def test_dead_worker_is_a_net_error(self, monkeypatch):
         _cpus(monkeypatch, 2)
@@ -836,7 +836,7 @@ class TestShards:
             net.train(Model(small_cfg(), seed=0), (X, y), (X, y),
                       TrainSchedule(epochs=1, batch_size=32))
         assert not isinstance(caught.value, EOFError)
-        assert multiprocessing.active_children() == []
+        assert not _has_children()
 
     def test_worker_exits_when_its_pipe_closes(self, monkeypatch):
         _cpus(monkeypatch, 2)
@@ -844,9 +844,9 @@ class TestShards:
         with shards.Shards(Model(small_cfg(), seed=0), (X, y), X, split=True) as sh:
             worker = sh.worker
             worker.conn.close()
-            worker.proc.join(timeout=60)
-            assert worker.proc.exitcode == 0
-        assert multiprocessing.active_children() == []
+            _join_within(worker)
+            assert worker.exitcode == 0
+        assert not _has_children()
 
 
 _BLAS_PROBE = """
@@ -908,6 +908,7 @@ def _inside(a: np.ndarray, lo: int, hi: int) -> bool:
     return lo < a.ctypes.data + a.nbytes and a.ctypes.data < hi
 
 
+@pytest.mark.usefixtures("no_leaked_fds")
 class TestSplitPredict:
     """A predict of more than PREDICT_CHUNK windows on two CPUs, its tail
     predicted by a worker, which sends the probabilities back."""
@@ -929,7 +930,7 @@ class TestSplitPredict:
         with shards.Shards(m, None, X, split=True) as sh:
             assert sh.worker is not None
             assert sh.predict().tobytes() == want
-        assert multiprocessing.active_children() == []
+        assert not _has_children()
 
     def test_cut_is_a_chunk_boundary_near_the_middle(self):
         C = net.PREDICT_CHUNK
@@ -965,7 +966,7 @@ class TestSplitPredict:
                 assert sh.predict().tobytes() == want
                 for p in m.params.values():
                     p *= 1.5
-        assert multiprocessing.active_children() == []
+        assert not _has_children()
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_tail_error_raised_again_with_its_type(self, monkeypatch, cpus):
@@ -980,7 +981,7 @@ class TestSplitPredict:
         y = np.zeros(257, np.int64)
         with pytest.raises(net.CategoryOutOfRange):
             net.train(m, (X, y), (bad, y), TrainSchedule(epochs=1, batch_size=64))
-        assert multiprocessing.active_children() == []
+        assert not _has_children()
 
     def test_worker_dying_in_a_predict_is_a_net_error(self, monkeypatch):
         _cpus(monkeypatch, 2)
@@ -996,17 +997,14 @@ class TestSplitPredict:
         with pytest.raises(net.NetError, match="worker exited") as caught:
             shards.split_predict(m, X)
         assert not isinstance(caught.value, EOFError)
-        assert multiprocessing.active_children() == []
+        assert not _has_children()
 
     @pytest.mark.parametrize("how", ["returns", "raises", "fork_fails"])
     def test_params_are_private_after_train(self, monkeypatch, how):
         _cpus(monkeypatch, 2)
         maps = _record_mappings(monkeypatch)
         if how == "fork_fails":
-            def failing_start(self):
-                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-
-            monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", failing_start)
+            _failing_forks(monkeypatch, errno.EAGAIN)
         during = []
         adam_step = net.adam_step
 
@@ -1031,7 +1029,7 @@ class TestSplitPredict:
         assert len(maps) == 1 and ref() is None   # the mapping went with train
         assert during == ([] if how == "raises" else [False, False])
         assert not any(_inside(p, lo, hi) for p in m.params.values())
-        assert multiprocessing.active_children() == []
+        assert not _has_children()
 
 
 class TestHyperSearch:
