@@ -29,14 +29,16 @@ for price in (bb, bb - 3):
     print(f"relative price of a buy at {price}, best bid {bb}:", 1 + abs(bb - price))
 
 # fixed-depth snapshot as two halves, each the side's prices (best
-# first), then their volumes; shallow sides padded with zero volume.  The
-# book hands back a half's same tuple until an event reaches its levels
+# first), then their volumes, then its best level's order count; shallow
+# sides padded with zero volume.  The book hands back a half's same tuple
+# until an event reaches its levels
 bids, asks = book.snapshot(5)
 print("\ntop-5 snapshot:")
-for p, v in zip(bids[:5], bids[5:]):
+for p, v in zip(bids[:5], bids[5:10]):
     print(f"  bid {p}  {v:.6g}")
-for p, v in zip(asks[:5], asks[5:]):
+for p, v in zip(asks[:5], asks[5:10]):
     print(f"  ask {p}  {v:.6g}")
+print("orders at the best bid / best ask:", bids[10], "/", asks[10])
 
 # the whole book state matches a naive full-scan reference exactly
 print("\nfast book vs naive reference:",

@@ -359,8 +359,9 @@ def cmd_evaluate(out_dir: Path, checkpoint: str, dataset: str, split: str) -> in
 
 
 # a prediction row's timestamp, as `evaluate` writes it: ASCII digits only,
-# no spaces, underscores or other Unicode digits, which int() would take
-_TIMESTAMP = re.compile(r"-?[0-9]+")
+# no spaces, underscores or other Unicode digits, which int() would take,
+# and at most the 19 of an int64, below int()'s limit on digits
+_TIMESTAMP = re.compile(r"-?[0-9]{1,19}")
 
 
 def _load_predictions(paths) -> list[dict]:
@@ -500,13 +501,12 @@ def cmd_selftest(n_events: int, seed: int) -> int:
     checks.integer(seed, "--seed", CliError, 0)
     ok = True
 
-    # book vs naive reference, compared after every event
+    # book vs naive reference, compared after every event the stream reader yields
     gcfg = feed.GeneratorConfig(n_events=n_events)
     book = lob.OrderBook()
     ref = oracle.ReferenceBook()
     mismatch = None
-    for i, line in enumerate(feed.generate_synthetic(gcfg, seed=seed), start=1):
-        ev = feed.parse_event(line)
+    for i, ev in enumerate(feed.iter_events(feed.generate_synthetic(gcfg, seed=seed)), start=1):
         executed, ref_executed = book.apply_event(ev), ref.apply(ev)
         mismatch = oracle.compare_books(book, ref)
         if mismatch is None and executed != ref_executed:

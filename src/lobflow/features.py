@@ -14,13 +14,13 @@ into the same book and records for it only what needs the live book:
 the event's raw fields (ts, size, kind and side codes, int64 price), the
 best bid and ask after it and, for the snapshot variants, which stored
 snapshot half of each side it shows.  The book hands back a side's same
-half until an event reaches its levels (see :mod:`lobflow.lob`), so a
-half, with that side's best-level order count, is stored only when its
-object changes, and the snapshot table is filled column by column from
-the stored halves.  numpy then derives every other column from those:
-the relative price from the previous row's same-side best, the
-half-tick mids before and after each event and from them the mid moves,
-labels and mid column, and the market-order flags.  Prices and
+half, which ends in that side's best-level order count, until an event
+reaches its levels (see :mod:`lobflow.lob`), so a half is stored only
+when its object changes, and the snapshot table is filled column by
+column from the stored halves.  numpy then derives every other column
+from those: the relative price from the previous row's same-side best,
+the half-tick mids before and after each event and from them the mid
+moves, labels and mid column, and the market-order flags.  Prices and
 mids stay exact integers until one cast to float at the end.  Three
 variants are built in that pass on shared labels and window ends:
 
@@ -213,7 +213,7 @@ def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SY
     """
     need_snap = any(v != "orderflow" for v in variants)
     need_counts = "bench1" in variants
-    warm, warm_last_ts, dropped, cols = _replay(events, warm_count, S, need_snap, need_counts)
+    warm, warm_last_ts, dropped, cols = _replay(events, warm_count, S, need_snap)
     # before the flow table, so that the stored halves are freed first
     snap = _snapshot_table(cols, S, need_counts) if need_snap else None
     counters: dict = {"warmup_events": warm}
@@ -296,8 +296,8 @@ _COLUMNS = (("ts", "q"), ("size", "d"), ("kind", "b"), ("side", "b"), ("price", 
             ("bid", "q"), ("ask", "q"), ("bid_half", "q"), ("ask_half", "q"))
 
 
-def _replay(events: Iterable[OrderEvent], warm_count: int, S: int, need_snap: bool,
-            need_counts: bool) -> tuple[int, Optional[int], int, dict]:
+def _replay(events: Iterable[OrderEvent], warm_count: int, S: int,
+            need_snap: bool) -> tuple[int, Optional[int], int, dict]:
     """Replay the stream into a fresh book, which is dropped on return,
     and return the warm-up's event count and last ts, the book's dropped
     market orders, and the `_COLUMNS`: numpy views of the flat typed
@@ -309,12 +309,12 @@ def _replay(events: Iterable[OrderEvent], warm_count: int, S: int, need_snap: bo
     or best.
 
     With a snapshot variant, `bid_halves` and `ask_halves` hold each
-    snapshot half of S levels once, as a row of prices then volumes, and
-    with `need_counts` then its best-level order count; row j's halves
-    are the rows `bid_half[j]` and `ask_half[j]` of those.  The book
-    hands back a half's same tuple while it is unchanged (see
+    snapshot half of S levels once, as the book gives it: a row of
+    prices, then volumes, then the best level's order count; row j's
+    halves are the rows `bid_half[j]` and `ask_half[j]` of those.  The
+    book hands back a half's same tuple while it is unchanged (see
     :mod:`lobflow.lob`), so a half is stored only when its object
-    changes, and a half's best-level count cannot change without it."""
+    changes."""
     book = lob.OrderBook()
     events = iter(events)
     warm, warm_last_ts = 0, None
@@ -327,7 +327,7 @@ def _replay(events: Iterable[OrderEvent], warm_count: int, S: int, need_snap: bo
     cols["ask"].append(book.best_ask() or 0)
     ts, size, kind, side, price, bid, ask, bid_half, ask_half = cols.values()
     apply, best_bid, best_ask = book.apply_event, book.best_bid, book.best_ask
-    snapshot, best_counts = book.snapshot, book.best_counts
+    snapshot = book.snapshot
     bid_store, ask_store = array("d"), array("d")
     bids = asks = None   # the halves stored last
     nb = na = -1         # and their rows
@@ -347,18 +347,14 @@ def _replay(events: Iterable[OrderEvent], warm_count: int, S: int, need_snap: bo
                 bids = row_bids
                 nb += 1
                 bid_store.extend(bids)
-                if need_counts:
-                    bid_store.append(best_counts()[0])
             if row_asks is not asks:
                 asks = row_asks
                 na += 1
                 ask_store.extend(asks)
-                if need_counts:
-                    ask_store.append(best_counts()[1])
             bid_half.append(nb)
             ask_half.append(na)
     cols = {name: np.frombuffer(a, dtype=a.typecode) for name, a in cols.items()}
-    width = 2 * S + need_counts
+    width = 2 * S + 1
     cols["bid_halves"] = np.frombuffer(bid_store).reshape(-1, width)
     cols["ask_halves"] = np.frombuffer(ask_store).reshape(-1, width)
     return warm, warm_last_ts, book.dropped_market_events, cols

@@ -15,11 +15,10 @@ rejected.  Files carry the `.ofr` extension.
 
 Lines written by :func:`serialize_event` are canonical; for canonical
 lines ``serialize_event(parse_event(line)) == line`` byte for byte.
-:func:`parse_event` reads a canonical line with one regular-expression
-match, without building a dict.  Any other valid JSON spelling of a
-record (other key order, whitespace, escapes) is still accepted through
-``json.loads``, and every rejected line is rejected there, so each error
-type and message comes from one place.
+:func:`parse_event` reads one line through ``json.loads``, so it takes
+any valid JSON spelling of a record (other key order, whitespace,
+escapes), and it is the one place where each fault is named, with its
+error type and message.
 
 :func:`iter_events` (and :func:`read_events` on a file) parses a stream
 in order and enforces its invariants: strictly increasing `seq` and
@@ -35,7 +34,9 @@ before the block as well, and its events are built with one `map`.  A
 block that holds any other line (another valid spelling, a fault, a
 blank line, a line with a newline inside) or whose order fails goes
 through the per-line path: each line is parsed by :func:`parse_event`
-and checked in turn, which names the fault and its line.  So the
+and checked in turn, which names the fault and its line.  Canonical
+lines are read only in blocks: a line that :func:`parse_event` reads on
+its own, here or from a caller, goes through ``json.loads``.  So the
 events, every error's type and message and the point at which it is
 raised are those of reading the lines one at a time.
 
@@ -150,7 +151,7 @@ BUY, SELL = Side
 
 _KIND_FROM_WIRE = {k.wire: k for k in EventKind}
 _SIDE_FROM_WIRE = {s.wire: s for s in Side}
-# the codes the fast path gives a kind and a side: their enum values
+# the codes the block path gives a kind and a side: their enum values
 _KIND_CODE = {k.wire: k.value for k in EventKind}
 _SIDE_CODE = {s.wire: s.value for s in Side}
 _KIND_OF_CODE = {k.value: k for k in EventKind}
@@ -234,27 +235,8 @@ def _events(columns: tuple) -> Iterator[OrderEvent]:
                map(_SIDE_OF_CODE.__getitem__, sides), prices, sizes, oids, size_strs)
 
 
-def _parse_canonical(line: str) -> Optional[OrderEvent]:
-    """The event of a canonical line whose values pass every check, else
-    None: the general path then parses the line and names its fault.
-    :func:`_columns` of one line, at less than half its cost a line,
-    for the lines of blocks that go line by line."""
-    m = _CANONICAL.fullmatch(line)
-    if m is None:
-        return None
-    ts, seq, kind, _, side, price, number, size_str, oid = m.groups()
-    size = float(number or size_str)
-    if not 0.0 < size < math.inf:
-        return None
-    return OrderEvent(int(ts), int(seq), _KIND_FROM_WIRE[kind], _SIDE_FROM_WIRE[side],
-                      None if price is None else int(price), size, oid, size_str)
-
-
 def parse_event(line: str) -> OrderEvent:
     """Parse and validate one wire-format line into an OrderEvent."""
-    ev = _parse_canonical(line)
-    if ev is not None:
-        return ev
     try:
         obj = json.loads(line)
     except ValueError as e:

@@ -12,12 +12,13 @@ drops the remainder, counted on the book in `dropped_market_events` and
 
 `OrderBook.snapshot(depth)` gives the top levels of each side as two
 immutable tuples, `(bids, asks)`: a side's prices (best first), then its
-volumes.  The book keeps each side's tuple, with the price of the
-`depth`-th best level it held, and hands back that same object until a
-rest, cancel or fill touches a price at or better than that level, or
-any price when the side held fewer than `depth` levels; a call at
-another depth rebuilds both.  So a caller that sees the same object
-knows that half unchanged.
+volumes, then the order count of its best level.  The book keeps each
+side's tuple, with the price of the `depth`-th best level it held, and
+hands back that same object until a rest, cancel or fill touches a
+price at or better than that level, or any price when the side held
+fewer than `depth` levels; a call at another depth rebuilds both.  So a
+caller that sees the same object knows that half unchanged, its
+best-level count included.
 """
 
 from __future__ import annotations
@@ -117,13 +118,6 @@ class OrderBook:
     def level_size(self, side: Side, price: int) -> float:
         lvl = (self._bids if side is BUY else self._asks).get(price)
         return lvl.size if lvl else 0.0
-
-    def best_counts(self) -> tuple[int, int]:
-        """The order counts of the best bid and best ask levels; 0 for an
-        empty side."""
-        bids, asks = self._bid_prices, self._ask_prices
-        return (len(self._bids[bids[-1]].queue) if bids else 0,
-                len(self._asks[asks[0]].queue) if asks else 0)
 
     # -- mutation -----------------------------------------------------------
 
@@ -229,7 +223,8 @@ class OrderBook:
 
     def snapshot(self, depth: int) -> tuple[tuple, tuple]:
         """The top `depth` levels per side, `(bids, asks)`: each a tuple of
-        the side's prices (best first), then their volumes.
+        the side's prices (best first), then their volumes, then the
+        order count of its best level (0 for an empty side).
 
         Shallow sides are padded with zero volume at prices that continue
         the side's monotone direction one tick per step past the last real
@@ -257,14 +252,16 @@ class OrderBook:
 def _half(levels: dict[int, _Level], prices: list[int], depth: int,
           step: int) -> tuple[tuple, float]:
     """One side's snapshot tuple of its top `prices`, best first, padded
-    to `depth` levels one `step` past the last, and its edge: the
-    `depth`-th best price, or -inf (bids) or inf (asks) for a side of
-    fewer levels, on which any change reaches the padding."""
+    to `depth` levels one `step` past the last, then its best level's
+    order count, and its edge: the `depth`-th best price, or -inf (bids)
+    or inf (asks) for a side of fewer levels, on which any change
+    reaches the padding."""
     vols = [levels[p].size for p in prices]
+    count = [len(levels[prices[0]].queue) if prices else 0]
     pad = depth - len(prices)
     if not pad:
-        return tuple(prices + vols), prices[-1]
+        return tuple(prices + vols + count), prices[-1]
     last = prices[-1] if prices else 0
     prices += range(last + step, last + step * (pad + 1), step)
     vols += [0.0] * pad
-    return tuple(prices + vols), step * math.inf
+    return tuple(prices + vols + count), step * math.inf

@@ -204,6 +204,28 @@ def _uniform(rng, fan_in: int, shape) -> np.ndarray:
     return rng.uniform(-k, k, size=shape)
 
 
+def _param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
+    """Each param's name and shape, in the order `Model.init_params`
+    draws them; computed without allocating a param."""
+    shapes: dict[str, tuple] = {}
+    if cfg.variant == "orderflow":
+        for name, card, *_ in CATEGORICALS:
+            dim = cfg.emb_dims[name]
+            shapes[f"emb/{name}/U"] = (card, dim)
+            shapes[f"emb/{name}/b"] = (dim,)
+    in_w = cfg.input_width
+    for l, H in enumerate(cfg.layers):
+        shapes[f"lstm/{l}/Wx"] = (in_w, 4 * H)
+        shapes[f"lstm/{l}/Wh"] = (H, 4 * H)
+        shapes[f"lstm/{l}/b"] = (4 * H,)
+        in_w = H
+    widths = [cfg.layers[-1], *cfg.dense_hidden, K]
+    for d, (a, b) in enumerate(zip(widths, widths[1:])):
+        shapes[f"head/{d}/W"] = (a, b)
+        shapes[f"head/{d}/b"] = (b,)
+    return shapes
+
+
 class Model:
     """Parameter container plus forward/backward passes."""
 
@@ -214,25 +236,17 @@ class Model:
     # -- initialization -----------------------------------------------------
 
     def init_params(self, rng) -> dict:
-        cfg = self.cfg
+        """The params of `_param_shapes`, drawn from `rng` in its order:
+        each matrix uniform in +-1/sqrt(its rows), each bias zero but the
+        LSTM forget gate's, which is one."""
         p: dict[str, np.ndarray] = {}
-        if cfg.variant == "orderflow":
-            for name, card, *_ in CATEGORICALS:
-                dim = cfg.emb_dims[name]
-                p[f"emb/{name}/U"] = _uniform(rng, card, (card, dim))
-                p[f"emb/{name}/b"] = np.zeros(dim)
-        in_w = cfg.input_width
-        for l, H in enumerate(cfg.layers):
-            p[f"lstm/{l}/Wx"] = _uniform(rng, in_w, (in_w, 4 * H))
-            p[f"lstm/{l}/Wh"] = _uniform(rng, H, (H, 4 * H))
-            b = np.zeros(4 * H)
-            b[H:2 * H] = 1.0  # forget-gate bias, stable start
-            p[f"lstm/{l}/b"] = b
-            in_w = H
-        widths = [cfg.layers[-1], *cfg.dense_hidden, K]
-        for d, (a, b_) in enumerate(zip(widths, widths[1:])):
-            p[f"head/{d}/W"] = _uniform(rng, a, (a, b_))
-            p[f"head/{d}/b"] = np.zeros(b_)
+        for name, shape in _param_shapes(self.cfg).items():
+            if len(shape) == 2:
+                p[name] = _uniform(rng, shape[0], shape)
+            else:
+                p[name] = np.zeros(shape)
+                if name.startswith("lstm/"):   # the forget gate's: a stable start
+                    p[name][shape[0] // 4:shape[0] // 2] = 1.0
         return p
 
     @property
@@ -866,7 +880,7 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     try:
         cfg = ModelConfig(**fields["config"])
         extras = dict(fields.get("extras", {}))
-        fitted = {name: p.shape for name, p in Model(cfg).params.items()}
+        fitted = _param_shapes(cfg)
     except (InvalidConfig, ValueError, KeyError, TypeError) as e:
         raise NetError(f"checkpoint {path} has a corrupt header: {e}") from e
     if "train_pair" in extras:

@@ -74,8 +74,7 @@ def test_lob_oracle_equivalence(verdict):
     ref = oracle.ReferenceBook()
     mismatch = None
     n = 0
-    for line in feed.generate_synthetic(gcfg, seed=17):
-        ev = feed.parse_event(line)
+    for ev in feed.iter_events(feed.generate_synthetic(gcfg, seed=17)):
         executed, ref_executed = book.apply_event(ev), ref.apply(ev)
         n += 1
         mismatch = oracle.compare_books(book, ref)

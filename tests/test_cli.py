@@ -734,7 +734,7 @@ class TestExitCodes:
         src = pipeline["out"] / "pred_AAA__AAA.orderflow.test.csv"
         lines = src.read_text().splitlines(keepends=True)
         at = lines.index("timestamp_ms,y,yhat,p1\n") + 1
-        lines[at] = "99999999999999999999" + lines[at][lines[at].index(","):]
+        lines[at] = "9999999999999999999" + lines[at][lines[at].index(","):]
         pred = tmp_path / src.name
         pred.write_text("".join(lines))
         capsys.readouterr()
@@ -742,7 +742,7 @@ class TestExitCodes:
         assert rc == cli.EXIT_ERROR
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith("error: timestamp 99999999999999999999 ms has no UTC date")
+        assert err[0].startswith("error: timestamp 9999999999999999999 ms has no UTC date")
         assert not (tmp_path / "out").exists()
 
     def test_stream_past_year_9999_stops_at_generate_and_build(self, tiny, tmp_path, capsys,
@@ -798,6 +798,9 @@ class TestExitCodes:
         (["\u0661_510_000_000_000,1,1,0.9"], "'\u0661_510_000_000_000,1,1,0.9'"),
         ([" 1510000000001 ,0,0,0.1"], "' 1510000000001 ,0,0,0.1'"),
         (["1510000000000, 1,0,0.5"], "'1510000000000, 1,0,0.5'"),
+        # more digits than an int64 holds; past 4300, int() raises ValueError
+        (["1" * 20 + ",1,1,0.9"], "'" + "1" * 20 + ",1,1,0.9'"),
+        (["-" + "1" * 5000 + ",1,1,0.9"], "does not start with an integer timestamp_ms"),
     ])
     def test_report_on_malformed_prediction_row_is_error(self, tmp_path, capsys, lines, match):
         pred = tmp_path / "pred_X__X.orderflow.test.csv"

@@ -118,15 +118,16 @@ def reference_build(events, T, S, warm_count, snapshots=True):
         book.apply_event(ev)
         bb, ba = book.best_bid(), book.best_ask()
         before, mid2 = mid2, bb + ba if bb is not None and ba is not None else None
-        count_b, count_a = book.best_counts()
+        # each half: S prices, S volumes, then its best level's order count
         bids, asks = book.snapshot(S)
+        count_b, count_a = bids[-1], asks[-1]
         ann = {
             "ts": ev.timestamp_ms,
             "flow": [ev.timestamp_ms - prev_ts if prev_ts is not None else 0,
                      ev.timestamp_ms // 3_600_000 % 24, ev.size, ev.kind.value,
                      ev.side.value, rel],
             "mid": None if mid2 is None else mid2 / 2,
-            "snap": [*bids, *asks],
+            "snap": [*bids[:-1], *asks[:-1]],
             "bb": count_b,
             "ba": count_a,
             "mo": (ev.kind is EventKind.MARKET and ev.side is Side.BUY,
@@ -295,7 +296,7 @@ class TestBuildMemory:
         # most events leave a snapshot half as it was, and the replay
         # stores a half only when the book hands back a new one: at S=3
         # about 0.19 of the 2E halves on this stream
-        *_, cols = features._replay(planted_events, 40, 3, True, True)
+        *_, cols = features._replay(planted_events, 40, 3, True)
         E = len(cols["ts"])
         assert len(cols["bid_half"]) == len(cols["ask_half"]) == E
         assert len(cols["bid_halves"]) + len(cols["ask_halves"]) < 0.6 * 2 * E
@@ -571,6 +572,9 @@ class TestExtractSnapshot:
             assert list(zip(row[0:depth], row[depth:2 * depth])) == bids
             assert list(zip(row[2 * depth:3 * depth], row[3 * depth:4 * depth])) == asks
             assert row[4 * depth] == float(ref.mid())
+            # then the order counts of the best bid and best ask levels
+            counts = [ref.levels(Side.BUY)[bids[0][0]][1], ref.levels(Side.SELL)[asks[0][0]][1]]
+            assert row[4 * depth + 1:4 * depth + 3].tolist() == counts
 
 
 # ---------------------------------------------------------------------------

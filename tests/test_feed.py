@@ -1,4 +1,3 @@
-import contextlib
 import errno
 import hashlib
 import itertools
@@ -49,7 +48,7 @@ _NEAR_LINES = st.builds(
     _INT64ISH, _INT64ISH, st.sampled_from(["limit", "market", "cancel"]),
     st.sampled_from(["buy", "sell"]), st.none() | _INT64ISH, _SIZES, st.text(max_size=6),
     st.booleans())
-# characters that matter to the JSON grammar and to the fast path's regex
+# characters that matter to the JSON grammar and to the block path's regex
 _CHARS = st.sampled_from(list('0123456789-+.eE"\\{}[],: \t\r\x00\x1f\x7fabcdeflmnrstuyzNI')
                          + ["\u00e9", "\u0661", "\u2028", "\ufeff"]) | st.characters()
 
@@ -158,15 +157,20 @@ class TestParse:
         assert issubclass(feed.InvariantViolation, feed.SchemaViolation)
 
 
-def _outcome(line, fast=True):
+def _outcome(line):
     """What `parse_event` makes of `line`: the event's full repr (every
     field, `size_str` included), or the error's type and message."""
-    with (contextlib.nullcontext() if fast
-          else mock.patch.object(feed, "_parse_canonical", lambda line: None)):
-        try:
-            return repr(feed.parse_event(line))
-        except feed.FeedError as e:
-            return type(e), str(e)
+    try:
+        return repr(feed.parse_event(line))
+    except feed.FeedError as e:
+        return type(e), str(e)
+
+
+def _block_outcome(line):
+    """What a block of the one line makes of it: its event's full repr,
+    or None where the per-line path must read it."""
+    columns = feed._columns(line, 1)
+    return None if columns is None else repr(next(feed._events(columns)))
 
 
 def _line(size="1.5", price=',"price":10', kind="limit", oid='"x"', ts="1", seq="1"):
@@ -178,8 +182,8 @@ _CANONICAL_LINE = _line()
 
 
 class TestFastPath:
-    """Canonical lines skip `json.loads`; every line parses as it does
-    through `json.loads` alone."""
+    """Blocks of canonical lines skip `json.loads`; a block of one line
+    reads it as `parse_event`, which is `json.loads` alone, does."""
 
     def test_generated_lines_take_the_fast_path(self, monkeypatch, noise_lines):
         cfg = feed.GeneratorConfig(n_events=3000, planted=feed.PLANTED_LAST_EVENT_SIDE)
@@ -231,7 +235,7 @@ class TestFastPath:
         (_line(ts="1\u0661"), False),
         (_line(price=',"price":1\u0661'), False),
         (_line(size="1\u0661"), False),
-        # int64: 18 digits take the fast path, the bounds the general one
+        # int64: 18 digits take the block path, the bounds the per-line one
         (_line(ts="9" * 18, seq="-" + "9" * 18, price=',"price":' + "9" * 18), True),
         (_line(ts=str(2 ** 63 - 1), seq=str(-2 ** 63), price=f',"price":{2 ** 63 - 1}'), False),
         (_line(ts=str(2 ** 63)), False),
@@ -274,8 +278,10 @@ class TestFastPath:
         ("", False),
     ])
     def test_edge_cases_match_the_general_path(self, line, fast):
-        assert (feed._parse_canonical(line) is not None) == fast
-        assert _outcome(line) == _outcome(line, fast=False)
+        block = _block_outcome(line)
+        assert (block is not None) == fast
+        if fast:
+            assert block == _outcome(line)
         # a block of the one line reads as the line does on its own
         assert _yielded(feed.iter_events([line])) == _per_line([line])
 
@@ -287,7 +293,8 @@ class TestFastPath:
         if edit != "keep":
             ch = "" if edit == "delete" else data.draw(_CHARS, label="char")
             line = line[:i] + ch + line[i + (edit != "insert"):]
-        assert _outcome(line) == _outcome(line, fast=False)
+        block = _block_outcome(line)
+        assert block is None or block == _outcome(line)
         assert _yielded(feed.iter_events([line])) == _per_line([line])
 
 
@@ -704,7 +711,8 @@ class TestForkedReader:
 def _per_line(lines):
     """What reading `lines` one at a time makes of them, as `_yielded`
     gives it: blank lines skipped, each other line parsed by `parse_event`
-    and the stream's order checked, each fault named with its line."""
+    (`json.loads`, no regular expression) and the stream's order checked,
+    each fault named with its line."""
     got, prev = [], None
     for line_no, line in enumerate(lines, start=1):
         line = line.rstrip("\n")

@@ -9,6 +9,13 @@ from lobflow.feed import EventKind, Side
 from conftest import make_event
 
 
+def _best_counts(book):
+    """The order counts of the best bid and best ask levels: the last
+    entry of each snapshot half."""
+    bids, asks = book.snapshot(1)
+    return bids[-1], asks[-1]
+
+
 # ---------------------------------------------------------------------------
 # basic insertion / matching
 # ---------------------------------------------------------------------------
@@ -54,17 +61,17 @@ class TestBasics:
         book.apply_event(ev(seq=1, price=100, size=2.0, oid="a"))
         book.apply_event(ev(seq=2, kind=EventKind.CANCEL, price=100, size=0.5, oid="a"))
         assert book.level_size(Side.BUY, 100) == 1.5
-        assert book.best_counts() == (1, 0)
+        assert _best_counts(book) == (1, 0)
 
     def test_best_counts(self, ev):
         book = lob.OrderBook()
-        assert book.best_counts() == (0, 0)
+        assert _best_counts(book) == (0, 0)
         for seq, (side, price) in enumerate([(Side.BUY, 100), (Side.BUY, 100), (Side.BUY, 99),
                                              (Side.SELL, 103), (Side.SELL, 102)], start=1):
             book.apply_event(ev(seq=seq, side=side, price=price))
-        assert book.best_counts() == (2, 1)
+        assert _best_counts(book) == (2, 1)
         book.apply_event(ev(seq=6, kind=EventKind.MARKET, side=Side.BUY, size=1.0))
-        assert book.best_counts() == (2, 1)   # the ask at 103 is the best now
+        assert _best_counts(book) == (2, 1)   # the ask at 103 is the best now
 
     def test_marketable_limit_executes_then_rests(self, ev):
         book = lob.OrderBook()
@@ -179,18 +186,18 @@ class TestSnapshot:
         book.apply_event(ev(seq=3, side=Side.SELL, price=102))
         bids, asks = book.snapshot(5)
         assert type(bids) is type(asks) is tuple
-        assert len(bids) == len(asks) == 10
+        assert len(bids) == len(asks) == 11
         assert bids[:5] == (100, 99, 98, 97, 96)
         assert bids[5:7] == (1.0, 1.0)
-        assert bids[7:] == (0.0, 0.0, 0.0)
+        assert bids[7:] == (0.0, 0.0, 0.0, 1)
         assert asks[:5] == (102, 103, 104, 105, 106)
-        assert asks[5:] == (1.0, 0.0, 0.0, 0.0, 0.0)
+        assert asks[5:] == (1.0, 0.0, 0.0, 0.0, 0.0, 1)
 
     def test_depth_one_is_bests(self, ev):
         book = lob.OrderBook()
         book.apply_event(ev(seq=1, price=100, size=2.0))
         book.apply_event(ev(seq=2, side=Side.SELL, price=103, size=0.5))
-        assert book.snapshot(1) == ((100, 2.0), (103, 0.5))
+        assert book.snapshot(1) == ((100, 2.0, 1), (103, 0.5, 1))
 
     def test_monotone_prices(self, noise_lines):
         book = lob.OrderBook()
@@ -205,7 +212,7 @@ class TestSnapshot:
         bids, asks = lob.OrderBook().snapshot(3)
         assert bids[:3] == (-1, -2, -3)
         assert asks[:3] == (1, 2, 3)
-        assert bids[3:] == asks[3:] == (0.0, 0.0, 0.0)
+        assert bids[3:] == asks[3:] == (0.0, 0.0, 0.0, 0)
 
     def test_matches_oracle_top_levels(self, noise_lines):
         book = lob.OrderBook()
@@ -217,8 +224,8 @@ class TestSnapshot:
         bids, asks = book.snapshot(4)
         ref_bids = ref.top_levels(Side.BUY, 4)
         ref_asks = ref.top_levels(Side.SELL, 4)
-        assert list(zip(bids[:4], bids[4:]))[:len(ref_bids)] == ref_bids
-        assert list(zip(asks[:4], asks[4:]))[:len(ref_asks)] == ref_asks
+        assert list(zip(bids[:4], bids[4:8]))[:len(ref_bids)] == ref_bids
+        assert list(zip(asks[:4], asks[4:8]))[:len(ref_asks)] == ref_asks
 
     def test_depth_zero_rejected(self, ev):
         book = lob.OrderBook()
@@ -244,24 +251,27 @@ class TestSnapshot:
         # at the second bid the bid half is rebuilt, the ask half kept
         book.apply_event(ev(seq=9, price=99))
         bids, asks = book.snapshot(2)
-        assert bids == (100, 99, 1.0, 2.0) and asks is before[1]
+        assert bids == (100, 99, 1.0, 2.0, 1) and asks is before[1]
         # another depth rebuilds both
         bids3, asks3 = book.snapshot(3)
-        assert bids3 == (100, 99, 98, 1.0, 2.0, 2.0) and asks3 == (102, 103, 110, 1.0, 1.0, 1.0)
+        assert bids3 == (100, 99, 98, 1.0, 2.0, 2.0, 1)
+        assert asks3 == (102, 103, 110, 1.0, 1.0, 1.0, 1)
 
 
 def _reference_half(book, ref, side, depth):
     """A side's snapshot tuple from the reference book's top prices, the
-    book's level volumes and the padding rule."""
+    book's level volumes, the padding rule and the reference book's order
+    count at its best level."""
     prices = [p for p, _ in ref.top_levels(side, depth)]
     vols = [book.level_size(side, p) for p in prices]
+    count = ref.levels(side)[prices[0]][1] if prices else 0
     step = -1 if side is Side.BUY else 1
     last = prices[-1] if prices else 0
     while len(prices) < depth:
         last += step
         prices.append(last)
         vols.append(0.0)
-    return tuple(prices + vols)
+    return tuple(prices + vols + [count])
 
 
 class TestCachedHalves:

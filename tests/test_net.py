@@ -1167,6 +1167,21 @@ class TestCheckpoint:
         with pytest.raises(net.NetError, match="do not fit"):
             net.load_checkpoint(p)
 
+    def test_header_shapes_allocate_no_params(self, tmp_path):
+        # a header of three 1024-wide layers and no tensors: its shapes
+        # are checked without a param made (the model's take about 160 MiB)
+        cfg = ModelConfig("orderflow", layers=(1024, 1024, 1024))
+        p = tmp_path / "m.ckpt"
+        container.write(p, b"OFCK", {"config": dataclasses.asdict(cfg), "extras": {}}, {})
+        tracemalloc.start()
+        try:
+            with pytest.raises(net.NetError, match="tensors do not fit its model config"):
+                net.load_checkpoint(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak
+
     def test_extras_not_an_object_rejected(self, tmp_path):
         m = Model(small_cfg(), seed=4)
         p = tmp_path / "m.ckpt"
