@@ -1,10 +1,14 @@
-"""The value checks of run settings, each written once.
+"""The value checks of run settings and of text read from input files,
+each written once.
 
 The config dataclasses (`feed.GeneratorConfig`, `net.ModelConfig`,
-`net.TrainSchedule`), the CLI and the readers of `.ds`, `.ckpt` and
-prediction files call these with their own error type.  A message
-starts with the setting's name.  `bool` is never a number here,
-although Python counts it as one.
+`net.TrainSchedule`), the CLI and the readers of `.ofr`, `.ds`, `.ckpt`
+and prediction files call these with their own error type.  A message
+starts with the setting's name, or with where a line came from.  `bool`
+is never a number here, although Python counts it as one.  Text files
+are read with ``errors="surrogateescape"``, so reading never raises: a
+byte that is not UTF-8 reaches its line as a lone surrogate, and
+:func:`utf8_line` names that line.
 """
 
 from __future__ import annotations
@@ -51,3 +55,16 @@ def pair_name(value, name: str, error: type) -> None:
     `.` and `-` that starts with a letter or digit."""
     if type(value) is not str or not _PAIR_NAME.fullmatch(value):
         raise error(f"{name} {value!r} must match {_PAIR_NAME.pattern}")
+
+
+def utf8_line(line: str, where: str, error: type) -> None:
+    """`line`, read with ``errors="surrogateescape"``, must be UTF-8 text,
+    which a line that holds a surrogate is not.  The reason in the message,
+    after `where`, comes from a strict decode of the line's own bytes.  An
+    ASCII line costs one O(1) `str.isascii()`."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+            line.encode("utf-8")   # a surrogate that no undecodable byte made
+        except UnicodeError as e:
+            raise error(f"{where}not UTF-8 text ({e.reason})") from None

@@ -115,13 +115,16 @@ def load_config(path, seed_override=None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, RecursionError) as e:
         raise CliError(f"cannot read config {path}: {e}") from e
     _check_config(raw)
     version = raw.get("version", 1)
     if type(version) is not int or version != 1:
         raise CliError(f"unsupported config 'version' {version!r}; this lobflow reads 1")
-    cfg = _deep_merge(CONFIG_DEFAULTS, raw)
+    try:
+        cfg = _deep_merge(CONFIG_DEFAULTS, raw)
+    except RecursionError:   # a free-form block that `json` read but `copy` cannot
+        raise CliError(f"config {path} is nested too deeply") from None
     if seed_override is not None:
         cfg["seed"] = seed_override
     if not cfg["pairs"]:
@@ -164,10 +167,13 @@ def _write_csv(path, header: list[str], rows, meta: dict | None = None) -> None:
 
 
 def _read_csv(path) -> tuple[dict, list[str], list[list[str]]]:
+    """The `# key=value` lines, header and rows of a CSV that `_write_csv`
+    wrote; a line that is not UTF-8 text is a CliError naming it."""
     meta, rows, header = {}, [], None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
+            checks.utf8_line(line, f"{path}: line {line_no}: ", CliError)
             if not line:
                 continue
             if line.startswith("# "):
@@ -369,10 +375,7 @@ def _load_predictions(paths) -> list[dict]:
     pair, test pair): the tables and figures key each set by those."""
     sets, seen = [], {}
     for p in paths:
-        try:
-            meta, header, rows = _read_csv(p)
-        except UnicodeDecodeError as e:
-            raise CliError(f"{p}: not UTF-8 text: {e.reason} at byte {e.start}") from None
+        meta, header, rows = _read_csv(p)
         if header[:3] != ["timestamp_ms", "y", "yhat"]:
             continue
         for key in ("variant", "train_pair", "test_pair"):

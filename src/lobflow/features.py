@@ -212,10 +212,9 @@ def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SY
     1-9999 raises FeatureError.
     """
     need_snap = any(v != "orderflow" for v in variants)
-    need_counts = "bench1" in variants
     warm, warm_last_ts, dropped, cols = _replay(events, warm_count, S, need_snap)
     # before the flow table, so that the stored halves are freed first
-    snap = _snapshot_table(cols, S, need_counts) if need_snap else None
+    snap = _snapshot_table(cols, S) if need_snap else None
     counters: dict = {"warmup_events": warm}
     ts, kind, side = cols["ts"], cols["kind"], cols["side"]
     E = len(ts)
@@ -275,9 +274,8 @@ def build_datasets(events: Iterable[OrderEvent], T: int, S: int, pair: str = "SY
         # the mid in ticks: halving commutes with rounding to a float
         np.multiply(mid2[1:], 0.5, out=snap[:, w - 1])
         snap[~defined[1:], w - 1] = np.nan
-        if need_counts:
-            snap[:, w + 2] = market & buy
-            snap[:, w + 3] = market & ~buy
+        snap[:, w + 2] = market & buy
+        snap[:, w + 3] = market & ~buy
         undefined = _cumsum0(~defined[1:])
         keep = undefined[end] == undefined[end - T]
         if not keep.all():
@@ -360,19 +358,18 @@ def _replay(events: Iterable[OrderEvent], warm_count: int, S: int,
     return warm, warm_last_ts, book.dropped_market_events, cols
 
 
-def _snapshot_table(cols: dict, S: int, need_counts: bool) -> np.ndarray:
-    """The bench1 table (bench2's with `need_counts` false) of the
-    replay's snapshot halves, which it takes out of `cols`: filled
-    column by column from the stored halves, with no (E, 2S) temporary.
+def _snapshot_table(cols: dict, S: int) -> np.ndarray:
+    """The bench1 table of the replay's snapshot halves, which it takes
+    out of `cols`: filled column by column from the stored halves, with
+    no (E, 2S) temporary.  bench2's table is its first 4S + 1 columns.
     Its mid and market-order flag columns are left for the caller."""
     w = 4 * S + 1
-    table = np.empty((len(cols["bid_half"]), w + 4 * need_counts))
+    table = np.empty((len(cols["bid_half"]), w + 4))
     for side, first, count in (("bid", 0, w), ("ask", 2 * S, w + 1)):
         halves, rows = cols.pop(f"{side}_halves"), cols.pop(f"{side}_half")
         for k in range(2 * S):
             np.take(halves[:, k], rows, out=table[:, first + k])
-        if need_counts:
-            np.take(halves[:, 2 * S], rows, out=table[:, count])
+        np.take(halves[:, 2 * S], rows, out=table[:, count])
     return table
 
 

@@ -36,9 +36,12 @@ blank line, a line with a newline inside) or whose order fails goes
 through the per-line path: each line is parsed by :func:`parse_event`
 and checked in turn, which names the fault and its line.  Canonical
 lines are read only in blocks: a line that :func:`parse_event` reads on
-its own, here or from a caller, goes through ``json.loads``.  So the
-events, every error's type and message and the point at which it is
-raised are those of reading the lines one at a time.
+its own, here or from a caller, goes through ``json.loads``.  A file is
+read with ``errors="surrogateescape"``, so a byte that is not UTF-8
+reaches its line as a lone surrogate: the canonical pattern refuses it,
+and :func:`parse_event` names the line "not UTF-8 text", a fault like
+any other.  So the events, every error's type and message and the point
+at which it is raised are those of reading the lines one at a time.
 
 :func:`read_events` on a file of READ_FORK_BYTES (0.75 MB, about 7.5k
 events) or more, when the affinity mask holds two CPUs or more, parses
@@ -46,19 +49,20 @@ ahead on a reader process forked for the stream while the caller
 replays what it has read.  The reader iterates the file in the same
 text mode, makes the same blocks and sends each, as its columns or as
 its lines, marshalled over the channel of :class:`lobflow.forked.Worker`.
-That channel carries what reading raised back to the caller after the
-blocks read before it, and turns a reader that dies into
-:class:`ReaderExited`.  The caller numbers the lines, checks their
-order, builds the events and runs the per-line path in the one function
-that :func:`iter_events` runs too, so the events and errors are those
-of the serial path.  A small file, a stream of lines, `taskset -c 0`
-and a fork that fails keep the serial path.  The reader runs off the
-caller's CPU (see :mod:`lobflow.forked`), and the gain needs that CPU
-free: on a 30k-event stream the forked path took 58-76 ms against
-97-99 ms serial (fastest of 20 passes), but 114-115 ms while a busy
-loop held either CPU, where the serial path kept its time on the
-other.  So, as for `net.train`'s second process, a busy second CPU
-makes the forked path the slower one.
+Decoding cannot raise, and a surrogate survives `marshal`, so an
+undecodable byte reaches the caller in its block like any other fault.
+The channel carries an I/O error the reader met back to the caller,
+and turns a reader that dies into :class:`ReaderExited`.  The caller
+numbers the lines, checks their order, builds the events and runs the
+per-line path in the one function that :func:`iter_events` runs too,
+so the events and errors are those of the serial path.  A small file,
+a stream of lines, `taskset -c 0` and a fork that fails keep the serial
+path.  The reader runs off the caller's CPU (see :mod:`lobflow.forked`),
+and the gain needs that CPU free: on a 30k-event stream the forked path
+took 58-76 ms against 97-99 ms serial (fastest of 20 passes), but
+114-115 ms while a busy loop held either CPU, where the serial path
+kept its time on the other.  So, as for `net.train`'s second process, a
+busy second CPU makes the forked path the slower one.
 """
 
 from __future__ import annotations
@@ -188,15 +192,17 @@ def _bad_value(name: str, value) -> SchemaViolation:
 
 
 # One canonical line, as `serialize_event` writes it.  ASCII digits only,
-# JSON's integer and number grammar, and strings without escapes or control
-# characters, so each captured text is what `json.loads` would decode.
+# JSON's integer and number grammar, and strings without escapes, control
+# characters or surrogates, so each captured text is what `json.loads` would
+# decode, and a line with a byte that is not UTF-8 (read as a lone
+# surrogate) goes to `parse_event`, which names it.
 # `ts`, `seq` and `price` take at most 18 digits and so always fit int64,
 # and `price` takes no sign or leading zero and so is always positive.  A
 # price follows every kind but `market` (group 4 captures its "m").  The
 # pattern is anchored per line (`re.M`), so that one `findall` reads a
 # block of lines joined by newlines: no group can match a newline.
 _INT = r"-?(?:0|[1-9][0-9]{0,17})"
-_STR = r'([^"\\\x00-\x1f]*)'
+_STR = r'([^"\\\x00-\x1f\ud800-\udfff]*)'
 # JSON's number grammar: the one rule for a size, a number or a string
 _NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
 _CANONICAL = re.compile(
@@ -236,7 +242,10 @@ def _events(columns: tuple) -> Iterator[OrderEvent]:
 
 
 def parse_event(line: str) -> OrderEvent:
-    """Parse and validate one wire-format line into an OrderEvent."""
+    """Parse and validate one wire-format line into an OrderEvent.  A line
+    that holds a surrogate, as a byte that is not UTF-8 reads under
+    ``errors="surrogateescape"``, is not UTF-8 text."""
+    checks.utf8_line(line, "", MalformedRecord)
     try:
         obj = json.loads(line)
     except ValueError as e:
@@ -349,9 +358,10 @@ def _blocks(lines: Iterable) -> Iterator:
     """`lines` in blocks, a short first one so that a reader's caller
     starts soon: the :func:`_columns` of each block, or the block's lines
     where the per-line path must take them.  What iterating `lines`
-    raised is raised after the blocks of the lines read before it."""
-    failed = []
-    lines = _until_raise(lines, failed)
+    raises (a file's I/O error; decoding cannot raise, see
+    :func:`read_events`) propagates where it is raised, and the lines
+    read into that block before it are not parsed."""
+    lines = iter(lines)
     size = _FIRST_BLOCK
     while block := list(islice(lines, size)):
         try:
@@ -363,8 +373,6 @@ def _blocks(lines: Iterable) -> Iterator:
                    else _columns("\n".join(stripped), len(block)))
         yield block if columns is None else columns
         size = _BLOCK
-    if failed:
-        raise failed[0]
 
 
 def _checked(blocks: Iterable) -> Iterator[OrderEvent]:
@@ -410,25 +418,29 @@ def iter_events(lines: Iterable[str]) -> Iterator[OrderEvent]:
 
     Enforces the stream invariants (strictly increasing seq, non-decreasing
     timestamp).  Parse errors propagate annotated with the 1-based line
-    number.  Lines are read a block (up to 512) ahead of the events
-    yielded.
+    number; a line holding a surrogate, which is how a byte that is not
+    UTF-8 reads under ``errors="surrogateescape"``, is "not UTF-8 text".
+    Lines are read a block (up to 512) ahead of the events yielded, and
+    what iterating `lines` raises propagates as it is raised.
     """
     return _checked(_blocks(lines))
 
 
 def read_events(path) -> Iterator[OrderEvent]:
-    """Stream validated events from an `.ofr` file.  Bytes that are not
-    UTF-8 raise :class:`MalformedRecord` naming the first such line.
+    """Stream validated events from an `.ofr` file.
 
-    The file is opened at the first event asked for.  A file of
-    READ_FORK_BYTES (0.75 MB, about 7.5k events) or more, when the
-    affinity mask holds two CPUs or more, is parsed ahead on a forked
-    reader (see the module docstring), with the same events and errors
-    raised at the same line; where the fork fails (EAGAIN, ENOMEM) this
-    process parses it.  The reader is joined when the stream ends,
-    raises or is closed, and a reader that dies raises
-    :class:`ReaderExited`.  It pays only with a free second CPU: at 8k
-    events it won 180 and 166 of 200 alternating pairs under
+    The file is read as UTF-8 with ``errors="surrogateescape"``, so
+    reading raises no decode error: a line with a byte that is not UTF-8
+    raises :class:`MalformedRecord` at that line, after the events of the
+    lines before it, as any other faulty line does.  The file is opened
+    at the first event asked for.  A file of READ_FORK_BYTES (0.75 MB,
+    about 7.5k events) or more, when the affinity mask holds two CPUs or
+    more, is parsed ahead on a forked reader (see the module docstring),
+    with the same events and errors raised at the same line; where the
+    fork fails (EAGAIN, ENOMEM) this process parses it.  The reader is
+    joined when the stream ends, raises or is closed, and a reader that
+    dies raises :class:`ReaderExited`.  It pays only with a free second
+    CPU: at 8k events it won 180 and 166 of 200 alternating pairs under
     `features.build_datasets` and `stats.daily_market_aggregates`, and
     with that CPU busy it is slower than the serial path."""
     n = 0   # the lines received from a reader
@@ -439,53 +451,28 @@ def read_events(path) -> Iterator[OrderEvent]:
             n += len(block[0] if type(block) is tuple else block)
             yield block
 
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            reader = None
-            if os.fstat(fh.fileno()).st_size >= READ_FORK_BYTES and forked.spare_cpu():
-                try:
-                    reader = forked.Worker(_read_ahead, fh, exited=lambda _: ReaderExited(
-                        f"{path}: the reader process exited after line {n}"))
-                except OSError:   # no process to fork (EAGAIN, ENOMEM): parse here
-                    pass
-            if reader is None:
-                yield from _checked(_blocks(fh))
-            else:
-                with reader:
-                    yield from _checked(received())
-    except UnicodeDecodeError as e:
-        raise MalformedRecord(f"line {_first_undecodable_line(path)}: not UTF-8 text "
-                              f"({e.reason})") from e
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        reader = None
+        if os.fstat(fh.fileno()).st_size >= READ_FORK_BYTES and forked.spare_cpu():
+            try:
+                reader = forked.Worker(_read_ahead, fh, exited=lambda _: ReaderExited(
+                    f"{path}: the reader process exited after line {n}"))
+            except OSError:   # no process to fork (EAGAIN, ENOMEM): parse here
+                pass
+        if reader is None:
+            yield from _checked(_blocks(fh))
+        else:
+            with reader:
+                yield from _checked(received())
 
 
 def _read_ahead(conn, fh) -> None:
     """The forked reader's body: send the :func:`_blocks` of `fh`, read as
-    :func:`read_events` reads it, marshalled, then None; or raise what
-    reading raised, after the blocks of the lines read before it."""
+    :func:`read_events` reads it, marshalled, then None.  What reading
+    raises goes back to the caller through the worker's channel."""
     for block in _blocks(fh):
         conn.send(marshal.dumps(block))
     conn.send(None)
-
-
-def _until_raise(lines, failed: list) -> Iterator[str]:
-    """`lines`, ending early with what their iteration raised put in `failed`."""
-    try:
-        yield from lines
-    except Exception as e:   # the caller raises it where the serial path would
-        failed.append(e)
-
-
-def _first_undecodable_line(path) -> int:
-    """1-based number, counted as `read_events` counts, of the first line
-    holding a byte that is not UTF-8.  Such bytes decode to lone
-    surrogates under `surrogateescape`, which then fail to encode."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                return line_no
-    raise AssertionError(f"{path} decodes as UTF-8")
 
 
 # ---------------------------------------------------------------------------

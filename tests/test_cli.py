@@ -140,6 +140,23 @@ class TestConfig:
         assert loaded["search"] == cfg["search"]
         assert loaded["split_ranges"] == cfg["split_ranges"]
 
+    @pytest.mark.parametrize("text,message", [
+        # deeper than `json` reads
+        ("[" * 200_000 + "]" * 200_000, "cannot read config "),
+        # read, but deeper than `copy` copies, in a free-form block
+        ('{"pairs":{"X":{"input":"x.ofr"}},"split_ranges":{"note":'
+         + "[" * 500 + "]" * 500 + "}}", "is nested too deeply"),
+    ], ids=["200000", "500 in split_ranges"])
+    def test_deeply_nested_config_is_one_error_line(self, tmp_path, capsys, text, message):
+        p = tmp_path / "c.json"
+        p.write_text(text)
+        capsys.readouterr()
+        rc = cli.main(["build", "--config", str(p), "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        assert sorted(tmp_path.iterdir()) == [p]
+
     def test_largest_sizes_accepted(self, tmp_path):
         # the bounds are checked on the config alone: nothing is read or built
         cfg = {"pairs": {"X": {"input": "x.ofr"}}, "T": cli.MAX_T, "S": cli.MAX_S,
@@ -812,6 +829,20 @@ class TestExitCodes:
         assert rc == cli.EXIT_ERROR
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {pred}: ") and match in err[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_report_on_non_utf8_prediction_names_its_line(self, tmp_path, capsys):
+        # past the text decoder's first 8 KiB chunk
+        pred = tmp_path / "pred_X__X.orderflow.test.csv"
+        rows = "".join(f"{1510000000000 + i},1,1,0.9\n" for i in range(999))
+        pred.write_bytes(("# split=test\n# test_pair=X\n# train_pair=X\n# variant=orderflow\n"
+                          "timestamp_ms,y,yhat,p1\n" + rows).encode() + b"1510000001000,1,\xff,0\n")
+        assert pred.stat().st_size > 8192
+        capsys.readouterr()
+        rc = cli.main(["report", "--out", str(tmp_path / "out"), "--pred", str(pred)])
+        assert rc == cli.EXIT_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {pred}: line 1005: not UTF-8 text (invalid start byte)"]
         assert not (tmp_path / "out").exists()
 
     def test_report_on_prediction_file_without_pairs_is_error(self, tmp_path, capsys):

@@ -485,24 +485,43 @@ def _yielded(events):
 
 @pytest.mark.usefixtures("no_leaked_fds")
 class TestReadEvents:
-    @pytest.mark.parametrize("lines,bad_line", [
-        ([_good(1), b"\xff\xfe"], 2),
-        ([b"\xff\xfe"], 1),
+    @pytest.mark.parametrize("lines,events,error", [
+        ([_good(1), b"\xff\xfe"], 1, "line 2: not UTF-8 text (invalid start byte)"),
+        ([b"\xff\xfe"], 0, "line 1: not UTF-8 text (invalid start byte)"),
         # past the first 8 KiB text chunk, and a two-byte sequence cut
         # short by the end of the file
-        ([_good(i) for i in range(300)] + [b'{"id":"\xc3'], 301),
+        ([_good(i) for i in range(300)] + [b'{"id":"\xc3'], 300,
+         "line 301: not UTF-8 text (unexpected end of data)"),
         # a bare carriage return ends a line too
-        ([_good(1), b"", _good(2) + b"\r" + b"\x80"], 4),
+        ([_good(1), b"", _good(2) + b"\r" + b"\x80"], 2,
+         "line 4: not UTF-8 text (invalid start byte)"),
+        # within the decoder's first 8 KiB chunk, the lines before the bad byte
+        ([_good(i) for i in range(1, 50)] + [b"\xff"], 49,
+         "line 50: not UTF-8 text (invalid start byte)"),
+        # one line at a time, the stream stops at the bad JSON before the bad byte
+        ([_good(1), b"garbage", b"\xff"], 1, "line 2: bad JSON"),
+        # the reason comes from the line, without its newline
+        ([_good(1), b'{"id":"\xc3', _good(2)], 1,
+         "line 2: not UTF-8 text (unexpected end of data)"),
     ])
-    def test_non_utf8_bytes_name_the_line(self, tmp_path, lines, bad_line):
+    def test_non_utf8_bytes_name_the_line(self, tmp_path, lines, events, error):
+        # serial, forked and from a file object: the events of the lines
+        # before the first faulty one, then that line's error
         path = tmp_path / "bad.ofr"
         path.write_bytes(b"\n".join(lines))
-        with pytest.raises(feed.MalformedRecord, match=f"^line {bad_line}: not UTF-8 text"):
-            list(feed.read_events(path))
-        # the forked reader yields the same events first, then the same error
-        events, error = _read(path, False)
-        assert error[0] is feed.MalformedRecord and len(events) < bad_line
-        assert _read(path, True) == (events, error)
+        got = _read(path, False)
+        assert len(got[0]) == events and got[1][0] is feed.MalformedRecord
+        assert got[1][1].startswith(error)
+        assert _read(path, True) == got
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            assert _yielded(feed.iter_events(fh)) == got
+
+    def test_a_caller_line_with_a_lone_surrogate_is_not_utf8(self):
+        good = _good(1).decode()
+        bad = _good(2).decode().replace('"id":"o', '"id":"\ud800')
+        assert _yielded(feed.iter_events([good, bad])) == (
+            [repr(feed.parse_event(good))],
+            (feed.MalformedRecord, "line 2: not UTF-8 text (surrogates not allowed)"))
 
     def test_utf8_stream_reads(self, tmp_path, noise_lines):
         path = tmp_path / "ok.ofr"
@@ -792,6 +811,8 @@ _FAULTS = {
     "seq not increasing": lambda obj: _compact({**obj, "seq": obj["seq"] - 1}),
     "ts decreasing": lambda obj: _compact({**obj, "ts": obj["ts"] - 5}),
     "two records": lambda obj: _compact(obj) + "\n" + _compact(obj),
+    # a byte that is not UTF-8, as it reads under errors="surrogateescape"
+    "not UTF-8": lambda obj: _compact(obj).replace('"id":"o', '"id":"\udcffo'),
 }
 
 
@@ -827,8 +848,9 @@ class TestBlocks:
         assert _yielded(feed.iter_events(items)) == _per_line(items)
         with tempfile.TemporaryDirectory() as d:
             path = Path(d) / "s.ofr"
-            path.write_text("".join(item + "\n" for item in items), encoding="utf-8")
-            with open(path, encoding="utf-8") as fh:
+            path.write_bytes("".join(item + "\n" for item in items)
+                             .encode("utf-8", "surrogateescape"))
+            with open(path, encoding="utf-8", errors="surrogateescape") as fh:
                 want = _per_line(list(fh))
             assert _read(path, False) == want
             assert _read(path, True) == want
@@ -847,9 +869,11 @@ class TestBlocks:
             want = _per_line(items)
             assert len(want[0]) == at - 1 and want[1][1].startswith(f"line {at}: ")
             assert _yielded(feed.iter_events(items)) == want
-            # in a file, two records on one line are two lines
-            path.write_text("".join(item + "\n" for item in items), encoding="utf-8")
-            with open(path, encoding="utf-8") as fh:
+            # in a file, two records on one line are two lines, and the
+            # surrogate is the byte it escapes
+            path.write_bytes("".join(item + "\n" for item in items)
+                             .encode("utf-8", "surrogateescape"))
+            with open(path, encoding="utf-8", errors="surrogateescape") as fh:
                 want = _per_line(list(fh))
             assert want[1] is not None
             assert _read(path, False) == want
