@@ -18,8 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checks, feed, features, lob, net, oracle, shards, stats, svg
-from .atomic import atomic_open
+from . import atomic, checks, feed, features, lob, net, oracle, shards, stats, svg
 from .features import MAX_S, MAX_T
 
 EXIT_OK, EXIT_ERROR, EXIT_WARN = 0, 1, 2
@@ -158,7 +157,7 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path, header: list[str], rows, meta: dict | None = None) -> None:
-    with atomic_open(path, "w", encoding="utf-8") as fh:
+    with atomic.atomic_open(path, "w", encoding="utf-8") as fh:
         for k in sorted(meta or {}):
             fh.write(f"# {k}={meta[k]}\n")
         fh.write(",".join(header) + "\n")
@@ -193,16 +192,18 @@ def _read_csv(path) -> tuple[dict, list[str], list[list[str]]]:
 
 def cmd_generate(cfg: dict, out_dir: Path, pair: str | None) -> int:
     gen = feed.GeneratorConfig(**cfg["generator"])
-    report = {}
+    report, writers = {}, {}
     for name in _select_pairs(cfg, pair):
         path = Path(cfg["pairs"][name]["input"])
-        path.parent.mkdir(parents=True, exist_ok=True)
+        # `build` may read one stream as two pairs, but one file holds one stream
+        first = writers.setdefault(path.resolve(), name)
+        if first != name:
+            raise CliError(f"pairs {first} and {name} both have the input {path}")
         n = feed.write_stream(path, gen,
                               seed=cfg["seed"] + sorted(cfg["pairs"]).index(name))
         report[name] = {"path": str(path), "events": n}
         print(f"generated {name}: {n} events -> {path}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with atomic_open(out_dir / "generate_report.json", "w", encoding="utf-8") as fh:
+    with atomic.atomic_open(out_dir / "generate_report.json", "w", encoding="utf-8") as fh:
         json.dump({"config": cfg, "pairs": report}, fh, sort_keys=True, indent=2)
     return EXIT_OK
 
@@ -216,7 +217,6 @@ def cmd_build(cfg: dict, out_dir: Path, pair: str | None) -> int:
     if cfg["split_ranges"] is None:
         raise CliError("config has no split_ranges")
     ranges = features.check_split_ranges(cfg["split_ranges"], "config ").values()
-    out_dir.mkdir(parents=True, exist_ok=True)
     warn = False
     report = {"config": cfg, "pairs": {}}
     for name in _select_pairs(cfg, pair):
@@ -230,15 +230,14 @@ def cmd_build(cfg: dict, out_dir: Path, pair: str | None) -> int:
             path = out_dir / f"{name}.{variant}.ds"
             digest = features.save_dataset(ds, path)
             counts = ds.split_counts()
-            if any(v == 0 for v in counts.values()):
-                warn = True
+            warn = warn or 0 in counts.values()   # an empty split
             pair_report[variant] = {
                 "path": path.name, "n": ds.n, "split_counts": counts,
                 "counters": ds.counters, "digest": digest,
             }
             print(f"built {name}.{variant}: n={ds.n} splits={counts}")
         report["pairs"][name] = pair_report
-    with atomic_open(out_dir / "build_report.json", "w", encoding="utf-8") as fh:
+    with atomic.atomic_open(out_dir / "build_report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
     if warn:
         print("warning: at least one split is empty", file=sys.stderr)
@@ -304,7 +303,6 @@ def cmd_train(cfg: dict, out_dir: Path, pair: str, variant: str,
         model, result, trials = _checked(
             "config 'search.space'", net.hyper_search, cfg["search"]["space"],
             cfg["search"]["budget"], cfg["seed"], model_cfg, train_xy, val_xy, schedule)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = out_dir / f"{pair}.{variant}.ckpt"
     net.save_checkpoint(model, ckpt, extras={
         "train_pair": pair, "best_epoch": result.best_epoch,
@@ -346,11 +344,10 @@ def cmd_evaluate(out_dir: Path, checkpoint: str, dataset: str, split: str) -> in
     stem = f"pred_{train_pair}__{ds.pair}.{ds.variant}.{split}"
     meta = {"variant": ds.variant, "train_pair": train_pair, "test_pair": ds.pair,
             "split": split}
-    series = stats.daily_mcc(list(zip(sub.event_time.tolist(), sub.y.tolist(), yhat.tolist())))
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / f"{stem}.csv", ["timestamp_ms", "y", "yhat", "p1"],
                [(int(t), int(a), int(b), float(p)) for t, a, b, p
                 in zip(sub.event_time, sub.y, yhat, probs[:, 1])], meta=meta)
+    series = stats.daily_mcc(list(zip(sub.event_time.tolist(), sub.y.tolist(), yhat.tolist())))
     _write_csv(out_dir / f"{stem}.daily_mcc.csv", ["date", "mcc", "degenerate"],
                [(d, v, int(d in series.flags)) for d, v in zip(series.dates, series.values)],
                meta=meta)
@@ -408,7 +405,6 @@ def cmd_report(out_dir: Path, pred_paths, stream: str | None = None) -> int:
         pred_paths = sorted(p for p in out_dir.glob("pred_*.csv")
                             if not p.name.endswith(".daily_mcc.csv"))
     sets = _load_predictions(pred_paths)
-    # everything that can fail is computed before `out_dir` is made, first
     # the daily MCC series of each same-pair set, for Table 1 and Figure 1
     same_pair = [s for s in sets if s["meta"]["train_pair"] == s["meta"]["test_pair"]]
     for s in same_pair:
@@ -441,9 +437,6 @@ def cmd_report(out_dir: Path, pred_paths, stream: str | None = None) -> int:
             continue
         t2_rows.append((variant, train_pair, test_pair, same, cross,
                         stats.universality_drop(same, cross)))
-    market = stats.daily_market_aggregates(feed.read_events(stream)) if stream else None
-
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "table1_slopes.csv",
                ["pair", "model", "n_days", "slope", "slope_se", "t_stat", "p_value",
                 "zero_residual"], t1_rows)
@@ -467,8 +460,8 @@ def cmd_report(out_dir: Path, pred_paths, stream: str | None = None) -> int:
                    [(d, *[lines[v][i] for v in sorted(lines)]) for i, d in enumerate(dates)])
 
     # Figure-2 style: daily trade volume and 1-day lagged mid change
-    if market is not None:
-        vol, chg = market
+    if stream is not None:
+        vol, chg = stats.daily_market_aggregates(feed.read_events(stream))
         svg.line_chart({"trade volume": vol.values}, out_dir / "figure2_volume.svg",
                        title="Daily trade volume", ylabel="volume", x_labels=vol.dates)
         svg.line_chart({"mid change": chg.values}, out_dir / "figure2_price_change.svg",
@@ -599,24 +592,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "generate":
-            cfg = load_config(args.config, args.seed)
-            return cmd_generate(cfg, Path(args.out), args.pair)
-        if args.command == "build":
-            cfg = load_config(args.config, args.seed)
-            return cmd_build(cfg, Path(args.out), args.pair)
-        if args.command == "train":
-            cfg = load_config(args.config, args.seed)
-            return cmd_train(cfg, Path(args.out), args.pair, args.variant, args.dataset)
-        if args.command == "evaluate":
-            return cmd_evaluate(Path(args.out), args.checkpoint, args.dataset, args.split)
-        if args.command == "report":
-            return cmd_report(Path(args.out), args.pred, args.stream)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(args.n, args.seed)
-        if args.command == "selftest":
-            return cmd_selftest(args.events, args.seed)
-        raise CliError(f"unknown command {args.command}")
+        with atomic.stage():   # the command's files land when it returns, none if it raises
+            if args.command in ("generate", "build", "train"):
+                cfg = load_config(args.config, args.seed)
+            if args.command == "generate":
+                return cmd_generate(cfg, Path(args.out), args.pair)
+            if args.command == "build":
+                return cmd_build(cfg, Path(args.out), args.pair)
+            if args.command == "train":
+                return cmd_train(cfg, Path(args.out), args.pair, args.variant, args.dataset)
+            if args.command == "evaluate":
+                return cmd_evaluate(Path(args.out), args.checkpoint, args.dataset, args.split)
+            if args.command == "report":
+                return cmd_report(Path(args.out), args.pred, args.stream)
+            if args.command == "gradcheck":
+                return cmd_gradcheck(args.n, args.seed)
+            if args.command == "selftest":
+                return cmd_selftest(args.events, args.seed)
+            raise CliError(f"unknown command {args.command}")
     except (CliError, feed.FeedError, lob.BookError, features.FeatureError,
             net.NetError, stats.StatsError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

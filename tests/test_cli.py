@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import _counting_forks, _cpus, _has_children
-from lobflow import cli, container, features, feed, lob, net, shards, stats
+from lobflow import atomic, cli, container, features, feed, lob, net, shards, stats
 
 
 def base_config(root: Path, split_ranges=None, n_events=16000):
@@ -1004,6 +1004,155 @@ class TestDeterminism:
 
 
 # ---------------------------------------------------------------------------
+# one output rule: a stage's files land together, or none of them do
+# ---------------------------------------------------------------------------
+
+
+def _tree(root: Path) -> dict:
+    """Every file's bytes and every directory (as None) under `root`,
+    hidden temp files included, by relative path."""
+    return {p.relative_to(root).as_posix(): None if p.is_dir() else p.read_bytes()
+            for p in sorted(root.rglob("*"))}
+
+
+def _one_error(capsys) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    return err[0]
+
+
+def _no_temp_file(root: Path) -> None:
+    assert not [p for p in root.rglob("*") if p.name.endswith(".tmp")]
+
+
+class TestFailedStageLeavesFilesAsTheyWere:
+    def test_build_failing_on_a_later_pair_keeps_the_earlier_pairs_datasets(self, tmp_path,
+                                                                           capsys):
+        # a two-pair build; then AAA is regenerated and BBB broken at line 2500
+        out = tmp_path / "out"
+        cfgfile = write_config(tmp_path / "c.json", base_config(tmp_path, n_events=4000))
+        assert cli.main(["generate", "--config", cfgfile, "--out", str(out)]) == cli.EXIT_OK
+        cfg = base_config(tmp_path, split_ranges=default_ranges(tmp_path), n_events=4000)
+        cfgfile = write_config(tmp_path / "c.json", cfg)
+        assert cli.main(["build", "--config", cfgfile, "--out", str(out)]) == cli.EXIT_OK
+        assert cli.main(["generate", "--config", cfgfile, "--out", str(out), "--pair", "AAA",
+                         "--seed", "8"]) == cli.EXIT_OK
+        lines = (tmp_path / "BBB.ofr").read_bytes().splitlines(keepends=True)
+        lines[2499] = b"not a record\n"
+        (tmp_path / "BBB.ofr").write_bytes(b"".join(lines))
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        assert cli.main(["build", "--config", cfgfile, "--out", str(out)]) == cli.EXIT_ERROR
+        assert _one_error(capsys).startswith("error: line 2500:")
+        assert _tree(tmp_path) == before
+
+    def test_train_failing_at_its_log_keeps_the_old_checkpoint(self, tiny, tmp_path, capsys,
+                                                              monkeypatch):
+        argv = ["train", "--config", write_config(tmp_path / "c.json", tiny["cfg"]),
+                "--out", str(tmp_path / "out"), "--pair", "X", "--variant", "orderflow",
+                "--dataset", str(tiny["ds"])]
+        assert cli.main(argv) == cli.EXIT_OK
+        before = _tree(tmp_path)
+        write_csv = cli._write_csv
+
+        def full_disk(path, header, rows, meta=None):
+            def rows_then_fail():
+                yield rows[0]
+                raise OSError(28, "No space left on device")
+            write_csv(path, header, rows_then_fail(), meta)
+
+        monkeypatch.setattr(cli, "_write_csv", full_disk)
+        capsys.readouterr()
+        # another seed, so the checkpoint it would save differs from the old one
+        assert cli.main([*argv, "--seed", "4"]) == cli.EXIT_ERROR
+        assert _one_error(capsys) == "error: [Errno 28] No space left on device"
+        assert _tree(tmp_path) == before
+
+    def test_generate_failing_at_its_report_writes_no_stream(self, tmp_path, capsys,
+                                                            monkeypatch):
+        cfgfile = write_config(tmp_path / "c.json", base_config(tmp_path, n_events=500))
+        out = str(tmp_path / "out")
+        assert cli.main(["generate", "--config", cfgfile, "--out", out, "--pair", "AAA",
+                         "--seed", "1"]) == cli.EXIT_OK
+        before = _tree(tmp_path)
+        atomic_open = atomic.atomic_open
+
+        def no_report(path, *args, **kwargs):
+            if Path(path).name == "generate_report.json":
+                raise PermissionError(13, "Permission denied", str(path))
+            return atomic_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(atomic, "atomic_open", no_report)
+        capsys.readouterr()
+        assert cli.main(["generate", "--config", cfgfile, "--out", out]) == cli.EXIT_ERROR
+        assert _one_error(capsys).startswith("error: [Errno 13] Permission denied")
+        assert _tree(tmp_path) == before   # AAA's stream unchanged, BBB's not made
+
+    def test_build_on_a_broken_first_line_makes_no_out(self, tmp_path, capsys):
+        (tmp_path / "AAA.ofr").write_text("not a record\n")
+        cfg = base_config(tmp_path, split_ranges={"train": [0, 1], "validation": [1, 2],
+                                                  "test": [2, 3]})
+        write_config(tmp_path / "c.json", cfg)
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        assert cli.main(["build", "--config", str(tmp_path / "c.json"),
+                         "--out", str(tmp_path / "out" / "new"), "--pair", "AAA"]) \
+            == cli.EXIT_ERROR
+        assert _one_error(capsys).startswith("error: line 1:")
+        assert _tree(tmp_path) == before
+
+    def test_interrupted_build_commits_nothing_and_the_next_run_commits(self, tiny, tmp_path,
+                                                                       monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        os.symlink(tiny["stream"], "X.ofr")
+        Path("out").mkdir()
+        Path("out", "X.orderflow.ds").write_bytes(b"an older dataset")
+        argv = ["build", "--config", write_config(tmp_path / "c.json", tiny["cfg"]),
+                "--out", "out"]
+        before = _tree(tmp_path)
+        save_dataset, calls = features.save_dataset, []
+
+        def interrupted_second_save(ds, path):
+            calls.append(path)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return save_dataset(ds, path)
+
+        monkeypatch.setattr(features, "save_dataset", interrupted_second_save)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(argv)
+        assert _tree(tmp_path) == before
+        monkeypatch.setattr(features, "save_dataset", save_dataset)
+        assert cli.main(argv) == cli.EXIT_OK
+        assert Path("out", "X.orderflow.ds").read_bytes() == tiny["ds"].read_bytes()
+        assert sorted(p.name for p in Path("out").iterdir()) == sorted(
+            ["build_report.json", *(f"X.{v}.ds" for v in features.VARIANTS)])
+        _no_temp_file(tmp_path)
+
+    def test_generate_refuses_two_pairs_with_one_input(self, tmp_path, capsys):
+        cfg = base_config(tmp_path, n_events=500)
+        cfg["pairs"]["BBB"]["input"] = str(tmp_path / "sub" / ".." / "AAA.ofr")
+        cfgfile = write_config(tmp_path / "c.json", cfg)
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        assert cli.main(["generate", "--config", cfgfile,
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_ERROR
+        assert _one_error(capsys) == (f"error: pairs AAA and BBB both have the input "
+                                      f"{cfg['pairs']['BBB']['input']}")
+        assert _tree(tmp_path) == before
+
+    def test_build_reads_one_stream_as_two_pairs(self, tiny, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        os.symlink(tiny["stream"], "X.ofr")
+        cfg = {**tiny["cfg"], "pairs": {"X": {"input": "X.ofr"}, "Y": {"input": "X.ofr"}}}
+        assert cli.main(["build", "--config", write_config(tmp_path / "c.json", cfg),
+                         "--out", "out"]) == cli.EXIT_OK
+        report = json.loads(Path("out", "build_report.json").read_text())["pairs"]
+        assert report["X"]["orderflow"]["n"] == report["Y"]["orderflow"]["n"] > 0
+        _no_temp_file(tmp_path)
+
+
+# ---------------------------------------------------------------------------
 # verification subcommands
 # ---------------------------------------------------------------------------
 
@@ -1105,13 +1254,15 @@ class TestConfigFuzz:
                 os.symlink(tiny["stream"], "X.ofr")
             if command == "train":
                 argv += ["--pair", "X", "--variant", "orderflow", "--dataset", str(tiny["ds"])]
-            err = io.StringIO()
+            before, err = _tree(Path(work)), io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 rc = cli.main(argv)
+            after = _tree(Path(work))
         assert rc in (cli.EXIT_OK, cli.EXIT_ERROR, cli.EXIT_WARN)
         if rc == cli.EXIT_ERROR:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:"), lines
+            assert after == before   # a failed run writes nothing
 
 
 # ---------------------------------------------------------------------------
@@ -1275,12 +1426,13 @@ class TestStreamFuzz:
             for argv in (["build", "--config", write_config(Path(work) / "c.json", tiny["cfg"]),
                           "--out", "out"],
                          ["report", "--out", "out", "--pred", "pred.csv", "--stream", "X.ofr"]):
-                err = io.StringIO()
+                before, err = _tree(Path(work)), io.StringIO()
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                     rc = cli.main(argv)
                 lines = err.getvalue().splitlines()
                 assert rc in (cli.EXIT_OK, cli.EXIT_ERROR, cli.EXIT_WARN), (argv[0], rc)
                 if rc == cli.EXIT_ERROR:
                     assert len(lines) == 1 and lines[0].startswith("error:"), lines
+                    assert _tree(Path(work)) == before, argv[0]   # a failed run writes nothing
                 if rc == cli.EXIT_WARN:
                     assert len(lines) == 1 and lines[0].startswith("warning:"), lines
